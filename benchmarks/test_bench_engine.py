@@ -1,13 +1,11 @@
 """Benchmarks for the campaign execution engine.
 
-Times the quick-scale suite campaign along the engine's three axes —
-serial vs. worker-pool execution, cold vs. warm persistent cache, and
-text vs. binary cache format — emitting comparable wall-time and
-cache-size numbers for the perf trajectory.  On a single-core runner the
-parallel number mostly measures pool overhead; the interesting deltas
-there are cold vs. warm cache (the warm run performs zero trace/simulate
-work) and text vs. binary warm reruns (same work: zero — the difference
-is pure parse/decode time and on-disk footprint).
+Times the quick-scale suite campaign along the engine's axes — serial
+vs. worker-pool execution and cold vs. warm persistent cache — emitting
+comparable wall-time numbers for the perf trajectory.  On a single-core
+runner the parallel number mostly measures pool overhead; the
+interesting delta there is cold vs. warm cache (the warm run performs
+zero trace/simulate work).
 """
 
 from __future__ import annotations
@@ -34,14 +32,12 @@ def _run_engine(
     jobs: int,
     cache_dir=None,
     use_cache: bool = True,
-    cache_format: str = "binary",
     backend=None,
 ):
     engine = ExecutionEngine(
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        cache_format=cache_format,
         backend=backend,
     )
     result = engine.run(scale=SCALE, predictors=PAPER_PREDICTORS, benchmarks=BENCHMARK_ORDER)
@@ -338,68 +334,3 @@ def test_bench_engine_cold_simulate_hybrid_configs(benchmark, wire_blobs, kernel
         pytest.importorskip("numpy")
     computed = run_once(benchmark, _cold_simulate_names, wire_blobs, _HYBRID_CONFIGS, kernel)
     assert computed == len(wire_blobs) * len(_HYBRID_CONFIGS)
-
-
-# --------------------------------------------------------------------------- #
-# Text vs. binary cache format
-# --------------------------------------------------------------------------- #
-def _report_cache_size(engine, label: str) -> None:
-    stats = engine.cache.stats()
-    per_kind = ", ".join(
-        f"{kind}: {kind_stats.bytes}B/{kind_stats.entries}" for kind, kind_stats in sorted(stats.kinds.items())
-    )
-    print(f"{label} cache: {stats.bytes} bytes over {stats.entries} entries ({per_kind})")
-
-
-def test_bench_engine_cold_cache_text(benchmark, tmp_path):
-    """Cold run writing v1 plain-JSON cache entries (text trace payloads)."""
-    engine, _ = run_once(
-        benchmark, _run_engine, jobs=1, cache_dir=tmp_path / "cache", cache_format="text"
-    )
-    print()
-    _report_cache_size(engine, "text")
-    _report(engine)
-
-
-def test_bench_engine_cold_cache_binary(benchmark, tmp_path):
-    """Cold run writing compressed binary (.rvpc) cache entries."""
-    engine, _ = run_once(
-        benchmark, _run_engine, jobs=1, cache_dir=tmp_path / "cache", cache_format="binary"
-    )
-    print()
-    _report_cache_size(engine, "binary")
-    _report(engine)
-
-
-def test_bench_engine_warm_cache_text(benchmark, tmp_path):
-    """Warm rerun from a text cache: measures JSON + text-trace parse time."""
-    cache_dir = tmp_path / "cache"
-    _run_engine(jobs=1, cache_dir=cache_dir, cache_format="text")  # populate (untimed)
-    engine, _ = run_once(benchmark, _run_engine, jobs=1, cache_dir=cache_dir, cache_format="text")
-    assert engine.stats.tasks_computed == 0
-    print()
-    _report_cache_size(engine, "text")
-    _report(engine)
-
-
-def test_bench_engine_warm_cache_binary(benchmark, tmp_path):
-    """Warm rerun from a binary cache: measures envelope + v3 decode time.
-
-    Compare against ``test_bench_engine_warm_cache_text`` — both perform
-    zero trace/simulate work, so the wall-time delta is exactly the
-    codec difference the binary format exists to win.
-    """
-    cache_dir = tmp_path / "cache"
-    text_engine, _ = _run_engine(jobs=1, cache_dir=tmp_path / "text", cache_format="text")
-    _run_engine(jobs=1, cache_dir=cache_dir, cache_format="binary")  # populate (untimed)
-    engine, _ = run_once(
-        benchmark, _run_engine, jobs=1, cache_dir=cache_dir, cache_format="binary"
-    )
-    assert engine.stats.tasks_computed == 0
-    binary_bytes = engine.cache.stats().bytes
-    text_bytes = text_engine.cache.stats().bytes
-    assert binary_bytes < text_bytes
-    print()
-    _report_cache_size(engine, "binary")
-    print(f"binary/text size ratio: {binary_bytes / text_bytes:.3f}")
-    _report(engine)

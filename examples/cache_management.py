@@ -5,7 +5,7 @@ Run with::
     python examples/cache_management.py
 
 The example populates a persistent result cache with a small campaign
-(binary entries, the default), then walks the management surface that
+(``.rvpc`` entries), then walks the management surface that
 ``repro-vp cache`` exposes on the command line:
 
 1. per-kind size accounting with :meth:`ResultCache.stats`,
@@ -36,8 +36,8 @@ PREDICTORS = ("l", "s2", "fcm2")
 
 def populate(cache_dir: Path) -> ExecutionEngine:
     """Run a small campaign into ``cache_dir`` and return its engine."""
-    print("=== 1. Cold campaign populating the cache (binary entries) ===")
-    engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
+    print("=== 1. Cold campaign populating the cache ===")
+    engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
     engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
     stats = engine.stats
     print(

@@ -395,12 +395,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         help="ignore all caches and recompute every work unit",
     )
     parser.add_argument(
-        "--cache-format",
-        choices=("binary", "text"),
-        default="binary",
-        help="storage format for new cache entries (reads accept both)",
-    )
-    parser.add_argument(
         "--cache-max-bytes",
         type=_parse_size,
         default=None,
@@ -567,7 +561,6 @@ def _command_reproduce(args: argparse.Namespace, argv: Sequence[str] | None) -> 
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        cache_format=args.cache_format,
         cache_max_bytes=args.cache_max_bytes,
         cache_max_age=args.cache_max_age,
         backend=args.backend,
@@ -640,7 +633,6 @@ def _command_experiments(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        cache_format=args.cache_format,
         cache_max_bytes=args.cache_max_bytes,
         cache_max_age=args.cache_max_age,
         backend=args.backend,
@@ -729,7 +721,6 @@ def _engine_from_arguments(args: argparse.Namespace, telemetry=None) -> Executio
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=ConsoleProgress() if args.progress else None,
-        cache_format=args.cache_format,
         cache_max_bytes=args.cache_max_bytes,
         cache_max_age=args.cache_max_age,
         backend=args.backend,

@@ -1,48 +1,38 @@
 """Content-addressed on-disk store for campaign work-unit results.
 
-Layout: ``<root>/<kind>/<digest[:2]>/<digest>.<ext>`` where ``digest`` is
+Layout: ``<root>/<kind>/<digest[:2]>/<digest>.rvpc`` where ``digest`` is
 the SHA-256 of the canonical JSON form of the work unit's cache key and
-``<ext>`` is ``json`` (plain-text entry) or ``rvpc`` (binary envelope, see
-:mod:`repro.engine.codecs`).  Each entry records both the key (for
-inspectability — ``grep`` a cache dir to see what produced an entry; the
-key stays uncompressed even in binary entries) and the payload.  Writes go
-through a temporary file plus :func:`os.replace`, so concurrent producers
-of the same entry race benignly: both write identical content and the last
-rename wins atomically.
+each file is one binary envelope (see :mod:`repro.engine.codecs`).  Each
+entry records both the key (for inspectability — ``grep`` a cache dir to
+see what produced an entry; the key stays uncompressed) and the payload,
+and :meth:`ResultCache.get` compares the embedded key with the requested
+one, so a file under another entry's name reads as a miss, never as a
+wrong result.  Writes go through a temporary file plus :func:`os.replace`,
+so concurrent producers of the same entry race benignly: both write
+identical content and the last rename wins atomically.
 
 On top of storage, :class:`ResultCache` carries the cache-management layer:
-extension-agnostic entry enumeration, per-kind size accounting
-(:meth:`ResultCache.stats`), LRU/age-based garbage collection
-(:meth:`ResultCache.gc` — hits bump an entry's mtime, so eviction order is
-least-recently-*used*), integrity checking (:meth:`ResultCache.verify`)
-and :meth:`ResultCache.clear`.  The ``repro-vp cache`` CLI subcommand is a
-thin front end over these methods; ``docs/cache-layout.md`` documents the
-on-disk contract.
+enumeration of every entry file (``.json`` entries left by older versions
+included, so they are counted, evicted and flagged like any other),
+per-kind size accounting (:meth:`ResultCache.stats`), LRU/age-based
+garbage collection (:meth:`ResultCache.gc` — hits bump an entry's mtime,
+so eviction order is least-recently-*used*), integrity checking
+(:meth:`ResultCache.verify`) and :meth:`ResultCache.clear`.  The
+``repro-vp cache`` CLI subcommand is a thin front end over these methods;
+``docs/cache-layout.md`` documents the on-disk contract.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.engine.codecs import (
-    decode_cache_entry,
-    encode_cache_entry,
-    payload_trace,
-    payload_trace_text,
-)
+from repro.engine.codecs import decode_cache_entry, encode_cache_entry, payload_trace
 from repro.engine.fingerprint import key_digest
 from repro.engine.telemetry import NULL_TELEMETRY
-
-#: Entry filename extensions, in the order ``get`` probes them.  Binary
-#: first: when both forms of one digest exist, the compact one wins.
-_BINARY_SUFFIX = ".rvpc"
-_JSON_SUFFIX = ".json"
-_ENTRY_SUFFIXES = (_BINARY_SUFFIX, _JSON_SUFFIX)
 
 
 @dataclass
@@ -119,68 +109,54 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Storage
     # ------------------------------------------------------------------ #
-    def path_for(self, kind: str, key: Mapping, format: str = "json") -> Path:
-        """Path of the entry for ``key`` in the given storage ``format``."""
+    def path_for(self, kind: str, key: Mapping) -> Path:
+        """Path of the entry for ``key``."""
         digest = key_digest(key)
-        suffix = _BINARY_SUFFIX if format == "binary" else _JSON_SUFFIX
-        return self.root / kind / digest[:2] / f"{digest}{suffix}"
+        return self.root / kind / digest[:2] / f"{digest}.rvpc"
 
     def get(self, kind: str, key: Mapping) -> dict | None:
         """Return the stored payload for ``key``, or ``None`` on a miss.
 
-        Probes the binary entry first, then the JSON one, so caches written
-        by older (text-only) versions stay readable.  Unreadable, truncated
-        or otherwise corrupt entries (e.g. from a killed writer on a
-        filesystem without atomic replace) count as misses, so a damaged
-        cache degrades to recomputation rather than failure.  A hit bumps
-        the entry's mtime, making :meth:`gc` eviction least-recently-used.
+        Unreadable, truncated or otherwise corrupt entries (e.g. from a
+        killed writer on a filesystem without atomic replace) count as
+        misses, so a damaged cache degrades to recomputation rather than
+        failure.  So does an entry whose embedded key is not ``key`` — a
+        file copied or renamed onto another entry's path — counted as
+        ``cache.key_mismatch``: the filename alone never decides what a
+        hit returns.  A hit bumps the entry's mtime, making :meth:`gc`
+        eviction least-recently-used.
         """
-        base = self.path_for(kind, key, format="json").with_suffix("")
-        for suffix in _ENTRY_SUFFIXES:
-            path = base.with_suffix(suffix)
-            payload = self._read_entry(path)
-            if payload is not None:
-                self.hits += 1
-                size = 0
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    pass
-                self.hit_bytes += size
-                self.telemetry.count("cache.hit")
-                self.telemetry.count("cache.hit_bytes", size)
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
-                return payload
-        self.misses += 1
-        self.telemetry.count("cache.miss")
-        return None
+        path = self.path_for(kind, key)
+        entry = self._read_entry(path)
+        if entry is not None and key_digest(entry[0]) != path.stem:
+            self.telemetry.count("cache.key_mismatch")
+            entry = None
+        if entry is None:
+            self.misses += 1
+            self.telemetry.count("cache.miss")
+            return None
+        self.hits += 1
+        size = 0
+        try:
+            size = path.stat().st_size
+        except OSError:
+            pass
+        self.hit_bytes += size
+        self.telemetry.count("cache.hit")
+        self.telemetry.count("cache.hit_bytes", size)
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+        return entry[1]
 
-    def put(self, kind: str, key: Mapping, payload: dict, format: str = "json") -> Path:
-        """Store ``payload`` under ``key`` and return the entry's path.
-
-        ``format="binary"`` writes the compressed envelope from
-        :mod:`repro.engine.codecs`; ``"json"`` writes the v1 plain-text
-        entry.  The sibling entry in the other format, if any, is removed
-        so one result never occupies the store twice.
-        """
-        path = self.path_for(kind, key, format=format)
+    def put(self, kind: str, key: Mapping, payload: dict) -> Path:
+        """Store ``payload`` under ``key`` and return the entry's path."""
+        path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        if format == "binary":
-            with open(temporary, "wb") as handle:
-                handle.write(encode_cache_entry(dict(key), payload))
-        else:
-            if "trace_binary" in payload:
-                # A payload decoded from a binary entry carries raw v3
-                # bytes; JSON entries store the canonical text instead.
-                payload = dict(payload)
-                payload["trace_text"] = payload_trace_text(payload)
-                del payload["trace_binary"]
-            with open(temporary, "w", encoding="utf-8") as handle:
-                json.dump({"key": dict(key), "payload": payload}, handle)
+        with open(temporary, "wb") as handle:
+            handle.write(encode_cache_entry(dict(key), payload))
         os.replace(temporary, path)
         size = 0
         try:
@@ -190,25 +166,13 @@ class ResultCache:
         self.write_bytes += size
         self.telemetry.count("cache.write")
         self.telemetry.count("cache.write_bytes", size)
-        for suffix in _ENTRY_SUFFIXES:
-            if suffix != path.suffix:
-                sibling = path.with_suffix(suffix)
-                try:
-                    sibling.unlink()
-                except OSError:
-                    pass
         return path
 
-    def _read_entry(self, path: Path) -> dict | None:
-        """Decode one entry file, or ``None`` if absent or corrupt."""
+    def _read_entry(self, path: Path) -> tuple[dict, dict] | None:
+        """``(key, payload)`` of one entry file, or ``None`` if absent or corrupt."""
         try:
-            if path.suffix == _BINARY_SUFFIX:
-                with open(path, "rb") as handle:
-                    _, payload = decode_cache_entry(handle.read())
-                return payload
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            return entry["payload"]
+            with open(path, "rb") as handle:
+                return decode_cache_entry(handle.read())
         except Exception:
             return None
 
@@ -216,9 +180,10 @@ class ResultCache:
     # Enumeration and accounting
     # ------------------------------------------------------------------ #
     def entry_paths(self) -> Iterator[Path]:
-        """Every entry file in the store, regardless of storage format.
+        """Every entry file in the store.
 
-        Enumeration is extension-agnostic (``*.json`` *and* ``*.rvpc``);
+        Enumeration is extension-agnostic, so ``.json`` entries older
+        versions wrote are listed too and stats, GC and verify see them;
         in-flight ``*.tmp`` files from concurrent writers are skipped.
         """
         if not self.root.is_dir():
@@ -228,7 +193,7 @@ class ResultCache:
                 yield path
 
     def entry_count(self) -> int:
-        """Number of entries currently stored (all kinds, all formats)."""
+        """Number of entries currently stored (all kinds)."""
         return sum(1 for _ in self.entry_paths())
 
     def stats(self) -> CacheStats:
@@ -345,9 +310,10 @@ class ResultCache:
         """Check that every entry decodes and lives under its key's digest.
 
         An entry is corrupt when it fails to decode (truncated file, bad
-        magic, undecodable body, an embedded binary trace that no longer
-        parses) or when the digest of its embedded key does not match its
-        filename — either way the engine would already recompute it;
+        magic — as for a ``.json`` entry left by an older version —
+        undecodable body, an embedded binary trace that no longer parses)
+        or when the digest of its embedded key does not match its filename
+        — either way the engine would already recompute it;
         ``remove=True`` deletes such entries so they stop occupying space.
         Unlike ``get``, this decodes embedded traces in full, so it is the
         slow, thorough sweep.
@@ -370,15 +336,9 @@ class ResultCache:
     def _read_entry_key(self, path: Path) -> dict | None:
         """Deep-decode one entry and return its key, or ``None`` if corrupt."""
         try:
-            if path.suffix == _BINARY_SUFFIX:
-                with open(path, "rb") as handle:
-                    key, payload = decode_cache_entry(handle.read())
-            else:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                key = entry["key"]
-                payload = entry["payload"]
-            if "trace_binary" in payload or "trace_text" in payload:
+            with open(path, "rb") as handle:
+                key, payload = decode_cache_entry(handle.read())
+            if "trace_binary" in payload:
                 payload_trace(payload)
             return key
         except Exception:

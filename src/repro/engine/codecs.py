@@ -13,23 +13,19 @@ strings, and packed correctness bits as hex.
 
 On top of the dict codecs, :func:`encode_cache_entry` /
 :func:`decode_cache_entry` define the *binary cache-entry envelope*
-(``.rvpc`` files): the entry key stays uncompressed JSON so a cache
-directory remains greppable, the payload is zlib-compressed, and a
-``trace_text`` payload field travels as a v3 binary trace instead of
-JSON-escaped text.  Decoding deliberately does **not** render the trace
-back to text (the expensive part of a warm read); it returns the raw v3
-bytes under ``trace_binary``, and the :func:`payload_trace` /
-:func:`payload_trace_text` / :func:`payload_trace_digest` accessors give
-callers a uniform view over both shapes.  ``payload_trace_text`` always
-reproduces the canonical text bit-identically, so digests agree across
-formats (see ``docs/cache-layout.md``).
+(``.rvpc`` files, the cache's only entry format): the entry key stays
+uncompressed JSON so a cache directory remains greppable, the payload is
+zlib-compressed, and a trace payload's ``trace_binary`` v3 bytes ride in
+their own section instead of inside the JSON.  Decoding deliberately
+does **not** decode the trace (the expensive part of a warm read); it
+returns the raw v3 bytes under ``trace_binary`` and :func:`payload_trace`
+materialises them on demand (see ``docs/cache-layout.md``).
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from hashlib import sha256
 
 from repro.errors import TraceError
 from repro.isa.opcodes import Category
@@ -38,14 +34,7 @@ from repro.simulation.simulator import (
     PredictorShard,
     SimulationResult,
 )
-from repro.trace.io import (
-    decode_uvarint,
-    dumps_trace,
-    dumps_trace_binary,
-    encode_uvarint,
-    loads_trace,
-    loads_trace_binary,
-)
+from repro.trace.io import decode_uvarint, encode_uvarint, loads_trace_binary
 from repro.trace.stream import TraceStatistics, ValueTrace
 
 
@@ -203,8 +192,8 @@ def simulation_from_dict(data: dict) -> SimulationResult:
 CACHE_ENTRY_MAGIC = b"\x89RVPC\r\n\x1a"
 CACHE_ENTRY_VERSION = 1
 
-#: Placeholder stored in the payload JSON where ``trace_text`` was removed;
-#: the trace itself rides in the envelope's binary-trace section.
+#: Placeholder stored in the payload JSON where ``trace_binary`` was lifted
+#: out; the trace itself rides in the envelope's binary-trace section.
 _TRACE_SENTINEL = "__trace_binary__"
 
 
@@ -222,21 +211,14 @@ def encode_cache_entry(key: dict, payload: dict, compress: bool = True) -> bytes
         payload_len payload_json
         trace_len trace_v3_bytes     -- 0 when the payload carries no trace
 
-    A payload's ``trace_text`` field (the canonical text form produced by
-    :func:`repro.trace.io.dumps_trace`) — or pre-encoded ``trace_binary``
-    bytes, whether from a previously decoded entry or fresh off the
-    worker wire (:func:`repro.engine.worker.execute_trace_task` returns
-    compressed v3 bytes) — is stored in the v3 binary framing; every
-    other field stays JSON.  The v3 framing is self-describing about its
-    own compression, so embedded bytes are stored as given.
+    A payload's ``trace_binary`` bytes — fresh off the worker wire
+    (:func:`repro.engine.worker.execute_trace_task` returns compressed v3
+    bytes) or carried over from a previously decoded entry — go into the
+    trace section as given, since the v3 framing is self-describing about
+    its own compression; every other field stays JSON.
     """
     payload_fields = dict(payload)
     trace_bytes = payload_fields.pop("trace_binary", b"")
-    trace_text = payload_fields.pop("trace_text", None)
-    if trace_text is not None:
-        # The envelope's zlib pass covers the whole body, so the embedded
-        # trace stays uncompressed to avoid double work.
-        trace_bytes = dumps_trace_binary(loads_trace(trace_text))
     if trace_bytes:
         payload_fields[_TRACE_SENTINEL] = True
     payload_json = json.dumps(payload_fields).encode("utf-8")
@@ -267,9 +249,9 @@ def decode_cache_entry(blob: bytes) -> tuple[dict, dict]:
     """Unpack an envelope produced by :func:`encode_cache_entry`.
 
     Returns ``(key, payload)``; an embedded trace comes back as raw v3
-    bytes under ``trace_binary`` (use the ``payload_trace*`` accessors —
-    rendering text eagerly would throw away the binary format's parse-time
-    win on every warm read).  Raises ``ValueError`` on any corruption —
+    bytes under ``trace_binary`` (use :func:`payload_trace` — decoding
+    eagerly would throw away the binary format's parse-time win on every
+    warm read).  Raises ``ValueError`` on any corruption —
     truncation, bad magic, undecodable body — which the cache layer
     converts into a miss.
     """
@@ -314,46 +296,20 @@ def decode_cache_entry(blob: bytes) -> tuple[dict, dict]:
             raise ValueError("corrupt cache entry: trace sentinel without trace bytes")
         # The embedded trace is *not* decoded here — that is the expensive
         # part of a warm read, and callers materialise it exactly once via
-        # payload_trace().  Consumers must treat a TraceError from the
-        # accessors as a cache miss (the scheduler recomputes; `verify`
-        # decodes deeply).
+        # payload_trace().  Consumers must treat a TraceError from it as
+        # a cache miss (the scheduler recomputes; `verify` decodes deeply).
         payload["trace_binary"] = body[position : position + trace_length]
     return key, payload
 
 
 # --------------------------------------------------------------------------- #
-# Uniform access to trace-task payloads (text, binary or in-flight)
+# Trace-task payloads
 # --------------------------------------------------------------------------- #
 def payload_trace(payload: dict) -> ValueTrace:
     """Materialise the :class:`ValueTrace` carried by a trace-task payload.
 
-    Accepts both payload shapes: ``trace_binary`` (fresh task outcomes
-    off the worker wire and binary cache entries — the fast path, no text
-    involved) and ``trace_text`` (JSON cache entries and outcomes
-    produced by older code, kept as a decode fallback).
+    Fresh task outcomes off the worker wire and decoded cache entries both
+    carry the trace as v3 bytes under ``trace_binary``; its digest rides
+    next to it under ``digest``, stamped by the trace task.
     """
-    trace_bytes = payload.get("trace_binary")
-    if trace_bytes is not None:
-        return loads_trace_binary(trace_bytes)
-    return loads_trace(payload["trace_text"])
-
-
-def payload_trace_text(payload: dict) -> str:
-    """Canonical text form of the payload's trace (rendered if binary)."""
-    text = payload.get("trace_text")
-    if text is not None:
-        return text
-    return dumps_trace(loads_trace_binary(payload["trace_binary"]))
-
-
-def payload_trace_digest(payload: dict) -> str:
-    """Digest of the payload's trace over its canonical text form.
-
-    Prefers the ``digest`` field stamped by the trace task (so binary
-    cache hits never render text at all) and falls back to hashing the
-    canonical form for entries written before digests were stored.
-    """
-    digest = payload.get("digest")
-    if digest is not None:
-        return digest
-    return sha256(payload_trace_text(payload).encode("utf-8")).hexdigest()
+    return loads_trace_binary(payload["trace_binary"])

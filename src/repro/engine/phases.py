@@ -10,8 +10,7 @@ protocol per batch of work units:
 2. **dispatch** — build payloads for the remaining units (lazily, so warm
    runs never pay for them) and execute them on the engine's
    :class:`~repro.engine.backends.ExecutorBackend`, in input order;
-3. **put** — decode each fresh outcome and write it back to the cache in
-   the engine's configured storage format.
+3. **put** — decode each fresh outcome and write it back to the cache.
 
 :func:`run_phase` is that protocol, once; :class:`PhaseSpec` carries
 everything that varies between phases — cache kind, cache-key builder
@@ -111,7 +110,7 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
     """Execute one phase on ``engine``; returns the tasks actually computed.
 
     ``engine`` supplies the shared machinery: ``cache`` (may be ``None``),
-    ``cache_format``, ``progress``, ``stats``, ``telemetry`` and the
+    ``progress``, ``stats``, ``telemetry`` and the
     ``backend`` the dispatch runs on (via ``ExecutionEngine._run_tasks``).
     The whole phase runs under a ``phase`` telemetry span; each computed
     unit's worker-side sidecar (:data:`~repro.engine.telemetry.TELEMETRY_KEY`)
@@ -205,6 +204,6 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
             spec.accept_fresh(task.uid, outcome)
             engine.stats.record(spec.counter, cached=False)
             if cache:
-                cache.put(spec.kind, task.cache_key, outcome, format=engine.cache_format)
+                cache.put(spec.kind, task.cache_key, outcome)
     engine.stats.record_seconds(spec.counter, time.perf_counter() - phase_started_perf)
     return pending

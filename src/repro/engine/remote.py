@@ -73,9 +73,12 @@ from repro.engine.tasks import TASK_FORMAT_VERSION
 from repro.engine.worker import WORKER_FUNCTIONS, worker_function_name
 from repro.errors import RemoteProtocolError, RemoteTaskError, RemoteWorkerError
 
-#: Bump when the frame layout or message schema changes incompatibly;
-#: the handshake refuses mismatched peers.
-PROTOCOL_VERSION = 1
+#: Bump when the frame layout, the message schema or the set of worker
+#: functions changes incompatibly; the handshake refuses mismatched peers.
+#: Version 2: the ``simulate-window`` worker function folded into
+#: ``simulate`` (a window travels as ``window``/``state`` payload fields);
+#: a version-1 worker would ignore ``state`` and compute a wrong shard.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on a single frame's body.  Far above any real payload (a
 #: compressed v3 trace is a few hundred kilobytes at paper scale) while

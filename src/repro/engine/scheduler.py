@@ -3,8 +3,7 @@
 A campaign run proceeds in three phases:
 
 1. **trace** — every benchmark not already in the cache is traced (on the
-   configured executor backend) and stored in the configured cache format
-   (compressed binary by default, canonical text on request);
+   configured executor backend) and stored in the result cache;
 2. **simulate** — every (trace, predictor) pair not in the cache is
    simulated into a :class:`PredictorShard`;
 3. **merge** — shards are recombined per benchmark into the joint
@@ -29,7 +28,6 @@ from repro.engine.backends import ExecutorBackend, resolve_backend
 from repro.engine.cache import ResultCache
 from repro.engine.codecs import (
     payload_trace,
-    payload_trace_digest,
     shard_from_dict,
     simulation_from_dict,
     simulation_to_dict,
@@ -132,12 +130,6 @@ class ExecutionEngine:
         ``False`` ignores ``cache_dir`` entirely (force recompute).
     progress:
         Optional :class:`ProgressListener` receiving live events.
-    cache_format:
-        Storage format for new cache entries: ``"binary"`` (default)
-        writes the compressed ``.rvpc`` envelope, ``"text"`` the v1 plain
-        JSON files.  Reads always accept both, and both decode to the
-        same canonical payloads, so results — and the trace digests that
-        key them — are bit-identical whichever format a cache holds.
     cache_max_bytes / cache_max_age:
         Garbage-collection bounds for the persistent cache.  When either
         is set, a bounded :meth:`ResultCache.gc` pass runs automatically
@@ -188,7 +180,6 @@ class ExecutionEngine:
         cache_dir: str | Path | None = None,
         use_cache: bool = True,
         progress: ProgressListener | None = None,
-        cache_format: str = "binary",
         cache_max_bytes: int | None = None,
         cache_max_age: float | None = None,
         backend: str | ExecutorBackend | None = None,
@@ -217,9 +208,6 @@ class ExecutionEngine:
         if self.cache is not None:
             self.cache.telemetry = self.telemetry
         self.progress = progress if progress is not None else NullProgress()
-        self.cache_format = "json" if cache_format == "text" else cache_format
-        if self.cache_format not in ("json", "binary"):
-            raise ValueError(f"unknown cache format {cache_format!r}")
         self._owns_backend = not isinstance(backend, ExecutorBackend)
         self.backend = resolve_backend(backend, self.jobs, workers=workers)
         self.stats = EngineStats()
@@ -332,7 +320,6 @@ class ExecutionEngine:
             backend=self.backend.name,
             jobs=self.jobs,
             cache_dir=str(self.cache.root) if self.cache else None,
-            cache_format=self.cache_format if self.cache else None,
         )
 
     def _cache_bytes(self) -> tuple[int, int]:
@@ -374,7 +361,7 @@ class ExecutionEngine:
 
         def materialise(name: str, payload: dict) -> None:
             traces[name] = payload_trace(payload)
-            digests[name] = payload_trace_digest(payload)
+            digests[name] = payload["digest"]
             statistics[name] = statistics_from_dict(payload["statistics"])
 
         def accept_cached(name: str, payload: dict) -> bool:
@@ -557,7 +544,6 @@ class ExecutionEngine:
                     "merge",
                     merge_keys[benchmark],
                     {"simulation": simulation_to_dict(merged)},
-                    format=self.cache_format,
                 )
         return {benchmark: simulations[benchmark] for benchmark in benchmarks}
 

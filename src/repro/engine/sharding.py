@@ -17,11 +17,13 @@ composed result **bit-identical** to the monolithic simulation:
    engine's backend — pairs replay in parallel — and costs roughly half a
    simulation pass, so the sharded critical path stays well under the
    monolithic one;
-3. **windows** — each window runs as a ``simulate-window`` unit (cached
-   under its own kind), restoring the handed-off state and simulating its
-   slice on the engine's kernel: the vector kernel seeds its plan from
-   the restored snapshot (:mod:`repro.simulation.vectorized`), the scalar
-   kernel — or a plan that declines — runs the reference observe loop;
+3. **windows** — each window runs through the ordinary ``simulate``
+   worker function over just its slice, starting from the handed-off
+   state, and is cached under its own ``simulate-window`` kind: the vector
+   kernel seeds its plan from the restored snapshot
+   (:mod:`repro.simulation.vectorized`), the scalar kernel — or a plan
+   that declines — runs the one reference observe loop
+   (:func:`~repro.simulation.simulator.simulate_shard`);
 4. **stitch** — :func:`merge_window_shards` concatenates the window shards
    back into one :class:`~repro.simulation.simulator.PredictorShard`,
    reproducing the unsharded shard exactly — including the dict insertion
@@ -213,7 +215,7 @@ def run_windowed_simulations(engine, units: Sequence[WindowedUnit]) -> dict:
     # Imported lazily: the worker module and this one are peers under the
     # engine package, and worker functions must stay importable on their
     # own for every backend to pickle them by reference.
-    from repro.engine.worker import execute_simulate_window_task
+    from repro.engine.worker import execute_simulate_task
     from repro.trace.io import dumps_trace_binary
 
     stats = engine.stats
@@ -331,7 +333,7 @@ def run_windowed_simulations(engine, units: Sequence[WindowedUnit]) -> dict:
                 )
                 for unit, start, stop in needed
             ],
-            worker=execute_simulate_window_task,
+            worker=execute_simulate_task,
             accept_cached=accept_window,
             accept_fresh=accept_window,
             total=sum(len(unit.windows) for unit in pending) + len(warm_pairs),
@@ -354,7 +356,6 @@ def run_windowed_simulations(engine, units: Sequence[WindowedUnit]) -> dict:
                 "simulate",
                 _pair_task(unit).cache_key(),
                 {"shard": shard_to_dict(merged)},
-                format=engine.cache_format,
             )
     return shards
 

@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING
 
 from repro.engine.codecs import (
     payload_trace,
-    payload_trace_digest,
     shard_from_dict,
     statistics_from_dict,
 )
@@ -355,7 +354,7 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
         ),
     )
 
-    digests = {config: payload_trace_digest(payloads[config]) for config in trace_tasks}
+    digests = {config: payloads[config]["digest"] for config in trace_tasks}
     statistics = {
         config: statistics_from_dict(payloads[config]["statistics"])
         for config in trace_tasks
@@ -386,12 +385,7 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
             stats.traces_computed += 1
             stats.traces_cached -= 1
             if engine.cache:
-                engine.cache.put(
-                    "trace",
-                    trace_tasks[config].cache_key(),
-                    outcome,
-                    format=engine.cache_format,
-                )
+                engine.cache.put("trace", trace_tasks[config].cache_key(), outcome)
             return outcome
 
         return repair
@@ -511,18 +505,16 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
 def _trace_payload_usable(payload: dict) -> bool:
     """Cheap validity probe for a cached trace payload.
 
-    Confirms the digest and statistics are reachable without decoding the
-    embedded trace (the whole point of the warm path).  Entries predating
-    stamped digests fall back to a full text render, which also surfaces
-    trace corruption; for stamped entries a corrupt trace body is caught
-    later by :class:`_LazyTrace`'s re-trace fallback.
+    Confirms the stamped digest and the statistics are readable without
+    decoding the embedded trace (the whole point of the warm path); a
+    corrupt trace body is caught later by :class:`_LazyTrace`'s re-trace
+    fallback.
     """
     try:
-        payload_trace_digest(payload)
         statistics_from_dict(payload["statistics"])
     except Exception:
         return False
-    return True
+    return "digest" in payload
 
 
 def _trace_label(config: TraceConfig) -> str:
@@ -547,7 +539,6 @@ def run_sweep(
     jobs: int | None = None,
     cache_dir=None,
     progress=None,
-    cache_format: str | None = None,
     backend=None,
     workers=None,
     kernel: str | None = None,
@@ -558,7 +549,7 @@ def run_sweep(
     ``use_cache`` governs both the in-process memo and the on-disk cache;
     unset parameters fall back to the engine defaults configured through
     :func:`repro.simulation.campaign.set_campaign_defaults` (which the CLI
-    wires to ``--jobs``/``--cache-dir``/``--cache-format``/``--backend``/
+    wires to ``--jobs``/``--cache-dir``/``--backend``/
     ``--workers``/``--no-cache``).  The memo keys on the spec *and* the predictors'
     configuration fingerprints, so re-binding a predictor name cannot
     serve stale results — the same policy the campaign memo follows.
@@ -574,7 +565,6 @@ def run_sweep(
         cache_dir=cache_dir,
         use_cache=use_cache,
         progress=progress,
-        cache_format=cache_format,
         backend=backend,
         workers=workers,
         kernel=kernel,

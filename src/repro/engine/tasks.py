@@ -31,7 +31,8 @@ from repro.trace.stream import ValueTrace
 #: Version 4: intra-trace sharding adds the ``replay`` and ``simulate-window``
 #: worker functions (:mod:`repro.engine.sharding`) plus the
 #: ``simulate-window`` cache kind; remote workers must know both names, so
-#: the handshake pin rides on this bump.
+#: the handshake pin rides on this bump.  (The window worker has since
+#: folded into ``simulate``; ``PROTOCOL_VERSION`` 2 pins that.)
 TASK_FORMAT_VERSION = 4
 
 

@@ -53,6 +53,8 @@ import time
 from pathlib import Path
 from typing import Iterator, TextIO
 
+import repro
+
 #: Bump when the JSONL record schema or manifest layout changes
 #: incompatibly; stamped into every manifest.
 TELEMETRY_VERSION = 1
@@ -212,15 +214,6 @@ def _engine_versions() -> dict:
     }
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro-vp")
-    except Exception:
-        return "unknown"
-
-
 class RunTelemetry(Telemetry):
     """Telemetry sink persisting one run into one directory.
 
@@ -265,7 +258,7 @@ class RunTelemetry(Telemetry):
             "argv": list(sys.argv if argv is None else argv),
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "package_version": _package_version(),
+            "package_version": repro.__version__,
             **_engine_versions(),
         }
         self._stream: TextIO = open(self.directory / METRICS_NAME, "w", encoding="utf-8")

@@ -17,7 +17,7 @@ from repro.core.registry import create_predictor
 from repro.engine.codecs import shard_to_dict, statistics_to_dict
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.errors import SimulationError
-from repro.trace.io import dumps_trace, dumps_trace_binary, loads_trace, loads_trace_binary
+from repro.trace.io import dumps_trace, dumps_trace_binary, loads_trace_binary
 from repro.simulation.simulator import simulate_shard
 from repro.simulation.vectorized import resolve_kernel
 from repro.workloads.suite import get_workload
@@ -68,9 +68,7 @@ def execute_trace_task(payload: dict) -> dict:
     the parent never renders or re-parses text for a cold trace.  The
     canonical text form still exists transiently in the worker because the
     ``digest`` that keys the simulate phase is defined over it (see
-    ``docs/trace-format.md``); consumers accept ``trace_text`` payloads as
-    a decode fallback for entries and wire formats produced by older code
-    (:func:`repro.engine.codecs.payload_trace`).
+    ``docs/trace-format.md``).
     """
     started = time.perf_counter()
     workload = get_workload(payload["benchmark"])
@@ -89,12 +87,17 @@ def execute_trace_task(payload: dict) -> dict:
 
 
 def execute_simulate_task(payload: dict) -> dict:
-    """Simulate one predictor over one trace; returns the encoded shard.
+    """Simulate one predictor over one trace window; returns the encoded shard.
 
-    The trace arrives either inline (``trace``, in-process dispatch), as
-    v3 binary bytes (``trace_bytes``, the pool wire format) or — for
-    compatibility with payloads built by older code — as canonical text
-    (``trace_text``).  All three decode to the same records.
+    The trace arrives either inline (``trace``, in-process dispatch) or as
+    v3 binary bytes (``trace_bytes``, the pool and remote wire format);
+    both decode to the same records.  A whole trace is the window
+    ``[0, L)`` from a fresh predictor.  Intra-trace sharding
+    (:mod:`repro.engine.sharding`) ships only a ``[start, stop)`` slice,
+    named by ``window``, with ``state``: the predictor snapshot at
+    ``start`` (``None`` exactly when ``start`` is 0).  The simulation
+    counter moves once per (trace, predictor) pair — on the window that
+    starts the trace — matching the unsharded run's accounting.
 
     ``kernel`` selects the simulation kernel; it is resolved against
     *this* worker's environment (see
@@ -104,39 +107,40 @@ def execute_simulate_task(payload: dict) -> dict:
     """
     started = time.perf_counter()
     kernel = resolve_kernel(payload.get("kernel"))
-    name = payload["predictor"]
-    expected_signature = payload.get("signature")
-    if expected_signature is not None:
-        local_signature = create_predictor(name).config_signature()
-        if local_signature != expected_signature:
-            # A worker whose registry binds `name` differently than the
-            # scheduler's (possible under the spawn start method, where
-            # dynamic re-bindings are not inherited) must not produce a
-            # shard that would be cached under the scheduler's signature.
-            raise SimulationError(
-                f"predictor {name!r} is configured differently in this worker: "
-                f"expected signature {expected_signature!r}, got {local_signature!r}"
-            )
+    name = _check_signature(payload)
+    state = payload.get("state")
+    window = payload.get("window")
+    count_simulation = window is None or window[0] == 0
     shard = None
     trace = payload.get("trace")
-    trace_bytes = payload.get("trace_bytes") if trace is None else None
     if kernel == "vector":
         from repro.simulation.vectorized import simulate_shard_vector
         from repro.trace.io import decode_trace_columns, trace_columns
 
         columns = None
-        if trace is None and trace_bytes is not None:
-            columns = decode_trace_columns(trace_bytes)
+        if trace is None:
+            columns = decode_trace_columns(payload["trace_bytes"])
         if columns is None:
             trace = _payload_records(payload)
             columns = trace_columns(trace)
         if columns is not None:
-            shard = simulate_shard_vector(columns, name)
+            shard = simulate_shard_vector(
+                columns,
+                name,
+                state=state,
+                count_simulation=count_simulation,
+            )
     fallback = kernel == "vector" and shard is None
     if shard is None:
         if trace is None:
             trace = _payload_records(payload)
-        shard = simulate_shard(trace, name, kernel="scalar")
+        shard = simulate_shard(
+            trace,
+            name,
+            kernel="scalar",
+            state=state,
+            count_simulation=count_simulation,
+        )
     return {
         "shard": shard_to_dict(shard),
         TELEMETRY_KEY: _telemetry_sidecar(
@@ -150,7 +154,13 @@ def execute_simulate_task(payload: dict) -> dict:
 
 
 def _check_signature(payload: dict) -> str:
-    """Validate the payload's expected predictor signature; returns the name."""
+    """Validate the payload's expected predictor signature; returns the name.
+
+    A worker whose registry binds the name differently than the
+    scheduler's (possible under the spawn start method, where dynamic
+    re-bindings are not inherited) must not produce a shard that would be
+    cached under the scheduler's signature.
+    """
     name = payload["predictor"]
     expected_signature = payload.get("signature")
     if expected_signature is not None:
@@ -164,14 +174,10 @@ def _check_signature(payload: dict) -> str:
 
 
 def _payload_records(payload: dict):
-    """Materialise the payload's trace (inline, v3 bytes or text fallback)."""
+    """Materialise the payload's trace (inline or from v3 bytes)."""
     trace = payload.get("trace")
     if trace is None:
-        trace_bytes = payload.get("trace_bytes")
-        if trace_bytes is not None:
-            trace = loads_trace_binary(trace_bytes)
-        else:
-            trace = loads_trace(payload["trace_text"])
+        trace = loads_trace_binary(payload["trace_bytes"])
     return trace
 
 
@@ -207,103 +213,15 @@ def execute_replay_task(payload: dict) -> dict:
     }
 
 
-def execute_simulate_window_task(payload: dict) -> dict:
-    """Simulate one predictor over one trace window from a handed-off state.
-
-    The shipped trace is the ``[start, stop)`` slice itself; ``state`` is
-    the predecessor boundary's snapshot (``None`` exactly when ``start``
-    is 0).  Under the ``"vector"`` kernel the columnar plan starts from
-    the restored snapshot (:func:`simulate_shard_vector` with ``state``),
-    so ``--kernel vector --shard-window auto`` compose; the scalar observe
-    loop below remains the reference and the fallback.  The counter
-    increments once per pair — on the first window — matching the
-    unsharded run's accounting.
-    """
-    from repro.simulation.simulator import (
-        SIMULATION_COUNTER,
-        PredictorResult,
-        PredictorShard,
-        pack_outcomes,
-    )
-    from repro.simulation.state import restore_predictor
-
-    started = time.perf_counter()
-    kernel = resolve_kernel(payload.get("kernel"))
-    name = _check_signature(payload)
-    start, stop = payload["window"]
-    shard = None
-    trace = payload.get("trace")
-    if kernel == "vector":
-        from repro.simulation.vectorized import simulate_shard_vector
-        from repro.trace.io import decode_trace_columns, trace_columns
-
-        columns = None
-        trace_bytes = payload.get("trace_bytes") if trace is None else None
-        if trace is None and trace_bytes is not None:
-            columns = decode_trace_columns(trace_bytes)
-        if columns is None:
-            trace = _payload_records(payload)
-            columns = trace_columns(trace)
-        if columns is not None:
-            shard = simulate_shard_vector(
-                columns,
-                name,
-                state=payload.get("state"),
-                count_simulation=start == 0,
-            )
-    fallback = kernel == "vector" and shard is None
-    if shard is not None:
-        return {
-            "shard": shard_to_dict(shard),
-            TELEMETRY_KEY: _telemetry_sidecar(
-                "simulate-window", started, kernel=kernel, fallback=False, predictor=name
-            ),
-        }
-    if trace is None:
-        trace = _payload_records(payload)
-    predictor = create_predictor(name)
-    state = payload.get("state")
-    if state is not None:
-        restore_predictor(predictor, state)
-    if start == 0:
-        SIMULATION_COUNTER.increment()
-    result = PredictorResult(predictor=name)
-    outcomes: list[bool] = []
-    for record in trace.records:
-        category = record.category
-        correct = predictor.observe(record.pc, record.value, category)
-        outcomes.append(correct)
-        result.total += 1
-        result.category_total[category] = result.category_total.get(category, 0) + 1
-        if correct:
-            result.correct += 1
-            result.category_correct[category] = result.category_correct.get(category, 0) + 1
-            result.pc_correct[record.pc] = result.pc_correct.get(record.pc, 0) + 1
-    shard = PredictorShard(
-        result=result, correctness=pack_outcomes(outcomes), record_count=len(trace)
-    )
-    return {
-        "shard": shard_to_dict(shard),
-        TELEMETRY_KEY: _telemetry_sidecar(
-            "simulate-window",
-            started,
-            kernel="scalar" if fallback else kernel,
-            fallback=fallback,
-            predictor=name,
-        ),
-    }
-
-
 #: Worker functions addressable *by name* over the remote worker protocol
 #: (:mod:`repro.engine.remote`).  A remote dispatch ships the registry key
 #: instead of a pickled callable, so engine and worker only have to agree
-#: on this mapping — which the handshake's ``TASK_FORMAT_VERSION`` pin
-#: already guarantees.
+#: on this mapping — which the handshake's ``PROTOCOL_VERSION`` pin
+#: guarantees.
 WORKER_FUNCTIONS = {
     "trace": execute_trace_task,
     "simulate": execute_simulate_task,
     "replay": execute_replay_task,
-    "simulate-window": execute_simulate_window_task,
 }
 
 

@@ -67,7 +67,6 @@ class EngineDefaults:
     jobs: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = True
-    cache_format: str = "binary"
     cache_max_bytes: int | None = None
     cache_max_age: float | None = None
     backend: str | None = None
@@ -109,7 +108,6 @@ def set_campaign_defaults(
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool | None = None,
-    cache_format: str | None = None,
     cache_max_bytes: int | None = None,
     cache_max_age: float | None = None,
     backend: str | None = None,
@@ -121,7 +119,7 @@ def set_campaign_defaults(
     """Configure the engine used by default for subsequent campaigns/sweeps.
 
     The CLI routes ``--jobs``/``--cache-dir``/``--no-cache``/
-    ``--cache-format``/``--cache-max-bytes``/``--cache-max-age``/
+    ``--cache-max-bytes``/``--cache-max-age``/
     ``--backend``/``--workers``/``--kernel``/``--shard-window`` through
     here so that the experiment entry points — whose signatures only carry
     ``scale`` — still execute on the configured engine.
@@ -132,8 +130,6 @@ def set_campaign_defaults(
         _ENGINE_DEFAULTS.cache_dir = cache_dir
     if use_cache is not None:
         _ENGINE_DEFAULTS.use_cache = use_cache
-    if cache_format is not None:
-        _ENGINE_DEFAULTS.cache_format = cache_format
     if cache_max_bytes is not None:
         _ENGINE_DEFAULTS.cache_max_bytes = cache_max_bytes
     if cache_max_age is not None:
@@ -155,7 +151,6 @@ def reset_campaign_defaults() -> None:
     _ENGINE_DEFAULTS.jobs = 1
     _ENGINE_DEFAULTS.cache_dir = None
     _ENGINE_DEFAULTS.use_cache = True
-    _ENGINE_DEFAULTS.cache_format = "binary"
     _ENGINE_DEFAULTS.cache_max_bytes = None
     _ENGINE_DEFAULTS.cache_max_age = None
     _ENGINE_DEFAULTS.backend = None
@@ -178,7 +173,6 @@ def build_engine(
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
     progress: ProgressListener | None = None,
-    cache_format: str | None = None,
     backend: str | None = None,
     workers: tuple[str, ...] | None = None,
     telemetry=None,
@@ -223,7 +217,6 @@ def build_engine(
         cache_dir=_ENGINE_DEFAULTS.cache_dir if cache_dir is None else cache_dir,
         use_cache=use_cache,
         progress=progress,
-        cache_format=_ENGINE_DEFAULTS.cache_format if cache_format is None else cache_format,
         cache_max_bytes=_ENGINE_DEFAULTS.cache_max_bytes,
         cache_max_age=_ENGINE_DEFAULTS.cache_max_age,
         backend=backend,
@@ -255,7 +248,6 @@ def run_campaign(
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
     progress: ProgressListener | None = None,
-    cache_format: str | None = None,
     backend: str | None = None,
     workers: tuple[str, ...] | None = None,
     kernel: str | None = None,
@@ -284,7 +276,6 @@ def run_campaign(
         cache_dir=cache_dir,
         use_cache=use_cache,
         progress=progress,
-        cache_format=cache_format,
         backend=backend,
         workers=workers,
         kernel=kernel,

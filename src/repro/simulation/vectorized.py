@@ -1338,8 +1338,8 @@ def simulate_shard_vector(
     """Vectorized :func:`~repro.simulation.simulator.simulate_shard`.
 
     ``state`` starts the plan from a restored predictor snapshot
-    (:mod:`repro.simulation.state`), which is how ``simulate-window``
-    tasks of an intra-trace sharded run execute mid-trace windows on the
+    (:mod:`repro.simulation.state`), which is how the window tasks of an
+    intra-trace sharded run execute mid-trace windows on the
     vector kernel.  ``count_simulation=False`` suppresses the process-wide
     simulation counter — window shards count once per (trace, predictor)
     pair, at the window that starts the trace.

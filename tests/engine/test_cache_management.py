@@ -9,16 +9,11 @@ import pytest
 
 from repro.engine import ExecutionEngine
 from repro.engine.cache import ResultCache
+from repro.engine.codecs import decode_cache_entry, encode_cache_entry, payload_trace
 from repro.engine.sweeps import SweepSpec
 from repro.engine.tasks import TraceTask
-from repro.engine.codecs import (
-    decode_cache_entry,
-    encode_cache_entry,
-    payload_trace,
-    payload_trace_digest,
-    payload_trace_text,
-)
-from repro.trace.io import dumps_trace
+from repro.engine.telemetry import RunTelemetry
+from repro.trace.io import dumps_trace, dumps_trace_binary
 from repro.trace.synthetic import trace_from_values
 
 SCALE = 0.05
@@ -43,30 +38,25 @@ class TestCacheEntryEnvelope:
             assert restored_payload == payload
 
     def test_round_trip_trace_payload_is_bit_identical(self):
-        import hashlib
-
         trace = trace_from_values([3, 1, 4, 1, 5] * 20, name="envelope test")
         trace.set_total_dynamic_instructions(250)
-        text = dumps_trace(trace)
-        payload = {"trace_text": text, "statistics": {"predicted": 100}}
+        payload = {
+            "trace_binary": dumps_trace_binary(trace, compress=True),
+            "digest": "0" * 64,
+            "statistics": {"predicted": 100},
+        }
         _, restored = decode_cache_entry(encode_cache_entry({"kind": "trace"}, payload))
-        # The trace comes back in binary form; the accessors restore the
-        # canonical text (and its digest) bit-identically.
-        assert "trace_text" not in restored and "trace_binary" in restored
-        assert payload_trace_text(restored) == text
-        assert dumps_trace(payload_trace(restored)) == text
-        assert (
-            payload_trace_digest(restored)
-            == hashlib.sha256(text.encode("utf-8")).hexdigest()
-        )
-        assert restored["statistics"] == {"predicted": 100}
+        # The v3 bytes come back exactly as stored, still undecoded, and
+        # decode to the original trace.
+        assert restored == payload
+        assert dumps_trace(payload_trace(restored)) == dumps_trace(trace)
 
     def test_reencoding_a_decoded_payload_round_trips(self):
         trace = trace_from_values([9, 8, 7], name="re-encode")
-        payload = {"trace_text": dumps_trace(trace)}
+        payload = {"trace_binary": dumps_trace_binary(trace)}
         _, decoded = decode_cache_entry(encode_cache_entry({"k": 1}, payload))
         _, again = decode_cache_entry(encode_cache_entry({"k": 1}, decoded))
-        assert payload_trace_text(again) == payload["trace_text"]
+        assert again == payload
 
     def test_key_stays_greppable(self):
         blob = encode_cache_entry({"workload": "compress-grep-me"}, {"x": 1})
@@ -74,12 +64,9 @@ class TestCacheEntryEnvelope:
 
     def test_trace_payload_shrinks(self):
         trace = trace_from_values(list(range(500)), name="size")
-        payload = {"trace_text": dumps_trace(trace)}
-        import json
-
+        payload = {"trace_binary": dumps_trace_binary(trace)}
         binary = encode_cache_entry({"kind": "trace"}, payload)
-        text = json.dumps({"key": {"kind": "trace"}, "payload": payload}).encode()
-        assert len(binary) < len(text) // 4
+        assert len(binary) < len(dumps_trace(trace).encode("utf-8")) // 4
 
     @pytest.mark.parametrize("keep", [3, 12, 40])
     def test_truncated_envelope_rejected(self, keep):
@@ -96,44 +83,35 @@ class TestCacheEntryEnvelope:
             decode_cache_entry(CACHE_ENTRY_MAGIC + b"\xff")
 
 
-class TestCacheStorageFormats:
+class TestCacheStorage:
     KEY = {"kind": "trace", "workload": "w"}
 
     def _trace_payload(self):
         trace = trace_from_values([1, 2, 3] * 30, name="fmt")
-        return {"trace_text": dumps_trace(trace), "statistics": {"n": 90}}
+        return {"trace_binary": dumps_trace_binary(trace), "statistics": {"n": 90}}
 
     def test_binary_put_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         payload = self._trace_payload()
-        cache.put("trace", self.KEY, payload, format="binary")
-        restored = cache.get("trace", self.KEY)
-        assert payload_trace_text(restored) == payload["trace_text"]
-        assert restored["statistics"] == payload["statistics"]
-
-    def test_put_replaces_other_format_sibling(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        payload = self._trace_payload()
-        cache.put("trace", self.KEY, payload, format="json")
-        cache.put("trace", self.KEY, payload, format="binary")
-        assert cache.entry_count() == 1
-        cache.put("trace", self.KEY, payload, format="json")
-        assert cache.entry_count() == 1
+        assert cache.put("trace", self.KEY, payload).suffix == ".rvpc"
         assert cache.get("trace", self.KEY) == payload
 
     def test_corrupt_binary_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put("trace", self.KEY, self._trace_payload(), format="binary")
+        path = cache.put("trace", self.KEY, self._trace_payload())
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         assert cache.get("trace", self.KEY) is None
         assert cache.misses == 1
 
     def test_entry_count_sees_binary_entries(self, tmp_path):
-        # Regression: enumeration used to glob only ``*/*/*.json`` and
-        # silently undercounted once binary entries existed.
+        # Regression: enumeration used to glob only ``*/*/*.json``.  It
+        # lists every entry file — a ``.json`` entry left by an older
+        # version included — so stats and GC account for all of them.
         cache = ResultCache(tmp_path)
-        cache.put("trace", self.KEY, self._trace_payload(), format="binary")
-        cache.put("simulate", {"kind": "simulate"}, {"x": 1}, format="json")
+        cache.put("trace", self.KEY, self._trace_payload())
+        legacy = tmp_path / "simulate" / "00" / f"{'0' * 64}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text('{"key": {}, "payload": {}}')
         assert cache.entry_count() == 2
         stats = cache.stats()
         assert stats.entries == 2
@@ -152,7 +130,7 @@ class TestGarbageCollection:
     def _populate(self, cache, count, kind="simulate"):
         paths = []
         for index in range(count):
-            path = cache.put(kind, {"k": index}, {"blob": "x" * 200}, format="binary")
+            path = cache.put(kind, {"k": index}, {"blob": "x" * 200})
             paths.append(path)
         return paths
 
@@ -193,7 +171,7 @@ class TestGarbageCollection:
         paths = self._populate(cache, 2)
         for path in paths:
             _age(path, 100)
-        in_flight = cache.put("simulate", {"k": "new"}, {"blob": "y"}, format="binary")
+        in_flight = cache.put("simulate", {"k": "new"}, {"blob": "y"})
         future = time.time() + 30
         os.utime(in_flight, (future, future))
         report = cache.gc(max_bytes=0)
@@ -203,8 +181,8 @@ class TestGarbageCollection:
 
     def test_cache_hit_refreshes_lru_position(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = cache.put("simulate", {"k": 1}, {"v": "a" * 100}, format="binary")
-        second = cache.put("simulate", {"k": 2}, {"v": "b" * 100}, format="binary")
+        first = cache.put("simulate", {"k": 1}, {"v": "a" * 100})
+        second = cache.put("simulate", {"k": 2}, {"v": "b" * 100})
         _age(first, 500)
         _age(second, 100)
         assert cache.get("simulate", {"k": 1}) is not None  # refresh the older one
@@ -296,10 +274,10 @@ class TestAutoGC:
 
 
 class TestVerify:
-    def test_verify_passes_on_healthy_mixed_cache(self, tmp_path):
+    def test_verify_passes_on_healthy_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("trace", {"k": 1}, {"x": 1}, format="binary")
-        cache.put("simulate", {"k": 2}, {"x": 2}, format="json")
+        cache.put("trace", {"k": 1}, {"x": 1})
+        cache.put("simulate", {"k": 2}, {"x": 2})
         report = cache.verify()
         assert report.checked == 2 and report.ok
 
@@ -307,21 +285,55 @@ class TestVerify:
         # An envelope can be structurally intact while its embedded trace
         # bytes are not; `get` defers trace decoding, `verify` does not.
         cache = ResultCache(tmp_path)
-        path = cache.put("trace", {"k": 1}, {"trace_binary": b"not a trace"}, format="binary")
+        path = cache.put("trace", {"k": 1}, {"trace_binary": b"not a trace"})
         assert cache.verify().corrupt == [path]
 
     def test_verify_flags_truncated_and_misfiled_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
-        good = cache.put("trace", {"k": 1}, {"x": 1}, format="binary")
-        truncated = cache.put("trace", {"k": 2}, {"x": 2}, format="binary")
+        good = cache.put("trace", {"k": 1}, {"x": 1})
+        truncated = cache.put("trace", {"k": 2}, {"x": 2})
         truncated.write_bytes(truncated.read_bytes()[:6])
-        misfiled = good.with_name(f"{'0' * 64}.json")
-        misfiled.write_text('{"key": {"k": 3}, "payload": {"x": 3}}')
+        misfiled = good.with_name(f"{'0' * 64}.rvpc")
+        misfiled.write_bytes(encode_cache_entry({"k": 3}, {"x": 3}))
         report = cache.verify()
         assert set(report.corrupt) == {truncated, misfiled}
         cache.verify(remove=True)
         assert cache.entry_count() == 1
         assert good.exists()
+
+
+class TestEntryKeyCheck:
+    """``get`` trusts the key inside an entry, never its filename alone."""
+
+    def test_entry_copied_onto_another_path_is_a_miss(self, tmp_path):
+        telemetry = RunTelemetry(tmp_path / "telemetry", argv=[])
+        cache = ResultCache(tmp_path / "cache")
+        cache.telemetry = telemetry
+        first = cache.put("simulate", {"k": "a"}, {"v": "a"})
+        second = cache.put("simulate", {"k": "b"}, {"v": "b"})
+        second.write_bytes(first.read_bytes())
+        assert cache.get("simulate", {"k": "b"}) is None
+        assert cache.get("simulate", {"k": "a"}) == {"v": "a"}
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert telemetry.counters()["cache.key_mismatch"] == 1
+        telemetry.close()
+
+    def test_campaign_recomputes_an_entry_under_another_key(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        reference = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+            scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
+        )
+        first, second = sorted((cache_dir / "simulate").glob("*/*.rvpc"))
+        second.write_bytes(first.read_bytes())
+        for path in (cache_dir / "merge").glob("*/*"):
+            path.unlink()
+
+        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        assert warm.stats.simulations_computed == 1
+        assert warm.stats.simulations_cached == 1
+        assert result.simulations == reference.simulations
+        assert warm.cache.verify().ok
 
 
 class TestEngineBinaryCachePath:
@@ -330,11 +342,11 @@ class TestEngineBinaryCachePath:
             scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
         )
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
+        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
         cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert all(path.suffix == ".rvpc" for path in cold.cache.entry_paths())
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
+        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
         result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == 0
         assert warm.stats.simulations_computed == 0
@@ -342,31 +354,9 @@ class TestEngineBinaryCachePath:
             assert result.simulations[benchmark] == reference.simulations[benchmark]
             assert result.statistics[benchmark] == reference.statistics[benchmark]
 
-    def test_binary_engine_reads_text_cache_and_vice_versa(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        text_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="text")
-        text_result = text_engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
-        assert all(path.suffix == ".json" for path in text_engine.cache.entry_paths())
-
-        binary_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
-        binary_result = binary_engine.run(
-            scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
-        )
-        assert binary_engine.stats.traces_computed == 0
-        assert binary_engine.stats.simulations_computed == 0
-        for benchmark in BENCHMARKS:
-            assert binary_result.simulations[benchmark] == text_result.simulations[benchmark]
-
-    def test_binary_cache_is_smaller_than_text_cache(self, tmp_path):
-        text = ExecutionEngine(jobs=1, cache_dir=tmp_path / "text", cache_format="text")
-        text.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
-        binary = ExecutionEngine(jobs=1, cache_dir=tmp_path / "binary", cache_format="binary")
-        binary.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
-        assert binary.cache.stats().bytes < text.cache.stats().bytes // 2
-
     def test_corrupt_binary_trace_entry_recomputes(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
+        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
         cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         trace_entries = [
             path for path in cold.cache.entry_paths() if path.parent.parent.name == "trace"
@@ -375,7 +365,7 @@ class TestEngineBinaryCachePath:
         for path in trace_entries:
             path.write_bytes(path.read_bytes()[:20])
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
+        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
         result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == len(BENCHMARKS)
         for benchmark in BENCHMARKS:
@@ -385,20 +375,16 @@ class TestEngineBinaryCachePath:
         # The envelope decodes fine but the v3 bytes inside do not: the
         # scheduler must fall back to re-tracing, not crash the run.
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
+        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
         cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         for benchmark in BENCHMARKS:
             key = TraceTask.for_workload(benchmark, SCALE).cache_key()
-            path = cold.cache.path_for("trace", key, format="binary")
+            path = cold.cache.path_for("trace", key)
             assert path.exists()
             path.write_bytes(encode_cache_entry(key, {"trace_binary": b"\x00garbage"}))
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="binary")
+        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
         result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == len(BENCHMARKS)
         for benchmark in BENCHMARKS:
             assert result.simulations[benchmark] == cold_result.simulations[benchmark]
-
-    def test_rejects_unknown_cache_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExecutionEngine(cache_dir=tmp_path, cache_format="parquet")

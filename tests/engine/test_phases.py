@@ -159,12 +159,6 @@ class TestRunPhase:
             run_phase(persistent, _spec([_task("a", 1, built), _task("b", 2, built)], {}))
         assert built == [("a", False), ("b", False)]
 
-    def test_put_respects_engine_cache_format(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache", cache_format="text")
-        run_phase(engine, _spec([_task("a", 1)], {}))
-        paths = list(engine.cache.entry_paths())
-        assert paths and all(path.suffix == ".json" for path in paths)
-
 
 class TestPreRefactorGoldens:
     """The refactored phases still reproduce the lockstep loop exactly."""

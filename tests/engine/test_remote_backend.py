@@ -268,6 +268,31 @@ class TestHandshake:
             sock.close()
         assert server.handshakes_rejected == 1
 
+    def test_protocol_1_peer_is_refused_before_any_task(self, worker_pair):
+        # Protocol 2 folded the window worker into "simulate"; a protocol-1
+        # worker would ignore a window's `state`, so either side refuses
+        # the other at the handshake.
+        server, _ = worker_pair
+        sock = _dial(server)
+        try:
+            send_frame(
+                sock,
+                {
+                    "type": "hello",
+                    "protocol": 1,
+                    "task_format": TASK_FORMAT_VERSION,
+                    "cache_entry": CACHE_ENTRY_VERSION,
+                },
+            )
+            reply = recv_frame(sock)
+            assert reply["type"] == "reject"
+            assert "protocol 1 != 2" in reply["reason"]
+            assert recv_frame(sock) is None
+        finally:
+            sock.close()
+        assert server.handshakes_rejected == 1
+        assert server.tasks_served == 0
+
     def test_rejected_backend_raises_protocol_error(self, worker_pair, monkeypatch):
         server, _ = worker_pair
         # Skew only the *client's* view of the task format; the in-process

@@ -31,7 +31,7 @@ from repro.engine.sharding import (
     resolve_shard_window,
 )
 from repro.engine.sweeps import SweepSpec
-from repro.engine.worker import execute_replay_task, execute_simulate_window_task
+from repro.engine.worker import execute_replay_task, execute_simulate_task
 from repro.errors import SimulationError
 from repro.isa.opcodes import CATEGORY_OF, Opcode
 from repro.simulation.simulator import (
@@ -249,7 +249,7 @@ def stitched_shard(trace: ValueTrace, name: str, window: int):
             "state": json.loads(json.dumps(states[str(start)])) if start else None,
         }
         shards.append(
-            shard_from_dict(execute_simulate_window_task(payload)["shard"])
+            shard_from_dict(execute_simulate_task(payload)["shard"])
         )
     return merge_window_shards(name, shards)
 

@@ -193,7 +193,7 @@ class TestPersistentCache:
         cold_result = cold.run_sweep(spec)
 
         task = TraceTask.for_workload("compress", SCALE)
-        path = cold.cache.path_for("trace", task.cache_key(), format="binary")
+        path = cold.cache.path_for("trace", task.cache_key())
         assert path.exists()
         entry = cold.cache.get("trace", task.cache_key())
         entry["trace_binary"] = b"\x00garbage"
@@ -208,17 +208,6 @@ class TestPersistentCache:
         assert engine.stats.traces_cached == 0
         assert result.points[0].result == cold_result.points[0].result
         assert cold.cache.verify().ok  # the bad entry was overwritten
-
-    def test_text_cache_format_round_trips(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=("l",))
-        text_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_format="text")
-        cold = text_engine.run_sweep(spec)
-        assert all(path.suffix == ".json" for path in text_engine.cache.entry_paths())
-        warm_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
-        warm = warm_engine.run_sweep(spec)
-        assert warm_engine.stats.simulations_computed == 0
-        assert warm.points[0].result == cold.points[0].result
 
 
 class TestSpecValidation:
@@ -337,18 +326,16 @@ class TestTraceWireFormat:
     def test_trace_outcome_carries_v3_bytes_and_digest(self):
         from hashlib import sha256
 
-        from repro.engine.codecs import payload_trace, payload_trace_digest
+        from repro.engine.codecs import payload_trace
         from repro.engine.tasks import TraceTask
         from repro.engine.worker import execute_trace_task
         from repro.trace.io import dumps_trace
 
         outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
-        assert "trace_text" not in outcome
         assert isinstance(outcome["trace_binary"], bytes)
         trace = payload_trace(outcome)
         text = dumps_trace(trace)
         assert outcome["digest"] == sha256(text.encode("utf-8")).hexdigest()
-        assert payload_trace_digest(outcome) == outcome["digest"]
         reference = get_workload("compress").trace(scale=SCALE)
         assert len(trace) == len(reference)
 
@@ -361,34 +348,6 @@ class TestTraceWireFormat:
         reference = get_workload("compress").trace(scale=SCALE)
         assert len(outcome["trace_binary"]) < len(dumps_trace(reference).encode("utf-8")) // 5
 
-    def test_text_payloads_still_accepted_as_fallback(self, tmp_path):
-        # A cache entry written by older code (canonical text) still
-        # probes, decodes and simulates; see payload_trace's fallback.
-        from repro.engine.codecs import payload_trace
-        from repro.engine.tasks import TraceTask
-        from repro.engine.worker import execute_trace_task
-        from repro.trace.io import dumps_trace, loads_trace_binary
-
-        outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
-        trace = loads_trace_binary(outcome["trace_binary"])
-        legacy = {
-            "trace_text": dumps_trace(trace),
-            "statistics": outcome["statistics"],
-        }
-        assert dumps_trace(payload_trace(legacy)) == legacy["trace_text"]
-
-        cache_dir = tmp_path / "cache"
-        spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=("l",))
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
-        cold = engine.run_sweep(spec)
-        # Rewrite the trace entry the way pre-v3-wire code would have.
-        task = TraceTask.for_workload("compress", SCALE)
-        engine.cache.put("trace", task.cache_key(), legacy, format="json")
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
-        result = warm.run_sweep(spec)
-        assert warm.stats.traces_computed == 0
-        assert result.points[0].result == cold.points[0].result
-
 
 class TestBinaryWireFormat:
     def test_pool_payload_carries_v3_bytes(self, compress_trace):
@@ -399,13 +358,12 @@ class TestBinaryWireFormat:
             predictor_signature="sig",
         )
         payload = task.payload(compress_trace, inline=False)
-        assert "trace_text" not in payload
         assert isinstance(payload["trace_bytes"], bytes)
 
-    def test_worker_decodes_binary_text_and_inline_identically(self, compress_trace):
+    def test_worker_decodes_binary_and_inline_identically(self, compress_trace):
         from repro.engine.codecs import shard_from_dict
         from repro.engine.fingerprint import predictor_signature
-        from repro.trace.io import dumps_trace, dumps_trace_binary
+        from repro.trace.io import dumps_trace_binary
 
         signature = predictor_signature("s2")
         base = {"predictor": "s2", "signature": signature}
@@ -413,9 +371,7 @@ class TestBinaryWireFormat:
         binary = execute_simulate_task(
             {**base, "trace_bytes": dumps_trace_binary(compress_trace)}
         )
-        text = execute_simulate_task({**base, "trace_text": dumps_trace(compress_trace)})
         assert shard_from_dict(inline["shard"]) == shard_from_dict(binary["shard"])
-        assert shard_from_dict(inline["shard"]) == shard_from_dict(text["shard"])
 
     def test_binary_payload_smaller_than_text(self, compress_trace):
         from repro.trace.io import dumps_trace

@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import json
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.engine import ExecutionEngine
 from repro.engine.remote import WorkerServer
@@ -114,6 +119,24 @@ class TestRunTelemetry:
         for pin in ("protocol_version", "task_format_version", "cache_entry_version"):
             assert isinstance(manifest[pin], int)
         assert manifest["finished_wall"] >= manifest["created_wall"]
+
+    def test_manifest_records_version_from_a_source_checkout(self, tmp_path):
+        # Run from a checkout on PYTHONPATH there is no installed
+        # distribution to ask; the manifest still names the version.
+        source = Path(repro.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "from repro.engine.telemetry import RunTelemetry\n"
+            "RunTelemetry(sys.argv[1], argv=[]).close()\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            cwd=tmp_path,
+            check=True,
+            timeout=120,
+        )
+        assert read_manifest(tmp_path)["package_version"] == "1.0.0"
 
     def test_error_escaping_span_is_stamped(self, tmp_path):
         sink = RunTelemetry(tmp_path, run_id="run-err", argv=[])

@@ -293,12 +293,29 @@ class TestCacheCli:
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert "removed 2 entries" in capsys.readouterr().out
 
-    def test_campaign_text_format_writes_json_entries(self, capsys, tmp_path):
+    def test_json_entry_from_an_older_version_is_a_miss(self, capsys, tmp_path):
+        # Older versions could write plain-JSON entries (<digest>.json).
+        # A run treats one as a miss and writes the .rvpc entry, and
+        # `cache verify --remove` deletes the leftover.
+        import json
+
+        from repro.engine.codecs import decode_cache_entry
+        from repro.trace.io import dumps_trace, loads_trace_binary
+
         cache_dir = tmp_path / "cache"
-        self._populate(str(cache_dir), extra=["--cache-format", "text"])
-        entries = [path for path in cache_dir.glob("*/*/*") if path.is_file()]
-        assert entries and all(path.suffix == ".json" for path in entries)
-        # A binary-format rerun reads the text cache without recomputing.
+        self._populate(str(cache_dir))
+        (entry,) = cache_dir.glob("trace/*/*.rvpc")
+        key, payload = decode_cache_entry(entry.read_bytes())
+        payload["trace_text"] = dumps_trace(loads_trace_binary(payload.pop("trace_binary")))
+        legacy = entry.with_suffix(".json")
+        legacy.write_text(json.dumps({"key": key, "payload": payload}))
+        entry.unlink()
         capsys.readouterr()
         self._populate(str(cache_dir))
-        assert "simulations: 0 computed, 1 cached" in capsys.readouterr().out
+        assert "traces: 1 computed, 0 cached" in capsys.readouterr().out
+        assert entry.exists() and legacy.exists()
+        assert main(["cache", "verify", "--cache-dir", str(cache_dir), "--remove"]) == 0
+        assert entry.exists() and not legacy.exists()
+        capsys.readouterr()
+        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 0
+        assert "all ok" in capsys.readouterr().out
