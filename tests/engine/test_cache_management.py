@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -95,6 +96,24 @@ class TestCacheStorage:
         payload = self._trace_payload()
         assert cache.put("trace", self.KEY, payload).suffix == ".rvpc"
         assert cache.get("trace", self.KEY) == payload
+
+    def test_json_entry_is_never_read(self, tmp_path):
+        # A plain-JSON entry an older version wrote under the same digest
+        # is a miss; the .rvpc written next to it leaves it in place for
+        # `cache verify --remove` to delete.
+        cache = ResultCache(tmp_path)
+        payload = self._trace_payload()
+        rvpc = cache.path_for("trace", self.KEY)
+        legacy = rvpc.with_suffix(".json")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps({"key": self.KEY, "payload": {"statistics": {"n": 90}}}))
+        assert cache.get("trace", self.KEY) is None
+        assert cache.put("trace", self.KEY, payload) == rvpc
+        assert legacy.exists()
+        assert cache.get("trace", self.KEY) == payload
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.verify(remove=True).corrupt == [legacy]
+        assert list(cache.entry_paths()) == [rvpc]
 
     def test_corrupt_binary_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -388,3 +407,8 @@ class TestEngineBinaryCachePath:
         assert warm.stats.traces_computed == len(BENCHMARKS)
         for benchmark in BENCHMARKS:
             assert result.simulations[benchmark] == cold_result.simulations[benchmark]
+
+    def test_engine_takes_no_cache_format(self, tmp_path):
+        # .rvpc is the only entry format, so there is nothing to choose.
+        with pytest.raises(TypeError):
+            ExecutionEngine(cache_dir=tmp_path, cache_format="binary")

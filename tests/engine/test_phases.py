@@ -10,6 +10,7 @@ the pre-refactor goldens — the lockstep simulation loop — bit-identically.
 from __future__ import annotations
 
 from repro.engine import ExecutionEngine
+from repro.engine.codecs import decode_cache_entry
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.sweeps import SweepSpec
 from repro.simulation.simulator import simulate_trace
@@ -158,6 +159,15 @@ class TestRunPhase:
         with ExecutionEngine(jobs=2, backend="persistent") as persistent:
             run_phase(persistent, _spec([_task("a", 1, built), _task("b", 2, built)], {}))
         assert built == [("a", False), ("b", False)]
+
+    def test_put_writes_rvpc_entries_under_the_task_key(self, tmp_path):
+        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        run_phase(engine, _spec([_task("a", 1)], {}))
+        (path,) = engine.cache.entry_paths()
+        assert path.suffix == ".rvpc"
+        key, payload = decode_cache_entry(path.read_bytes())
+        assert key == {"kind": "trace", "unit": "a"}
+        assert payload == {"value": 10}
 
 
 class TestPreRefactorGoldens:

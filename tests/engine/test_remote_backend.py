@@ -234,6 +234,13 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="not a registered worker function"):
             worker_function_name(lambda payload: payload)
 
+    def test_worker_functions_are_trace_simulate_replay(self):
+        # Windows ride the "simulate" function; a change to this set
+        # changes what a peer can be asked to run, so it moves the
+        # protocol version with it.
+        assert sorted(WORKER_FUNCTIONS) == ["replay", "simulate", "trace"]
+        assert PROTOCOL_VERSION == 2
+
 
 # --------------------------------------------------------------------------- #
 # Handshake

@@ -230,7 +230,7 @@ class TestStateCodec:
 # --------------------------------------------------------------------------- #
 # Window workers + stitching (every predictor, no engine)
 # --------------------------------------------------------------------------- #
-def stitched_shard(trace: ValueTrace, name: str, window: int):
+def stitched_shard(trace: ValueTrace, name: str, window: int, kernel: str | None = None):
     """Replay + window-simulate + stitch, via the real worker functions."""
     windows = plan_windows(len(trace), window)
     boundaries = [start for start, _ in windows if start > 0]
@@ -247,6 +247,7 @@ def stitched_shard(trace: ValueTrace, name: str, window: int):
             "trace": trace[start:stop],
             "window": [start, stop],
             "state": json.loads(json.dumps(states[str(start)])) if start else None,
+            "kernel": kernel,
         }
         shards.append(
             shard_from_dict(execute_simulate_task(payload)["shard"])
@@ -286,6 +287,31 @@ class TestWindowStitching:
         before = SIMULATION_COUNTER.count
         stitched_shard(trace, "l", window=30)
         assert SIMULATION_COUNTER.count == before + 1
+
+    @pytest.mark.parametrize("kernel", ("scalar", "vector"))
+    def test_whole_trace_is_the_window_from_zero(self, kernel):
+        # One simulate worker: a payload without a window and the window
+        # [0, L) from a fresh predictor are the same task.
+        trace = synthetic_trace(8, 120, 5)
+        base = {"predictor": "fcm2", "trace": trace, "kernel": kernel}
+        before = SIMULATION_COUNTER.count
+        whole = execute_simulate_task(base)["shard"]
+        window = execute_simulate_task({**base, "window": [0, len(trace)], "state": None})
+        assert SIMULATION_COUNTER.count == before + 2
+        assert json.dumps(window["shard"]) == json.dumps(whole)
+        assert json.dumps(whole) == json.dumps(shard_to_dict(simulate_shard(trace, "fcm2")))
+
+    @pytest.mark.parametrize("name", PREDICTORS)
+    def test_scalar_kernel_windows_bit_identical(self, name):
+        # The scalar loop restored from handoff states is the path a
+        # vector plan falls back to; it must stitch as exactly as the
+        # vector kernel does.
+        trace = synthetic_trace(22, 200, 6)
+        whole = simulate_shard(trace, name, kernel="scalar")
+        before = SIMULATION_COUNTER.count
+        merged = stitched_shard(trace, name, window=45, kernel="scalar")
+        assert SIMULATION_COUNTER.count == before + 1
+        assert json.dumps(shard_to_dict(merged)) == json.dumps(shard_to_dict(whole))
 
 
 # --------------------------------------------------------------------------- #

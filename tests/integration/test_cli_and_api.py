@@ -293,6 +293,14 @@ class TestCacheCli:
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert "removed 2 entries" in capsys.readouterr().out
 
+    def test_cache_format_flag_is_gone(self, capsys, tmp_path):
+        # .rvpc is the only entry format; the old selector is an unknown flag.
+        with pytest.raises(SystemExit) as excinfo:
+            self._populate(str(tmp_path / "cache"), extra=["--cache-format", "binary"])
+        assert excinfo.value.code == 2
+        assert "--cache-format" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_json_entry_from_an_older_version_is_a_miss(self, capsys, tmp_path):
         # Older versions could write plain-JSON entries (<digest>.json).
         # A run treats one as a miss and writes the .rvpc entry, and
