@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.registry import PAPER_PREDICTORS
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.simulation.campaign import QUICK_SCALE
 from repro.workloads.suite import BENCHMARK_ORDER
 
@@ -35,10 +35,7 @@ def _run_engine(
     backend=None,
 ):
     engine = ExecutionEngine(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        backend=backend,
+        EngineConfig(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, backend=backend),
     )
     result = engine.run(scale=SCALE, predictors=PAPER_PREDICTORS, benchmarks=BENCHMARK_ORDER)
     return engine, result
@@ -48,7 +45,7 @@ def _report(engine) -> None:
     stats = engine.stats
     print()
     print(
-        f"jobs={engine.jobs} traces {stats.traces_computed}c/{stats.traces_cached}h "
+        f"jobs={engine.config.jobs} traces {stats.traces_computed}c/{stats.traces_cached}h "
         f"simulations {stats.simulations_computed}c/{stats.simulations_cached}h "
         f"{stats.total_seconds:.2f}s"
     )
@@ -128,7 +125,7 @@ def _run_twice(backend_name: str):
 
     with resolve_backend(backend_name, jobs=2) as shared:
         for _ in range(2):
-            engine = ExecutionEngine(jobs=2, backend=shared)
+            engine = ExecutionEngine(EngineConfig(jobs=2), backend=shared)
             engine.run(
                 scale=SCALE,
                 predictors=_BACKEND_PREDICTORS,
@@ -163,8 +160,13 @@ _SHARD_BENCHMARK = ("compress",)
 
 def _run_single_benchmark(jobs: int, backend=None, shard_window=None, kernel=None):
     engine = ExecutionEngine(
-        jobs=jobs, use_cache=False, backend=backend, shard_window=shard_window,
-        kernel=kernel,
+        EngineConfig(
+            jobs=jobs,
+            use_cache=False,
+            backend=backend,
+            shard_window=shard_window,
+            kernel=kernel,
+        ),
     )
     result = engine.run(
         scale=SCALE, predictors=PAPER_PREDICTORS, benchmarks=_SHARD_BENCHMARK

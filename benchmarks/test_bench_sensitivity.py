@@ -10,7 +10,7 @@ work at a reduced scale, and the warm bench times a fully cache-hit sweep
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.sweeps import SweepSpec
 from repro.reporting.experiments import figure11, table6, table7
 
@@ -41,10 +41,10 @@ def test_bench_sweep_warm_cache(benchmark, tmp_path):
     """A fully warm input-axis sweep costs no trace/simulate computation."""
     spec = SweepSpec.input_study(scale=SENSITIVITY_SCALE)
     cache_dir = tmp_path / "cache"
-    ExecutionEngine(jobs=1, cache_dir=cache_dir).run_sweep(spec)
+    ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run_sweep(spec)
 
     def warm_sweep():
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         return engine.run_sweep(spec)
 
     result = run_once(benchmark, warm_sweep)

@@ -26,7 +26,7 @@ from pathlib import Path
 # Allow running from a fresh clone without installing: put src/ on the path.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.reporting.tables import format_table
 
 SCALE = 0.1
@@ -37,7 +37,7 @@ PREDICTORS = ("l", "s2", "fcm2")
 def populate(cache_dir: Path) -> ExecutionEngine:
     """Run a small campaign into ``cache_dir`` and return its engine."""
     print("=== 1. Cold campaign populating the cache ===")
-    engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+    engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
     engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
     stats = engine.stats
     print(
@@ -63,7 +63,7 @@ def show_stats(engine: ExecutionEngine, title: str) -> None:
 def warm_rerun(cache_dir: Path) -> None:
     """A second engine sees every result in the cache."""
     print("=== 2. Warm rerun: everything served from the cache ===")
-    engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+    engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
     engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
     stats = engine.stats
     print(

@@ -256,8 +256,8 @@ def reproduce(
         # free-running RNG seed to record.
         deterministic=True,
     )
-    prior_telemetry = campaign._ENGINE_DEFAULTS.telemetry
-    campaign.set_campaign_defaults(telemetry=telemetry)
+    engine_config, prior_telemetry = campaign.campaign_defaults()
+    campaign.set_campaign_defaults(engine_config, telemetry=telemetry)
 
     runs: list[DeliverableRun] = []
     check_report = CheckReport() if check else None
@@ -320,7 +320,7 @@ def reproduce(
         telemetry.close()
         # Later engine runs in this process must not write into this run's
         # (now closed) sink — restore whatever default was active before.
-        campaign._ENGINE_DEFAULTS.telemetry = prior_telemetry
+        campaign.set_campaign_defaults(engine_config, telemetry=prior_telemetry)
 
     return ReproductionReport(
         run_id=run_id,

@@ -45,8 +45,9 @@ from typing import Sequence
 from repro.core.registry import PAPER_PREDICTORS, available_predictors, create_predictor
 from repro.engine.backends import BACKEND_NAMES
 from repro.engine.cache import ResultCache
+from repro.engine.config import EngineConfig
 from repro.engine.progress import ConsoleProgress
-from repro.errors import DispatchError, UnknownPredictorError, WorkloadError
+from repro.errors import DispatchError, SimulationError, UnknownPredictorError, WorkloadError
 from repro.engine.scheduler import ExecutionEngine
 from repro.engine.sweeps import SweepSpec
 from repro.isa.opcodes import REPORTED_CATEGORIES
@@ -489,21 +490,30 @@ def _parse_workers(text: str) -> tuple[str, ...]:
     return addresses
 
 
-def _apply_worker_arguments(args: argparse.Namespace) -> str | None:
-    """Reconcile ``--backend``/``--workers``; returns an error or ``None``.
+def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
+    """Build the engine configuration from the shared engine flags.
 
-    ``--workers`` implies ``--backend remote`` (naming worker addresses
-    for a local backend is always a mistake), and the remote backend is
-    unusable without addresses, so both halves are validated here before
-    any engine is built.
+    The one place ``reproduce``, ``experiments``, ``campaign`` and
+    ``sweep`` turn their flags into an :class:`EngineConfig`.  An
+    invalid combination (``--backend remote`` without ``--workers``,
+    ``--workers`` with a local backend, a kernel that cannot run here)
+    prints its one-line error and returns ``None``; the caller exits 2.
     """
-    if args.workers and args.backend is None:
-        args.backend = "remote"
-    if args.backend == "remote" and not args.workers:
-        return "--backend remote needs --workers HOST:PORT[,HOST:PORT...]"
-    if args.workers and args.backend != "remote":
-        return f"--workers does not apply to --backend {args.backend}"
-    return None
+    try:
+        return EngineConfig(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            cache_max_bytes=args.cache_max_bytes,
+            cache_max_age=args.cache_max_age,
+            backend=args.backend,
+            workers=args.workers,
+            kernel=args.kernel,
+            shard_window=args.shard_window,
+        )
+    except (ValueError, SimulationError) as error:
+        print(error, file=sys.stderr)
+        return None
 
 
 def _telemetry_from_arguments(args: argparse.Namespace, command: str):
@@ -516,10 +526,7 @@ def _telemetry_from_arguments(args: argparse.Namespace, command: str):
         return None
     from repro.engine.telemetry import RunTelemetry
 
-    telemetry = RunTelemetry(args.telemetry_dir, command=command)
-    if args.workers:
-        telemetry.annotate(workers=list(args.workers))
-    return telemetry
+    return RunTelemetry(args.telemetry_dir, command=command)
 
 
 def _command_reproduce(args: argparse.Namespace, argv: Sequence[str] | None) -> int:
@@ -527,9 +534,8 @@ def _command_reproduce(args: argparse.Namespace, argv: Sequence[str] | None) -> 
     from repro.artifact.manifest import load_manifest
     from repro.errors import ArtifactError
 
-    error = _apply_worker_arguments(args)
-    if error is not None:
-        print(error, file=sys.stderr)
+    config = _engine_config(args)
+    if config is None:
         return 2
     if args.telemetry_dir is not None:
         print(
@@ -557,17 +563,7 @@ def _command_reproduce(args: argparse.Namespace, argv: Sequence[str] | None) -> 
             )
         )
         return 0
-    set_campaign_defaults(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_max_age=args.cache_max_age,
-        backend=args.backend,
-        workers=args.workers,
-        kernel=args.kernel,
-        shard_window=args.shard_window,
-    )
+    set_campaign_defaults(config)
     try:
         report = reproduce(
             manifest,
@@ -624,23 +620,11 @@ def _command_reproduce(args: argparse.Namespace, argv: Sequence[str] | None) -> 
 
 def _command_experiments(args: argparse.Namespace) -> int:
     names = args.names or sorted(ALL_EXPERIMENTS)
-    error = _apply_worker_arguments(args)
-    if error is not None:
-        print(error, file=sys.stderr)
+    config = _engine_config(args)
+    if config is None:
         return 2
     telemetry = _telemetry_from_arguments(args, "experiments")
-    set_campaign_defaults(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_max_age=args.cache_max_age,
-        backend=args.backend,
-        workers=args.workers,
-        telemetry=telemetry,
-        kernel=args.kernel,
-        shard_window=args.shard_window,
-    )
+    set_campaign_defaults(config, telemetry=telemetry)
     scale = QUICK_SCALE if args.quick and args.scale is None else args.scale
     try:
         for name in names:
@@ -667,9 +651,8 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 
 def _command_campaign(args: argparse.Namespace) -> int:
-    error = _apply_worker_arguments(args)
-    if error is not None:
-        print(error, file=sys.stderr)
+    config = _engine_config(args)
+    if config is None:
         return 2
     try:
         for name in args.predictors:
@@ -682,7 +665,11 @@ def _command_campaign(args: argparse.Namespace) -> int:
         scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
     telemetry = _telemetry_from_arguments(args, "campaign")
     try:
-        with _engine_from_arguments(args, telemetry) as engine:
+        with ExecutionEngine(
+            config,
+            telemetry=telemetry,
+            progress=ConsoleProgress() if args.progress else None,
+        ) as engine:
             try:
                 result = engine.run(
                     scale=scale, predictors=tuple(args.predictors), benchmarks=tuple(args.benchmarks)
@@ -707,28 +694,11 @@ def _command_campaign(args: argparse.Namespace) -> int:
         format_table(
             ["benchmark", "predicted instr."] + list(result.predictor_names),
             rows,
-            title=f"Campaign — overall accuracy (%) at scale {scale}, jobs={engine.jobs}",
+            title=f"Campaign — overall accuracy (%) at scale {scale}, jobs={config.jobs}",
         )
     )
     print(_stats_line(engine.stats))
     return 0
-
-
-def _engine_from_arguments(args: argparse.Namespace, telemetry=None) -> ExecutionEngine:
-    """Build the execution engine shared by ``campaign`` and ``sweep``."""
-    return ExecutionEngine(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        progress=ConsoleProgress() if args.progress else None,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_max_age=args.cache_max_age,
-        backend=args.backend,
-        workers=args.workers,
-        telemetry=telemetry,
-        kernel=args.kernel,
-        shard_window=args.shard_window,
-    )
 
 
 def _stats_line(stats) -> str:
@@ -761,9 +731,8 @@ def _stats_line(stats) -> str:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    error = _apply_worker_arguments(args)
-    if error is not None:
-        print(error, file=sys.stderr)
+    config = _engine_config(args)
+    if config is None:
         return 2
     predictors = (
         tuple(f"fcm{order}" for order in args.orders)
@@ -789,7 +758,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
     )
     telemetry = _telemetry_from_arguments(args, "sweep")
     try:
-        with _engine_from_arguments(args, telemetry) as engine:
+        with ExecutionEngine(
+            config,
+            telemetry=telemetry,
+            progress=ConsoleProgress() if args.progress else None,
+        ) as engine:
             try:
                 result = engine.run_sweep(spec)
             except WorkloadError as error:
@@ -821,7 +794,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"Sweep — {', '.join(spec.benchmark_axis())} at scale {scale}, "
-                f"jobs={engine.jobs} ({len(result.points)} points)"
+                f"jobs={config.jobs} ({len(result.points)} points)"
             ),
         )
     )

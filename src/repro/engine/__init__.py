@@ -17,13 +17,14 @@ per-dispatch ``multiprocessing`` pool, or persistent warm workers), and
 backs both task kinds with a content-addressed on-disk cache keyed by
 (workload, scale, trace digest, predictor configuration), so warm reruns
 skip tracing and simulation entirely — across processes, not just within
-one.  Entries are stored either as plain JSON or as compressed binary
-envelopes carrying v3 binary traces (:mod:`repro.engine.codecs`; the
-default), and :class:`ResultCache` provides size accounting, LRU/age
-garbage collection and integrity checking over both — surfaced on the
-command line as ``repro-vp cache``.  ``docs/architecture.md`` maps the
-package; ``repro.simulation.campaign.run_campaign`` is a thin façade over
-it.
+one.  Entries are stored as ``.rvpc`` envelopes — compressed binary
+bodies carrying v3 binary traces (:mod:`repro.engine.codecs`) — and
+:class:`ResultCache` provides size accounting, LRU/age garbage
+collection and integrity checking over them, surfaced on the command
+line as ``repro-vp cache``.  Every engine setting lives in one frozen
+:class:`EngineConfig` (:mod:`repro.engine.config`).
+``docs/architecture.md`` maps the package;
+``repro.simulation.campaign.run_campaign`` is a thin façade over it.
 """
 
 from repro.engine.backends import (
@@ -42,6 +43,7 @@ from repro.engine.cache import (
     VerifyReport,
 )
 from repro.engine.codecs import decode_cache_entry, encode_cache_entry
+from repro.engine.config import EngineConfig
 from repro.engine.fingerprint import (
     key_digest,
     predictor_signature,
@@ -86,6 +88,7 @@ __all__ = [
     "BACKEND_NAMES",
     "CacheStats",
     "ConsoleProgress",
+    "EngineConfig",
     "EngineStats",
     "ExecutionEngine",
     "ExecutorBackend",

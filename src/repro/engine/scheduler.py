@@ -20,8 +20,7 @@ so every backend and the cache path share one representation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from repro.engine.backends import ExecutorBackend, resolve_backend
@@ -33,12 +32,12 @@ from repro.engine.codecs import (
     simulation_to_dict,
     statistics_from_dict,
 )
+from repro.engine.config import EngineConfig
 from repro.engine.fingerprint import predictor_signature
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
 from repro.engine.sharding import (
     WindowedUnit,
-    normalize_shard_window,
     plan_shard_windows,
     run_windowed_simulations,
 )
@@ -119,97 +118,57 @@ class ExecutionEngine:
 
     Parameters
     ----------
-    jobs:
-        Worker process count for the process-based backends; with the
-        default backend selection, ``1`` executes everything in-process
-        (no pickling, no pool) and is the reference serial path.
-    cache_dir:
-        Root of the persistent :class:`ResultCache`; ``None`` disables
-        on-disk caching.
-    use_cache:
-        ``False`` ignores ``cache_dir`` entirely (force recompute).
-    progress:
-        Optional :class:`ProgressListener` receiving live events.
-    cache_max_bytes / cache_max_age:
-        Garbage-collection bounds for the persistent cache.  When either
-        is set, a bounded :meth:`ResultCache.gc` pass runs automatically
-        after every :meth:`run`/:meth:`run_sweep`; entries produced or
-        touched by the finishing run are never evicted by that pass (see
-        ``protect_since``), so a budget smaller than one run's output
-        degrades to best-effort instead of destroying fresh results.
+    config:
+        The engine's settings (:class:`~repro.engine.config.EngineConfig`:
+        jobs, cache, GC bounds, backend, workers, kernel, shard window);
+        ``None`` means ``EngineConfig()`` — serial, cache-less, unsharded.
+        Results are bit-identical for every setting; see the config's
+        attributes for what each one changes.
+
+    The keyword arguments are live resources, not settings:
+
     backend:
-        Executor backend the phases dispatch on: a name (``"serial"``,
-        ``"pool"``, ``"persistent"``, ``"remote"``), an
-        :class:`ExecutorBackend` instance (shared across engines; the
-        caller owns its lifetime), or ``None`` for the historical
-        default — serial when ``jobs == 1``, a per-dispatch pool
-        otherwise.  Results are bit-identical across backends; see
-        :mod:`repro.engine.backends`.
-    workers:
-        ``host:port`` addresses of running ``repro-vp worker serve``
-        processes, required by (and only meaningful for) the ``remote``
-        backend, whose per-worker in-flight limit is ``jobs``.  See
-        :mod:`repro.engine.remote`.
+        An :class:`ExecutorBackend` instance to dispatch on instead of
+        the one ``config`` names.  It is shared, not owned: the caller
+        closes it (one persistent backend can serve many engines).
     telemetry:
         Optional :class:`~repro.engine.telemetry.Telemetry` sink receiving
         structured spans, events and counters from every layer (phases,
         backend dispatches, the cache); defaults to the always-cheap
         :data:`~repro.engine.telemetry.NULL_TELEMETRY`.  Results and cache
         entries are bit-identical with telemetry on or off.
-    kernel:
-        Simulation kernel selection forwarded to every simulate task and
-        to the merge pass: ``"scalar"``, ``"vector"``, ``"auto"`` (vector
-        when numpy is importable) or ``None`` to defer to the
-        ``REPRO_KERNEL`` environment variable.  Kernels are bit-identical,
-        so the setting is not part of any cache key; see
-        :mod:`repro.simulation.vectorized`.
-    shard_window:
-        Intra-trace sharding setting (:mod:`repro.engine.sharding`):
-        ``None`` (default) runs each (benchmark, predictor) pair as one
-        unit; a positive integer splits every trace into windows of that
-        many records; ``"auto"`` sizes windows from the trace length and
-        the backend's parallel slots.  Results and pair-level cache
-        entries are bit-identical with sharding on or off — the setting
-        only changes how the work is cut, which is why it is not part of
-        any cache key.
+    progress:
+        Optional :class:`ProgressListener` receiving live events.
     """
 
     def __init__(
         self,
-        jobs: int = 1,
-        cache_dir: str | Path | None = None,
-        use_cache: bool = True,
-        progress: ProgressListener | None = None,
-        cache_max_bytes: int | None = None,
-        cache_max_age: float | None = None,
-        backend: str | ExecutorBackend | None = None,
-        workers: Sequence[str] | None = None,
+        config: EngineConfig | None = None,
+        *,
+        backend: ExecutorBackend | None = None,
         telemetry: Telemetry | None = None,
-        kernel: str | None = None,
-        shard_window: int | str | None = None,
+        progress: ProgressListener | None = None,
     ) -> None:
-        from repro.simulation.vectorized import resolve_kernel
-
-        # Validate eagerly so a bad name (or a forced "vector" without
-        # numpy) fails at construction, not mid-run.  The *raw* setting is
-        # what travels in task payloads: each worker resolves it against
-        # its own environment (see SimulateTask.payload), and it never
-        # enters a cache key because both kernels are bit-identical.
-        resolve_kernel(kernel)
-        self.kernel = kernel
-        self.shard_window = normalize_shard_window(shard_window)
-        self.jobs = max(1, int(jobs))
+        self.config = config = config if config is not None else EngineConfig()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.cache = (
-            ResultCache(cache_dir, max_bytes=cache_max_bytes, max_age=cache_max_age)
-            if (use_cache and cache_dir is not None)
+            ResultCache(
+                config.cache_dir,
+                max_bytes=config.cache_max_bytes,
+                max_age=config.cache_max_age,
+            )
+            if (config.use_cache and config.cache_dir is not None)
             else None
         )
         if self.cache is not None:
             self.cache.telemetry = self.telemetry
         self.progress = progress if progress is not None else NullProgress()
-        self._owns_backend = not isinstance(backend, ExecutorBackend)
-        self.backend = resolve_backend(backend, self.jobs, workers=workers)
+        self._owns_backend = backend is None
+        self.backend = (
+            backend
+            if backend is not None
+            else resolve_backend(config.backend, config.jobs, workers=config.workers)
+        )
         self.stats = EngineStats()
         #: Report of the most recent post-run auto-GC pass (``None`` when
         #: no bounds are configured or no run has finished yet).
@@ -315,11 +274,21 @@ class ExecutionEngine:
     # Run-level telemetry plumbing
     # ------------------------------------------------------------------ #
     def _annotate_run(self) -> None:
-        """Stamp the engine configuration onto the run manifest."""
+        """Stamp the whole engine configuration onto the run manifest.
+
+        ``backend`` and ``cache_dir`` record what the run actually used
+        (the resolved backend's name; no directory when caching is off),
+        and ``resolved_kernel`` what ``kernel`` resolves to here.
+        """
+        from repro.simulation.vectorized import resolve_kernel
+
         self.telemetry.annotate(
-            backend=self.backend.name,
-            jobs=self.jobs,
-            cache_dir=str(self.cache.root) if self.cache else None,
+            **{
+                **asdict(self.config),
+                "backend": self.backend.name,
+                "cache_dir": str(self.cache.root) if self.cache else None,
+                "resolved_kernel": resolve_kernel(self.config.kernel),
+            }
         )
 
     def _cache_bytes(self) -> tuple[int, int]:
@@ -437,11 +406,11 @@ class ExecutionEngine:
         # of the pair-level simulate phase.  Results and pair-level cache
         # entries are bit-identical either way.
         shard_plans: dict[str, list[tuple[int, int]]] = {}
-        if self.shard_window is not None:
+        if self.config.shard_window is not None:
             slots = self.backend.parallel_slots()
             for benchmark in shards:
                 windows = plan_shard_windows(
-                    self.shard_window, len(traces[benchmark]), slots
+                    self.config.shard_window, len(traces[benchmark]), slots
                 )
                 if windows is not None:
                     shard_plans[benchmark] = windows
@@ -451,7 +420,9 @@ class ExecutionEngine:
 
         def build_payload(task: SimulateTask, inline: bool) -> dict:
             if inline:
-                return task.payload(traces[task.benchmark], inline=True, kernel=self.kernel)
+                return task.payload(
+                    traces[task.benchmark], inline=True, kernel=self.config.kernel
+                )
             if task.benchmark not in wire_bytes:
                 from repro.trace.io import dumps_trace_binary
 
@@ -462,7 +433,7 @@ class ExecutionEngine:
                 None,
                 inline=False,
                 trace_bytes=wire_bytes[task.benchmark],
-                kernel=self.kernel,
+                kernel=self.config.kernel,
             )
 
         def accept_shard(uid: tuple[str, str], payload: dict) -> bool:
@@ -536,7 +507,7 @@ class ExecutionEngine:
             merged = merge_shards(
                 traces[benchmark],
                 {predictor: shards[benchmark][predictor] for predictor in predictors},
-                kernel=self.kernel,
+                kernel=self.config.kernel,
             )
             simulations[benchmark] = merged
             if self.cache:

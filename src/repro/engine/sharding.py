@@ -295,8 +295,8 @@ def run_windowed_simulations(engine, units: Sequence[WindowedUnit]) -> dict:
             "window": [start, stop],
             "state": state,
         }
-        if engine.kernel is not None:
-            payload["kernel"] = engine.kernel
+        if engine.config.kernel is not None:
+            payload["kernel"] = engine.config.kernel
         if inline:
             payload["trace"] = unit.get_trace()[start:stop]
         else:

@@ -42,7 +42,7 @@ and memoises results in-process by spec and predictor fingerprints.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.engine.codecs import (
@@ -419,11 +419,11 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     # statistics' record counts, so planning never materialises a lazy
     # trace — a fully warm sharded sweep stays decode-free.
     windowed: dict[tuple[str, str], WindowedUnit] = {}
-    if engine.shard_window is not None:
+    if engine.config.shard_window is not None:
         slots = engine.backend.parallel_slots()
         for unit, (task, config) in units.items():
             length = statistics[config].predicted_instructions
-            windows = plan_shard_windows(engine.shard_window, length, slots)
+            windows = plan_shard_windows(engine.config.shard_window, length, slots)
             if windows is not None:
                 windowed[unit] = WindowedUnit(
                     uid=unit,
@@ -443,11 +443,16 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     def build_simulate_payload(unit: tuple[str, str], inline: bool) -> dict:
         task, config = units[unit]
         if inline:
-            return task.payload(traces[config].get(), inline=True, kernel=engine.kernel)
+            return task.payload(
+                traces[config].get(), inline=True, kernel=engine.config.kernel
+            )
         if config not in wire_bytes:
             wire_bytes[config] = dumps_trace_binary(traces[config].get(), compress=True)
         return task.payload(
-            None, inline=False, trace_bytes=wire_bytes[config], kernel=engine.kernel
+            None,
+            inline=False,
+            trace_bytes=wire_bytes[config],
+            kernel=engine.config.kernel,
         )
 
     def accept_shard(unit: tuple[str, str], payload: dict) -> bool:
@@ -533,43 +538,25 @@ def _unit_label(units: dict, unit: tuple[str, str]) -> str:
 _SWEEP_MEMO: dict[tuple, SweepResult] = {}
 
 
-def run_sweep(
-    spec: SweepSpec,
-    use_cache: bool = True,
-    jobs: int | None = None,
-    cache_dir=None,
-    progress=None,
-    backend=None,
-    workers=None,
-    kernel: str | None = None,
-    shard_window: int | str | None = None,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, use_cache: bool = True) -> SweepResult:
     """Run one sweep on an engine built from the process-wide defaults.
 
-    ``use_cache`` governs both the in-process memo and the on-disk cache;
-    unset parameters fall back to the engine defaults configured through
-    :func:`repro.simulation.campaign.set_campaign_defaults` (which the CLI
-    wires to ``--jobs``/``--cache-dir``/``--backend``/
-    ``--workers``/``--no-cache``).  The memo keys on the spec *and* the predictors'
-    configuration fingerprints, so re-binding a predictor name cannot
-    serve stale results — the same policy the campaign memo follows.
+    The engine comes from :func:`repro.simulation.campaign.build_engine`
+    (the configuration the CLI's engine flags install through
+    :func:`~repro.simulation.campaign.set_campaign_defaults`).
+    ``use_cache`` governs both the in-process memo and the on-disk cache.
+    The memo keys on the spec *and* the predictors' configuration
+    fingerprints, so re-binding a predictor name cannot serve stale
+    results — the same policy the campaign memo follows.
     """
     from repro.simulation import campaign
 
-    use_cache = use_cache and campaign.engine_defaults().use_cache
+    engine_config, _ = campaign.campaign_defaults()
+    use_cache = use_cache and engine_config.use_cache
     key = (spec, predictors_fingerprint(spec.predictors))
     if use_cache and key in _SWEEP_MEMO:
         return _SWEEP_MEMO[key]
-    engine = campaign.build_engine(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        progress=progress,
-        backend=backend,
-        workers=workers,
-        kernel=kernel,
-        shard_window=shard_window,
-    )
+    engine = campaign.build_engine(replace(engine_config, use_cache=use_cache))
     try:
         result = engine.run_sweep(spec)
     finally:

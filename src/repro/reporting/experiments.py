@@ -10,9 +10,10 @@ campaign per ``scale``, so regenerating all of them costs a single suite
 simulation; the sensitivity artefacts (Tables 6-7, Figure 11) run as
 parameter sweeps on the same engine (:mod:`repro.engine.sweeps`).  Both
 paths execute on :class:`repro.engine.ExecutionEngine`:
-``repro.simulation.campaign.set_campaign_defaults`` (which the CLI wires to
-``--jobs``/``--cache-dir``/``--no-cache``) selects worker-pool parallelism
-and a persistent result cache without touching the entry points below.
+``repro.simulation.campaign.set_campaign_defaults`` (which the CLI hands
+the ``EngineConfig`` built from its engine flags) selects parallelism,
+backend, kernel and a persistent result cache without touching the entry
+points below.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from repro.simulation.sensitivity import (
     flag_sensitivity,
 )
 from repro.simulation.campaign import (
+    campaign_defaults,
     campaign_scale_for,
     run_campaign,
     set_campaign_defaults,
@@ -59,5 +60,6 @@ __all__ = [
     "flag_sensitivity",
     "run_campaign",
     "campaign_scale_for",
+    "campaign_defaults",
     "set_campaign_defaults",
 ]

@@ -25,8 +25,10 @@ from repro.artifact import (
 )
 from repro.artifact.check import MAX_RENDERED_DIFFS, CheckReport, check_deliverable
 from repro.cli import main
+from repro.engine.config import EngineConfig
+from repro.engine.telemetry import NullTelemetry
 from repro.errors import ArtifactError
-from repro.simulation.campaign import reset_campaign_defaults
+from repro.simulation.campaign import campaign_defaults, reset_campaign_defaults, set_campaign_defaults
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 COMMITTED_MANIFEST = REPO_ROOT / "artifact" / "manifest.json"
@@ -246,6 +248,28 @@ class TestReproduceRunner:
         # figure11 runs a real sweep through the engine; micro-experiments don't.
         assert report.stats is not None
         assert report.stats.simulations_computed + report.stats.simulations_cached > 0
+
+    def test_default_sink_restored_after_return(self, tmp_path):
+        prior_config = EngineConfig(kernel="scalar")
+        prior_sink = NullTelemetry()
+        set_campaign_defaults(prior_config, telemetry=prior_sink)
+        reproduce(micro_manifest(tmp_path), only=["table1"], out_dir=tmp_path / "results")
+        config, sink = campaign_defaults()
+        assert sink is prior_sink
+        assert config == prior_config
+
+    def test_default_sink_restored_after_artifact_error(self, tmp_path):
+        manifest = micro_manifest(tmp_path)
+        reproduce(manifest, only=["table1"], out_dir=tmp_path / "results", update_expected=True)
+        # An unreadable golden raises mid-run, after the run's sink is installed.
+        (manifest.expected_dir() / "table1.json").write_text("not json")
+        prior_sink = NullTelemetry()
+        set_campaign_defaults(EngineConfig(), telemetry=prior_sink)
+        with pytest.raises(ArtifactError, match="unreadable golden"):
+            reproduce(load_manifest(manifest.path), only=["table1"], out_dir=tmp_path / "results", check=True)
+        config, sink = campaign_defaults()
+        assert sink is prior_sink
+        assert config == EngineConfig()
 
 
 class TestReproduceCli:

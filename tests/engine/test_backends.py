@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.backends import (
     ExecutorBackend,
     PersistentWorkerBackend,
@@ -44,7 +44,7 @@ def _entry_names(cache_dir):
 
 def _campaign_with(backend, tmp_path):
     cache_dir = tmp_path / f"cache-{backend}"
-    with ExecutionEngine(jobs=2, cache_dir=cache_dir, backend=backend) as engine:
+    with ExecutionEngine(EngineConfig(jobs=2, cache_dir=cache_dir, backend=backend)) as engine:
         result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
     return result, cache_dir
 
@@ -75,9 +75,11 @@ class TestCampaignParity:
 
     def test_cache_written_by_one_backend_warms_another(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        with ExecutionEngine(jobs=2, cache_dir=cache_dir, backend="persistent") as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=2, cache_dir=cache_dir, backend="persistent")
+        ) as engine:
             cold = engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
-        warm_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, backend="serial")
+        warm_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir, backend="serial"))
         warm = warm_engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         assert warm_engine.stats.simulations_computed == 0
         assert warm_engine.stats.traces_computed == 0
@@ -97,7 +99,7 @@ class TestKernelParity:
     def _campaign(cache_dir, backend, kernel):
         pytest.importorskip("numpy")
         with ExecutionEngine(
-            jobs=2, cache_dir=cache_dir, backend=backend, kernel=kernel
+            EngineConfig(jobs=2, cache_dir=cache_dir, backend=backend, kernel=kernel),
         ) as engine:
             result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         return result, engine.stats
@@ -133,7 +135,7 @@ class TestKernelParity:
 
     def test_invalid_kernel_rejected_at_construction(self):
         with pytest.raises(Exception, match="unknown simulation kernel"):
-            ExecutionEngine(kernel="turbo")
+            ExecutionEngine(EngineConfig(kernel="turbo"))
 
 
 class TestSweepParity:
@@ -149,7 +151,9 @@ class TestSweepParity:
         entries = {}
         for backend in BACKENDS:
             cache_dir = tmp_path / f"cache-{backend}"
-            with ExecutionEngine(jobs=2, cache_dir=cache_dir, backend=backend) as engine:
+            with ExecutionEngine(
+                EngineConfig(jobs=2, cache_dir=cache_dir, backend=backend)
+            ) as engine:
                 results[backend] = engine.run_sweep(self.SPEC)
             entries[backend] = _entry_names(cache_dir)
         reference = results["serial"]
@@ -196,24 +200,25 @@ class TestPersistentWorkers:
 
 class TestBackendSelection:
     def test_default_is_serial_for_one_job(self):
-        assert isinstance(ExecutionEngine(jobs=1).backend, SerialBackend)
+        assert isinstance(ExecutionEngine(EngineConfig(jobs=1)).backend, SerialBackend)
 
     def test_default_is_pool_for_many_jobs(self):
-        engine = ExecutionEngine(jobs=4)
+        engine = ExecutionEngine(EngineConfig(jobs=4))
         assert isinstance(engine.backend, PoolBackend)
         assert engine.backend.jobs == 4
 
     def test_names_select_backends(self):
-        assert isinstance(ExecutionEngine(jobs=4, backend="serial").backend, SerialBackend)
-        assert isinstance(ExecutionEngine(jobs=1, backend="pool").backend, PoolBackend)
+        serial = ExecutionEngine(EngineConfig(jobs=4, backend="serial"))
+        assert isinstance(serial.backend, SerialBackend)
+        assert isinstance(ExecutionEngine(EngineConfig(jobs=1, backend="pool")).backend, PoolBackend)
         assert isinstance(
-            ExecutionEngine(jobs=1, backend="persistent").backend,
+            ExecutionEngine(EngineConfig(jobs=1, backend="persistent")).backend,
             PersistentWorkerBackend,
         )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
-            ExecutionEngine(backend="distributed")
+            ExecutionEngine(EngineConfig(backend="distributed"))
 
     def test_instance_is_shared_not_owned(self):
         shared = SerialBackend()
@@ -222,7 +227,7 @@ class TestBackendSelection:
         engine.close()  # must not close the caller-owned backend
 
     def test_engine_owns_backend_built_from_name(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, backend="persistent")
+        engine = ExecutionEngine(EngineConfig(jobs=1, backend="persistent"))
         engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         pool = engine.backend._pool
         assert pool is not None

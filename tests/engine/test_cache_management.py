@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.cache import ResultCache
 from repro.engine.codecs import decode_cache_entry, encode_cache_entry, payload_trace
 from repro.engine.sweeps import SweepSpec
@@ -227,7 +227,7 @@ class TestAutoGC:
     evict what the finishing run just produced or read."""
 
     def test_no_auto_gc_without_bounds(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         assert engine.last_gc is None
         assert engine.cache.entry_count() > 0
@@ -238,21 +238,21 @@ class TestAutoGC:
         # (they all have mtimes before the pass starts).  Stale entries
         # from previous runs must go; the current run's must all stay.
         cache_dir = tmp_path / "cache"
-        stale = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        stale = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         stale.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("m88ksim",))
         stale_paths = list(stale.cache.entry_paths())
         assert stale_paths
         for path in stale_paths:
             _age(path, 5000)
 
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_max_bytes=1)
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir, cache_max_bytes=1))
         engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert engine.last_gc is not None
         assert engine.last_gc.removed_entries == len(stale_paths)
         assert all(not path.exists() for path in stale_paths)
 
         # Every entry the budget-constrained run produced is still warm.
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == 0
         assert warm.stats.simulations_computed == 0
@@ -261,12 +261,12 @@ class TestAutoGC:
         # A hit bumps the mtime, so entries the run *reused* count as part
         # of the run and survive a tight budget as well.
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         for path in cold.cache.entry_paths():
             _age(path, 5000)
 
-        bounded = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_max_bytes=1)
+        bounded = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir, cache_max_bytes=1))
         bounded.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert bounded.stats.simulations_cached == len(PREDICTORS)
         # A fully-warm run reads the trace and merge entries (bumping
@@ -274,7 +274,7 @@ class TestAutoGC:
         # legitimately evictable entries under the tight budget.
         assert bounded.last_gc.removed_entries == len(PREDICTORS)
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.simulations_computed == 0
         assert warm.stats.traces_computed == 0
@@ -282,11 +282,11 @@ class TestAutoGC:
     def test_auto_gc_after_sweeps(self, tmp_path):
         cache_dir = tmp_path / "cache"
         spec = SweepSpec.input_study(benchmark="compress", predictor="l", scale=SCALE)
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, cache_max_bytes=1)
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir, cache_max_bytes=1))
         engine.run_sweep(spec)
         assert engine.last_gc is not None
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         warm.run_sweep(spec)
         assert warm.stats.traces_computed == 0
         assert warm.stats.simulations_computed == 0
@@ -339,7 +339,7 @@ class TestEntryKeyCheck:
 
     def test_campaign_recomputes_an_entry_under_another_key(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        reference = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+        reference = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run(
             scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
         )
         first, second = sorted((cache_dir / "simulate").glob("*/*.rvpc"))
@@ -347,7 +347,7 @@ class TestEntryKeyCheck:
         for path in (cache_dir / "merge").glob("*/*"):
             path.unlink()
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.simulations_computed == 1
         assert warm.stats.simulations_cached == 1
@@ -357,15 +357,15 @@ class TestEntryKeyCheck:
 
 class TestEngineBinaryCachePath:
     def test_warm_rerun_from_binary_cache_is_bit_identical(self, tmp_path):
-        reference = ExecutionEngine(jobs=1).run(
+        reference = ExecutionEngine(EngineConfig(jobs=1)).run(
             scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
         )
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert all(path.suffix == ".rvpc" for path in cold.cache.entry_paths())
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == 0
         assert warm.stats.simulations_computed == 0
@@ -375,7 +375,7 @@ class TestEngineBinaryCachePath:
 
     def test_corrupt_binary_trace_entry_recomputes(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         trace_entries = [
             path for path in cold.cache.entry_paths() if path.parent.parent.name == "trace"
@@ -384,7 +384,7 @@ class TestEngineBinaryCachePath:
         for path in trace_entries:
             path.write_bytes(path.read_bytes()[:20])
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == len(BENCHMARKS)
         for benchmark in BENCHMARKS:
@@ -394,7 +394,7 @@ class TestEngineBinaryCachePath:
         # The envelope decodes fine but the v3 bytes inside do not: the
         # scheduler must fall back to re-tracing, not crash the run.
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         for benchmark in BENCHMARKS:
             key = TraceTask.for_workload(benchmark, SCALE).cache_key()
@@ -402,7 +402,7 @@ class TestEngineBinaryCachePath:
             assert path.exists()
             path.write_bytes(encode_cache_entry(key, {"trace_binary": b"\x00garbage"}))
 
-        warm = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == len(BENCHMARKS)
         for benchmark in BENCHMARKS:
@@ -411,4 +411,4 @@ class TestEngineBinaryCachePath:
     def test_engine_takes_no_cache_format(self, tmp_path):
         # .rvpc is the only entry format, so there is nothing to choose.
         with pytest.raises(TypeError):
-            ExecutionEngine(cache_dir=tmp_path, cache_format="binary")
+            ExecutionEngine(EngineConfig(cache_dir=tmp_path), cache_format="binary")

@@ -13,7 +13,7 @@ import pytest
 from repro.core.last_value import LastValuePredictor
 from repro.core.registry import _REGISTRY, register_predictor
 from repro.core.stride import TwoDeltaStridePredictor
-from repro.engine import ExecutionEngine, predictor_signature
+from repro.engine import EngineConfig, ExecutionEngine, predictor_signature
 from repro.simulation.campaign import clear_campaign_cache, run_campaign
 from repro.simulation.simulator import (
     SIMULATION_COUNTER,
@@ -58,10 +58,10 @@ class TestShardMerge:
 
 class TestParallelIdentity:
     def test_parallel_results_bit_identical_to_serial(self):
-        serial = ExecutionEngine(jobs=1).run(
+        serial = ExecutionEngine(EngineConfig(jobs=1)).run(
             scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
         )
-        parallel = ExecutionEngine(jobs=4).run(
+        parallel = ExecutionEngine(EngineConfig(jobs=4)).run(
             scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
         )
         _assert_identical_campaigns(serial, parallel)
@@ -79,13 +79,13 @@ class TestParallelIdentity:
 class TestPersistentCache:
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        cold_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        cold_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         cold = cold_engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert cold_engine.stats.traces_computed == len(BENCHMARKS)
         assert cold_engine.stats.simulations_computed == len(BENCHMARKS) * len(PREDICTORS)
 
         SIMULATION_COUNTER.reset()
-        warm_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         warm = warm_engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert SIMULATION_COUNTER.count == 0
         assert warm_engine.stats.simulations_computed == 0
@@ -95,20 +95,20 @@ class TestPersistentCache:
 
     def test_no_cache_flag_recomputes(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+        ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run(
             scale=SCALE, predictors=("l",), benchmarks=("compress",)
         )
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, use_cache=False)
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir, use_cache=False))
         engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         assert engine.stats.simulations_computed == 1
         assert engine.stats.simulations_cached == 0
 
     def test_cache_distinguishes_scales(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+        ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run(
             scale=SCALE, predictors=("l",), benchmarks=("compress",)
         )
-        other = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        other = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         other.run(scale=6 * SCALE, predictors=("l",), benchmarks=("compress",))
         assert other.stats.traces_computed == 1
         assert other.stats.simulations_computed == 1
@@ -118,10 +118,10 @@ class TestPersistentCache:
         # to the same loop counts produce the same trace, so the shard is
         # reused even though the trace task itself reruns.
         cache_dir = tmp_path / "cache"
-        ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+        ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run(
             scale=0.05, predictors=("l",), benchmarks=("compress",)
         )
-        other = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        other = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         other.run(scale=0.1, predictors=("l",), benchmarks=("compress",))
         assert other.stats.traces_computed == 1
         assert other.stats.simulations_cached == 1
@@ -169,11 +169,11 @@ class TestPredictorConfigurationKeys:
     def test_disk_cache_not_fooled_by_rebinding(self, tmp_path):
         cache_dir = tmp_path / "cache"
         register_predictor(self.NAME, LastValuePredictor)
-        ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+        ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run(
             scale=SCALE, predictors=(self.NAME,), benchmarks=("compress",)
         )
         register_predictor(self.NAME, TwoDeltaStridePredictor, overwrite=True)
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         engine.run(scale=SCALE, predictors=(self.NAME,), benchmarks=("compress",))
         assert engine.stats.simulations_computed == 1
         assert engine.stats.traces_cached == 1

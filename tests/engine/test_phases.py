@@ -9,7 +9,7 @@ the pre-refactor goldens — the lockstep simulation loop — bit-identically.
 
 from __future__ import annotations
 
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.codecs import decode_cache_entry
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.sweeps import SweepSpec
@@ -73,7 +73,7 @@ def _task(uid, value, built=None):
 
 class TestRunPhase:
     def test_cold_phase_computes_and_populates_cache(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         seen: dict = {}
         computed = run_phase(engine, _spec([_task("a", 1), _task("b", 2)], seen))
         assert [task.uid for task in computed] == ["a", "b"]
@@ -83,10 +83,10 @@ class TestRunPhase:
         assert engine.cache.entry_count() == 2
 
     def test_warm_phase_serves_from_cache_without_building_payloads(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         run_phase(engine, _spec([_task("a", 1)], {}))
 
-        warm = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         built: list = []
         seen: dict = {}
         computed = run_phase(warm, _spec([_task("a", 1, built)], seen))
@@ -97,10 +97,10 @@ class TestRunPhase:
         assert warm.stats.traces_computed == 0
 
     def test_declined_probe_turns_hit_into_miss(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         run_phase(engine, _spec([_task("a", 1)], {}))
 
-        picky = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        picky = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         seen: dict = {}
         computed = run_phase(
             picky, _spec([_task("a", 1)], seen, accept_cached=lambda uid, payload: False)
@@ -110,30 +110,33 @@ class TestRunPhase:
         assert picky.stats.traces_cached == 0
 
     def test_raising_probe_counts_as_miss(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         run_phase(engine, _spec([_task("a", 1)], {}))
 
         def explode(uid, payload):
             raise KeyError("corrupt entry")
 
-        again = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        again = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         computed = run_phase(again, _spec([_task("a", 1)], {}, accept_cached=explode))
         assert [task.uid for task in computed] == ["a"]
         assert again.stats.traces_computed == 1
 
     def test_no_cache_everything_computes(self):
-        engine = ExecutionEngine(jobs=1)
+        engine = ExecutionEngine(EngineConfig(jobs=1))
         seen: dict = {}
         run_phase(engine, _spec([_task("a", 1), _task("b", 2)], seen))
         assert seen == {"a": 10, "b": 20}
         assert engine.stats.traces_computed == 2
 
     def test_progress_events_and_presatisfied_accounting(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         run_phase(engine, _spec([_task("a", 1)], {}))
 
         recorder = _Recorder()
-        warm = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache", progress=recorder)
+        warm = ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=tmp_path / "cache"),
+            progress=recorder,
+        )
         run_phase(
             warm,
             _spec(
@@ -151,17 +154,17 @@ class TestRunPhase:
 
     def test_inline_flag_follows_backend(self, tmp_path):
         built: list = []
-        serial = ExecutionEngine(jobs=1)
+        serial = ExecutionEngine(EngineConfig(jobs=1))
         run_phase(serial, _spec([_task("a", 1, built)], {}))
         assert built == [("a", True)]
 
         built.clear()
-        with ExecutionEngine(jobs=2, backend="persistent") as persistent:
+        with ExecutionEngine(EngineConfig(jobs=2, backend="persistent")) as persistent:
             run_phase(persistent, _spec([_task("a", 1, built), _task("b", 2, built)], {}))
         assert built == [("a", False), ("b", False)]
 
     def test_put_writes_rvpc_entries_under_the_task_key(self, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=tmp_path / "cache"))
         run_phase(engine, _spec([_task("a", 1)], {}))
         (path,) = engine.cache.entry_paths()
         assert path.suffix == ".rvpc"
@@ -174,7 +177,7 @@ class TestPreRefactorGoldens:
     """The refactored phases still reproduce the lockstep loop exactly."""
 
     def test_campaign_phases_match_lockstep_goldens(self):
-        engine = ExecutionEngine(jobs=1)
+        engine = ExecutionEngine(EngineConfig(jobs=1))
         result = engine.run(scale=SCALE, predictors=("l", "fcm2"), benchmarks=("compress",))
         golden_trace = get_workload("compress").trace(scale=SCALE)
         golden = simulate_trace(golden_trace, ("l", "fcm2"))
@@ -182,7 +185,7 @@ class TestPreRefactorGoldens:
 
     def test_sweep_phases_match_lockstep_goldens(self):
         spec = SweepSpec(benchmark="gcc", scale=SCALE, inputs=("gcc.i",), predictors=("fcm1",))
-        sweep = ExecutionEngine(jobs=1).run_sweep(spec)
+        sweep = ExecutionEngine(EngineConfig(jobs=1)).run_sweep(spec)
         golden_trace = get_workload("gcc").trace(scale=SCALE, input_name="gcc.i")
         golden = simulate_trace(golden_trace, ("fcm1",))
         assert sweep.points[0].result == golden.results["fcm1"]

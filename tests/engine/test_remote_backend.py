@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.backends import resolve_backend
 from repro.engine.remote import (
     PROTOCOL_VERSION,
@@ -83,11 +83,13 @@ class TestRemoteParity:
     def test_campaign_bit_identical_and_same_cache_bytes(self, tmp_path, worker_pair):
         serial_dir = tmp_path / "cache-serial"
         remote_dir = tmp_path / "cache-remote"
-        with ExecutionEngine(jobs=1, cache_dir=serial_dir, backend="serial") as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=serial_dir, backend="serial")
+        ) as engine:
             reference = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         addresses = [server.address for server in worker_pair]
         with ExecutionEngine(
-            jobs=2, cache_dir=remote_dir, backend="remote", workers=addresses
+            EngineConfig(jobs=2, cache_dir=remote_dir, backend="remote", workers=addresses),
         ) as engine:
             remote = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert remote.benchmarks() == reference.benchmarks()
@@ -110,11 +112,13 @@ class TestRemoteParity:
         )
         serial_dir = tmp_path / "cache-serial"
         remote_dir = tmp_path / "cache-remote"
-        with ExecutionEngine(jobs=1, cache_dir=serial_dir, backend="serial") as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=serial_dir, backend="serial")
+        ) as engine:
             reference = engine.run_sweep(spec)
         addresses = [server.address for server in worker_pair]
         with ExecutionEngine(
-            jobs=2, cache_dir=remote_dir, backend="remote", workers=addresses
+            EngineConfig(jobs=2, cache_dir=remote_dir, backend="remote", workers=addresses),
         ) as engine:
             remote = engine.run_sweep(spec)
         assert len(remote.points) == len(reference.points) == 4
@@ -129,10 +133,10 @@ class TestRemoteParity:
         cache_dir = tmp_path / "cache"
         addresses = [server.address for server in worker_pair]
         with ExecutionEngine(
-            jobs=2, cache_dir=cache_dir, backend="remote", workers=addresses
+            EngineConfig(jobs=2, cache_dir=cache_dir, backend="remote", workers=addresses),
         ) as engine:
             cold = engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
-        warm_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir, backend="serial")
+        warm_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir, backend="serial"))
         warm = warm_engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         assert warm_engine.stats.traces_computed == 0
         assert warm_engine.stats.simulations_computed == 0
@@ -140,11 +144,11 @@ class TestRemoteParity:
 
     def test_fully_warm_remote_run_never_dials_workers(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        with ExecutionEngine(jobs=1, cache_dir=cache_dir) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)) as engine:
             engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         # No worker is listening on this port; a fully warm run must not care.
         warm = ExecutionEngine(
-            jobs=1, cache_dir=cache_dir, backend="remote", workers=["127.0.0.1:1"]
+            EngineConfig(jobs=1, cache_dir=cache_dir, backend="remote", workers=["127.0.0.1:1"]),
         )
         result = warm.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         assert warm.stats.tasks_computed == 0
@@ -339,7 +343,7 @@ class TestHandshake:
             "connect",
             _patched_connect_with(skewed_versions),
         )
-        engine = ExecutionEngine(jobs=1, backend="remote", workers=[server.address])
+        engine = ExecutionEngine(EngineConfig(jobs=1, backend="remote", workers=[server.address]))
         with pytest.raises(DispatchError, match="trace phase"):
             engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         engine.close()
@@ -629,7 +633,9 @@ class TestRemoteSelection:
             resolve_backend("remote", jobs=1)
 
     def test_engine_accepts_workers_argument(self):
-        engine = ExecutionEngine(jobs=2, backend="remote", workers=["127.0.0.1:8750"])
+        engine = ExecutionEngine(
+            EngineConfig(jobs=2, backend="remote", workers=["127.0.0.1:8750"])
+        )
         assert isinstance(engine.backend, RemoteBackend)
         engine.close()
 

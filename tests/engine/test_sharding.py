@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core.registry import available_predictors, create_predictor
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.codecs import shard_from_dict, shard_to_dict, simulation_to_dict
 from repro.engine.remote import WorkerServer
 from repro.engine.sharding import (
@@ -319,7 +319,7 @@ class TestWindowStitching:
 # --------------------------------------------------------------------------- #
 def _campaign(tmp_path, tag, **engine_kwargs):
     cache_dir = tmp_path / f"cache-{tag}"
-    with ExecutionEngine(cache_dir=cache_dir, **engine_kwargs) as engine:
+    with ExecutionEngine(EngineConfig(cache_dir=cache_dir, **engine_kwargs)) as engine:
         result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
     return result, engine.stats, cache_dir
 
@@ -374,15 +374,19 @@ class TestEngineSharding:
 
     def test_sharded_cold_warms_unsharded_and_vice_versa(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        with ExecutionEngine(jobs=1, cache_dir=cache_dir, shard_window=300) as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=cache_dir, shard_window=300)
+        ) as engine:
             engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
-        with ExecutionEngine(jobs=1, cache_dir=cache_dir) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)) as engine:
             engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
             assert engine.stats.simulations_computed == 0
         other_dir = tmp_path / "other"
-        with ExecutionEngine(jobs=1, cache_dir=other_dir) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1, cache_dir=other_dir)) as engine:
             engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
-        with ExecutionEngine(jobs=1, cache_dir=other_dir, shard_window=300) as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=other_dir, shard_window=300)
+        ) as engine:
             engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
             assert engine.stats.simulations_computed == 0
             assert engine.stats.windows_computed == 0
@@ -392,7 +396,9 @@ class TestEngineSharding:
         # pair-level entry re-stitches from warm windows without
         # re-simulating any of them.
         cache_dir = tmp_path / "cache"
-        with ExecutionEngine(jobs=1, cache_dir=cache_dir, shard_window=300) as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=cache_dir, shard_window=300)
+        ) as engine:
             reference = engine.run(
                 scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",)
             )
@@ -400,7 +406,9 @@ class TestEngineSharding:
             for path in (cache_dir / kind).glob("**/*"):
                 if path.is_file():
                     path.unlink()
-        with ExecutionEngine(jobs=1, cache_dir=cache_dir, shard_window=300) as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=cache_dir, shard_window=300)
+        ) as engine:
             rerun = engine.run(
                 scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",)
             )
@@ -412,14 +420,14 @@ class TestEngineSharding:
         # A window between the two trace lengths shards one benchmark and
         # leaves the other on the pair-level path within the same run.
         benchmarks = ("compress", "m88ksim")
-        with ExecutionEngine(jobs=1) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1)) as engine:
             reference = engine.run(
                 scale=SCALE, predictors=PREDICTORS, benchmarks=benchmarks
             )
         lengths = sorted(len(reference.traces[name]) for name in benchmarks)
         assert lengths[0] < lengths[1], "fixture needs distinct trace lengths"
         window = lengths[0] + (lengths[1] - lengths[0]) // 2
-        with ExecutionEngine(jobs=1, shard_window=window) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1, shard_window=window)) as engine:
             mixed = engine.run(
                 scale=SCALE, predictors=PREDICTORS, benchmarks=benchmarks
             )
@@ -456,9 +464,9 @@ class TestEngineSharding:
 
     def test_sweep_sharded_parity(self, tmp_path):
         spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=PREDICTORS)
-        with ExecutionEngine(jobs=1) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1)) as engine:
             reference = engine.run_sweep(spec)
-        with ExecutionEngine(jobs=1, shard_window=400) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1, shard_window=400)) as engine:
             sharded = engine.run_sweep(spec)
             assert engine.stats.windows_computed > 0
         for expected, actual in zip(reference.points, sharded.points):

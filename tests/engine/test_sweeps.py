@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.sweeps import SweepSpec, clear_sweep_cache, run_sweep
 from repro.engine.tasks import SimulateTask
 from repro.engine.worker import execute_simulate_task
@@ -85,7 +85,7 @@ class TestSerialEquivalence:
     def test_full_shard_accounting_matches_lockstep(self):
         # Beyond accuracy: category breakdowns and per-PC counts match too.
         spec = SweepSpec.input_study(benchmark="compress", predictor="fcm1", scale=SCALE)
-        sweep = ExecutionEngine(jobs=1).run_sweep(spec)
+        sweep = ExecutionEngine(EngineConfig(jobs=1)).run_sweep(spec)
         workload = get_workload("compress")
         for entry in sweep.points:
             trace = workload.trace(scale=SCALE, input_name=entry.point.input_name)
@@ -101,8 +101,8 @@ class TestJobsParity:
             inputs=("gcc.i", "jump.i"),
             predictors=("l", "fcm2"),
         )
-        serial = ExecutionEngine(jobs=1).run_sweep(spec)
-        parallel = ExecutionEngine(jobs=4).run_sweep(spec)
+        serial = ExecutionEngine(EngineConfig(jobs=1)).run_sweep(spec)
+        parallel = ExecutionEngine(EngineConfig(jobs=4)).run_sweep(spec)
         assert len(serial.points) == len(parallel.points) == 4
         for left, right in zip(serial.points, parallel.points):
             assert left.point == right.point
@@ -116,7 +116,7 @@ class TestDeduplication:
         spec = SweepSpec(
             benchmark="compress", scale=SCALE, inputs=("ref", "ref"), predictors=("l",)
         )
-        engine = ExecutionEngine(jobs=1)
+        engine = ExecutionEngine(EngineConfig(jobs=1))
         sweep = engine.run_sweep(spec)
         assert len(sweep.points) == 2
         assert engine.stats.traces_computed == 1
@@ -124,7 +124,7 @@ class TestDeduplication:
         assert sweep.points[0].result == sweep.points[1].result
 
     def test_order_study_shares_one_trace(self):
-        engine = ExecutionEngine(jobs=1)
+        engine = ExecutionEngine(EngineConfig(jobs=1))
         engine.run_sweep(SweepSpec.order_study(orders=(1, 2, 3), scale=SCALE))
         assert engine.stats.benchmarks == 1
         assert engine.stats.traces_computed == 1
@@ -135,9 +135,9 @@ class TestDeduplication:
         # trace bytes; simulations are keyed by content, so the second
         # sweep re-traces but never re-simulates.
         cache_dir = tmp_path / "cache"
-        first = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        first = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         first.run_sweep(SweepSpec(benchmark="compress", scale=0.05, predictors=("l",)))
-        second = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        second = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         second.run_sweep(SweepSpec(benchmark="compress", scale=0.1, predictors=("l",)))
         assert second.stats.traces_computed == 1
         assert second.stats.simulations_cached == 1
@@ -148,13 +148,13 @@ class TestPersistentCache:
     def test_warm_sweep_is_zero_compute(self, tmp_path):
         cache_dir = tmp_path / "cache"
         spec = SweepSpec.input_study(scale=SCALE)
-        cold_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        cold_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         cold = cold_engine.run_sweep(spec)
         assert cold_engine.stats.traces_computed == len(spec.inputs)
         assert cold_engine.stats.simulations_computed == len(spec.inputs)
 
         SIMULATION_COUNTER.reset()
-        warm_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        warm_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         warm = warm_engine.run_sweep(spec)
         assert SIMULATION_COUNTER.count == 0
         assert warm_engine.stats.traces_computed == 0
@@ -170,10 +170,10 @@ class TestPersistentCache:
         # The sweep's default-configuration point addresses the same cache
         # entry a campaign writes for that benchmark, and vice versa.
         cache_dir = tmp_path / "cache"
-        campaign_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        campaign_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         campaign_engine.run(scale=SCALE, predictors=("l",), benchmarks=("gcc",))
 
-        sweep_engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        sweep_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         sweep_engine.run_sweep(SweepSpec(benchmark="gcc", scale=SCALE, predictors=("l",)))
         assert sweep_engine.stats.traces_cached == 1
         assert sweep_engine.stats.traces_computed == 0
@@ -189,7 +189,7 @@ class TestPersistentCache:
 
         cache_dir = tmp_path / "cache"
         spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=("l",))
-        cold = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         cold_result = cold.run_sweep(spec)
 
         task = TraceTask.for_workload("compress", SCALE)
@@ -202,7 +202,7 @@ class TestPersistentCache:
             if shard_path.parent.parent.name == "simulate":
                 shard_path.unlink()
 
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         result = engine.run_sweep(spec)
         assert engine.stats.traces_computed == 1
         assert engine.stats.traces_cached == 0
@@ -279,7 +279,7 @@ class TestBenchmarkAxis:
         assert tuple(compress_inputs) == get_workload("compress").input_sets
 
     def test_duplicate_benchmarks_share_trace_and_simulation(self):
-        engine = ExecutionEngine(jobs=1)
+        engine = ExecutionEngine(EngineConfig(jobs=1))
         sweep = engine.run_sweep(
             SweepSpec(benchmarks=("compress", "compress"), scale=SCALE, predictors=("l",))
         )
@@ -289,11 +289,11 @@ class TestBenchmarkAxis:
         assert sweep.points[0].result == sweep.points[1].result
 
     def test_multi_benchmark_matches_single_benchmark_sweeps(self):
-        joint = ExecutionEngine(jobs=1).run_sweep(
+        joint = ExecutionEngine(EngineConfig(jobs=1)).run_sweep(
             SweepSpec(benchmarks=("compress", "m88ksim"), scale=SCALE, predictors=("l",))
         )
         for benchmark in ("compress", "m88ksim"):
-            single = ExecutionEngine(jobs=1).run_sweep(
+            single = ExecutionEngine(EngineConfig(jobs=1)).run_sweep(
                 SweepSpec(benchmark=benchmark, scale=SCALE, predictors=("l",))
             )
             (joint_point,) = joint.by_benchmark(benchmark)
@@ -303,10 +303,10 @@ class TestBenchmarkAxis:
 
     def test_multi_benchmark_shares_cache_with_campaign(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+        ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run(
             scale=SCALE, predictors=("l",), benchmarks=("compress", "m88ksim")
         )
-        engine = ExecutionEngine(jobs=1, cache_dir=cache_dir)
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         engine.run_sweep(
             SweepSpec(benchmarks=("compress", "m88ksim"), scale=SCALE, predictors=("l",))
         )

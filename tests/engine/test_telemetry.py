@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.engine import ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.remote import WorkerServer
 from repro.engine.sweeps import SweepSpec
 from repro.engine.telemetry import (
@@ -53,7 +53,8 @@ def _entry_bytes(cache_dir):
 def _campaign(tmp_path, name, telemetry=None, backend="serial"):
     cache_dir = tmp_path / f"cache-{name}"
     with ExecutionEngine(
-        jobs=2, cache_dir=cache_dir, backend=backend, telemetry=telemetry
+        EngineConfig(jobs=2, cache_dir=cache_dir, backend=backend),
+        telemetry=telemetry,
     ) as engine:
         result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
     return result, cache_dir, engine.stats
@@ -199,7 +200,8 @@ class TestOnOffParity:
             )
             cache_dir = tmp_path / f"sweep-cache-{mode}"
             with ExecutionEngine(
-                jobs=2, cache_dir=cache_dir, backend="pool", telemetry=telemetry
+                EngineConfig(jobs=2, cache_dir=cache_dir, backend="pool"),
+                telemetry=telemetry,
             ) as engine:
                 result = engine.run_sweep(spec)
             if telemetry is not None:
@@ -239,10 +241,13 @@ class TestInstrumentedRun:
 
     def test_warm_run_records_cache_hits(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        with ExecutionEngine(jobs=1, cache_dir=cache_dir) as engine:
+        with ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)) as engine:
             engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         telemetry = RunTelemetry(tmp_path / "telemetry", argv=[], command="campaign")
-        with ExecutionEngine(jobs=1, cache_dir=cache_dir, telemetry=telemetry) as engine:
+        with ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=cache_dir),
+            telemetry=telemetry,
+        ) as engine:
             engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
         telemetry.close()
         assert engine.stats.cache_hit_bytes > 0
@@ -264,10 +269,12 @@ class TestRemoteTelemetry:
         telemetry = RunTelemetry(tmp_path / "telemetry", argv=[], command="campaign")
         with WorkerServer() as alpha, WorkerServer() as beta:
             with ExecutionEngine(
-                jobs=2,
-                cache_dir=tmp_path / "cache",
-                backend="remote",
-                workers=(alpha.address, beta.address),
+                EngineConfig(
+                    jobs=2,
+                    cache_dir=tmp_path / "cache",
+                    backend="remote",
+                    workers=(alpha.address, beta.address),
+                ),
                 telemetry=telemetry,
             ) as engine:
                 result = engine.run(
@@ -292,7 +299,7 @@ class TestRemoteTelemetry:
         for worker in workers:
             assert worker["busy_seconds"] >= 0
             assert 0 <= worker["utilization"] <= 1.0 or worker["tasks"] == 0
-            assert worker["peak_in_flight"] <= engine.jobs
+            assert worker["peak_in_flight"] <= engine.config.jobs
             assert worker["frames_sent"] >= worker["tasks"]
         # Wire counters agree with the servers' own accounting up to the
         # handshake frames (counted by the server, but exchanged before
@@ -305,7 +312,7 @@ class TestRemoteTelemetry:
     def test_result_frames_carry_worker_seconds(self, tmp_path):
         with WorkerServer() as server:
             with ExecutionEngine(
-                jobs=2, backend="remote", workers=(server.address,)
+                EngineConfig(jobs=2, backend="remote", workers=(server.address,)),
             ) as engine:
                 engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
             assert server.execute_seconds > 0
@@ -367,6 +374,60 @@ class TestInspectCli:
         assert (tmp_path / "telemetry" / "metrics.jsonl").stat().st_size > 0
         capsys.readouterr()
         assert main(["inspect", str(tmp_path / "telemetry")]) == 0
+
+    def test_campaign_manifest_records_whole_engine_config(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        code = main(
+            [
+                "campaign",
+                "--scale",
+                str(SCALE),
+                "--predictors",
+                "l",
+                "--benchmarks",
+                "compress",
+                "--kernel",
+                "scalar",
+                "--shard-window",
+                "400",
+                "--cache-dir",
+                str(cache_dir),
+                "--cache-max-age",
+                "7d",
+                "--telemetry-dir",
+                str(tmp_path / "telemetry"),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        manifest = read_manifest(tmp_path / "telemetry")
+        recorded = {
+            field: manifest[field]
+            for field in (
+                "jobs",
+                "cache_dir",
+                "use_cache",
+                "cache_max_bytes",
+                "cache_max_age",
+                "backend",
+                "workers",
+                "kernel",
+                "shard_window",
+                "resolved_kernel",
+            )
+        }
+        assert recorded == {
+            "jobs": 1,
+            "cache_dir": str(cache_dir),
+            "use_cache": True,
+            "cache_max_bytes": None,
+            "cache_max_age": 7 * 86400.0,
+            "backend": "serial",
+            "workers": None,
+            "kernel": "scalar",
+            "shard_window": 400,
+            "resolved_kernel": "scalar",
+        }
 
 
 class TestWorkerServeStatsInterval:
