@@ -1,11 +1,13 @@
 """The shared probe → dispatch → put protocol of every engine phase.
 
-Campaign phases (:class:`~repro.engine.scheduler.ExecutionEngine`) and
-sweep phases (:mod:`repro.engine.sweeps`) execute the same three-step
-protocol per batch of work units:
+Every phase — the trace and simulate phases campaigns and sweeps share
+(:func:`~repro.engine.scheduler.trace_phase`,
+:func:`~repro.engine.scheduler.simulate_phase`) and the window phase of
+intra-trace sharding — executes the same three-step protocol per batch of
+work units:
 
 1. **probe** — look each unit up in the persistent cache and hand the
-   stored payload to the caller's *materialisation policy*; a policy that
+   stored payload to the caller's ``accept_cached`` callable; one that
    declines (corrupt or unusable entry) turns the hit back into a miss;
 2. **dispatch** — build payloads for the remaining units (lazily, so warm
    runs never pay for them) and execute them on the engine's
@@ -15,13 +17,12 @@ protocol per batch of work units:
 :func:`run_phase` is that protocol, once; :class:`PhaseSpec` carries
 everything that varies between phases — cache kind, cache-key builder
 (already baked into each :class:`PhaseTask`), payload builder, worker
-function, materialisation policy and result decoder.  The campaign's
-phases materialise cached traces eagerly (a corrupt embedded trace is
-re-traced immediately); the sweep's trace phase probes cheaply and defers
-decoding (lazy-with-repair, see :class:`repro.engine.sweeps._LazyTrace`).
-Both are just different ``accept_cached`` callables over the same
-executor, so protocol changes — a distributed backend, a new cache
-envelope — land here once instead of once per code path.
+function and result decoders.  The one trace-materialisation policy,
+lazy-with-repair, lives above this layer: the trace phase's
+``accept_cached`` only probes the digest and statistics, and a corrupt
+body is repaired when :class:`~repro.engine.scheduler.LazyTrace` first
+decodes it.  Protocol changes — a distributed backend, a new cache
+envelope — land here once.
 
 Progress accounting: ``phase_started`` reports ``total`` units (defaults
 to ``len(tasks)``) of which ``presatisfied_count + cache hits`` were warm;
@@ -44,9 +45,9 @@ from repro.errors import DispatchError
 class PhaseTask:
     """One work unit of a phase.
 
-    ``uid`` is the caller's identity for the unit (a benchmark name, a
-    ``(benchmark, predictor)`` pair, a sweep trace-config tuple, ...) and
-    is what the materialisation policy and result decoder receive.
+    ``uid`` is the caller's identity for the unit (a trace cache-key
+    digest, a ``(trace digest, predictor)`` pair, a window, ...) and is
+    what ``accept_cached`` and ``accept_fresh`` receive.
     ``build_payload`` is called only when the unit actually has to run,
     with ``inline=True`` when the backend executes in-process (the payload
     may then carry live objects and skip serialisation).
@@ -77,11 +78,10 @@ class PhaseSpec:
         Worker function executed per pending payload (module-level, so
         every backend can pickle it by reference).
     accept_cached:
-        Materialisation policy: given ``(uid, stored payload)`` decide
-        whether the entry is usable — decoding eagerly (campaign) or
-        merely probing (sweep) — and record whatever the caller needs.
-        Returning ``False`` (or raising) turns the hit into a miss, so a
-        corrupt cache degrades to recomputation, never failure.
+        Given ``(uid, stored payload)`` decide whether the entry is usable
+        and record whatever the caller needs.  Returning ``False`` (or
+        raising) turns the hit into a miss, so a corrupt cache degrades to
+        recomputation, never failure.
     accept_fresh:
         Result decoder: given ``(uid, worker outcome)`` record the result.
         Runs before the outcome is written back to the cache; exceptions

@@ -1,27 +1,33 @@
-"""Task-graph scheduler: decompose, dispatch, cache, merge.
+"""Task-graph scheduler: the trace and simulate phases, dispatch, merge.
 
-A campaign run proceeds in three phases:
+Campaigns and sweeps are the same graph over the same cache keys, and both
+run it through the two phase functions defined here, once each:
 
-1. **trace** — every benchmark not already in the cache is traced (on the
-   configured executor backend) and stored in the result cache;
-2. **simulate** — every (trace, predictor) pair not in the cache is
-   simulated into a :class:`PredictorShard`;
-3. **merge** — shards are recombined per benchmark into the joint
-   :class:`SimulationResult`, bit-identical to the lockstep loop.
+1. :func:`trace_phase` — trace tasks, deduplicated by cache key, run
+   through the shared phase executor (:mod:`repro.engine.phases` — the
+   probe → dispatch → put protocol) under one materialisation policy,
+   *lazy-with-repair*: a cache hit is a cheap digest and statistics
+   probe, the trace is decoded on first use (:class:`LazyTrace`), and a
+   corrupt body found then is re-traced, re-accounted and overwritten;
+2. :func:`simulate_phase` — (trace digest, predictor) units, each
+   simulated into a :class:`PredictorShard` on the phase executor or, when
+   the trace gets a window plan, through intra-trace sharding
+   (:mod:`repro.engine.sharding`).
 
-Phases 1 and 2 are embarrassingly parallel and run through the shared
-phase executor (:mod:`repro.engine.phases` — the probe → dispatch → put
-protocol, used by campaigns and sweeps alike) on a pluggable
+:meth:`ExecutionEngine.run` adds the campaign's **merge**: a probe of the
+merged per-benchmark entry first, and for the misses the shards are
+recombined into the joint :class:`SimulationResult`, bit-identical to the
+lockstep loop.  :func:`repro.engine.sweeps.execute_sweep` fans the shards
+out to its sweep points instead.  Work runs on a pluggable
 :class:`~repro.engine.backends.ExecutorBackend`; the merge is a cheap
-single pass in the parent.  All cross-process data uses the JSON codecs,
-so every backend and the cache path share one representation.
+single pass in the parent.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.engine.backends import ExecutorBackend, resolve_backend
 from repro.engine.cache import ResultCache
@@ -33,7 +39,7 @@ from repro.engine.codecs import (
     statistics_from_dict,
 )
 from repro.engine.config import EngineConfig
-from repro.engine.fingerprint import predictor_signature
+from repro.engine.fingerprint import key_digest, predictor_signature
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
 from repro.engine.sharding import (
@@ -42,9 +48,10 @@ from repro.engine.sharding import (
     run_windowed_simulations,
 )
 from repro.engine.tasks import TASK_FORMAT_VERSION, SimulateTask, TraceTask
-from repro.engine.telemetry import NULL_TELEMETRY, Telemetry
+from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
 from repro.engine.worker import execute_simulate_task, execute_trace_task
 from repro.simulation.simulator import PredictorShard, merge_shards
+from repro.trace.stream import TraceStatistics, ValueTrace
 
 
 @dataclass
@@ -216,8 +223,9 @@ class ExecutionEngine:
         # clock, so a clock jump mid-run cannot skew them.
         started = time.perf_counter()
         run_started_wall = time.time()
-        predictors = tuple(predictors)
-        benchmarks = tuple(benchmarks)
+        # A repeated axis value names the same work and the same result.
+        predictors = tuple(dict.fromkeys(predictors))
+        benchmarks = tuple(dict.fromkeys(benchmarks))
         stats = EngineStats(benchmarks=len(benchmarks), predictors=len(predictors))
         self.stats = stats
 
@@ -230,10 +238,14 @@ class ExecutionEngine:
             benchmarks=len(benchmarks),
             predictors=len(predictors),
         ) as run_span:
-            traces, digests, statistics = self._trace_phase(scale, benchmarks)
-            simulations = self._simulate_phase(
-                predictors, benchmarks, traces, digests, stats
+            traces = trace_phase(
+                self,
+                {
+                    name: (TraceTask.for_workload(name, scale=scale), name)
+                    for name in benchmarks
+                },
             )
+            simulations = self._merge(predictors, benchmarks, traces)
             stats.total_seconds = time.perf_counter() - started
             self._finish_run_stats(stats, cache_base, run_span)
         self.progress.campaign_finished(stats)
@@ -241,8 +253,8 @@ class ExecutionEngine:
         return CampaignResult(
             scale=scale,
             predictor_names=predictors,
-            traces=traces,
-            statistics=statistics,
+            traces={name: traces[name].get() for name in benchmarks},
+            statistics={name: traces[name].statistics for name in benchmarks},
             simulations=simulations,
         )
 
@@ -316,205 +328,58 @@ class ExecutionEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Phases — thin configurations of the shared phase executor
+    # The campaign's merge
     # ------------------------------------------------------------------ #
-    def _trace_phase(
-        self, scale: float, benchmarks: tuple[str, ...]
-    ) -> tuple[dict, dict[str, str], dict]:
-        tasks = {
-            name: TraceTask.for_workload(name, scale=scale) for name in benchmarks
-        }
-        traces: dict = {}
-        digests: dict[str, str] = {}
-        statistics: dict = {}
+    def _merge(self, predictors, benchmarks, traces) -> dict:
+        """Merge probe → simulate phase for the misses → merge and put.
 
-        def materialise(name: str, payload: dict) -> None:
-            traces[name] = payload_trace(payload)
-            digests[name] = payload["digest"]
-            statistics[name] = statistics_from_dict(payload["statistics"])
-
-        def accept_cached(name: str, payload: dict) -> bool:
-            # Eager materialisation policy: binary cache hits materialise
-            # straight from the v3 bytes and use the stored digest, so the
-            # canonical text is never rebuilt on the warm path.  A payload
-            # whose embedded trace is corrupt is treated as a miss: the
-            # benchmark is re-traced instead of crashing the run.
-            try:
-                materialise(name, payload)
-            except Exception:
-                traces.pop(name, None)
-                digests.pop(name, None)
-                return False
-            return True
-
-        run_phase(
-            self,
-            PhaseSpec(
-                name="trace",
-                kind="trace",
-                counter="traces",
-                tasks=[
-                    PhaseTask(
-                        uid=name,
-                        label=name,
-                        cache_key=tasks[name].cache_key(),
-                        build_payload=lambda inline, task=tasks[name]: task.payload(),
-                    )
-                    for name in benchmarks
-                ],
-                worker=execute_trace_task,
-                accept_cached=accept_cached,
-                accept_fresh=materialise,
-            ),
-        )
-        return traces, digests, statistics
-
-    def _simulate_phase(
-        self,
-        predictors: tuple[str, ...],
-        benchmarks: tuple[str, ...],
-        traces: dict,
-        digests: dict[str, str],
-        stats: EngineStats,
-    ) -> dict:
-        signatures = {name: predictor_signature(name) for name in predictors}
-        # A merged result is fully determined by the trace content and the
-        # ordered predictor configurations, so fully-warm benchmarks skip
-        # both the shard fetches and the per-record merge pass.
+        A merged result is fully determined by the trace content and the
+        ordered predictor configurations, so fully-warm benchmarks skip
+        both the shard fetches and the per-record merge pass.
+        """
+        signatures = [[name, predictor_signature(name)] for name in predictors]
         merge_keys = {
             benchmark: {
                 "kind": "merge",
                 "format": TASK_FORMAT_VERSION,
-                "trace": digests[benchmark],
-                "predictors": [[name, signatures[name]] for name in predictors],
+                "trace": traces[benchmark].digest,
+                "predictors": signatures,
             }
             for benchmark in benchmarks
         }
         simulations: dict = {}
-        if self.cache:
-            for benchmark in benchmarks:
-                cached = self.cache.get("merge", merge_keys[benchmark])
-                if cached is not None:
-                    simulations[benchmark] = simulation_from_dict(cached["simulation"])
-                    stats.record("simulations", cached=True, count=len(predictors))
-
-        shards: dict[str, dict[str, PredictorShard]] = {
-            benchmark: {} for benchmark in benchmarks if benchmark not in simulations
-        }
-        # Intra-trace sharding: benchmarks whose trace gets a window plan
-        # run through the sharded path (replay + windows + stitch) instead
-        # of the pair-level simulate phase.  Results and pair-level cache
-        # entries are bit-identical either way.
-        shard_plans: dict[str, list[tuple[int, int]]] = {}
-        if self.config.shard_window is not None:
-            slots = self.backend.parallel_slots()
-            for benchmark in shards:
-                windows = plan_shard_windows(
-                    self.config.shard_window, len(traces[benchmark]), slots
-                )
-                if windows is not None:
-                    shard_plans[benchmark] = windows
-        # Encode each trace for the pool wire at most once, however many
-        # predictors are pending over it.
-        wire_bytes: dict[str, bytes] = {}
-
-        def build_payload(task: SimulateTask, inline: bool) -> dict:
-            if inline:
-                return task.payload(
-                    traces[task.benchmark], inline=True, kernel=self.config.kernel
-                )
-            if task.benchmark not in wire_bytes:
-                from repro.trace.io import dumps_trace_binary
-
-                wire_bytes[task.benchmark] = dumps_trace_binary(
-                    traces[task.benchmark], compress=True
-                )
-            return task.payload(
-                None,
-                inline=False,
-                trace_bytes=wire_bytes[task.benchmark],
-                kernel=self.config.kernel,
-            )
-
-        def accept_shard(uid: tuple[str, str], payload: dict) -> bool:
-            benchmark, predictor = uid
-            shards[benchmark][predictor] = shard_from_dict(payload["shard"])
-            return True
-
-        phase_tasks = []
         for benchmark in benchmarks:
-            if benchmark in simulations or benchmark in shard_plans:
-                continue
+            cached = self.cache.get("merge", merge_keys[benchmark]) if self.cache else None
+            if cached is not None:
+                simulations[benchmark] = simulation_from_dict(cached["simulation"])
+                self.stats.record("simulations", cached=True, count=len(predictors))
+
+        missing = [benchmark for benchmark in benchmarks if benchmark not in simulations]
+        units: dict = {}
+        for benchmark in missing:
             for predictor in predictors:
-                task = SimulateTask(
-                    benchmark=benchmark,
-                    predictor=predictor,
-                    trace_digest=digests[benchmark],
-                    predictor_signature=signatures[predictor],
+                units.setdefault(
+                    (traces[benchmark].digest, predictor),
+                    (f"{benchmark}:{predictor}", traces[benchmark]),
                 )
-                phase_tasks.append(
-                    PhaseTask(
-                        uid=(benchmark, predictor),
-                        label=f"{benchmark}:{predictor}",
-                        cache_key=task.cache_key(),
-                        build_payload=lambda inline, task=task: build_payload(
-                            task, inline
-                        ),
-                    )
-                )
-
-        run_phase(
+        shards = simulate_phase(
             self,
-            PhaseSpec(
-                name="simulate",
-                kind="simulate",
-                counter="simulations",
-                tasks=phase_tasks,
-                worker=execute_simulate_task,
-                accept_cached=accept_shard,
-                accept_fresh=accept_shard,
-                total=(len(benchmarks) - len(shard_plans)) * len(predictors),
-                presatisfied_count=len(simulations) * len(predictors),
-                presatisfied_labels=[
-                    f"{benchmark}:*" for benchmark in benchmarks if benchmark in simulations
-                ],
-            ),
+            units,
+            presatisfied_count=len(simulations) * len(predictors),
+            presatisfied_labels=[f"{benchmark}:*" for benchmark in simulations],
         )
-
-        if shard_plans:
-            units = [
-                WindowedUnit(
-                    uid=(benchmark, predictor),
-                    label=f"{benchmark}:{predictor}",
-                    benchmark=benchmark,
-                    predictor=predictor,
-                    trace_digest=digests[benchmark],
-                    predictor_signature=signatures[predictor],
-                    windows=tuple(shard_plans[benchmark]),
-                    get_trace=lambda benchmark=benchmark: traces[benchmark],
-                )
-                for benchmark in shard_plans
-                for predictor in predictors
-            ]
-            for (benchmark, predictor), shard in run_windowed_simulations(
-                self, units
-            ).items():
-                shards[benchmark][predictor] = shard
-
-        for benchmark in benchmarks:
-            if benchmark in simulations:
-                continue
-            merged = merge_shards(
-                traces[benchmark],
-                {predictor: shards[benchmark][predictor] for predictor in predictors},
+        for benchmark in missing:
+            trace = traces[benchmark]
+            simulations[benchmark] = merge_shards(
+                trace.get(),
+                {predictor: shards[(trace.digest, predictor)] for predictor in predictors},
                 kernel=self.config.kernel,
             )
-            simulations[benchmark] = merged
             if self.cache:
                 self.cache.put(
                     "merge",
                     merge_keys[benchmark],
-                    {"simulation": simulation_to_dict(merged)},
+                    {"simulation": simulation_to_dict(simulations[benchmark])},
                 )
         return {benchmark: simulations[benchmark] for benchmark in benchmarks}
 
@@ -564,3 +429,205 @@ class ExecutionEngine:
                 phase, labels[index], cached=False
             ),
         )
+
+
+# --------------------------------------------------------------------------- #
+# The two phases — one copy each, shared by campaigns and sweeps
+# --------------------------------------------------------------------------- #
+class LazyTrace:
+    """One trace-phase result: digest and statistics now, records on first use.
+
+    A cached entry passes the trace phase on a cheap probe (digest and
+    statistics readable), so a fully warm run never decodes the embedded
+    trace.  When :meth:`get` finds a cached body corrupt, the trace is
+    repaired: re-traced in the parent, accounted as computed rather than
+    cached, and its cache entry overwritten so the repair sticks.  A fresh
+    outcome that does not decode is a bug and raises.
+    """
+
+    def __init__(self, engine, task: TraceTask, label: str, payload: dict, cached: bool):
+        self.digest: str = payload["digest"]
+        self.statistics: TraceStatistics = statistics_from_dict(payload["statistics"])
+        self.task = task
+        self._engine = engine
+        self._label = label
+        self._payload = payload
+        self._cached = cached
+        self._trace: ValueTrace | None = None
+
+    def get(self) -> ValueTrace:
+        if self._trace is None:
+            try:
+                self._trace = payload_trace(self._payload)
+            except Exception:
+                if not self._cached:
+                    raise
+                self._trace = payload_trace(self._repair())
+            self._payload = None
+        return self._trace
+
+    def _repair(self) -> dict:
+        engine = self._engine
+        outcome = execute_trace_task(self.task.payload())
+        # Repairs bypass the phase executor, so strip the worker's
+        # observability sidecar here too — the overwritten cache entry
+        # must stay byte-identical with telemetry on or off.
+        sidecar = outcome.pop(TELEMETRY_KEY, None)
+        if sidecar:
+            engine.telemetry.span_record(
+                "task",
+                sidecar.get("execute_seconds", 0.0),
+                phase="trace",
+                label=self._label,
+                worker_pid=sidecar.get("pid"),
+                function=sidecar.get("function"),
+                repair=True,
+            )
+        engine.stats.traces_computed += 1
+        engine.stats.traces_cached -= 1
+        if engine.cache:
+            engine.cache.put("trace", self.task.cache_key(), outcome)
+        return outcome
+
+
+def trace_phase(
+    engine: ExecutionEngine, tasks: Mapping[Hashable, tuple[TraceTask, str]]
+) -> dict[Hashable, LazyTrace]:
+    """Run the trace phase; returns one :class:`LazyTrace` per caller uid.
+
+    ``tasks`` maps the caller's uid to a ``(task, progress label)`` pair.
+    Tasks sharing a cache key run (and count) once, under the label of
+    their first appearance, and their uids share one :class:`LazyTrace`.
+    """
+    keys = {uid: key_digest(task.cache_key()) for uid, (task, _) in tasks.items()}
+    first: dict[str, tuple[TraceTask, str]] = {}
+    for uid, key in keys.items():
+        first.setdefault(key, tasks[uid])
+    traces: dict[str, LazyTrace] = {}
+
+    def accept(key: str, payload: dict, cached: bool = False) -> bool:
+        traces[key] = LazyTrace(engine, *first[key], payload, cached=cached)
+        return True
+
+    run_phase(
+        engine,
+        PhaseSpec(
+            name="trace",
+            kind="trace",
+            counter="traces",
+            tasks=[
+                PhaseTask(
+                    uid=key,
+                    label=label,
+                    cache_key=task.cache_key(),
+                    build_payload=lambda inline, task=task: task.payload(),
+                )
+                for key, (task, label) in first.items()
+            ],
+            worker=execute_trace_task,
+            accept_cached=lambda key, payload: accept(key, payload, cached=True),
+            accept_fresh=accept,
+        ),
+    )
+    return {uid: traces[key] for uid, key in keys.items()}
+
+
+def simulate_phase(
+    engine: ExecutionEngine,
+    units: Mapping[tuple[str, str], tuple[str, LazyTrace]],
+    presatisfied_count: int = 0,
+    presatisfied_labels: Sequence[str] = (),
+) -> dict[tuple[str, str], PredictorShard]:
+    """Run the simulate phase; returns one shard per ``(digest, predictor)``.
+
+    ``units`` maps each ``(trace digest, predictor)`` pair to its progress
+    label and trace.  Units whose trace gets a window plan (intra-trace
+    sharding, :mod:`repro.engine.sharding`) run as windows; the rest run
+    through the shared phase executor.  Results and pair-level cache
+    entries are bit-identical either way.  ``presatisfied_count`` and
+    ``presatisfied_labels`` report units the caller satisfied before the
+    phase (the campaign's merge-level hits) as warm progress.
+    """
+    kernel = engine.config.kernel
+    signatures = {
+        predictor: predictor_signature(predictor)
+        for predictor in dict.fromkeys(predictor for _, predictor in units)
+    }
+    tasks = {
+        (digest, predictor): SimulateTask(
+            benchmark=trace.task.benchmark,
+            predictor=predictor,
+            trace_digest=digest,
+            predictor_signature=signatures[predictor],
+        )
+        for (digest, predictor), (_, trace) in units.items()
+    }
+    # Window plans come from the stored statistics' record counts, so
+    # planning never decodes a lazy trace: a fully warm sharded run stays
+    # decode-free.
+    windowed: dict[tuple[str, str], WindowedUnit] = {}
+    if engine.config.shard_window is not None:
+        slots = engine.backend.parallel_slots()
+        for uid, (label, trace) in units.items():
+            windows = plan_shard_windows(
+                engine.config.shard_window, trace.statistics.predicted_instructions, slots
+            )
+            if windows is not None:
+                task = tasks[uid]
+                windowed[uid] = WindowedUnit(
+                    uid=uid,
+                    label=label,
+                    benchmark=task.benchmark,
+                    predictor=task.predictor,
+                    trace_digest=task.trace_digest,
+                    predictor_signature=task.predictor_signature,
+                    windows=tuple(windows),
+                    get_trace=trace.get,
+                )
+    # Encode each trace for the wire at most once, however many predictors
+    # are pending over it.
+    wire_bytes: dict[str, bytes] = {}
+
+    def build_payload(uid: tuple[str, str], inline: bool) -> dict:
+        digest, trace = uid[0], units[uid][1]
+        payload = tasks[uid].payload(
+            trace.get(), inline=inline, trace_bytes=wire_bytes.get(digest), kernel=kernel
+        )
+        if not inline:
+            wire_bytes.setdefault(digest, payload["trace_bytes"])
+        return payload
+
+    shards: dict[tuple[str, str], PredictorShard] = {}
+
+    def accept_shard(uid: tuple[str, str], payload: dict) -> bool:
+        shards[uid] = shard_from_dict(payload["shard"])
+        return True
+
+    phase_tasks = [
+        PhaseTask(
+            uid=uid,
+            label=label,
+            cache_key=tasks[uid].cache_key(),
+            build_payload=lambda inline, uid=uid: build_payload(uid, inline),
+        )
+        for uid, (label, _) in units.items()
+        if uid not in windowed
+    ]
+    run_phase(
+        engine,
+        PhaseSpec(
+            name="simulate",
+            kind="simulate",
+            counter="simulations",
+            tasks=phase_tasks,
+            worker=execute_simulate_task,
+            accept_cached=accept_shard,
+            accept_fresh=accept_shard,
+            total=presatisfied_count + len(phase_tasks),
+            presatisfied_count=presatisfied_count,
+            presatisfied_labels=presatisfied_labels,
+        ),
+    )
+    if windowed:
+        shards.update(run_windowed_simulations(engine, list(windowed.values())))
+    return shards

@@ -188,8 +188,9 @@ class WindowedUnit:
     """One (trace, predictor) pair scheduled as windows with state handoff.
 
     ``get_trace`` defers materialisation: fully warm units (pair-level or
-    all-windows cache hits) never decode the trace at all, matching the
-    sweep layer's lazy policy.
+    all-windows cache hits) never decode the trace at all, as the trace
+    phase's lazy-with-repair policy intends
+    (:class:`~repro.engine.scheduler.LazyTrace`).
     """
 
     uid: object

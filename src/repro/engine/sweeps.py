@@ -20,47 +20,36 @@ engine's existing trace/simulate task graph:
   :class:`~repro.simulation.simulator.PredictorShard`'s aggregate result
   is already bit-identical to that predictor's slot in the lockstep loop.
 
-Both phases are thin configurations of the shared phase executor
-(:mod:`repro.engine.phases` — the same probe → dispatch → put protocol
-campaigns run), executed on the owning engine's backend (``--jobs`` /
-``--backend``) against the same persistent
-:class:`~repro.engine.cache.ResultCache` campaigns use — the cache keys
-are shared, so a campaign's gcc trace warms the sweep's default-input
-point and vice versa.  Where the campaign scheduler materialises cached
-traces eagerly, the sweep's policy is *lazy-with-repair*
-(:class:`_LazyTrace`): a fully warm sweep performs zero trace or simulate
-computation and never even decodes the cached traces (record counts come
-from the stored statistics).
+Both phases are the campaign's own
+(:func:`~repro.engine.scheduler.trace_phase` and
+:func:`~repro.engine.scheduler.simulate_phase`), executed on the owning
+engine's backend (``--jobs`` / ``--backend``) against the same persistent
+:class:`~repro.engine.cache.ResultCache` under the same cache keys, so a
+campaign's gcc trace warms the sweep's default-input point and vice
+versa.  Their one materialisation policy is lazy-with-repair: a fully warm
+sweep performs zero trace or simulate computation and never even decodes
+the cached traces (record counts come from the stored statistics).
 
-:func:`run_sweep` is the library-level façade mirroring
-:func:`repro.simulation.campaign.run_campaign`: it builds an engine from
+:func:`run_sweep` is the library-level façade; it shares
+:func:`repro.simulation.campaign.run_campaign`'s body
+(:func:`~repro.simulation.campaign.run_on_default_engine`): an engine from
 the process-wide defaults (the CLI's ``--jobs``/``--cache-dir``/… flags)
-and memoises results in-process by spec and predictor fingerprints.
+and an in-process memo keyed by spec and predictor fingerprints.
 ``docs/sweeps.md`` documents spec format, dedup semantics and cache keys.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.engine.codecs import (
-    payload_trace,
-    shard_from_dict,
-    statistics_from_dict,
-)
-from repro.engine.fingerprint import predictor_signature, predictors_fingerprint
-from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
-from repro.engine.scheduler import EngineStats
-from repro.engine.sharding import WindowedUnit, plan_shard_windows, run_windowed_simulations
-from repro.engine.tasks import SimulateTask, TraceTask
-from repro.engine.telemetry import TELEMETRY_KEY
-from repro.engine.worker import execute_simulate_task, execute_trace_task
+from repro.engine.fingerprint import predictors_fingerprint
+from repro.engine.scheduler import EngineStats, simulate_phase, trace_phase
+from repro.engine.tasks import TraceTask
 from repro.errors import SweepError
 from repro.simulation.simulator import PredictorResult
-from repro.trace.io import dumps_trace_binary
-from repro.trace.stream import TraceStatistics, ValueTrace
+from repro.trace.stream import TraceStatistics
 from repro.workloads.suite import get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -268,33 +257,6 @@ class SweepResult:
 # --------------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------------- #
-class _LazyTrace:
-    """Materialise a trace-task payload's trace at most once, on demand.
-
-    The sweep's trace-materialisation policy is *lazy-with-repair*: a
-    fully warm sweep never touches the (expensive) embedded trace —
-    digests and record counts come from the payload's JSON fields — so
-    decoding is deferred until a pending simulation actually needs the
-    records.  A corrupt embedded trace falls back through ``repair``
-    (re-trace, fix the run's stats, overwrite the bad cache entry),
-    mirroring the campaign scheduler's treat-corruption-as-miss policy.
-    """
-
-    def __init__(self, payload: dict, repair) -> None:
-        self._payload = payload
-        self._repair = repair
-        self._trace: ValueTrace | None = None
-
-    def get(self) -> ValueTrace:
-        if self._trace is None:
-            try:
-                self._trace = payload_trace(self._payload)
-            except Exception:
-                self._payload = self._repair()
-                self._trace = payload_trace(self._payload)
-        return self._trace
-
-
 def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     """Expand ``spec`` into trace/simulate tasks and run them on ``engine``.
 
@@ -304,202 +266,41 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     """
     started = time.perf_counter()
     points = spec.points()
-    signatures = {name: predictor_signature(name) for name in spec.predictors}
-
-    # Unique trace configurations, in first-appearance order.
-    trace_tasks: dict[TraceConfig, TraceTask] = {}
-    for point in points:
-        if point.trace_config not in trace_tasks:
-            trace_tasks[point.trace_config] = TraceTask(
+    trace_tasks = {
+        point.trace_config: (
+            TraceTask(
                 benchmark=point.benchmark,
                 scale=point.scale,
                 input_name=point.input_name,
                 flags=point.flags,
-            )
+            ),
+            _trace_label(point.trace_config),
+        )
+        for point in points
+    }
     stats = EngineStats(benchmarks=len(trace_tasks), predictors=len(spec.predictors))
     engine.stats = stats
 
-    # ------------------------------------------------------------------ #
-    # Trace phase (deduplicated across sweep points, lazy materialisation)
-    # ------------------------------------------------------------------ #
-    payloads: dict[TraceConfig, dict] = {}
-
-    def accept_trace_probe(config: TraceConfig, payload: dict) -> bool:
-        if not _trace_payload_usable(payload):
-            return False
-        payloads[config] = payload
-        return True
-
-    def accept_trace_fresh(config: TraceConfig, outcome: dict) -> None:
-        payloads[config] = outcome
-
-    run_phase(
-        engine,
-        PhaseSpec(
-            name="trace",
-            kind="trace",
-            counter="traces",
-            tasks=[
-                PhaseTask(
-                    uid=config,
-                    label=_trace_label(config),
-                    cache_key=task.cache_key(),
-                    build_payload=lambda inline, task=task: task.payload(),
-                )
-                for config, task in trace_tasks.items()
-            ],
-            worker=execute_trace_task,
-            accept_cached=accept_trace_probe,
-            accept_fresh=accept_trace_fresh,
-        ),
-    )
-
-    digests = {config: payloads[config]["digest"] for config in trace_tasks}
-    statistics = {
-        config: statistics_from_dict(payloads[config]["statistics"])
-        for config in trace_tasks
-    }
-
-    def make_repair(config: TraceConfig):
-        # A stamped entry can pass the cheap probe (digest + statistics
-        # readable) while its trace body is corrupt.  When the decode
-        # fails, re-trace, account the work honestly (this config was
-        # *not* served from cache after all) and overwrite the bad entry
-        # so the repair sticks for the next run.
-        def repair() -> dict:
-            outcome = execute_trace_task(trace_tasks[config].payload())
-            # Repairs bypass the phase executor, so strip the worker's
-            # observability sidecar here too — the overwritten cache entry
-            # must stay byte-identical with telemetry on or off.
-            sidecar = outcome.pop(TELEMETRY_KEY, None)
-            if sidecar:
-                engine.telemetry.span_record(
-                    "task",
-                    sidecar.get("execute_seconds", 0.0),
-                    phase="trace",
-                    label=_trace_label(config),
-                    worker_pid=sidecar.get("pid"),
-                    function=sidecar.get("function"),
-                    repair=True,
-                )
-            stats.traces_computed += 1
-            stats.traces_cached -= 1
-            if engine.cache:
-                engine.cache.put("trace", trace_tasks[config].cache_key(), outcome)
-            return outcome
-
-        return repair
-
-    traces = {
-        config: _LazyTrace(payloads[config], make_repair(config))
-        for config in trace_tasks
-    }
-
-    # ------------------------------------------------------------------ #
-    # Simulate phase (deduplicated by trace content and configuration)
-    # ------------------------------------------------------------------ #
-    units: dict[tuple[str, str], tuple[SimulateTask, TraceConfig]] = {}
+    traces = trace_phase(engine, trace_tasks)
+    units: dict = {}
     for point in points:
-        unit = (digests[point.trace_config], point.predictor)
-        if unit not in units:
-            units[unit] = (
-                SimulateTask(
-                    benchmark=point.benchmark,
-                    predictor=point.predictor,
-                    trace_digest=digests[point.trace_config],
-                    predictor_signature=signatures[point.predictor],
-                ),
-                point.trace_config,
-            )
-
-    shards: dict[tuple[str, str], object] = {}
-    # Intra-trace sharding: units whose trace gets a window plan run
-    # through the sharded path (replay + windows + stitch) instead of the
-    # pair-level simulate phase.  Window plans come from the stored
-    # statistics' record counts, so planning never materialises a lazy
-    # trace — a fully warm sharded sweep stays decode-free.
-    windowed: dict[tuple[str, str], WindowedUnit] = {}
-    if engine.config.shard_window is not None:
-        slots = engine.backend.parallel_slots()
-        for unit, (task, config) in units.items():
-            length = statistics[config].predicted_instructions
-            windows = plan_shard_windows(engine.config.shard_window, length, slots)
-            if windows is not None:
-                windowed[unit] = WindowedUnit(
-                    uid=unit,
-                    label=_unit_label(units, unit),
-                    benchmark=task.benchmark,
-                    predictor=task.predictor,
-                    trace_digest=task.trace_digest,
-                    predictor_signature=task.predictor_signature,
-                    windows=tuple(windows),
-                    get_trace=traces[config].get,
-                )
-    # Encode each trace for the pool wire at most once, however many
-    # predictors are pending over it (an order study has one trace under
-    # its whole predictor axis).
-    wire_bytes: dict[TraceConfig, bytes] = {}
-
-    def build_simulate_payload(unit: tuple[str, str], inline: bool) -> dict:
-        task, config = units[unit]
-        if inline:
-            return task.payload(
-                traces[config].get(), inline=True, kernel=engine.config.kernel
-            )
-        if config not in wire_bytes:
-            wire_bytes[config] = dumps_trace_binary(traces[config].get(), compress=True)
-        return task.payload(
-            None,
-            inline=False,
-            trace_bytes=wire_bytes[config],
-            kernel=engine.config.kernel,
+        trace = traces[point.trace_config]
+        units.setdefault(
+            (trace.digest, point.predictor),
+            (f"{_trace_label(point.trace_config)}:{point.predictor}", trace),
         )
+    shards = simulate_phase(engine, units)
 
-    def accept_shard(unit: tuple[str, str], payload: dict) -> bool:
-        shards[unit] = shard_from_dict(payload["shard"])
-        return True
-
-    run_phase(
-        engine,
-        PhaseSpec(
-            name="simulate",
-            kind="simulate",
-            counter="simulations",
-            tasks=[
-                PhaseTask(
-                    uid=unit,
-                    label=_unit_label(units, unit),
-                    cache_key=task.cache_key(),
-                    build_payload=lambda inline, unit=unit: build_simulate_payload(
-                        unit, inline
-                    ),
-                )
-                for unit, (task, _) in units.items()
-                if unit not in windowed
-            ],
-            worker=execute_simulate_task,
-            accept_cached=accept_shard,
-            accept_fresh=accept_shard,
-        ),
-    )
-
-    if windowed:
-        shards.update(run_windowed_simulations(engine, list(windowed.values())))
-
-    # ------------------------------------------------------------------ #
-    # Assembly — one result per sweep point, shared units fanned back out
-    # ------------------------------------------------------------------ #
+    # One result per sweep point, shared units fanned back out.
     results = []
     for point in points:
-        config = point.trace_config
-        shard = shards[(digests[config], point.predictor)]
-        point_statistics = statistics[config]
+        trace = traces[point.trace_config]
         results.append(
             SweepPointResult(
                 point=point,
-                record_count=point_statistics.predicted_instructions,
-                statistics=point_statistics,
-                result=shard.result,
+                record_count=trace.statistics.predicted_instructions,
+                statistics=trace.statistics,
+                result=shards[(trace.digest, point.predictor)].result,
             )
         )
     stats.total_seconds = time.perf_counter() - started
@@ -507,29 +308,9 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, points=tuple(results), stats=stats)
 
 
-def _trace_payload_usable(payload: dict) -> bool:
-    """Cheap validity probe for a cached trace payload.
-
-    Confirms the stamped digest and the statistics are readable without
-    decoding the embedded trace (the whole point of the warm path); a
-    corrupt trace body is caught later by :class:`_LazyTrace`'s re-trace
-    fallback.
-    """
-    try:
-        statistics_from_dict(payload["statistics"])
-    except Exception:
-        return False
-    return "digest" in payload
-
-
 def _trace_label(config: TraceConfig) -> str:
     benchmark, input_name, flags = config
     return f"{benchmark}:{input_name}:{flags}"
-
-
-def _unit_label(units: dict, unit: tuple[str, str]) -> str:
-    _, config = units[unit]
-    return f"{_trace_label(config)}:{unit[1]}"
 
 
 # --------------------------------------------------------------------------- #
@@ -549,22 +330,14 @@ def run_sweep(spec: SweepSpec, use_cache: bool = True) -> SweepResult:
     fingerprints, so re-binding a predictor name cannot serve stale
     results — the same policy the campaign memo follows.
     """
-    from repro.simulation import campaign
+    from repro.simulation.campaign import run_on_default_engine
 
-    engine_config, _ = campaign.campaign_defaults()
-    use_cache = use_cache and engine_config.use_cache
-    key = (spec, predictors_fingerprint(spec.predictors))
-    if use_cache and key in _SWEEP_MEMO:
-        return _SWEEP_MEMO[key]
-    engine = campaign.build_engine(replace(engine_config, use_cache=use_cache))
-    try:
-        result = engine.run_sweep(spec)
-    finally:
-        engine.close()
-    campaign.record_engine_stats(engine.stats)
-    if use_cache:
-        _SWEEP_MEMO[key] = result
-    return result
+    return run_on_default_engine(
+        _SWEEP_MEMO,
+        (spec, predictors_fingerprint(spec.predictors)),
+        use_cache,
+        lambda engine: engine.run_sweep(spec),
+    )
 
 
 def clear_sweep_cache() -> None:

@@ -126,10 +126,11 @@ class SimulateTask:
         cost; used when executing in-process), otherwise the trace travels
         as v3 binary bytes — the same compact framing the cache stores —
         so the payload stays picklable and roughly an order of magnitude
-        smaller on the pool wire than the canonical text form.  Schedulers
-        dispatching several tasks over one trace pass the pre-encoded
-        ``trace_bytes`` so the encode+compress pass runs once per trace,
-        not once per task.  The expected predictor signature rides along so
+        smaller on the pool wire than the canonical text form.  This is the
+        one place a simulate payload encodes its trace; the simulate phase
+        hands the first payload's bytes back as ``trace_bytes`` for every
+        other task over the same trace, so the encode+compress pass runs
+        once per trace, not once per task.  The expected predictor signature rides along so
         a worker whose registry disagrees (e.g. a ``spawn``-start process
         that re-imported a registry without a dynamic re-binding) fails
         loudly instead of simulating the wrong configuration.

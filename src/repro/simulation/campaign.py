@@ -19,7 +19,7 @@ stale results.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.registry import PAPER_PREDICTORS
 from repro.engine.config import EngineConfig
@@ -137,10 +137,31 @@ def last_engine_stats() -> EngineStats | None:
     return _LAST_STATS
 
 
-def record_engine_stats(stats: EngineStats) -> None:
-    """Publish an engine run's stats as the most recent (sweeps use this)."""
+def run_on_default_engine(
+    memo: dict, key: Hashable, use_cache: bool, run: Callable[[ExecutionEngine], object]
+):
+    """Run ``run(engine)`` on an engine from the process-wide defaults.
+
+    The shared body of :func:`run_campaign` and
+    :func:`repro.engine.sweeps.run_sweep`: ``use_cache`` (and the default
+    configuration's own) governs both ``memo`` — the façade's in-process
+    results, by ``key`` — and the on-disk cache.  The engine is closed
+    after the run and its stats published for :func:`last_engine_stats`.
+    """
     global _LAST_STATS
-    _LAST_STATS = stats
+    config, _ = campaign_defaults()
+    use_cache = use_cache and config.use_cache
+    if use_cache and key in memo:
+        return memo[key]
+    engine = build_engine(replace(config, use_cache=use_cache))
+    try:
+        result = run(engine)
+    finally:
+        engine.close()
+    _LAST_STATS = engine.stats
+    if use_cache:
+        memo[key] = result
+    return result
 
 
 def run_campaign(
@@ -157,28 +178,14 @@ def run_campaign(
     """
     from repro.engine.fingerprint import predictors_fingerprint
 
-    global _LAST_STATS
-    config, _ = campaign_defaults()
-    use_cache = use_cache and config.use_cache
-    key = (
-        round(scale, 6),
-        predictors_fingerprint(predictors),
-        tuple(benchmarks),
-    )
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
-
-    engine = build_engine(replace(config, use_cache=use_cache))
-    try:
-        result = engine.run(
+    return run_on_default_engine(
+        _CACHE,
+        (round(scale, 6), predictors_fingerprint(predictors), tuple(benchmarks)),
+        use_cache,
+        lambda engine: engine.run(
             scale=scale, predictors=tuple(predictors), benchmarks=tuple(benchmarks)
-        )
-    finally:
-        engine.close()
-    _LAST_STATS = engine.stats
-    if use_cache:
-        _CACHE[key] = result
-    return result
+        ),
+    )
 
 
 def clear_campaign_cache() -> None:

@@ -76,6 +76,23 @@ class TestParallelIdentity:
             )
 
 
+class TestDuplicateAxes:
+    def test_repeated_benchmark_and_predictor_compute_once(self):
+        # A repeated axis value names the same trace and simulate units;
+        # they run once and the result equals the run without repeats.
+        engine = ExecutionEngine(EngineConfig(jobs=1))
+        result = engine.run(
+            scale=SCALE, predictors=("l", "l"), benchmarks=("compress", "compress")
+        )
+        assert engine.stats.traces_computed == 1
+        assert engine.stats.simulations_computed == 1
+        reference = ExecutionEngine(EngineConfig(jobs=1)).run(
+            scale=SCALE, predictors=("l",), benchmarks=("compress",)
+        )
+        assert result.simulations["compress"] == reference.simulations["compress"]
+        _assert_identical_campaigns(result, reference)
+
+
 class TestPersistentCache:
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -167,30 +167,63 @@ class TestPersistentCache:
             assert left.result == right.result
 
     def test_campaign_and_sweep_share_trace_entries(self, tmp_path):
-        # The sweep's default-configuration point addresses the same cache
-        # entry a campaign writes for that benchmark, and vice versa.
-        cache_dir = tmp_path / "cache"
-        campaign_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        campaign_engine.run(scale=SCALE, predictors=("l",), benchmarks=("gcc",))
+        # The sweep's default-configuration points address the entries a
+        # campaign writes for those benchmarks, and vice versa: in either
+        # order the second run computes nothing, and both orders leave
+        # byte-identical entries behind.
+        benchmarks, predictors = ("gcc", "compress"), ("l", "fcm2")
+        spec = SweepSpec(benchmarks=benchmarks, scale=SCALE, predictors=predictors)
 
-        sweep_engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        sweep_engine.run_sweep(SweepSpec(benchmark="gcc", scale=SCALE, predictors=("l",)))
-        assert sweep_engine.stats.traces_cached == 1
-        assert sweep_engine.stats.traces_computed == 0
-        assert sweep_engine.stats.simulations_cached == 1
+        def campaign(engine):
+            engine.run(scale=SCALE, predictors=predictors, benchmarks=benchmarks)
 
-    def test_corrupt_cached_trace_is_repaired_and_accounted(self, tmp_path):
+        def sweep(engine):
+            engine.run_sweep(spec)
+
+        trees = []
+        for order in ((campaign, sweep), (sweep, campaign)):
+            cache_dir = tmp_path / "-".join(run.__name__ for run in order)
+            for run in order:
+                engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
+                run(engine)
+            assert engine.stats.traces_computed == 0
+            assert engine.stats.simulations_computed == 0
+            assert engine.stats.traces_cached == len(benchmarks)
+            trees.append(
+                {
+                    path.relative_to(cache_dir): path.read_bytes()
+                    for kind in ("trace", "simulate", "merge")
+                    for path in (cache_dir / kind).rglob("*")
+                    if path.is_file()
+                }
+            )
+        assert trees[0] and trees[0] == trees[1]
+
+    @pytest.mark.parametrize(
+        "run", ["sweep", "campaign-merge-kept", "campaign-merge-deleted"]
+    )
+    def test_corrupt_cached_trace_is_repaired_and_accounted(self, tmp_path, run):
         # A stamped entry can pass the cheap warm probe (digest and
-        # statistics readable) while its trace body is corrupt.  The sweep
-        # must re-trace, report the work honestly (not as a cache hit) and
-        # overwrite the bad entry so the repair sticks.
+        # statistics readable) while its trace body is corrupt.  Sweeps and
+        # campaigns share one repair policy: when the records are first
+        # needed, re-trace once, report the work honestly (not as a cache
+        # hit) and overwrite the bad entry so the repair sticks.  A warm
+        # sweep needs the records only for a pending simulation, a
+        # campaign for its merge or its decoded ``traces``.
         from repro.engine.codecs import encode_cache_entry
         from repro.engine.tasks import TraceTask
 
+        def execute(engine):
+            if run == "sweep":
+                spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=("l",))
+                return engine.run_sweep(spec).points[0].result
+            result = engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
+            return result.simulations["compress"], result.traces["compress"].records
+
+        stale_kind = {"sweep": "simulate", "campaign-merge-deleted": "merge"}.get(run)
         cache_dir = tmp_path / "cache"
-        spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=("l",))
         cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        cold_result = cold.run_sweep(spec)
+        cold_result = execute(cold)
 
         task = TraceTask.for_workload("compress", SCALE)
         path = cold.cache.path_for("trace", task.cache_key())
@@ -198,15 +231,14 @@ class TestPersistentCache:
         entry = cold.cache.get("trace", task.cache_key())
         entry["trace_binary"] = b"\x00garbage"
         path.write_bytes(encode_cache_entry(task.cache_key(), entry))
-        for shard_path in list(cold.cache.entry_paths()):
-            if shard_path.parent.parent.name == "simulate":
-                shard_path.unlink()
+        for entry_path in list(cold.cache.entry_paths()):
+            if entry_path.parent.parent.name == stale_kind:
+                entry_path.unlink()
 
         engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        result = engine.run_sweep(spec)
+        assert execute(engine) == cold_result
         assert engine.stats.traces_computed == 1
         assert engine.stats.traces_cached == 0
-        assert result.points[0].result == cold_result.points[0].result
         assert cold.cache.verify().ok  # the bad entry was overwritten
 
 
