@@ -153,96 +153,6 @@ def test_bench_engine_persistent_backend_reruns(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# Intra-trace sharding: one benchmark's trace split into windows vs. whole
-# --------------------------------------------------------------------------- #
-_SHARD_BENCHMARK = ("compress",)
-
-
-def _run_single_benchmark(jobs: int, backend=None, shard_window=None, kernel=None):
-    engine = ExecutionEngine(
-        EngineConfig(
-            jobs=jobs,
-            use_cache=False,
-            backend=backend,
-            shard_window=shard_window,
-            kernel=kernel,
-        ),
-    )
-    result = engine.run(
-        scale=SCALE, predictors=PAPER_PREDICTORS, benchmarks=_SHARD_BENCHMARK
-    )
-    return engine, result
-
-
-def test_bench_engine_single_benchmark_unsharded(benchmark):
-    """Reference: one benchmark's cold campaign as whole-trace units.
-
-    A single benchmark is the case parallel backends cannot help on their
-    own: there are only ``len(PAPER_PREDICTORS)`` simulate units and the
-    wall time is bounded by one whole-trace simulation.  Paired with the
-    sharded point below, so gated the same way.
-    """
-    if not _MULTICORE:
-        pytest.skip("the sharded/unsharded pair needs real parallel hardware")
-    engine, result = run_once(benchmark, _run_single_benchmark, jobs=1)
-    assert engine.stats.simulations_computed == len(PAPER_PREDICTORS)
-    assert engine.stats.windows_computed == 0
-    assert set(result.simulations) == set(_SHARD_BENCHMARK)
-    _report(engine)
-
-
-def test_bench_engine_single_benchmark_sharded(benchmark):
-    """The same campaign with ``shard_window="auto"`` over a worker pool.
-
-    Auto planning splits the one trace into about one window per pool
-    slot; update-only replay hands predictor state across the boundaries.
-    The ratio against the unsharded point is the intra-trace speedup on a
-    single benchmark — about 2x on two real cores, minus replay and
-    stitch overhead.
-    """
-    if not _MULTICORE:
-        pytest.skip("the sharded/unsharded pair needs real parallel hardware")
-    jobs = min(4, os.cpu_count() or 1)
-    engine, result = run_once(
-        benchmark,
-        _run_single_benchmark,
-        jobs=jobs,
-        backend="pool",
-        shard_window="auto",
-    )
-    assert engine.stats.simulations_computed == len(PAPER_PREDICTORS)
-    assert engine.stats.windows_computed > 0
-    assert set(result.simulations) == set(_SHARD_BENCHMARK)
-    _report(engine)
-
-
-def test_bench_engine_single_benchmark_sharded_vector(benchmark):
-    """Sharded campaign with the vector kernel inside each window task.
-
-    Window tasks restore the handed-off predictor snapshot and run the
-    vector plan over their slice, so the intra-trace parallel speedup and
-    the per-window kernel speedup multiply.  Paired with the scalar
-    sharded point above.
-    """
-    if not _MULTICORE:
-        pytest.skip("the sharded/unsharded pair needs real parallel hardware")
-    pytest.importorskip("numpy")
-    jobs = min(4, os.cpu_count() or 1)
-    engine, result = run_once(
-        benchmark,
-        _run_single_benchmark,
-        jobs=jobs,
-        backend="pool",
-        shard_window="auto",
-        kernel="vector",
-    )
-    assert engine.stats.simulations_computed == len(PAPER_PREDICTORS)
-    assert engine.stats.windows_computed > 0
-    assert set(result.simulations) == set(_SHARD_BENCHMARK)
-    _report(engine)
-
-
-# --------------------------------------------------------------------------- #
 # Simulation kernels: scalar reference loop vs. columnar vector kernel
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")

@@ -3,9 +3,9 @@
 :func:`reproduce` drives every selected deliverable of the committed
 artifact manifest through the existing experiment entry points — and
 therefore through the engine's phase executor, so the configured
-``--backend``/``--jobs``/``--kernel``/``--shard-window``/``--cache-dir``
-defaults apply and a warm cache makes the whole reproduction ~free — and
-writes one isolated results directory per run::
+``--backend``/``--jobs``/``--kernel``/``--cache-dir`` defaults apply and
+a warm cache makes the whole reproduction ~free — and writes one
+isolated results directory per run::
 
     results/<run-id>/
     ├── manifest.json     run manifest (argv, python/platform/package and
@@ -55,8 +55,6 @@ _STATS_FIELDS = (
     "traces_cached",
     "simulations_computed",
     "simulations_cached",
-    "windows_computed",
-    "windows_cached",
     "total_seconds",
     "trace_seconds",
     "simulate_seconds",
@@ -223,7 +221,7 @@ def reproduce(
 ) -> ReproductionReport:
     """Regenerate the manifest's deliverables into ``out_dir/<run-id>/``.
 
-    Engine configuration (backend, jobs, kernel, shard window, cache)
+    Engine configuration (backend, jobs, kernel, cache)
     comes from the process-wide defaults
     (:func:`repro.simulation.campaign.set_campaign_defaults` — the CLI's
     engine flags); telemetry for the run is recorded into the results

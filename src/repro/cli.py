@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import Sequence
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument(
         "--scale",
-        type=float,
+        type=_parse_scale,
         default=None,
         help="override every scale-taking deliverable's workload scale "
         "(exploratory runs only; incompatible with --check/--update-expected)",
@@ -134,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "--scale",
-        type=float,
+        type=_parse_scale,
         default=None,
         help=f"workload scale factor (default {DEFAULT_SCALE}; --quick uses {QUICK_SCALE})",
     )
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--scale",
-        type=float,
+        type=_parse_scale,
         default=None,
         help=f"workload scale factor (default {DEFAULT_SCALE}; --quick uses {QUICK_SCALE})",
     )
@@ -225,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--scale",
-        type=float,
+        type=_parse_scale,
         default=None,
         help=f"workload scale factor (default {DEFAULT_SCALE}; --quick uses {QUICK_SCALE})",
     )
@@ -342,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=list(PAPER_PREDICTORS),
         help="predictor names (see the 'predictors' subcommand)",
     )
-    simulate.add_argument("--scale", type=float, default=QUICK_SCALE)
+    simulate.add_argument("--scale", type=_parse_scale, default=QUICK_SCALE)
     simulate.add_argument("--input", default=None, help="named input set for the benchmark")
     simulate.add_argument(
         "--kernel",
@@ -420,17 +421,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "and cache entries are bit-identical across kernels",
     )
     parser.add_argument(
-        "--shard-window",
-        type=_parse_shard_window,
-        default=None,
-        metavar="N",
-        help="intra-trace sharding: split each trace into windows of N records "
-        "and simulate them in parallel with predictor-state handoff; 'auto' "
-        "sizes windows from the trace length and the backend's parallel "
-        "slots, 0 disables (default: off); results and cache entries are "
-        "bit-identical with sharding on or off",
-    )
-    parser.add_argument(
         "--telemetry-dir",
         default=None,
         metavar="DIR",
@@ -462,17 +452,17 @@ def _parse_age(text: str) -> float:
     return float(match.group(1)) * _AGE_UNITS[unit]
 
 
-def _parse_shard_window(text: str) -> int | str:
-    """Parse ``--shard-window``: a positive record count, ``auto`` or ``0``."""
-    from repro.engine.sharding import normalize_shard_window
-
+def _parse_scale(text: str) -> float:
+    """Parse ``--scale``: a positive, finite workload scale factor."""
     try:
-        window = normalize_shard_window(text.strip().lower())
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    # 0 normalises to None ("explicitly off"), which argparse cannot
-    # distinguish from the flag being absent — both mean unsharded.
-    return window if window is not None else 0
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r} (expected a positive finite number)"
+        )
+    return scale
 
 
 def _parse_workers(text: str) -> tuple[str, ...]:
@@ -509,7 +499,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
             backend=args.backend,
             workers=args.workers,
             kernel=args.kernel,
-            shard_window=args.shard_window,
         )
     except (ValueError, SimulationError) as error:
         print(error, file=sys.stderr)
@@ -713,11 +702,6 @@ def _stats_line(stats) -> str:
         f"simulations: {stats.simulations_computed} computed, "
         f"{stats.simulations_cached} cached"
     )
-    if stats.windows_computed or stats.windows_cached:
-        line += (
-            f"; windows: {stats.windows_computed} computed, "
-            f"{stats.windows_cached} cached"
-        )
     line += f"; wall time {stats.total_seconds:.2f}s"
     line += (
         f" (trace {stats.trace_seconds:.2f}s, simulate {stats.simulate_seconds:.2f}s)"
@@ -841,8 +825,6 @@ def _sweep_as_json(result) -> dict:
             "traces_cached": stats.traces_cached,
             "simulations_computed": stats.simulations_computed,
             "simulations_cached": stats.simulations_cached,
-            "windows_computed": stats.windows_computed,
-            "windows_cached": stats.windows_cached,
             "total_seconds": stats.total_seconds,
             "trace_seconds": stats.trace_seconds,
             "simulate_seconds": stats.simulate_seconds,

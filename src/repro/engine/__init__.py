@@ -54,15 +54,6 @@ from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import ConsoleProgress, NullProgress, ProgressListener
 from repro.engine.remote import RemoteBackend, WorkerServer, parse_worker_address
 from repro.engine.scheduler import EngineStats, ExecutionEngine
-from repro.engine.sharding import (
-    WindowedUnit,
-    merge_window_shards,
-    normalize_shard_window,
-    plan_shard_windows,
-    plan_windows,
-    resolve_shard_window,
-    run_windowed_simulations,
-)
 from repro.engine.sweeps import (
     SweepPoint,
     SweepPointResult,
@@ -72,7 +63,7 @@ from repro.engine.sweeps import (
     execute_sweep,
     run_sweep,
 )
-from repro.engine.tasks import SimulateTask, SimulateWindowTask, TraceTask
+from repro.engine.tasks import SimulateTask, TraceTask
 from repro.engine.telemetry import (
     NULL_TELEMETRY,
     TELEMETRY_KEY,
@@ -106,7 +97,6 @@ __all__ = [
     "ResultCache",
     "SerialBackend",
     "SimulateTask",
-    "SimulateWindowTask",
     "SweepPoint",
     "SweepPointResult",
     "SweepResult",
@@ -116,16 +106,9 @@ __all__ = [
     "RunTelemetry",
     "TraceTask",
     "VerifyReport",
-    "WindowedUnit",
     "WorkerServer",
     "clear_sweep_cache",
     "execute_sweep",
-    "merge_window_shards",
-    "normalize_shard_window",
-    "plan_shard_windows",
-    "plan_windows",
-    "resolve_shard_window",
-    "run_windowed_simulations",
     "parse_worker_address",
     "read_manifest",
     "read_metrics",

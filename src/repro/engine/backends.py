@@ -82,12 +82,11 @@ class ExecutorBackend:
         raise NotImplementedError
 
     def parallel_slots(self) -> int:
-        """How many units this backend can usefully run concurrently.
+        """How many units this backend can run concurrently.
 
-        Used by intra-trace sharding's ``--shard-window auto`` to size
-        windows (:mod:`repro.engine.sharding`); purely advisory — it never
-        affects results, only how work is cut.  In-process backends report
-        1 (sharding a serial run only adds overhead).
+        Purely advisory — it never affects results or how work is cut;
+        utilization accounting (``perfbench/layers.py``) divides busy time
+        by it.  In-process backends report 1.
         """
         return 1
 

@@ -1,6 +1,6 @@
 """One immutable value holding every execution-engine setting.
 
-:class:`EngineConfig` is the single place the engine's nine settings are
+:class:`EngineConfig` is the single place the engine's eight settings are
 declared and validated.  :class:`~repro.engine.scheduler.ExecutionEngine`
 takes one, the process-wide campaign defaults
 (:func:`repro.simulation.campaign.set_campaign_defaults`) are one, and
@@ -60,13 +60,6 @@ class EngineConfig:
         in task payloads so each worker resolves it against its own
         environment; kernels are bit-identical, so it is never part of a
         cache key.  See :mod:`repro.simulation.vectorized`.
-    shard_window:
-        Intra-trace sharding (:mod:`repro.engine.sharding`): ``None``
-        (or 0) runs each (benchmark, predictor) pair as one unit, a
-        positive integer splits every trace into windows of that many
-        records, ``"auto"`` sizes windows from the trace length and the
-        backend's parallel slots.  Results and cache entries are
-        bit-identical with sharding on or off.
     """
 
     jobs: int = 1
@@ -77,14 +70,12 @@ class EngineConfig:
     backend: str | None = None
     workers: tuple[str, ...] | None = None
     kernel: str | None = None
-    shard_window: int | str | None = None
 
     def __post_init__(self) -> None:
-        # Imported lazily: both modules import the simulation package,
+        # Imported lazily: the module imports the simulation package,
         # whose campaign façade imports this one.  No config is built at
-        # import time, so the lazy imports never meet a half-initialised
+        # import time, so the lazy import never meets a half-initialised
         # module.
-        from repro.engine.sharding import normalize_shard_window
         from repro.simulation.vectorized import resolve_kernel
 
         # A bad kernel name (or a forced "vector" without numpy) fails
@@ -101,4 +92,3 @@ class EngineConfig:
         object.__setattr__(self, "jobs", max(1, int(self.jobs)))
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "workers", workers)
-        object.__setattr__(self, "shard_window", normalize_shard_window(self.shard_window))

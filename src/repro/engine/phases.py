@@ -1,10 +1,9 @@
 """The shared probe → dispatch → put protocol of every engine phase.
 
-Every phase — the trace and simulate phases campaigns and sweeps share
+Both phases — the trace and simulate phases campaigns and sweeps share
 (:func:`~repro.engine.scheduler.trace_phase`,
-:func:`~repro.engine.scheduler.simulate_phase`) and the window phase of
-intra-trace sharding — executes the same three-step protocol per batch of
-work units:
+:func:`~repro.engine.scheduler.simulate_phase`) — execute the same
+three-step protocol per batch of work units:
 
 1. **probe** — look each unit up in the persistent cache and hand the
    stored payload to the caller's ``accept_cached`` callable; one that
@@ -46,7 +45,7 @@ class PhaseTask:
     """One work unit of a phase.
 
     ``uid`` is the caller's identity for the unit (a trace cache-key
-    digest, a ``(trace digest, predictor)`` pair, a window, ...) and is
+    digest or a ``(trace digest, predictor)`` pair) and is
     what ``accept_cached`` and ``accept_fresh`` receive.
     ``build_payload`` is called only when the unit actually has to run,
     with ``inline=True`` when the backend executes in-process (the payload

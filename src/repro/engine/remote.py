@@ -75,10 +75,14 @@ from repro.errors import RemoteProtocolError, RemoteTaskError, RemoteWorkerError
 
 #: Bump when the frame layout, the message schema or the set of worker
 #: functions changes incompatibly; the handshake refuses mismatched peers.
-#: Version 2: the ``simulate-window`` worker function folded into
+#: Version 2: the intra-trace window worker function folded into
 #: ``simulate`` (a window travels as ``window``/``state`` payload fields);
 #: a version-1 worker would ignore ``state`` and compute a wrong shard.
-PROTOCOL_VERSION = 2
+#: Version 3: the functions are exactly ``trace`` and ``simulate``, and a
+#: ``simulate`` unit always covers a whole trace from a fresh predictor;
+#: a version-2 engine could still send ``window``/``state`` fields that
+#: this worker would ignore, returning a wrong shard.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on a single frame's body.  Far above any real payload (a
 #: compressed v3 trace is a few hundred kilobytes at paper scale) while
@@ -641,9 +645,9 @@ class RemoteBackend(ExecutorBackend):
         return False
 
     def parallel_slots(self) -> int:
-        # Each connected worker pipelines up to ``in_flight`` units; lost
-        # workers still count — slots size windows, they never gate
-        # correctness, and the fleet may heal between plans.
+        # Each worker pipelines up to ``in_flight`` units; lost workers
+        # still count, because the figure is advisory and the fleet may
+        # heal between dispatches.
         return max(1, len(self.addresses) * self.in_flight)
 
     # ------------------------------------------------------------------ #

@@ -10,9 +10,8 @@ run it through the two phase functions defined here, once each:
    probe, the trace is decoded on first use (:class:`LazyTrace`), and a
    corrupt body found then is re-traced, re-accounted and overwritten;
 2. :func:`simulate_phase` — (trace digest, predictor) units, each
-   simulated into a :class:`PredictorShard` on the phase executor or, when
-   the trace gets a window plan, through intra-trace sharding
-   (:mod:`repro.engine.sharding`).
+   simulated over the whole trace into a :class:`PredictorShard` on the
+   phase executor.
 
 :meth:`ExecutionEngine.run` adds the campaign's **merge**: a probe of the
 merged per-benchmark entry first, and for the misses the shards are
@@ -42,11 +41,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.fingerprint import key_digest, predictor_signature
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
-from repro.engine.sharding import (
-    WindowedUnit,
-    plan_shard_windows,
-    run_windowed_simulations,
-)
 from repro.engine.tasks import TASK_FORMAT_VERSION, SimulateTask, TraceTask
 from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
 from repro.engine.worker import execute_simulate_task, execute_trace_task
@@ -71,13 +65,6 @@ class EngineStats:
     traces_cached: int = 0
     simulations_computed: int = 0
     simulations_cached: int = 0
-    #: Intra-trace sharding accounting (:mod:`repro.engine.sharding`):
-    #: window units computed/served warm.  A sharded pair still records one
-    #: ``simulations`` unit when its stitched result lands, so the
-    #: simulation counters stay comparable across sharded and unsharded
-    #: runs; the window counters are additional detail, not a replacement.
-    windows_computed: int = 0
-    windows_cached: int = 0
     total_seconds: float = 0.0
     trace_seconds: float = 0.0
     simulate_seconds: float = 0.0
@@ -85,11 +72,9 @@ class EngineStats:
     cache_write_bytes: int = 0
 
     #: Phase-counter name -> the field its phase duration accumulates into.
-    #: Window (and replay) time is simulate-phase time under a finer knife.
     _SECONDS_FIELDS = {
         "traces": "trace_seconds",
         "simulations": "simulate_seconds",
-        "windows": "simulate_seconds",
     }
 
     @property
@@ -127,8 +112,8 @@ class ExecutionEngine:
     ----------
     config:
         The engine's settings (:class:`~repro.engine.config.EngineConfig`:
-        jobs, cache, GC bounds, backend, workers, kernel, shard window);
-        ``None`` means ``EngineConfig()`` — serial, cache-less, unsharded.
+        jobs, cache, GC bounds, backend, workers, kernel);
+        ``None`` means ``EngineConfig()`` — serial and cache-less.
         Results are bit-identical for every setting; see the config's
         attributes for what each one changes.
 
@@ -541,12 +526,11 @@ def simulate_phase(
     """Run the simulate phase; returns one shard per ``(digest, predictor)``.
 
     ``units`` maps each ``(trace digest, predictor)`` pair to its progress
-    label and trace.  Units whose trace gets a window plan (intra-trace
-    sharding, :mod:`repro.engine.sharding`) run as windows; the rest run
-    through the shared phase executor.  Results and pair-level cache
-    entries are bit-identical either way.  ``presatisfied_count`` and
-    ``presatisfied_labels`` report units the caller satisfied before the
-    phase (the campaign's merge-level hits) as warm progress.
+    label and trace; each runs as one unit through the shared phase
+    executor, from a fresh predictor over the whole trace.
+    ``presatisfied_count`` and ``presatisfied_labels`` report units the
+    caller satisfied before the phase (the campaign's merge-level hits) as
+    warm progress.
     """
     kernel = engine.config.kernel
     signatures = {
@@ -562,28 +546,6 @@ def simulate_phase(
         )
         for (digest, predictor), (_, trace) in units.items()
     }
-    # Window plans come from the stored statistics' record counts, so
-    # planning never decodes a lazy trace: a fully warm sharded run stays
-    # decode-free.
-    windowed: dict[tuple[str, str], WindowedUnit] = {}
-    if engine.config.shard_window is not None:
-        slots = engine.backend.parallel_slots()
-        for uid, (label, trace) in units.items():
-            windows = plan_shard_windows(
-                engine.config.shard_window, trace.statistics.predicted_instructions, slots
-            )
-            if windows is not None:
-                task = tasks[uid]
-                windowed[uid] = WindowedUnit(
-                    uid=uid,
-                    label=label,
-                    benchmark=task.benchmark,
-                    predictor=task.predictor,
-                    trace_digest=task.trace_digest,
-                    predictor_signature=task.predictor_signature,
-                    windows=tuple(windows),
-                    get_trace=trace.get,
-                )
     # Encode each trace for the wire at most once, however many predictors
     # are pending over it.
     wire_bytes: dict[str, bytes] = {}
@@ -611,7 +573,6 @@ def simulate_phase(
             build_payload=lambda inline, uid=uid: build_payload(uid, inline),
         )
         for uid, (label, _) in units.items()
-        if uid not in windowed
     ]
     run_phase(
         engine,
@@ -628,6 +589,4 @@ def simulate_phase(
             presatisfied_labels=presatisfied_labels,
         ),
     )
-    if windowed:
-        shards.update(run_windowed_simulations(engine, list(windowed.values())))
     return shards

@@ -28,11 +28,9 @@ from repro.trace.stream import ValueTrace
 #: The phase executor strips it before caching, but an *older* engine
 #: driving a newer worker would cache sidecar-bearing entries — so the
 #: remote handshake must refuse the skew, which this bump enforces.
-#: Version 4: intra-trace sharding adds the ``replay`` and ``simulate-window``
-#: worker functions (:mod:`repro.engine.sharding`) plus the
-#: ``simulate-window`` cache kind; remote workers must know both names, so
-#: the handshake pin rides on this bump.  (The window worker has since
-#: folded into ``simulate``; ``PROTOCOL_VERSION`` 2 pins that.)
+#: Version 4: the (since removed) intra-trace window cache kind and its
+#: worker functions.  No surviving key changed meaning when they went, so
+#: the version stays; ``PROTOCOL_VERSION`` pins the worker-function set.
 TASK_FORMAT_VERSION = 4
 
 
@@ -159,35 +157,3 @@ class SimulateTask:
             # pool wire, so the task opts in here.
             payload["trace_bytes"] = dumps_trace_binary(trace, compress=True)
         return payload
-
-
-@dataclass(frozen=True)
-class SimulateWindowTask:
-    """Simulate one predictor over one ``[start, stop)`` window of a trace.
-
-    The unit of intra-trace sharding (:mod:`repro.engine.sharding`).  The
-    key deliberately carries **no** predictor-state digest: the state at
-    ``start`` is a pure function of the trace content, the predictor
-    configuration and ``start`` itself — all of which the key already
-    pins — so runs planned with different window sizes still share entries
-    for boundaries they happen to have in common.  Window entries live
-    under their own ``simulate-window`` cache kind, keeping the pair-level
-    ``simulate`` kind byte-identical between sharded and unsharded runs.
-    """
-
-    benchmark: str
-    predictor: str
-    trace_digest: str
-    predictor_signature: str
-    start: int
-    stop: int
-
-    def cache_key(self) -> dict:
-        return {
-            "kind": "simulate-window",
-            "format": TASK_FORMAT_VERSION,
-            "trace": self.trace_digest,
-            "predictor": self.predictor,
-            "signature": self.predictor_signature,
-            "window": [self.start, self.stop],
-        }

@@ -87,17 +87,11 @@ def execute_trace_task(payload: dict) -> dict:
 
 
 def execute_simulate_task(payload: dict) -> dict:
-    """Simulate one predictor over one trace window; returns the encoded shard.
+    """Simulate one predictor over one whole trace; returns the encoded shard.
 
     The trace arrives either inline (``trace``, in-process dispatch) or as
     v3 binary bytes (``trace_bytes``, the pool and remote wire format);
-    both decode to the same records.  A whole trace is the window
-    ``[0, L)`` from a fresh predictor.  Intra-trace sharding
-    (:mod:`repro.engine.sharding`) ships only a ``[start, stop)`` slice,
-    named by ``window``, with ``state``: the predictor snapshot at
-    ``start`` (``None`` exactly when ``start`` is 0).  The simulation
-    counter moves once per (trace, predictor) pair — on the window that
-    starts the trace — matching the unsharded run's accounting.
+    both decode to the same records.  The predictor starts empty.
 
     ``kernel`` selects the simulation kernel; it is resolved against
     *this* worker's environment (see
@@ -108,9 +102,6 @@ def execute_simulate_task(payload: dict) -> dict:
     started = time.perf_counter()
     kernel = resolve_kernel(payload.get("kernel"))
     name = _check_signature(payload)
-    state = payload.get("state")
-    window = payload.get("window")
-    count_simulation = window is None or window[0] == 0
     shard = None
     trace = payload.get("trace")
     if kernel == "vector":
@@ -124,23 +115,12 @@ def execute_simulate_task(payload: dict) -> dict:
             trace = _payload_records(payload)
             columns = trace_columns(trace)
         if columns is not None:
-            shard = simulate_shard_vector(
-                columns,
-                name,
-                state=state,
-                count_simulation=count_simulation,
-            )
+            shard = simulate_shard_vector(columns, name)
     fallback = kernel == "vector" and shard is None
     if shard is None:
         if trace is None:
             trace = _payload_records(payload)
-        shard = simulate_shard(
-            trace,
-            name,
-            kernel="scalar",
-            state=state,
-            count_simulation=count_simulation,
-        )
+        shard = simulate_shard(trace, name, kernel="scalar")
     return {
         "shard": shard_to_dict(shard),
         TELEMETRY_KEY: _telemetry_sidecar(
@@ -181,38 +161,6 @@ def _payload_records(payload: dict):
     return trace
 
 
-def execute_replay_task(payload: dict) -> dict:
-    """Snapshot predictor states at window boundaries of one trace prefix.
-
-    ``boundaries`` is an ascending list of window start offsets (> 0); the
-    shipped trace covers at least ``[0, boundaries[-1])``.  One pass of
-    update-only replay (:func:`repro.simulation.state.replay_records`)
-    advances a fresh predictor across the prefix, snapshotting at each
-    boundary, so *n* windows cost one replay — not *n* re-replays.  The
-    ``SIMULATION_COUNTER`` is never touched: a replay derives handoff
-    state, it does not simulate.
-    """
-    from repro.simulation.state import replay_records, snapshot_predictor
-
-    started = time.perf_counter()
-    name = _check_signature(payload)
-    trace = _payload_records(payload)
-    records = trace.records
-    predictor = create_predictor(name)
-    states: dict[str, dict] = {}
-    position = 0
-    for start in payload["boundaries"]:
-        replay_records(predictor, records[position:start])
-        position = start
-        # JSON-safe keys: the remote wire would stringify them anyway, so
-        # every transport hands the parent the same mapping shape.
-        states[str(start)] = snapshot_predictor(predictor)
-    return {
-        "states": states,
-        TELEMETRY_KEY: _telemetry_sidecar("replay", started),
-    }
-
-
 #: Worker functions addressable *by name* over the remote worker protocol
 #: (:mod:`repro.engine.remote`).  A remote dispatch ships the registry key
 #: instead of a pickled callable, so engine and worker only have to agree
@@ -221,7 +169,6 @@ def execute_replay_task(payload: dict) -> dict:
 WORKER_FUNCTIONS = {
     "trace": execute_trace_task,
     "simulate": execute_simulate_task,
-    "replay": execute_replay_task,
 }
 
 

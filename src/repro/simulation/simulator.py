@@ -232,8 +232,6 @@ def simulate_shard(
     trace: ValueTrace,
     predictor_name: str,
     kernel: str | None = None,
-    state: dict | None = None,
-    count_simulation: bool = True,
 ) -> PredictorShard:
     """Simulate a single predictor over ``trace``.
 
@@ -245,13 +243,6 @@ def simulate_shard(
     Every registered configuration has a vector plan; this scalar loop
     remains the golden reference and the fallback when a plan declines at
     runtime (e.g. a pathological trace tripping a depth guard).
-
-    A whole trace is the window ``[0, len(trace))`` from a fresh
-    predictor.  Intra-trace sharding (:mod:`repro.engine.sharding`) passes
-    a later window's records with ``state``, the predictor snapshot at the
-    window's start (:mod:`repro.simulation.state`), and
-    ``count_simulation=False``, so the process-wide counter still moves
-    once per (trace, predictor) pair.
     """
     from repro.simulation.vectorized import resolve_kernel
 
@@ -261,21 +252,11 @@ def simulate_shard(
 
         columns = trace_columns(trace)
         if columns is not None:
-            shard = simulate_shard_vector(
-                columns,
-                predictor_name,
-                state=state,
-                count_simulation=count_simulation,
-            )
+            shard = simulate_shard_vector(columns, predictor_name)
             if shard is not None:
                 return shard
-    if count_simulation:
-        SIMULATION_COUNTER.increment()
+    SIMULATION_COUNTER.increment()
     predictor = create_predictor(predictor_name)
-    if state is not None:
-        from repro.simulation.state import restore_predictor
-
-        restore_predictor(predictor, state)
     result = PredictorResult(predictor=predictor_name)
     outcomes: list[bool] = []
     for record in trace.records:

@@ -22,8 +22,8 @@ whole-trace array passes over the columnar form of a trace
   otherwise the first-inserted of the maximal set — is reproduced with a
   segmented cumulative maximum over packed ``count * R + (R - 1 - rank)``
   keys, where ``rank`` is the value's insertion rank within its group.
-  The ``counter_max`` halve-on-saturation variant and snapshot-seeded
-  counts use the same pair/rank tables driven in lockstep;
+  The ``counter_max`` halve-on-saturation variant drives the same
+  pair/rank tables in lockstep;
 * **blended FCM** runs the FCM pass top-down over orders ``k..0``.  Under
   lazy exclusion each order's candidate stream is exactly the records not
   matched at a higher order (which is precisely the set that updates that
@@ -36,12 +36,8 @@ whole-trace array passes over the columnar form of a trace
   correctness.
 
 Every registered configuration (and every dynamic ``fcmN`` /
-``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan.
-Plans can also start from a restored predictor snapshot
-(:mod:`repro.simulation.state`), which lets ``simulate-window`` shards of
-an intra-trace sharded run execute on the vector kernel: snapshot tables
-are folded in either as seeded per-group state vectors or as virtual
-prefix records that drive a fresh scan into exactly the snapshot state.
+``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan,
+and every plan starts from a fresh predictor and covers the whole trace.
 Cache keys never include the kernel: both kernels produce byte-identical
 entries, and the differential parity harness
 (``tests/simulation/test_kernel_parity.py``) pins that equivalence.
@@ -53,7 +49,6 @@ import os
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import SimulationError
-from repro.isa.registers import wrap_value
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
     from repro.simulation.simulator import PredictorShard, SimulationResult
@@ -123,10 +118,8 @@ class _Grouping:
     records keep program order — the axis every predictor table walks).
     ``gid`` is a dense group id per sorted position, ``t`` the occurrence
     index of the record within its PC's stream, ``vs`` the values in the
-    sorted domain.  ``starts``/``sizes``/``unique_pcs`` describe the
-    groups themselves: the lockstep plans index records as
-    ``starts[g] + k`` and snapshot tables are joined on ``unique_pcs``
-    (ascending, so ``searchsorted`` applies).
+    sorted domain.  ``starts``/``sizes`` describe the groups themselves:
+    the lockstep plans index records as ``starts[g] + k``.
     """
 
     def __init__(self, np, columns) -> None:
@@ -144,7 +137,6 @@ class _Grouping:
         self.t = np.arange(n) - (starts[self.gid] if n else 0)
         self.starts = starts
         self.sizes = np.diff(np.append(starts, n))
-        self.unique_pcs = sorted_pcs[starts]
 
 
 def _grouping(np, columns) -> _Grouping:
@@ -176,131 +168,6 @@ def _segmented_cummax(np, gid, keys, key_bound: int):
         raise _VectorizationUnsupported("packed cummax key would overflow int64")
     packed = gid * np.int64(key_bound) + keys
     return np.maximum.accumulate(packed) - gid * np.int64(key_bound)
-
-
-# --------------------------------------------------------------------------- #
-# Snapshot joins and virtual-record augmentation
-# --------------------------------------------------------------------------- #
-def _as_int64(np, values):
-    """Materialise snapshot scalars as int64, or punt to the scalar path."""
-    try:
-        return np.asarray(list(values), dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        raise _VectorizationUnsupported("snapshot value outside the int64 domain")
-
-
-def _snapshot_gids(np, group, pcs):
-    """Dense group ids for snapshot PC keys, ``-1`` where the PC does not
-    occur in this shard (such entries cannot influence any output)."""
-    keys = _as_int64(np, pcs)
-    if len(group.unique_pcs) == 0 or len(keys) == 0:
-        return np.full(len(keys), -1, dtype=np.int64)
-    slot = np.searchsorted(group.unique_pcs, keys)
-    slot = np.minimum(slot, len(group.unique_pcs) - 1)
-    return np.where(group.unique_pcs[slot] == keys, slot, -1)
-
-
-def _present_entries(np, group, state):
-    """Snapshot table entries whose PC occurs in this shard, by group id."""
-    table = state["table"] if state is not None else []
-    if not table:
-        return []
-    present = [
-        (gid, payload)
-        for (_, payload), gid in zip(table, _snapshot_gids(np, group, [pc for pc, _ in table]).tolist())
-        if gid >= 0
-    ]
-    present.sort(key=lambda item: item[0])
-    return present
-
-
-class _AugmentedGroup:
-    """A grouping-shaped view with per-group virtual prefix records.
-
-    Snapshot state folds into a stateless scan by prepending, per group,
-    a short synthetic value sequence; the unmodified scan runs over the
-    extended columns and the outputs at the ``real`` positions are the
-    answers.  For FCM plans the prefix is the entry's value history, used
-    only for context lookback — virtual positions never join any
-    update stream.
-    """
-
-    def __init__(self, np, group, prefix_lengths, prefix_values) -> None:
-        group_count = len(group.sizes)
-        sizes = group.sizes + prefix_lengths
-        n = int(sizes.sum())
-        starts = np.zeros(group_count, dtype=np.int64)
-        if group_count:
-            starts[1:] = np.cumsum(sizes)[:-1]
-        self.n = n
-        self.sizes = sizes
-        self.starts = starts
-        self.gid = np.repeat(np.arange(group_count, dtype=np.int64), sizes)
-        self.t = np.arange(n, dtype=np.int64) - starts[self.gid]
-        self.real = self.t >= prefix_lengths[self.gid]
-        values = np.empty(n, dtype=np.int64)
-        values[self.real] = group.vs
-        values[~self.real] = prefix_values
-        self.vs = values
-
-
-def _augment_from_table(np, group, state, virtual_records):
-    """Augment ``group`` with the virtual records of a snapshot table.
-
-    ``virtual_records(fields)`` maps one table entry to the shortest value
-    sequence that drives a fresh scalar entry into exactly the snapshot
-    state (verified per predictor against the scalar update rules).
-    """
-    prefix_lengths = np.zeros(len(group.sizes), dtype=np.int64)
-    values = []
-    for gid, fields in _present_entries(np, group, state):
-        sequence = virtual_records(fields)
-        prefix_lengths[gid] = len(sequence)
-        values.extend(sequence)
-    return _AugmentedGroup(np, group, prefix_lengths, _as_int64(np, values))
-
-
-def _scan_plan(core, virtual_records):
-    """Wrap a stateless segmented-scan plan with snapshot-start support."""
-
-    def plan(np, columns, group, state):
-        if state is None or not state["table"]:
-            return core(np, group)
-        augmented = _augment_from_table(np, group, state, virtual_records)
-        has, pred = core(np, augmented)
-        real = np.flatnonzero(augmented.real)
-        return has[real], pred[real]
-
-    return plan
-
-
-def _virtual_last_value(fields):
-    # hysteresis == "always": only the stored value affects predictions.
-    return [fields[0]]
-
-
-def _virtual_simple_stride(fields):
-    last_value, stride = fields[0], fields[1]
-    if stride is None:
-        return [last_value]
-    return [wrap_value(last_value - stride), last_value]
-
-
-def _virtual_two_delta(fields):
-    last_value, stride, transient = fields[0], fields[1], fields[3]
-    if stride is None and transient is None:
-        return [last_value]
-    if stride is None or transient is None:
-        # The scalar update sets both together; a half-set entry cannot
-        # come from a real snapshot.
-        raise _VectorizationUnsupported("inconsistent two-delta snapshot entry")
-    # Replaying [L - t - s, L - t, L] leaves stride == s whether or not
-    # the two virtual deltas coincide (they do exactly when s == t).
-    return [
-        wrap_value(last_value - transient - stride),
-        wrap_value(last_value - transient),
-        last_value,
-    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -423,7 +290,7 @@ def _fcm_stream(np, group_ids, y):
 
 
 # --------------------------------------------------------------------------- #
-# Stateless scan plans (operate in any grouping-shaped sorted domain)
+# Stateless scan plans (segmented scans over the per-PC grouping)
 # --------------------------------------------------------------------------- #
 def _plan_last_value(np, group):
     has = group.t >= 1
@@ -478,20 +345,14 @@ def _plan_two_delta(np, group):
 # --------------------------------------------------------------------------- #
 # Lockstep counter plans (hysteresis feeds back into the stored value, so
 # no closed-form scan exists; the per-group state machines advance in
-# lockstep instead, seeded directly from any snapshot)
+# lockstep instead)
 # --------------------------------------------------------------------------- #
-def _plan_lv_counter(np, group, state, counter_max, threshold):
+def _plan_lv_counter(np, group, counter_max, threshold):
     """``lv-counter``: replace the value only when the counter sags."""
     group_count = len(group.sizes)
     exists = np.zeros(group_count, dtype=bool)
     value = np.zeros(group_count, dtype=np.int64)
     counter = np.zeros(group_count, dtype=np.int64)
-    entries = _present_entries(np, group, state)
-    if entries:
-        target = _as_int64(np, [gid for gid, _ in entries])
-        exists[target] = True
-        value[target] = _as_int64(np, [fields[0] for _, fields in entries])
-        counter[target] = _as_int64(np, [fields[1] for _, fields in entries])
     by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
@@ -522,7 +383,7 @@ def _plan_lv_counter(np, group, state, counter_max, threshold):
     return has, pred
 
 
-def _plan_lv_consecutive(np, group, state, required_run):
+def _plan_lv_consecutive(np, group, required_run):
     """``lv-consecutive``: replace after a run of identical new values."""
     group_count = len(group.sizes)
     exists = np.zeros(group_count, dtype=bool)
@@ -530,19 +391,6 @@ def _plan_lv_consecutive(np, group, state, required_run):
     candidate = np.zeros(group_count, dtype=np.int64)
     has_candidate = np.zeros(group_count, dtype=bool)
     run = np.zeros(group_count, dtype=np.int64)
-    entries = _present_entries(np, group, state)
-    if entries:
-        target = _as_int64(np, [gid for gid, _ in entries])
-        candidates = [fields[2] for _, fields in entries]
-        exists[target] = True
-        value[target] = _as_int64(np, [fields[0] for _, fields in entries])
-        has_candidate[target] = np.asarray(
-            [item is not None for item in candidates], dtype=bool
-        )
-        candidate[target] = _as_int64(
-            np, [0 if item is None else item for item in candidates]
-        )
-        run[target] = _as_int64(np, [fields[3] for _, fields in entries])
     by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
@@ -572,7 +420,7 @@ def _plan_lv_consecutive(np, group, state, required_run):
     return has, pred
 
 
-def _plan_stride_counter(np, group, state, counter_max, threshold):
+def _plan_stride_counter(np, group, counter_max, threshold):
     """``stride-counter``: replace the stride only when the counter sags."""
     group_count = len(group.sizes)
     exists = np.zeros(group_count, dtype=bool)
@@ -580,21 +428,6 @@ def _plan_stride_counter(np, group, state, counter_max, threshold):
     stride = np.zeros(group_count, dtype=np.uint64)
     has_stride = np.zeros(group_count, dtype=bool)
     counter = np.zeros(group_count, dtype=np.int64)
-    entries = _present_entries(np, group, state)
-    if entries:
-        target = _as_int64(np, [gid for gid, _ in entries])
-        strides = [fields[1] for _, fields in entries]
-        exists[target] = True
-        last[target] = _as_int64(np, [fields[0] for _, fields in entries]).view(
-            np.uint64
-        )
-        has_stride[target] = np.asarray(
-            [item is not None for item in strides], dtype=bool
-        )
-        stride[target] = _as_int64(
-            np, [0 if item is None else item for item in strides]
-        ).view(np.uint64)
-        counter[target] = _as_int64(np, [fields[2] for _, fields in entries])
     by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
     values = group.vs.view(np.uint64)
     has = np.zeros(group.n, dtype=bool)
@@ -634,7 +467,7 @@ def _plan_stride_counter(np, group, state, counter_max, threshold):
 
 
 # --------------------------------------------------------------------------- #
-# FCM with saturating counters and/or snapshot-seeded counts
+# FCM with saturating counters
 # --------------------------------------------------------------------------- #
 def _ragged_arange(np, counts):
     """``[0..counts[0]), [0..counts[1]), ...`` concatenated."""
@@ -645,26 +478,22 @@ def _ragged_arange(np, counts):
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _fcm_eval(np, group_ids, y, counter_max=None, init=None):
+def _fcm_eval(np, group_ids, y, counter_max):
     """(has, pred) for a (context, value) stream in time order.
 
-    ``init`` (optional) seeds counts from a predictor snapshot: arrays
-    ``(group, value, count, is_recent)`` listing the seeded pairs in
-    snapshot insertion order per context, in the same id space as
-    ``group_ids``.  The pure scan handles the stateless exact-count case;
-    saturation and seeding run the same pair/rank tables in lockstep.
+    The pure scan handles the exact-count case; halve-on-saturation
+    counters run the same pair/rank tables in lockstep.
     """
-    if counter_max is None and (init is None or len(init[0]) == 0):
+    if counter_max is None:
         return _fcm_stream(np, group_ids, y)
-    return _fcm_lockstep(np, group_ids, y, counter_max, init)
+    return _fcm_lockstep(np, group_ids, y, counter_max)
 
 
-def _fcm_lockstep(np, group_ids, y, counter_max, init):
+def _fcm_lockstep(np, group_ids, y, counter_max):
     """The FCM count/argmax pass as per-context lockstep state machines.
 
-    Covers the two features the closed-form scan cannot: halve-on-
-    saturation counters (``counter_max``) and counts seeded from a
-    snapshot.  Predictions mirror
+    Covers the feature the closed-form scan cannot: halve-on-saturation
+    counters (``counter_max``).  Predictions mirror
     :func:`~repro.core.fcm.select_maximum_count` exactly — the recent
     value wins a count tie, otherwise the first-inserted of the maximal
     set (its insertion *rank*) is chosen.
@@ -672,14 +501,6 @@ def _fcm_lockstep(np, group_ids, y, counter_max, init):
     m = len(y)
     if m == 0:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-    if init is None:
-        init = (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=bool),
-        )
-    init_group, init_value, init_count, init_is_recent = init
 
     order = np.argsort(group_ids, kind="stable")
     g_sorted = group_ids[order]
@@ -691,38 +512,19 @@ def _fcm_lockstep(np, group_ids, y, counter_max, init):
     starts = np.flatnonzero(new_group)
     group_count = int(gid[-1]) + 1
     sizes = np.diff(np.append(starts, m))
-    unique_ids = g_sorted[starts]
 
-    # Seeded pairs whose context never occurs in the stream cannot affect
-    # any prediction; drop them and re-key the rest to dense group ids.
-    if len(init_group):
-        slot = np.searchsorted(unique_ids, init_group)
-        slot = np.minimum(slot, group_count - 1)
-        keep = unique_ids[slot] == init_group
-        init_gid = slot[keep]
-        init_value = init_value[keep]
-        init_count = init_count[keep]
-        init_is_recent = init_is_recent[keep]
-    else:
-        init_gid = np.zeros(0, dtype=np.int64)
-
-    # One dense id per distinct (context, value) pair across init+stream.
-    # First-occurrence positions are taken over the concatenation, so
-    # seeded pairs keep their snapshot insertion ranks ahead of any pair
-    # first produced by the stream — exactly the scalar dict order.
-    seeded_pairs = len(init_gid)
-    all_gid = np.concatenate((init_gid, gid))
-    all_value = np.concatenate((init_value, y2))
-    pair_id = _factorize_pairs(np, all_gid, all_value)
+    # One dense id per distinct (context, value) pair; insertion ranks
+    # follow first occurrence — exactly the scalar dict order.
+    pair_id = _factorize_pairs(np, gid, y2)
     pair_count = int(pair_id.max()) + 1
     by_pair = np.argsort(pair_id, kind="stable")
     pair_sorted = pair_id[by_pair]
-    pair_start = np.empty(len(pair_id), dtype=bool)
+    pair_start = np.empty(m, dtype=bool)
     pair_start[0] = True
     pair_start[1:] = pair_sorted[1:] != pair_sorted[:-1]
     first_pos = np.empty(pair_count, dtype=np.int64)
     first_pos[pair_sorted[pair_start]] = by_pair[pair_start]
-    pair_gid = all_gid[first_pos]
+    pair_gid = gid[first_pos]
     rank_order = np.lexsort((first_pos, pair_gid))
     ranked_gid = pair_gid[rank_order]
     rank_start = np.empty(pair_count, dtype=bool)
@@ -734,13 +536,12 @@ def _fcm_lockstep(np, group_ids, y, counter_max, init):
     rank_sorted = np.arange(pair_count) - group_base[np.cumsum(rank_start) - 1]
     rank_of_pair = np.empty(pair_count, dtype=np.int64)
     rank_of_pair[rank_order] = rank_sorted
-    value_of_pair = all_value[first_pos]
+    value_of_pair = y2[first_pos]
     value_by_rank = value_of_pair[rank_order]
     pairs_per_group = np.bincount(pair_gid, minlength=group_count)
 
     rank_bound = int(rank_of_pair.max()) + 2
-    top_count = m + (int(init_count.max()) if len(init_count) else 0) + 1
-    if top_count * rank_bound >= 2**62:
+    if (m + 1) * rank_bound >= 2**62:
         raise _VectorizationUnsupported("packed count key would overflow int64")
 
     # Mutable per-pair counts and per-group running state.
@@ -749,35 +550,15 @@ def _fcm_lockstep(np, group_ids, y, counter_max, init):
     max_count = np.zeros(group_count, dtype=np.int64)
     leader_rank = np.zeros(group_count, dtype=np.int64)
     recent_pair = np.zeros(group_count, dtype=np.int64)
-    if seeded_pairs:
-        init_pid = pair_id[:seeded_pairs]
-        counts[init_pid] = init_count
-        has_counts[init_gid] = True
-        packed = np.full(group_count, -1, dtype=np.int64)
-        key = init_count * np.int64(rank_bound) + (
-            np.int64(rank_bound - 1) - rank_of_pair[init_pid]
-        )
-        np.maximum.at(packed, init_gid, key)
-        seeded = packed >= 0
-        max_count[seeded] = packed[seeded] // rank_bound
-        leader_rank[seeded] = np.int64(rank_bound - 1) - packed[seeded] % rank_bound
-        recent_source = init_pid[init_is_recent]
-        recent_pair[pair_gid[recent_source]] = recent_source
-        # The scalar update writes `recent` whenever it touches counts, so
-        # every seeded context must carry exactly one recent marker.
-        marks = np.bincount(pair_gid[recent_source], minlength=group_count)
-        if not bool(np.all(marks[seeded] == 1)) or bool(np.any(marks[~seeded])):
-            raise _VectorizationUnsupported("snapshot recent markers inconsistent")
 
     by_size, negative_sizes, depth = _lockstep_schedule(np, sizes, m)
-    stream_pid = pair_id[seeded_pairs:]
     has2 = np.empty(m, dtype=bool)
     pred2 = np.empty(m, dtype=np.int64)
-    saturation = None if counter_max is None else np.int64(counter_max)
+    saturation = np.int64(counter_max)
     for step in range(depth):
         active = _active_groups(np, by_size, negative_sizes, step)
         position = starts[active] + step
-        pair = stream_pid[position]
+        pair = pair_id[position]
         actual = y2[position]
         known = has_counts[active]
         recent = recent_pair[active]
@@ -798,21 +579,20 @@ def _fcm_lockstep(np, group_ids, y, counter_max, init):
         leader_rank[active] = np.where(promote | tie, rank, leader_rank[active])
         recent_pair[active] = pair
         has_counts[active] = True
-        if saturation is not None:
-            hot = np.flatnonzero(bumped >= saturation)
-            if len(hot):
-                _halve_and_rescan(
-                    np,
-                    counts,
-                    active[hot],
-                    group_base,
-                    pairs_per_group,
-                    rank_order,
-                    rank_bound,
-                    rank_of_pair,
-                    max_count,
-                    leader_rank,
-                )
+        hot = np.flatnonzero(bumped >= saturation)
+        if len(hot):
+            _halve_and_rescan(
+                np,
+                counts,
+                active[hot],
+                group_base,
+                pairs_per_group,
+                rank_order,
+                rank_bound,
+                rank_of_pair,
+                max_count,
+                leader_rank,
+            )
 
     has_out = np.empty(m, dtype=bool)
     pred_out = np.empty(m, dtype=np.int64)
@@ -856,77 +636,22 @@ def _halve_and_rescan(
 
 
 # --------------------------------------------------------------------------- #
-# FCM plans: context keys, snapshot seeding, single and blended orders
+# FCM plans: context keys, single and blended orders
 # --------------------------------------------------------------------------- #
-def _context_keys(np, group, order, stream, init_contexts):
-    """Dense context ids for stream records and snapshot contexts together.
-
-    A context is (group, last ``order`` values); chaining the pair
-    factorisation over stream lookbacks and snapshot context tuples at
-    once puts both in a single id space.
-    """
-    stream_keys = group.gid[stream]
-    init_keys = _as_int64(np, [gid for gid, _ in init_contexts])
+def _context_keys(np, group, order, positions):
+    """Dense context ids — (group, last ``order`` values) — for ``positions``."""
+    keys = group.gid[positions]
     for back in range(1, order + 1):
-        merged = _factorize_pairs(
-            np,
-            np.concatenate((stream_keys, init_keys)),
-            np.concatenate(
-                (
-                    group.vs[stream - back],
-                    _as_int64(np, [context[-back] for _, context in init_contexts]),
-                )
-            ),
-        )
-        stream_keys = merged[: len(stream)]
-        init_keys = merged[len(stream):]
-    return stream_keys, init_keys
+        keys = _factorize_pairs(np, keys, group.vs[positions - back])
+    return keys
 
 
-def _fcm_seed(np, group, order, stream, seeds):
-    """Context ids plus the init-pair arrays for one FCM order.
-
-    ``seeds`` lists ``(gid, counts_encoded, recent_encoded)`` per snapshot
-    entry, in the transport encoding of :mod:`repro.simulation.state`
-    (pairs lists preserving dict insertion order).
-    """
-    init_contexts = []
-    pair_context, pair_value, pair_count, pair_recent = [], [], [], []
-    for gid, counts_encoded, recent_encoded in seeds:
-        recent_map = {tuple(context): value for context, value in recent_encoded}
-        for context_list, pairs in counts_encoded:
-            context = tuple(context_list)
-            if len(context) != order or not pairs:
-                raise _VectorizationUnsupported("malformed snapshot context")
-            recent_value = recent_map.get(context)
-            flags = [value == recent_value for value, _ in pairs]
-            if not any(flags):
-                raise _VectorizationUnsupported(
-                    "snapshot recent value missing from its context counts"
-                )
-            for (value, count), flag in zip(pairs, flags):
-                pair_context.append(len(init_contexts))
-                pair_value.append(value)
-                pair_count.append(count)
-                pair_recent.append(flag)
-            init_contexts.append((gid, context))
-    stream_keys, init_keys = _context_keys(np, group, order, stream, init_contexts)
-    if not pair_context:
-        return stream_keys, None
-    return stream_keys, (
-        init_keys[np.asarray(pair_context, dtype=np.int64)],
-        _as_int64(np, pair_value),
-        _as_int64(np, pair_count),
-        np.asarray(pair_recent, dtype=bool),
-    )
-
-
-def _plan_fcm(np, group, order):
+def _plan_fcm(np, group, order, counter_max):
+    """Single fixed-order FCM, with optional saturating counters."""
     stream = np.flatnonzero(group.t >= order)
-    keys = group.gid[stream]
-    for back in range(1, order + 1):
-        keys = _factorize_pairs(np, keys, group.vs[stream - back])
-    stream_has, stream_pred = _fcm_stream(np, keys, group.vs[stream])
+    stream_has, stream_pred = _fcm_eval(
+        np, _context_keys(np, group, order, stream), group.vs[stream], counter_max
+    )
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
     has[stream] = stream_has
@@ -934,135 +659,45 @@ def _plan_fcm(np, group, order):
     return has, pred
 
 
-def _history_augment(np, group, order, entries):
-    """Fold snapshot value histories in as lookback-only virtual records.
+def _plan_blended_fcm(np, group, order, counter_max, update_policy):
+    """Blended FCM over orders ``order..0`` under either update policy.
 
-    The ``t`` of the augmented grouping then counts *all* values the PC
-    has produced (capped at ``order``), so the scalar gate
-    ``len(history) >= order`` is exactly ``t >= order``.
+    Lazy exclusion, top-down: the records still unmatched at order o that
+    have seen >= o values are exactly the ones that update order o's
+    table, so each round's candidate stream doubles as that order's
+    updater stream.  Under full update every gated record feeds every
+    order's table.  Either way a record keeps the highest order where a
+    previous same-context candidate exists.
     """
-    prefix_lengths = np.zeros(len(group.sizes), dtype=np.int64)
-    values = []
-    for gid, entry in entries:
-        history = list(entry["history"])[-order:] if order else []
-        prefix_lengths[gid] = len(history)
-        values.extend(history)
-    return _AugmentedGroup(np, group, prefix_lengths, _as_int64(np, values))
-
-
-def _plan_fcm_stateful(np, group, order, counter_max, state):
-    """Single fixed-order FCM, with optional saturation and snapshot."""
-    if state is None and counter_max is None:
-        return _plan_fcm(np, group, order)
-    entries = _present_entries(np, group, state)
-    augmented = _history_augment(np, group, order, entries)
-    stream = np.flatnonzero(augmented.real & (augmented.t >= order))
-    seeds = [(gid, entry["counts"], entry["recent"]) for gid, entry in entries]
-    stream_keys, init = _fcm_seed(np, augmented, order, stream, seeds)
-    stream_has, stream_pred = _fcm_eval(
-        np, stream_keys, augmented.vs[stream], counter_max, init
-    )
-    has = np.zeros(augmented.n, dtype=bool)
-    pred = np.zeros(augmented.n, dtype=np.int64)
-    has[stream] = stream_has
-    pred[stream] = stream_pred
-    real = np.flatnonzero(augmented.real)
-    return has[real], pred[real]
-
-
-def _plan_blended_fcm(np, group, order):
+    lazy = update_policy == "lazy-exclusion"
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
-    remaining = np.ones(group.n, dtype=bool)
-    # Lazy exclusion, top-down: the records still unmatched at order o that
-    # have seen >= o values are exactly the ones that update order o's
-    # table, so each round's candidate stream doubles as that order's
-    # updater stream; a record matches at the highest order where a
-    # previous same-context candidate exists.
+    unmatched = np.ones(group.n, dtype=bool)
     for model_order in range(order, -1, -1):
-        candidates = np.flatnonzero(remaining & (group.t >= model_order))
+        gated = group.t >= model_order
+        candidates = np.flatnonzero((unmatched & gated) if lazy else gated)
         if candidates.size == 0:
             continue
-        keys = group.gid[candidates]
-        for back in range(1, model_order + 1):
-            keys = _factorize_pairs(np, keys, group.vs[candidates - back])
-        stream_has, stream_pred = _fcm_stream(np, keys, group.vs[candidates])
-        matched = candidates[stream_has]
-        has[matched] = True
-        pred[matched] = stream_pred[stream_has]
-        remaining[matched] = False
+        stream_has, stream_pred = _fcm_eval(
+            np,
+            _context_keys(np, group, model_order, candidates),
+            group.vs[candidates],
+            counter_max,
+        )
+        fresh = stream_has & unmatched[candidates]
+        chosen = candidates[fresh]
+        has[chosen] = True
+        pred[chosen] = stream_pred[fresh]
+        unmatched[candidates[stream_has]] = False
     return has, pred
-
-
-def _plan_blended_stateful(np, group, order, counter_max, update_policy, state):
-    """Blended FCM over orders ``order..0`` under either update policy."""
-    if state is None and counter_max is None and update_policy == "lazy-exclusion":
-        return _plan_blended_fcm(np, group, order)
-    entries = _present_entries(np, group, state)
-    for _, entry in entries:
-        if len(entry["tables"]) != order + 1 or len(entry["recent"]) != order + 1:
-            raise _VectorizationUnsupported("blended snapshot order mismatch")
-    augmented = _history_augment(np, group, order, entries)
-    has = np.zeros(augmented.n, dtype=bool)
-    pred = np.zeros(augmented.n, dtype=np.int64)
-    if update_policy == "lazy-exclusion":
-        remaining = augmented.real.copy()
-        for model_order in range(order, -1, -1):
-            candidates = np.flatnonzero(remaining & (augmented.t >= model_order))
-            seeds = [
-                (gid, entry["tables"][model_order], entry["recent"][model_order])
-                for gid, entry in entries
-            ]
-            stream_keys, init = _fcm_seed(np, augmented, model_order, candidates, seeds)
-            if candidates.size == 0:
-                continue
-            stream_has, stream_pred = _fcm_eval(
-                np, stream_keys, augmented.vs[candidates], counter_max, init
-            )
-            matched = candidates[stream_has]
-            has[matched] = True
-            pred[matched] = stream_pred[stream_has]
-            remaining[matched] = False
-    else:
-        # Full update: every gated record feeds every order's table, and a
-        # record keeps the highest-order context match.
-        assigned = np.zeros(augmented.n, dtype=bool)
-        for model_order in range(order, -1, -1):
-            candidates = np.flatnonzero(augmented.real & (augmented.t >= model_order))
-            seeds = [
-                (gid, entry["tables"][model_order], entry["recent"][model_order])
-                for gid, entry in entries
-            ]
-            stream_keys, init = _fcm_seed(np, augmented, model_order, candidates, seeds)
-            if candidates.size == 0:
-                continue
-            stream_has, stream_pred = _fcm_eval(
-                np, stream_keys, augmented.vs[candidates], counter_max, init
-            )
-            fresh = stream_has & ~assigned[candidates]
-            chosen = candidates[fresh]
-            has[chosen] = True
-            pred[chosen] = stream_pred[fresh]
-            assigned[candidates[stream_has]] = True
-    real = np.flatnonzero(augmented.real)
-    return has[real], pred[real]
 
 
 # --------------------------------------------------------------------------- #
 # Hybrid plans: component composition plus vectorized choosers
 # --------------------------------------------------------------------------- #
-def _hybrid_components(np, columns, group, plans, state):
+def _hybrid_components(np, columns, group, plans):
     """Run every component plan; return (has, pred) pairs and correctness."""
-    if state is not None:
-        states = state["components"]
-        if len(states) != len(plans):
-            raise _VectorizationUnsupported("hybrid snapshot component mismatch")
-    else:
-        states = [None] * len(plans)
-    results = [
-        plan(np, columns, group, component_state)
-        for plan, component_state in zip(plans, states)
-    ]
+    results = [plan(np, columns, group) for plan in plans]
     correct = [has & (pred == group.vs) for has, pred in results]
     return results, correct
 
@@ -1080,33 +715,19 @@ def _gather_selected(np, results, selection):
     return all_has[selection, index], all_pred[selection, index]
 
 
-def _pc_chooser_select(np, group, correct, score_max, state):
+def _pc_chooser_select(np, group, correct, score_max):
     """Vectorized :class:`~repro.core.hybrid.PcChooser` selection.
 
     Each component's per-PC score stream is a prefix composition of
     saturating ±1 steps.  The step ``y -> min(C, max(B, y + A))`` is
     closed under composition, so a segmented Hillis–Steele doubling scan
     yields, per record, the transform of all earlier same-PC records;
-    applied to the entry's initial score that is exactly the score the
-    scalar ``select`` reads (``train`` runs after selection).
+    applied to the entry's initial score of 0 that is exactly the score
+    the scalar ``select`` reads (``train`` runs after selection).
     """
     n = group.n
     width = len(correct)
-    group_count = len(group.sizes)
-    seeded = np.zeros(group_count, dtype=bool)
-    base_scores = np.zeros((width, group_count), dtype=np.int64)
-    entries = _present_entries(np, group, state) if state is not None else []
-    if entries:
-        for _, scores in entries:
-            if len(scores) != width:
-                raise _VectorizationUnsupported("chooser snapshot width mismatch")
-        target = _as_int64(np, [gid for gid, _ in entries])
-        seeded[target] = True
-        for component in range(width):
-            base_scores[component][target] = _as_int64(
-                np, [scores[component] for _, scores in entries]
-            )
-    depth = int(group.sizes.max()) if group_count else 0
+    depth = int(group.sizes.max()) if len(group.sizes) else 0
     top = np.int64(score_max)
     scores = []
     for component in range(width):
@@ -1133,26 +754,22 @@ def _pc_chooser_select(np, group, correct, score_max, state):
             low[later] = new_low
             high[later] = new_high
             span *= 2
-        value = np.empty(n, dtype=np.int64)
-        initial = base_scores[component][group.gid]
-        first = group.t == 0
-        value[first] = initial[first]
-        later = np.flatnonzero(~first)
+        value = np.zeros(n, dtype=np.int64)
+        later = np.flatnonzero(group.t >= 1)
         earlier = later - 1
         value[later] = np.minimum(
-            high[earlier], np.maximum(low[earlier], initial[later] + shift[earlier])
+            high[earlier], np.maximum(low[earlier], shift[earlier])
         )
         scores.append(value)
     # Argmax with the scalar's earlier-index tie-break; records whose PC
-    # has no chooser entry yet (first occurrence, unseeded) take index 0.
+    # has no chooser entry yet (first occurrence) take index 0.
     selection = np.zeros(n, dtype=np.int64)
     best = scores[0]
     for component in range(1, width):
         better = scores[component] > best
         selection = np.where(better, np.int64(component), selection)
         best = np.where(better, scores[component], best)
-    exists = (group.t >= 1) | seeded[group.gid]
-    return np.where(exists, selection, np.int64(0))
+    return np.where(group.t >= 1, selection, np.int64(0))
 
 
 def _plan_hybrid(predictor, component_plans):
@@ -1162,8 +779,8 @@ def _plan_hybrid(predictor, component_plans):
     chooser = predictor.chooser
     if isinstance(chooser, OracleChooser):
 
-        def plan(np, columns, group, state):
-            _, correct = _hybrid_components(np, columns, group, component_plans, state)
+        def plan(np, columns, group):
+            _, correct = _hybrid_components(np, columns, group, component_plans)
             combined = np.zeros(group.n, dtype=bool)
             for flags in correct:
                 combined |= flags
@@ -1176,10 +793,11 @@ def _plan_hybrid(predictor, component_plans):
         mapping = dict(chooser.mapping)
         default = chooser.default
 
-        def plan(np, columns, group, state):
-            results, _ = _hybrid_components(np, columns, group, component_plans, state)
-            lookup = _as_int64(
-                np, [mapping.get(category, default) for category in columns.categories]
+        def plan(np, columns, group):
+            results, _ = _hybrid_components(np, columns, group, component_plans)
+            lookup = np.asarray(
+                [mapping.get(category, default) for category in columns.categories],
+                dtype=np.int64,
             )
             selection = lookup[columns.category_codes[group.order]]
             return _gather_selected(np, results, selection)
@@ -1190,12 +808,9 @@ def _plan_hybrid(predictor, component_plans):
             return None
         score_max = chooser.score_max
 
-        def plan(np, columns, group, state):
-            chooser_state = state["chooser"] if state is not None else None
-            results, correct = _hybrid_components(
-                np, columns, group, component_plans, state
-            )
-            selection = _pc_chooser_select(np, group, correct, score_max, chooser_state)
+        def plan(np, columns, group):
+            results, correct = _hybrid_components(np, columns, group, component_plans)
+            selection = _pc_chooser_select(np, group, correct, score_max)
             return _gather_selected(np, results, selection)
 
         return plan
@@ -1208,10 +823,9 @@ def _plan_hybrid(predictor, component_plans):
 def _plan_for(predictor):
     """Build the vector plan for a predictor instance, or ``None``.
 
-    Every plan is a pure closure ``plan(np, columns, group, state)``
-    returning ``(has, pred)`` in the grouping's sorted domain; ``state``
-    is a :func:`repro.simulation.state.snapshot_predictor` dict (or
-    ``None`` for a cold start).  Dispatch inspects the instantiated
+    Every plan is a pure closure ``plan(np, columns, group)`` returning
+    ``(has, pred)`` in the grouping's sorted domain, for a predictor that
+    starts empty.  Dispatch inspects the instantiated
     configuration, so dynamic names and re-bound registry entries select
     the right plan.
     """
@@ -1228,39 +842,31 @@ def _plan_for(predictor):
     kind = type(predictor)
     if kind is LastValuePredictor:
         if predictor.hysteresis == "always":
-            return _scan_plan(_plan_last_value, _virtual_last_value)
+            return lambda np, columns, group: _plan_last_value(np, group)
         if predictor.hysteresis == "counter":
             maximum = predictor.counter_max
             limit = predictor.counter_threshold
-            return lambda np, columns, group, state: _plan_lv_counter(
-                np, group, state, maximum, limit
-            )
+            return lambda np, columns, group: _plan_lv_counter(np, group, maximum, limit)
         required = predictor.required_run
-        return lambda np, columns, group, state: _plan_lv_consecutive(
-            np, group, state, required
-        )
+        return lambda np, columns, group: _plan_lv_consecutive(np, group, required)
     if kind is SimpleStridePredictor:
-        return _scan_plan(_plan_simple_stride, _virtual_simple_stride)
+        return lambda np, columns, group: _plan_simple_stride(np, group)
     if kind is TwoDeltaStridePredictor:
-        return _scan_plan(_plan_two_delta, _virtual_two_delta)
+        return lambda np, columns, group: _plan_two_delta(np, group)
     if kind is CounterStridePredictor:
         maximum = predictor.counter_max
         limit = predictor.threshold
-        return lambda np, columns, group, state: _plan_stride_counter(
-            np, group, state, maximum, limit
-        )
+        return lambda np, columns, group: _plan_stride_counter(np, group, maximum, limit)
     if kind is FcmPredictor:
         order = predictor.order
         saturation = predictor.counter_max
-        return lambda np, columns, group, state: _plan_fcm_stateful(
-            np, group, order, saturation, state
-        )
+        return lambda np, columns, group: _plan_fcm(np, group, order, saturation)
     if kind is BlendedFcmPredictor:
         order = predictor.order
         saturation = predictor.counter_max
         policy = predictor.update_policy
-        return lambda np, columns, group, state: _plan_blended_stateful(
-            np, group, order, saturation, policy, state
+        return lambda np, columns, group: _plan_blended_fcm(
+            np, group, order, saturation, policy
         )
     if kind is HybridPredictor:
         component_plans = [
@@ -1282,8 +888,8 @@ _PLAN_CACHE: dict[str, tuple[object, object]] = {}
 def vector_plan(predictor_name: str):
     """The vector plan for a registry name, or ``None`` (scalar fallback).
 
-    Resolution is memoised per name: sharded runs resolve the same few
-    names once per window otherwise, and instantiating a throwaway
+    Resolution is memoised per name: a campaign resolves the same few
+    names once per trace otherwise, and instantiating a throwaway
     predictor per resolution is the expensive part.  The cache is
     validated against the registry's current factory object, so
     ``register_predictor(..., overwrite=True)`` takes effect immediately.
@@ -1329,20 +935,8 @@ def _category_totals(np, columns):
     return totals
 
 
-def simulate_shard_vector(
-    columns: "TraceColumns",
-    predictor_name: str,
-    state: dict | None = None,
-    count_simulation: bool = True,
-):
+def simulate_shard_vector(columns: "TraceColumns", predictor_name: str):
     """Vectorized :func:`~repro.simulation.simulator.simulate_shard`.
-
-    ``state`` starts the plan from a restored predictor snapshot
-    (:mod:`repro.simulation.state`), which is how the window tasks of an
-    intra-trace sharded run execute mid-trace windows on the
-    vector kernel.  ``count_simulation=False`` suppresses the process-wide
-    simulation counter — window shards count once per (trace, predictor)
-    pair, at the window that starts the trace.
 
     Returns ``None`` when the predictor has no vector plan or a size
     guard trips — callers then run the scalar reference loop.
@@ -1361,11 +955,10 @@ def simulate_shard_vector(
         return None
     group = _grouping(np, columns)
     try:
-        has_sorted, pred_sorted = plan(np, columns, group, state)
+        has_sorted, pred_sorted = plan(np, columns, group)
     except _VectorizationUnsupported:
         return None
-    if count_simulation:
-        SIMULATION_COUNTER.increment()
+    SIMULATION_COUNTER.increment()
     n = group.n
     has = np.empty(n, dtype=bool)
     pred = np.empty(n, dtype=np.int64)

@@ -11,6 +11,7 @@ original benchmarks have when given larger inputs.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
 
@@ -79,8 +80,8 @@ class Workload(abc.ABC):
         """Build, execute and trace the workload."""
         input_name = self.validate_input(input_name)
         flags = self.validate_flags(flags)
-        if scale <= 0:
-            raise WorkloadError(f"{self.name}: scale must be positive, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise WorkloadError(f"{self.name}: scale must be positive and finite, got {scale}")
         program, memory = self.build(scale, input_name, flags)
         trace, execution = collect_trace(program, memory=memory, max_instructions=max_instructions)
         return WorkloadRun(

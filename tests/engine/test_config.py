@@ -36,9 +36,11 @@ class TestValidation:
         with pytest.raises(SimulationError, match="unknown simulation kernel"):
             EngineConfig(kernel="turbo")
 
-    @pytest.mark.parametrize("window", [-1, "bogus"])
-    def test_bad_shard_window_raises_value_error(self, window):
-        with pytest.raises(ValueError, match="shard window"):
+    @pytest.mark.parametrize("window", [0, 400, "auto"])
+    def test_no_shard_window_setting(self, window):
+        # Every (trace, predictor) pair runs as one whole-trace unit; the
+        # values the removed setting once accepted are now unknown fields.
+        with pytest.raises(TypeError):
             EngineConfig(shard_window=window)
 
     def test_remote_without_workers_raises(self):
@@ -60,12 +62,6 @@ class TestValidation:
         assert EngineConfig(jobs=0).jobs == 1
         assert EngineConfig(jobs=-3).jobs == 1
 
-    def test_shard_window_normalised(self):
-        assert EngineConfig(shard_window=0).shard_window is None
-        assert EngineConfig(shard_window="400").shard_window == 400
-        assert EngineConfig(shard_window="auto").shard_window == "auto"
-        assert EngineConfig(shard_window=0) == EngineConfig()
-
     def test_no_cache_format_setting(self):
         with pytest.raises(TypeError):
             EngineConfig(cache_format="binary")
@@ -78,13 +74,13 @@ class TestValueSemantics:
             config.jobs = 4
 
     def test_equal_configs_hash_equal(self):
-        first = EngineConfig(jobs=2, cache_dir="c", kernel="scalar", shard_window="400")
-        second = EngineConfig(jobs=2, cache_dir="c", kernel="scalar", shard_window=400)
+        first = EngineConfig(jobs=2, cache_dir="c", kernel="scalar", cache_max_bytes=64 * 1024)
+        second = EngineConfig(jobs=2, cache_dir="c", kernel="scalar", cache_max_bytes=65536)
         assert first == second
         assert hash(first) == hash(second)
         assert len({first, second, EngineConfig()}) == 2
 
-    def test_nine_settings(self):
+    def test_eight_settings(self):
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "jobs",
             "cache_dir",
@@ -94,11 +90,10 @@ class TestValueSemantics:
             "backend",
             "workers",
             "kernel",
-            "shard_window",
         ]
 
     def test_engine_keeps_the_config(self):
-        config = EngineConfig(jobs=1, kernel="scalar", shard_window=400)
+        config = EngineConfig(jobs=1, kernel="scalar", cache_max_bytes=65536)
         engine = ExecutionEngine(config)
         assert engine.config is config
         assert ExecutionEngine().config == EngineConfig()
@@ -117,8 +112,6 @@ ENGINE_FLAGS = [
     "30m",
     "--kernel",
     "scalar",
-    "--shard-window",
-    "auto",
 ]
 
 
@@ -136,7 +129,6 @@ class TestCliParity:
             cache_max_age=1800.0,
             backend="persistent",
             kernel="scalar",
-            shard_window="auto",
         )
 
     def test_no_cache_and_defaults(self):
@@ -160,8 +152,6 @@ class TestDefaultsReplacedWhole:
                     "table1",
                     "--cache-dir",
                     str(first_cache),
-                    "--shard-window",
-                    "500",
                     "--cache-max-bytes",
                     "1MB",
                 ]

@@ -238,12 +238,11 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="not a registered worker function"):
             worker_function_name(lambda payload: payload)
 
-    def test_worker_functions_are_trace_simulate_replay(self):
-        # Windows ride the "simulate" function; a change to this set
-        # changes what a peer can be asked to run, so it moves the
-        # protocol version with it.
-        assert sorted(WORKER_FUNCTIONS) == ["replay", "simulate", "trace"]
-        assert PROTOCOL_VERSION == 2
+    def test_worker_functions_are_trace_simulate(self):
+        # A change to this set changes what a peer can be asked to run,
+        # so it moves the protocol version with it.
+        assert sorted(WORKER_FUNCTIONS) == ["simulate", "trace"]
+        assert PROTOCOL_VERSION == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -279,10 +278,11 @@ class TestHandshake:
             sock.close()
         assert server.handshakes_rejected == 1
 
-    def test_protocol_1_peer_is_refused_before_any_task(self, worker_pair):
-        # Protocol 2 folded the window worker into "simulate"; a protocol-1
-        # worker would ignore a window's `state`, so either side refuses
-        # the other at the handshake.
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_protocol_1_peer_is_refused_before_any_task(self, worker_pair, protocol):
+        # Protocols 1 and 2 carried intra-trace windows (a `state` payload
+        # field) that a protocol-3 worker ignores, so an older peer is
+        # refused at the handshake, before it can send any task.
         server, _ = worker_pair
         sock = _dial(server)
         try:
@@ -290,14 +290,14 @@ class TestHandshake:
                 sock,
                 {
                     "type": "hello",
-                    "protocol": 1,
+                    "protocol": protocol,
                     "task_format": TASK_FORMAT_VERSION,
                     "cache_entry": CACHE_ENTRY_VERSION,
                 },
             )
             reply = recv_frame(sock)
             assert reply["type"] == "reject"
-            assert "protocol 1 != 2" in reply["reason"]
+            assert f"protocol {protocol} != 3" in reply["reason"]
             assert recv_frame(sock) is None
         finally:
             sock.close()

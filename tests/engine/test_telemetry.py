@@ -388,8 +388,8 @@ class TestInspectCli:
                 "compress",
                 "--kernel",
                 "scalar",
-                "--shard-window",
-                "400",
+                "--cache-max-bytes",
+                "10MB",
                 "--cache-dir",
                 str(cache_dir),
                 "--cache-max-age",
@@ -412,7 +412,6 @@ class TestInspectCli:
                 "backend",
                 "workers",
                 "kernel",
-                "shard_window",
                 "resolved_kernel",
             )
         }
@@ -420,14 +419,14 @@ class TestInspectCli:
             "jobs": 1,
             "cache_dir": str(cache_dir),
             "use_cache": True,
-            "cache_max_bytes": None,
+            "cache_max_bytes": 10 * 1024**2,
             "cache_max_age": 7 * 86400.0,
             "backend": "serial",
             "workers": None,
             "kernel": "scalar",
-            "shard_window": 400,
             "resolved_kernel": "scalar",
         }
+        assert "shard_window" not in manifest
 
 
 class TestWorkerServeStatsInterval:

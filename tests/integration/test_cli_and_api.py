@@ -98,6 +98,38 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["simulate", "not-a-benchmark"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["reproduce"],
+            ["experiments", "table2"],
+            ["campaign"],
+            ["sweep"],
+            ["simulate", "compress"],
+        ],
+    )
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_invalid_scale_is_a_usage_error(self, capsys, command, scale):
+        # Only positive finite scales trace; anything else is refused by
+        # argparse before any work starts, never a traceback mid-run.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [f"--scale={scale}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command", [["campaign"], ["sweep"], ["experiments", "table2"], ["reproduce"]]
+    )
+    def test_shard_window_flag_is_gone(self, capsys, command):
+        # Every (trace, predictor) pair runs as one whole-trace unit; the
+        # old intra-trace window size is an unknown flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--shard-window", "400"])
+        assert excinfo.value.code == 2
+        assert "--shard-window" in capsys.readouterr().err
+
 
 class TestSweepCli:
     def test_sweep_cold_then_warm(self, capsys, tmp_path):

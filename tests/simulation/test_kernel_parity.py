@@ -9,6 +9,8 @@ produce byte-identical entries.  The harness drives every registered
 predictor configuration over seeded synthetic traces engineered to stress
 each plan: skewed PC reuse, stride runs with breaks, repeating FCM
 contexts, mixed instruction categories and occasional extreme values.
+The same harness pins the engine's simulate worker — every kernel and
+trace transport — and each shard's accounting to the scalar reference.
 """
 
 from __future__ import annotations
@@ -19,14 +21,19 @@ import random
 
 import pytest
 
-from repro.core.registry import PAPER_PREDICTORS, available_predictors
+from repro.core.registry import PAPER_PREDICTORS, available_predictors, create_predictor
 from repro.engine.codecs import shard_to_dict, simulation_to_dict
+from repro.engine.fingerprint import predictor_signature
+from repro.engine.tasks import SimulateTask
+from repro.engine.telemetry import TELEMETRY_KEY
+from repro.engine.worker import execute_simulate_task
 from repro.errors import SimulationError
 from repro.isa.opcodes import CATEGORY_OF, Opcode
 from repro.simulation import vectorized
 from repro.simulation.simulator import (
     SIMULATION_COUNTER,
     merge_shards,
+    pack_outcomes,
     simulate_shard,
     simulate_trace,
 )
@@ -140,6 +147,9 @@ ALL_NAMES = tuple(available_predictors()) + (
     "fcm2-small",
     "fcm2-full",
 )
+
+#: ALL_NAMES without its repeats, for tests that run once per configuration.
+UNIQUE_NAMES = tuple(dict.fromkeys(ALL_NAMES))
 
 
 def assert_shard_parity(trace: ValueTrace, name: str) -> None:
@@ -343,121 +353,6 @@ class TestCounterEdges:
             assert_shard_parity(_edge_trace("flipflop", triples), name)
 
 
-def _scalar_window_shard(name: str, state, tail: ValueTrace):
-    """The reference scalar window loop (mirrors the worker's fallback)."""
-    from repro.core.registry import create_predictor
-    from repro.simulation.simulator import (
-        PredictorResult,
-        PredictorShard,
-        pack_outcomes,
-    )
-    from repro.simulation.state import restore_predictor
-
-    predictor = create_predictor(name)
-    if state is not None:
-        restore_predictor(predictor, state)
-    result = PredictorResult(predictor=name)
-    outcomes = []
-    for record in tail.records:
-        category = record.category
-        correct = predictor.observe(record.pc, record.value, category)
-        outcomes.append(correct)
-        result.total += 1
-        result.category_total[category] = result.category_total.get(category, 0) + 1
-        if correct:
-            result.correct += 1
-            result.category_correct[category] = result.category_correct.get(category, 0) + 1
-            result.pc_correct[record.pc] = result.pc_correct.get(record.pc, 0) + 1
-    return PredictorShard(
-        result=result, correctness=pack_outcomes(outcomes), record_count=len(tail)
-    )
-
-
-def assert_window_parity(trace: ValueTrace, name: str, split: int) -> None:
-    """Vector plan started from a mid-trace snapshot == scalar continuation."""
-    from repro.core.registry import create_predictor
-    from repro.simulation.state import replay_records, snapshot_predictor
-
-    predictor = create_predictor(name)
-    replay_records(predictor, trace.records[:split])
-    state = snapshot_predictor(predictor)
-    # The snapshot crosses a JSON wire in the engine; round-trip it so any
-    # representation the codec cannot carry shows up as a parity break.
-    state = json.loads(json.dumps(state))
-    tail = ValueTrace(trace.name, trace.records[split:])
-    scalar = _scalar_window_shard(name, state, tail)
-    columns = trace_columns(tail)
-    assert columns is not None
-    vector = vectorized.simulate_shard_vector(
-        columns, name, state=state, count_simulation=False
-    )
-    assert vector is not None, f"{name} fell back to scalar for the window"
-    assert json.dumps(shard_to_dict(scalar)) == json.dumps(shard_to_dict(vector))
-
-
-@requires_numpy
-class TestWindowedVectorParity:
-    """Plans started from restored snapshots — the sharded-run composition."""
-
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_every_predictor_from_snapshot(self, name):
-        trace = synthetic_trace(*SCENARIOS[4])
-        for split in (1, 7, len(trace) // 2, len(trace) - 1):
-            assert_window_parity(trace, name, split)
-
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_three_window_stitch_matches_monolithic(self, name):
-        # Chained snapshots across two interior boundaries: the stitched
-        # windows must reproduce the unsharded shard bit-exactly.
-        from repro.engine.sharding import merge_window_shards
-        from repro.core.registry import create_predictor
-        from repro.simulation.state import replay_records, snapshot_predictor
-
-        trace = synthetic_trace(*SCENARIOS[5])
-        length = len(trace)
-        cuts = (0, length // 3, 2 * length // 3, length)
-        predictor = create_predictor(name)
-        parts = []
-        for start, stop in zip(cuts, cuts[1:]):
-            state = None
-            if start:
-                state = json.loads(json.dumps(snapshot_predictor(predictor)))
-            window = ValueTrace(trace.name, trace.records[start:stop])
-            columns = trace_columns(window)
-            shard = vectorized.simulate_shard_vector(
-                columns, name, state=state, count_simulation=False
-            )
-            assert shard is not None, name
-            parts.append(shard)
-            replay_records(predictor, window.records)
-        stitched = merge_window_shards(name, parts)
-        reference = simulate_shard(trace, name, kernel="scalar")
-        assert json.dumps(shard_to_dict(stitched)) == json.dumps(shard_to_dict(reference))
-
-    def test_counter_state_straddles_boundary(self, temporary_predictor):
-        from repro.core.last_value import LastValuePredictor
-        from repro.core.stride import CounterStridePredictor
-
-        # Splits landing mid-saturation: the snapshot must carry partially
-        # saturated counters (and candidate runs) bit-exactly.
-        values = (5, 5, 5, 5, 9, 9, 5, 9, 9, 9, 9, 5, 5, 9, 13, 13, 13, 5)
-        triples = [(0x40, Opcode.LW, value) for value in values]
-        trace = _edge_trace("straddle", triples)
-        cases = (
-            ("edge-w-lv", lambda: LastValuePredictor(
-                hysteresis="counter", counter_max=3, counter_threshold=2)),
-            ("edge-w-lv1", lambda: LastValuePredictor(
-                hysteresis="counter", counter_max=1, counter_threshold=1)),
-            ("edge-w-cons", lambda: LastValuePredictor(
-                hysteresis="consecutive", required_run=2)),
-            ("edge-w-sc", lambda: CounterStridePredictor(counter_max=3, threshold=3)),
-        )
-        for name, factory in cases:
-            temporary_predictor(name, factory)
-            for split in range(1, len(values)):
-                assert_window_parity(trace, name, split)
-
-
 @requires_numpy
 class TestAccounting:
     def test_counter_counts_one_per_trace_predictor_pair(self):
@@ -468,6 +363,79 @@ class TestAccounting:
         SIMULATION_COUNTER.reset()
         simulate_shard(trace, "fcm1", kernel="vector")
         assert SIMULATION_COUNTER.count == 1
+
+
+@requires_numpy
+class TestWorkerParity:
+    """The simulate worker returns the scalar reference shard on every path.
+
+    One simulate unit is one (trace, predictor) pair run by
+    :func:`execute_simulate_task` from a fresh predictor over the whole
+    trace.  Its payload carries the trace inline (in-process dispatch) or
+    as v3 bytes (pool and remote wire), and each kernel decodes it its own
+    way; all four combinations must return the same shard dict.
+    """
+
+    @pytest.mark.parametrize("transport", ("inline", "bytes"))
+    @pytest.mark.parametrize("kernel", ("scalar", "vector"))
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
+    def test_worker_shard_matches_reference(self, name, kernel, transport):
+        trace = synthetic_trace(*SCENARIOS[6])
+        task = SimulateTask(
+            benchmark="synthetic",
+            predictor=name,
+            trace_digest="unused",
+            predictor_signature=predictor_signature(name),
+        )
+        payload = task.payload(trace, inline=transport == "inline", kernel=kernel)
+        outcome = execute_simulate_task(payload)
+        reference = shard_to_dict(simulate_shard(trace, name, kernel="scalar"))
+        assert json.dumps(outcome["shard"]) == json.dumps(reference)
+        sidecar = outcome[TELEMETRY_KEY]
+        assert sidecar["kernel"] == kernel
+        assert sidecar["kernel_fallback"] is False
+        assert sidecar["predictor"] == name
+
+
+@requires_numpy
+class TestFreshPredictor:
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
+    def test_each_unit_starts_from_a_fresh_predictor(self, name):
+        # No predictor table and no memoised vector plan may carry state
+        # from one simulated trace into the next.
+        first = synthetic_trace(*SCENARIOS[0])
+        second = synthetic_trace(*SCENARIOS[4])
+        for kernel in ("scalar", "vector"):
+            alone = shard_to_dict(simulate_shard(second, name, kernel=kernel))
+            simulate_shard(first, name, kernel=kernel)
+            after = shard_to_dict(simulate_shard(second, name, kernel=kernel))
+            assert json.dumps(after) == json.dumps(alone), kernel
+
+
+@requires_numpy
+class TestShardAccounting:
+    """Each shard agrees with the predictor's own observe loop and stats."""
+
+    @pytest.mark.parametrize("kernel", ("scalar", "vector"))
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
+    def test_shard_agrees_with_predictor_statistics(self, name, kernel):
+        trace = synthetic_trace(*SCENARIOS[2])
+        predictor = create_predictor(name)
+        outcomes = [
+            predictor.observe(record.pc, record.value, record.category)
+            for record in trace.records
+        ]
+        shard = simulate_shard(trace, name, kernel=kernel)
+        result = shard.result
+        stats = predictor.stats
+        assert shard.record_count == len(trace)
+        assert shard.correctness == pack_outcomes(outcomes)
+        assert result.total == stats.lookups == len(trace)
+        assert result.correct == stats.correct == sum(outcomes)
+        assert result.category_total == stats.per_category_lookups
+        assert result.category_correct == stats.per_category_correct
+        assert sum(result.pc_correct.values()) == result.correct
+        assert sum(bin(byte).count("1") for byte in shard.correctness) == result.correct
 
 
 class TestKernelResolution:

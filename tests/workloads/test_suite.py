@@ -38,6 +38,11 @@ class TestWorkloadParameters:
         with pytest.raises(WorkloadError):
             get_workload("perl").run(scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(WorkloadError, match="finite"):
+            get_workload("perl").trace(scale=scale)
+
     def test_gcc_has_the_five_paper_inputs_and_four_flag_sets(self):
         gcc = get_workload("gcc")
         assert set(gcc.input_sets) == {"gcc.i", "jump.i", "emit-rtl.i", "recog.i", "stmt.i"}
