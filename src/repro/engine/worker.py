@@ -68,7 +68,10 @@ def execute_trace_task(payload: dict) -> dict:
     the parent never renders or re-parses text for a cold trace.  The
     canonical text form still exists transiently in the worker because the
     ``digest`` that keys the simulate phase is defined over it (see
-    ``docs/trace-format.md``).
+    ``docs/trace-format.md``).  The workload's trace comes straight from
+    the interpreter's columns (:func:`repro.trace.collector.collect_trace`),
+    and the text, the v3 bytes and the statistics are all rendered from
+    those columns: the worker builds no ``TraceRecord``.
     """
     started = time.perf_counter()
     workload = get_workload(payload["benchmark"])

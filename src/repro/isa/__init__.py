@@ -5,7 +5,8 @@ binaries and feeds the result value of every register-writing instruction to
 the predictors.  This package provides the equivalent substrate in pure
 Python: a small general-purpose-register ISA, a sparse memory, a program
 builder with symbolic labels, and an interpreter (:class:`Machine`) that
-retires instructions and reports each result value to an observer.
+compiles a program into closures and records every retired instruction and
+every result value as columns the trace collector reads.
 
 The instruction categories exactly mirror Table 3 of the paper
 (AddSub, Loads, Logic, Shift, Set, MultDiv, Lui, Other), plus the
@@ -17,7 +18,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.registers import RegisterFile, NUM_REGISTERS
 from repro.isa.memory import SparseMemory
 from repro.isa.program import Program, ProgramBuilder
-from repro.isa.machine import Machine, RetiredInstruction, ExecutionResult
+from repro.isa.machine import Machine, ExecutionResult
 
 __all__ = [
     "Opcode",
@@ -31,6 +32,5 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "Machine",
-    "RetiredInstruction",
     "ExecutionResult",
 ]

@@ -22,6 +22,29 @@ from repro.isa.opcodes import (
 #: Byte distance between consecutive instructions (MIPS-style word addressing).
 INSTRUCTION_SIZE = 4
 
+#: Opcodes that read no source register.
+_NO_SOURCE: frozenset[Opcode] = frozenset(
+    {Opcode.LUI, Opcode.LI, Opcode.JAL, Opcode.J, Opcode.NOP, Opcode.HALT}
+)
+#: Opcodes that read ``rs`` only; every other opcode reads ``rs`` and ``rt``.
+_RS_ONLY: frozenset[Opcode] = frozenset(
+    {
+        Opcode.ADDI,
+        Opcode.SUBI,
+        Opcode.ANDI,
+        Opcode.ORI,
+        Opcode.XORI,
+        Opcode.SLL,
+        Opcode.SRL,
+        Opcode.SRA,
+        Opcode.SLTI,
+        Opcode.MOV,
+        Opcode.LW,
+        Opcode.LB,
+        Opcode.JR,
+    }
+)
+
 
 @dataclass(frozen=True)
 class Instruction:
@@ -32,11 +55,14 @@ class Instruction:
     opcode:
         The operation to perform.
     rd:
-        Destination register index (``None`` for instructions without one).
+        Destination register index; required by every register-writing
+        opcode, ignored (and usually ``None``) for the others.
     rs:
-        First source register index.
+        First source register index; required by every opcode that reads
+        a register.
     rt:
-        Second source register index.
+        Second source register index; required by the register-register
+        forms, stores and conditional branches.
     imm:
         Immediate operand (shift amounts, address offsets, constants).
     target:
@@ -65,8 +91,15 @@ class Instruction:
             raise InvalidInstructionError(f"{self.opcode}: branch requires a target label")
         if self.opcode in (Opcode.J, Opcode.JAL) and self.target is None:
             raise InvalidInstructionError(f"{self.opcode}: jump requires a target label")
-        if self.opcode is Opcode.JR and self.rs is None:
-            raise InvalidInstructionError("jr requires a source register")
+        if is_predicted_opcode(self.opcode) and self.rd is None:
+            raise InvalidInstructionError(f"{self.opcode}: requires a destination register rd")
+        if self.opcode not in _NO_SOURCE:
+            sources = ("rs",) if self.opcode in _RS_ONLY else ("rs", "rt")
+            for name in sources:
+                if getattr(self, name) is None:
+                    raise InvalidInstructionError(
+                        f"{self.opcode}: requires a source register {name}"
+                    )
 
     @property
     def category(self) -> Category:
@@ -76,7 +109,7 @@ class Instruction:
     @property
     def writes_register(self) -> bool:
         """``True`` if the instruction writes a general purpose register."""
-        return is_predicted_opcode(self.opcode) and self.rd is not None
+        return is_predicted_opcode(self.opcode)
 
     @property
     def uses_immediate(self) -> bool:

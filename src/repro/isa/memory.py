@@ -17,6 +17,11 @@ from repro.isa.registers import wrap_value
 WORD_SIZE = 8
 
 
+def invalid_address(address: object) -> MemoryError_:
+    """The error raised for an access to ``address`` (negative or not an int)."""
+    return MemoryError_(f"invalid memory address {address!r}")
+
+
 class SparseMemory:
     """A sparse, lazily-allocated data memory.
 
@@ -35,8 +40,17 @@ class SparseMemory:
     @staticmethod
     def _word_index(address: int) -> int:
         if not isinstance(address, int) or address < 0:
-            raise MemoryError_(f"invalid memory address {address!r}")
+            raise invalid_address(address)
         return address // WORD_SIZE
+
+    @property
+    def words(self) -> dict[int, int]:
+        """The live mapping of word index (``address // WORD_SIZE``) to value.
+
+        The compiled interpreter accesses it directly; it must store only
+        wrapped values and check addresses as :meth:`load_word` does.
+        """
+        return self._words
 
     def load_word(self, address: int) -> int:
         """Return the signed 64-bit word containing byte ``address``."""

@@ -59,6 +59,16 @@ class RegisterFile:
         self._regs[index] = wrapped
         return wrapped
 
+    @property
+    def cells(self) -> list[int]:
+        """The live list of register values, indexed by register number.
+
+        The compiled interpreter reads and writes it directly instead of
+        calling :meth:`read`/:meth:`write` per step, so it must keep the
+        same invariants: every value wrapped, ``r0`` left at zero.
+        """
+        return self._regs
+
     def snapshot(self) -> tuple[int, ...]:
         """Return an immutable copy of all register values."""
         return tuple(self._regs)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import io
 import zlib
+from itertools import chain
+from operator import sub
 from pathlib import Path
 from typing import BinaryIO, TextIO
 from urllib.parse import quote, unquote
@@ -51,6 +53,9 @@ _FLAG_ZLIB_BODY = 0x01
 #: Stable opcode order used only as the *default* table layout; the binary
 #: header embeds the table it actually used, so files survive enum edits.
 _OPCODE_ORDER: tuple[Opcode, ...] = tuple(Opcode)
+
+#: Text-format mnemonic of each opcode (a dict lookup beats ``.value``).
+_MNEMONIC: dict[Opcode, str] = {opcode: opcode.value for opcode in Opcode}
 
 
 # --------------------------------------------------------------------------- #
@@ -99,6 +104,18 @@ def _encode_svarint(value: int) -> bytes:
     return encode_uvarint(_zigzag(value))
 
 
+class _SvarintTable(dict):
+    """Memo of :func:`_encode_svarint`: ``table[value]`` is its encoding.
+
+    Trace fields repeat heavily (deltas, opcodes, predictable values), so
+    the encoder looks each field up here, at C speed on a hit.
+    """
+
+    def __missing__(self, value: int) -> bytes:
+        encoded = self[value] = _encode_svarint(value)
+        return encoded
+
+
 def _decode_svarint(data: bytes | memoryview, offset: int) -> tuple[int, int]:
     raw, offset = decode_uvarint(data, offset)
     return _unzigzag(raw), offset
@@ -113,12 +130,18 @@ def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
     The name is percent-encoded so that whitespace (or ``=``) in a trace
     name cannot corrupt the space-separated ``key=value`` header fields.
     """
+    columns = trace.record_columns()
     destination.write(
         f"{_HEADER_PREFIX} v{_FORMAT_VERSION} name={quote(trace.name, safe='')} "
-        f"total={trace.total_dynamic_instructions} records={len(trace)}\n"
+        f"total={trace.total_dynamic_instructions} records={len(columns.values)}\n"
     )
-    for record in trace:
-        destination.write(f"{record.serial} {record.pc} {record.opcode.value} {record.value}\n")
+    mnemonics = map(_MNEMONIC.__getitem__, columns.opcodes)
+    destination.writelines(
+        f"{serial} {pc} {mnemonic} {value}\n"
+        for serial, pc, mnemonic, value in zip(
+            columns.serials, columns.pcs, mnemonics, columns.values
+        )
+    )
 
 
 def dumps_trace(trace: ValueTrace) -> str:
@@ -205,20 +228,24 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     the body — not the header — through zlib and sets flag bit 0, so the
     record count and name stay inspectable without inflating anything.
     """
-    opcode_index = {opcode: index for index, opcode in enumerate(_OPCODE_ORDER)}
-    body = bytearray()
-    previous_serial = 0
-    previous_pc = 0
-    for record in trace:
-        body += _encode_svarint(record.serial - previous_serial)
-        body += _encode_svarint(record.pc - previous_pc)
-        body += encode_uvarint(opcode_index[record.opcode])
-        body += _encode_svarint(record.value)
-        previous_serial = record.serial
-        previous_pc = record.pc
+    columns = trace.record_columns()
+    svarint = _SvarintTable()
+    opcode_index = {opcode: encode_uvarint(index) for index, opcode in enumerate(_OPCODE_ORDER)}
+    body = io.BytesIO()
+    # writelines, not b"".join: join holds a buffer descriptor per part.
+    body.writelines(
+        chain.from_iterable(
+            zip(
+                map(svarint.__getitem__, map(sub, columns.serials, chain((0,), columns.serials))),
+                map(svarint.__getitem__, map(sub, columns.pcs, chain((0,), columns.pcs))),
+                map(opcode_index.__getitem__, columns.opcodes),
+                map(svarint.__getitem__, columns.values),
+            )
+        )
+    )
+    body_bytes = body.getvalue()
 
     flags = 0
-    body_bytes = bytes(body)
     if compress:
         flags |= _FLAG_ZLIB_BODY
         body_bytes = zlib.compress(body_bytes, level=6)
@@ -230,7 +257,7 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     out += encode_uvarint(len(name_bytes))
     out += name_bytes
     out += encode_uvarint(trace.total_dynamic_instructions)
-    out += encode_uvarint(len(trace))
+    out += encode_uvarint(len(columns.values))
     out += encode_uvarint(len(_OPCODE_ORDER))
     for opcode in _OPCODE_ORDER:
         mnemonic = opcode.value.encode("ascii")
@@ -552,20 +579,18 @@ def trace_columns(trace: ValueTrace) -> TraceColumns | None:
         import numpy as np
     except ImportError:
         return None
-    records = trace.records
-    count = len(records)
+    fields = trace.record_columns()
+    count = len(fields.values)
     index = {opcode: code for code, opcode in enumerate(_OPCODE_ORDER)}
     categories, op_to_cat = _category_mapping(_OPCODE_ORDER)
     try:
-        serials = np.fromiter((r.serial for r in records), dtype=np.int64, count=count)
-        pcs = np.fromiter((r.pc for r in records), dtype=np.int64, count=count)
-        values = np.fromiter((r.value for r in records), dtype=np.int64, count=count)
+        serials = np.fromiter(fields.serials, dtype=np.int64, count=count)
+        pcs = np.fromiter(fields.pcs, dtype=np.int64, count=count)
+        values = np.fromiter(fields.values, dtype=np.int64, count=count)
     except OverflowError:
         trace._columns = None
         return None
-    opcode_codes = np.fromiter(
-        (index[r.opcode] for r in records), dtype=np.int64, count=count
-    )
+    opcode_codes = np.fromiter(map(index.__getitem__, fields.opcodes), dtype=np.int64, count=count)
     category_codes = np.asarray(op_to_cat, dtype=np.int64)[opcode_codes]
     columns = TraceColumns(
         trace.name, trace.total_dynamic_instructions, serials, pcs, values,

@@ -1,19 +1,20 @@
 """Container for value traces, with summary statistics.
 
-A :class:`ValueTrace` is an immutable-by-convention list of
-:class:`TraceRecord` objects plus the name of the workload that produced it
-and the number of dynamic instructions retired in total (needed to report the
-"fraction predicted" column of Table 2).
+A :class:`ValueTrace` is an immutable-by-convention sequence of
+:class:`TraceRecord` objects (stored as records or as columns) plus the name
+of the workload that produced it and the number of dynamic instructions
+retired in total (needed to report the "fraction predicted" column of
+Table 2).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import TraceError
-from repro.isa.opcodes import Category
+from repro.isa.opcodes import Category, Opcode
 from repro.trace.record import TraceRecord
 
 
@@ -45,8 +46,30 @@ class TraceStatistics:
         }
 
 
+class RecordColumns(NamedTuple):
+    """A trace's records as parallel columns, in program order.
+
+    Row ``k`` of every column describes the trace's ``k``-th record; the
+    fields are in :class:`TraceRecord`'s field order.
+    """
+
+    serials: Sequence[int]
+    pcs: Sequence[int]
+    opcodes: Sequence[Opcode]
+    categories: Sequence[Category]
+    values: Sequence[int]
+
+
 class ValueTrace:
-    """An ordered collection of predicted-instruction trace records."""
+    """An ordered collection of predicted-instruction trace records.
+
+    A trace is backed either by :class:`TraceRecord` objects (traces built
+    from records or loaded from a file) or by :class:`RecordColumns` (the
+    traces :func:`repro.trace.collector.collect_trace` builds).  Readers
+    that visit every record in order go through :meth:`record_columns`,
+    which serves both; :attr:`records` of a column-backed trace is built
+    on first access and kept.
+    """
 
     def __init__(
         self,
@@ -55,22 +78,39 @@ class ValueTrace:
         total_dynamic_instructions: int | None = None,
     ) -> None:
         self.name = name
-        self._records: list[TraceRecord] = list(records)
+        self._records: list[TraceRecord] | None = list(records)
+        self._record_columns: RecordColumns | None = None
         self._total_dynamic_instructions = total_dynamic_instructions
+
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        columns: RecordColumns,
+        total_dynamic_instructions: int | None = None,
+    ) -> "ValueTrace":
+        """A trace over ``columns``, building no :class:`TraceRecord` yet."""
+        trace = cls(name)
+        trace._records = None
+        trace._record_columns = columns
+        if total_dynamic_instructions is not None:
+            trace.set_total_dynamic_instructions(total_dynamic_instructions)
+        return trace
 
     # ------------------------------------------------------------------ #
     # Mutation (used only while a trace is being collected)
     # ------------------------------------------------------------------ #
     def append(self, record: TraceRecord) -> None:
         """Append a record to the trace (collection-time only)."""
-        self._records.append(record)
+        self.records.append(record)
+        self._record_columns = None
 
     def set_total_dynamic_instructions(self, total: int) -> None:
         """Record the total dynamic instruction count of the producing run."""
-        if total < len(self._records):
+        if total < len(self):
             raise TraceError(
                 "total dynamic instructions cannot be smaller than the number of "
-                f"predicted records ({total} < {len(self._records)})"
+                f"predicted records ({total} < {len(self)})"
             )
         self._total_dynamic_instructions = total
 
@@ -80,32 +120,49 @@ class ValueTrace:
     @property
     def records(self) -> list[TraceRecord]:
         """The trace records in program order."""
+        if self._records is None:
+            self._records = list(map(TraceRecord, *self._record_columns))
         return self._records
+
+    def record_columns(self) -> RecordColumns:
+        """The records as columns, without building records that do not exist."""
+        if self._record_columns is not None:
+            return self._record_columns
+        records = self._records
+        return RecordColumns(
+            serials=[record.serial for record in records],
+            pcs=[record.pc for record in records],
+            opcodes=[record.opcode for record in records],
+            categories=[record.category for record in records],
+            values=[record.value for record in records],
+        )
 
     @property
     def total_dynamic_instructions(self) -> int:
         """Total dynamic instructions (predicted + non-predicted)."""
         if self._total_dynamic_instructions is None:
-            return len(self._records)
+            return len(self)
         return self._total_dynamic_instructions
 
     def __len__(self) -> int:
+        if self._record_columns is not None:
+            return len(self._record_columns.values)
         return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return ValueTrace(
                 self.name,
-                self._records[index],
+                self.records[index],
                 total_dynamic_instructions=None,
             )
-        return self._records[index]
+        return self.records[index]
 
     def __bool__(self) -> bool:
-        return bool(self._records)
+        return len(self) > 0
 
     # ------------------------------------------------------------------ #
     # Derived views
@@ -113,7 +170,7 @@ class ValueTrace:
     def static_pcs(self) -> list[int]:
         """Distinct static PCs appearing in the trace, in first-seen order."""
         seen: dict[int, None] = {}
-        for record in self._records:
+        for record in self.records:
             if record.pc not in seen:
                 seen[record.pc] = None
         return list(seen)
@@ -121,7 +178,7 @@ class ValueTrace:
     def values_by_pc(self) -> dict[int, list[int]]:
         """Map each static PC to the ordered list of values it produced."""
         grouped: dict[int, list[int]] = defaultdict(list)
-        for record in self._records:
+        for record in self.records:
             grouped[record.pc].append(record.value)
         return dict(grouped)
 
@@ -129,30 +186,32 @@ class ValueTrace:
         """Return a sub-trace containing only the given category."""
         return ValueTrace(
             f"{self.name}:{category.value}",
-            [record for record in self._records if record.category is category],
+            [record for record in self.records if record.category is category],
         )
 
     def category_counts(self) -> Counter:
         """Dynamic record count per category."""
-        return Counter(record.category for record in self._records)
+        return Counter(record.category for record in self.records)
 
     def statistics(self) -> TraceStatistics:
-        """Compute the Table 2 / Tables 4-5 style statistics for this trace."""
-        dynamic_counts: Counter = Counter()
-        static_pcs_by_category: dict[Category, set[int]] = defaultdict(set)
-        for record in self._records:
-            dynamic_counts[record.category] += 1
-            static_pcs_by_category[record.category].add(record.pc)
+        """Compute the Table 2 / Tables 4-5 style statistics for this trace.
+
+        Both category maps list categories in order of first appearance.
+        """
+        columns = self.record_columns()
+        dynamic_counts: dict[Category, int] = {}
+        static_counts: dict[Category, int] = {}
+        for (category, _pc), count in Counter(zip(columns.categories, columns.pcs)).items():
+            dynamic_counts[category] = dynamic_counts.get(category, 0) + count
+            static_counts[category] = static_counts.get(category, 0) + 1
         return TraceStatistics(
             name=self.name,
             total_dynamic_instructions=self.total_dynamic_instructions,
-            predicted_instructions=len(self._records),
-            static_instruction_count=len(self.static_pcs()),
-            category_dynamic_counts=dict(dynamic_counts),
-            category_static_counts={
-                category: len(pcs) for category, pcs in static_pcs_by_category.items()
-            },
+            predicted_instructions=len(columns.values),
+            static_instruction_count=len(set(columns.pcs)),
+            category_dynamic_counts=dynamic_counts,
+            category_static_counts=static_counts,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ValueTrace(name={self.name!r}, records={len(self._records)})"
+        return f"ValueTrace(name={self.name!r}, records={len(self)})"

@@ -8,10 +8,15 @@ construct their own tiny traces instead.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.registry import PAPER_PREDICTORS
 from repro.simulation.campaign import QUICK_SCALE, run_campaign
 from repro.workloads.suite import get_workload
+
+#: ``pytest --hypothesis-profile=nightly``: the scheduled CI run's long search
+#: (tests that pin ``max_examples`` in their own ``@settings`` keep it).
+settings.register_profile("nightly", max_examples=10_000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExecutionError, ExecutionLimitExceeded
-from repro.isa.machine import Machine, run_program
+from repro.errors import ExecutionError, ExecutionLimitExceeded, MemoryError_
+from repro.isa.machine import Machine
 from repro.isa.memory import SparseMemory
+from repro.isa.opcodes import Opcode
 from repro.isa.program import ProgramBuilder
+from repro.trace.collector import collect_trace
 
 
 def execute(build, memory=None, max_instructions=100_000):
@@ -212,20 +214,88 @@ class TestExecutionControl:
         assert result.register_writes == 3
         assert result.fraction_predicted() == pytest.approx(0.75)
 
-    def test_observer_sees_every_retired_instruction(self):
-        events = []
+    def test_collected_trace_holds_every_register_write(self):
+        builder = ProgramBuilder("observed")
+        builder.li(1, 1)
+        builder.addi(1, 1, 1)
+        builder.sw(1, 0, 0)
+        trace, result = collect_trace(builder.build())
+        assert result.retired_instructions == 3
+        assert trace.total_dynamic_instructions == 3
+        # The store retires (serial 2) but writes no register: no record.
+        assert [record.serial for record in trace] == [0, 1]
+        assert [record.value for record in trace] == [1, 2]
+        assert [record.opcode for record in trace] == [Opcode.LI, Opcode.ADDI]
 
+    def test_exact_budget_then_halt_succeeds(self):
         def build(b):
             b.li(1, 1)
-            b.addi(1, 1, 1)
-            b.sw(1, 0, 0)
+            b.li(2, 2)
+            b.li(3, 3)
 
-        builder = ProgramBuilder("observed")
-        build(builder)
+        _, result = execute(build, max_instructions=3)
+        assert result.halted
+        assert result.retired_instructions == 3
+        with pytest.raises(ExecutionLimitExceeded):
+            execute(build, max_instructions=2)
+
+    def test_branch_to_end_label_leaves_the_program(self):
+        builder = ProgramBuilder("falls-off")
+        builder.li(1, 1)
+        builder.j("end")
+        builder.halt()
+        builder.label("end")
         program = builder.build()
-        run_program(program, observers=[lambda event, instr: events.append(event)])
-        assert len(events) == 3
-        assert events[0].value == 1
-        assert events[1].value == 2
-        assert events[2].value is None  # stores produce no register value
-        assert [event.serial for event in events] == [0, 1, 2]
+        assert program.labels["end"] == len(program)
+        with pytest.raises(ExecutionError, match="outside the program"):
+            Machine(program).run()
+
+    def test_budget_spent_on_the_way_out_still_reports_leaving(self):
+        builder = ProgramBuilder("falls-off")
+        builder.j("end")
+        builder.halt()
+        builder.label("end")
+        with pytest.raises(ExecutionError, match="outside the program") as caught:
+            Machine(builder.build(), max_instructions=1).run()
+        assert not isinstance(caught.value, ExecutionLimitExceeded)
+
+    def test_negative_jr_index_is_rejected_not_wrapped(self):
+        def build(b):
+            b.li(1, -4)
+            b.jr(1)
+
+        with pytest.raises(ExecutionError, match="outside the program"):
+            execute(build)
+
+    def test_misaligned_jr_target_is_rejected(self):
+        def build(b):
+            b.li(1, 6)
+            b.li(2, 7)
+            b.jr(1)
+
+        with pytest.raises(ExecutionError, match="byte address 6"):
+            execute(build)
+
+    def test_negative_address_raises_memory_error(self):
+        def build(b):
+            b.li(1, -8)
+            b.lw(2, 1, 0)
+
+        with pytest.raises(MemoryError_):
+            execute(build)
+
+    def test_write_to_r0_is_recorded_as_zero(self):
+        builder = ProgramBuilder("r0")
+        builder.li(0, 5)
+        builder.addi(1, 0, 3)
+        trace, _ = collect_trace(builder.build())
+        assert [record.value for record in trace] == [0, 3]
+
+    def test_final_registers_are_visible_after_run(self):
+        def build(b):
+            b.li(1, -(2**63))
+            b.subi(2, 1, 1)   # wraps around to the largest positive value
+
+        machine, _ = execute(build)
+        assert machine.registers[2] == 2**63 - 1
+        assert machine.registers.snapshot()[0] == 0

@@ -25,6 +25,22 @@ class TestInstruction:
         with pytest.raises(InvalidInstructionError):
             Instruction(Opcode.JR)
 
+    def test_register_writing_opcode_requires_rd(self):
+        with pytest.raises(InvalidInstructionError, match="destination register"):
+            Instruction(Opcode.ADD, rs=1, rt=2)
+        with pytest.raises(InvalidInstructionError, match="destination register"):
+            Instruction(Opcode.LI, imm=3)
+
+    def test_source_registers_required(self):
+        with pytest.raises(InvalidInstructionError, match="source register rt"):
+            Instruction(Opcode.ADD, rd=1, rs=2)
+        with pytest.raises(InvalidInstructionError, match="source register rs"):
+            Instruction(Opcode.LW, rd=1, imm=8)
+        # Immediate forms need no rt; li/lui/j/nop/halt read no register.
+        Instruction(Opcode.ADDI, rd=1, rs=2, imm=7)
+        Instruction(Opcode.LUI, rd=1, imm=7)
+        Instruction(Opcode.NOP)
+
     def test_category_and_write_properties(self):
         add = Instruction(Opcode.ADD, rd=1, rs=2, rt=3)
         store = Instruction(Opcode.SW, rt=1, rs=2)
