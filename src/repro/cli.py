@@ -19,15 +19,10 @@ Subcommands
 ``cache``
     Inspect and manage a persistent result cache: ``stats``, ``gc``,
     ``clear``, ``verify`` (see ``docs/cache-layout.md``).
-``worker``
-    Run a warm worker process serving the remote executor backend
-    (``worker serve --listen HOST:PORT``); engines dispatch to it with
-    ``--backend remote --workers HOST:PORT[,HOST:PORT...]`` (see the
-    "Distributed execution" section of ``docs/architecture.md``).
 ``inspect``
     Summarize a recorded telemetry run directory (written by
     ``--telemetry-dir``): phase breakdown, slowest tasks, cache hit
-    ratio, per-worker utilization (see ``docs/observability.md``).
+    ratio (see ``docs/observability.md``).
 ``simulate``
     Run a chosen set of predictors over one benchmark and print accuracy.
 ``workloads`` / ``predictors``
@@ -291,29 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cache-dir", required=True, help="result cache directory to operate on"
         )
 
-    worker = subparsers.add_parser(
-        "worker", help="run a worker process for the remote executor backend"
-    )
-    worker_commands = worker.add_subparsers(dest="worker_command", required=True)
-    worker_serve = worker_commands.add_parser(
-        "serve", help="serve trace/simulate tasks for remote engines until interrupted"
-    )
-    worker_serve.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="address to listen on (default 127.0.0.1:0: loopback, free port; "
-        "the chosen address is printed on startup)",
-    )
-    worker_serve.add_argument(
-        "--stats-interval",
-        type=float,
-        default=None,
-        metavar="N",
-        help="print a serving-stats line (tasks, bytes, uptime) to stderr "
-        "every N seconds (default: silent)",
-    )
-
     inspect = subparsers.add_parser(
         "inspect",
         help="summarize a telemetry run directory written by --telemetry-dir",
@@ -372,19 +344,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="executor backend: 'serial' runs in-process (no pickling), 'pool' "
         "starts a fresh worker pool per dispatch, 'persistent' keeps warm "
-        "worker processes across phases and runs, 'remote' dispatches to "
-        "'repro-vp worker serve' processes named by --workers (default: "
-        "serial when --jobs is 1, pool otherwise); results are identical "
-        "across backends",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="comma-separated addresses of running 'repro-vp worker serve' "
-        "processes; implies --backend remote, for which --jobs becomes the "
-        "per-worker in-flight limit",
+        "worker processes across phases and runs (default: serial when "
+        "--jobs is 1, pool otherwise); results are identical across backends",
     )
     parser.add_argument(
         "--cache-dir",
@@ -465,29 +426,13 @@ def _parse_scale(text: str) -> float:
     return scale
 
 
-def _parse_workers(text: str) -> tuple[str, ...]:
-    """Parse a comma-separated ``host:port[,host:port...]`` worker list."""
-    from repro.engine.remote import parse_worker_address
-
-    addresses = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not addresses:
-        raise argparse.ArgumentTypeError("empty --workers list")
-    for address in addresses:
-        try:
-            parse_worker_address(address)
-        except ValueError as error:
-            raise argparse.ArgumentTypeError(str(error)) from None
-    return addresses
-
-
 def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
     """Build the engine configuration from the shared engine flags.
 
     The one place ``reproduce``, ``experiments``, ``campaign`` and
-    ``sweep`` turn their flags into an :class:`EngineConfig`.  An
-    invalid combination (``--backend remote`` without ``--workers``,
-    ``--workers`` with a local backend, a kernel that cannot run here)
-    prints its one-line error and returns ``None``; the caller exits 2.
+    ``sweep`` turn their flags into an :class:`EngineConfig`.  A kernel
+    that cannot run here prints its one-line error and returns ``None``;
+    the caller exits 2.
     """
     try:
         return EngineConfig(
@@ -497,10 +442,9 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
             cache_max_bytes=args.cache_max_bytes,
             cache_max_age=args.cache_max_age,
             backend=args.backend,
-            workers=args.workers,
             kernel=args.kernel,
         )
-    except (ValueError, SimulationError) as error:
+    except SimulationError as error:
         print(error, file=sys.stderr)
         return None
 
@@ -627,7 +571,7 @@ def _command_experiments(args: argparse.Namespace) -> int:
             try:
                 artifact = run_experiment(name, **kwargs)
             except DispatchError as error:
-                # Same surface as campaign/sweep: a lost fleet is an
+                # Same surface as campaign/sweep: a dead worker is an
                 # operational error, not a crash; completed units are cached.
                 print(error, file=sys.stderr)
                 return 1
@@ -664,9 +608,9 @@ def _command_campaign(args: argparse.Namespace) -> int:
                     scale=scale, predictors=tuple(args.predictors), benchmarks=tuple(args.benchmarks)
                 )
             except DispatchError as error:
-                # Backend infrastructure failed (e.g. the remote fleet was
-                # lost); completed units are already cached, so a rerun
-                # resumes where this one stopped.
+                # Backend infrastructure failed (a worker process died);
+                # completed units are already cached, so a rerun resumes
+                # where this one stopped.
                 print(error, file=sys.stderr)
                 return 1
     finally:
@@ -893,41 +837,6 @@ def _cache_verify(cache: ResultCache, args: argparse.Namespace) -> int:
     return 0 if args.remove else 1
 
 
-def _command_worker(args: argparse.Namespace) -> int:
-    if args.worker_command != "serve":
-        return 2
-    import signal
-
-    from repro.engine.remote import WorkerServer, parse_worker_address
-
-    try:
-        host, port = parse_worker_address(args.listen, allow_ephemeral=True)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    server = WorkerServer(host, port)
-    server.start()
-    # The parseable ready line CI and scripts wait for (port 0 resolves to
-    # the actual bound port here).
-    print(f"worker listening on {server.address}", flush=True)
-
-    def _stop(signum, frame):
-        server.stop()
-
-    signal.signal(signal.SIGTERM, _stop)
-    try:
-        server.serve_forever(stats_interval=args.stats_interval)
-    except KeyboardInterrupt:
-        server.stop()
-    print(
-        f"worker stopped: {server.tasks_served} tasks over "
-        f"{server.connections_served} connections "
-        f"({server.handshakes_rejected} handshakes rejected)",
-        flush=True,
-    )
-    return 0
-
-
 def _command_inspect(args: argparse.Namespace) -> int:
     from repro.engine.telemetry import summarize_run
 
@@ -956,8 +865,6 @@ def _command_inspect(args: argparse.Namespace) -> int:
         value = manifest.get(field)
         if value is not None:
             print(f"  {field}: {value}")
-    if manifest.get("workers"):
-        print(f"  workers: {', '.join(manifest['workers'])}")
 
     if summary["phases"]:
         rows = [
@@ -1035,45 +942,6 @@ def _command_inspect(args: argparse.Namespace) -> int:
             )
     else:
         print("cache: no activity recorded")
-
-    if summary["workers"]:
-        rows = [
-            [
-                worker.get("worker", "?"),
-                worker.get("pid", ""),
-                worker.get("tasks", 0),
-                worker.get("busy_seconds", 0.0),
-                f"{worker.get('utilization', 0.0):.0%}",
-                worker.get("peak_in_flight", 0),
-                worker.get("bytes_sent", 0),
-                worker.get("bytes_received", 0),
-            ]
-            for worker in summary["workers"]
-        ]
-        print()
-        print(
-            format_table(
-                [
-                    "worker",
-                    "pid",
-                    "tasks",
-                    "busy s",
-                    "util",
-                    "peak in-flight",
-                    "B sent",
-                    "B recv",
-                ],
-                rows,
-                title="Remote workers (per dispatch)",
-            )
-        )
-    if summary["redispatches"]:
-        print()
-        for event in summary["redispatches"]:
-            print(
-                f"re-dispatch: {event.get('units', 0)} unit(s) from "
-                f"{event.get('worker', '?')} ({event.get('reason', 'unknown')})"
-            )
     return status
 
 
@@ -1128,8 +996,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _command_sweep(args)
     if args.command == "cache":
         return _command_cache(args)
-    if args.command == "worker":
-        return _command_worker(args)
     if args.command == "inspect":
         return _command_inspect(args)
     if args.command == "simulate":

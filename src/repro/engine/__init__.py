@@ -13,7 +13,7 @@ The :class:`ExecutionEngine` schedules those units through the shared
 phase executor (:mod:`repro.engine.phases` — one probe → dispatch → put
 protocol for campaigns and sweeps alike) onto a pluggable
 :class:`ExecutorBackend` (:mod:`repro.engine.backends`: in-process serial,
-per-dispatch ``multiprocessing`` pool, or persistent warm workers), and
+a per-dispatch process pool, or persistent warm workers), and
 backs both task kinds with a content-addressed on-disk cache keyed by
 (workload, scale, trace digest, predictor configuration), so warm reruns
 skip tracing and simulation entirely — across processes, not just within
@@ -52,7 +52,6 @@ from repro.engine.fingerprint import (
 )
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import ConsoleProgress, NullProgress, ProgressListener
-from repro.engine.remote import RemoteBackend, WorkerServer, parse_worker_address
 from repro.engine.scheduler import EngineStats, ExecutionEngine
 from repro.engine.sweeps import (
     SweepPoint,
@@ -93,7 +92,6 @@ __all__ = [
     "PhaseTask",
     "PoolBackend",
     "ProgressListener",
-    "RemoteBackend",
     "ResultCache",
     "SerialBackend",
     "SimulateTask",
@@ -106,10 +104,8 @@ __all__ = [
     "RunTelemetry",
     "TraceTask",
     "VerifyReport",
-    "WorkerServer",
     "clear_sweep_cache",
     "execute_sweep",
-    "parse_worker_address",
     "read_manifest",
     "read_metrics",
     "resolve_backend",

@@ -4,32 +4,36 @@ The phase executor (:mod:`repro.engine.phases`) is backend-agnostic: it
 hands an :class:`ExecutorBackend` a worker function plus a list of
 JSON-compatible payloads and expects the outcomes back **in input order**,
 with a completion callback per unit for live progress.  Three
-implementations cover the local spectrum (a fourth,
-:class:`repro.engine.remote.RemoteBackend`, dispatches over TCP to
-``repro-vp worker serve`` processes — see :mod:`repro.engine.remote`):
+implementations cover one machine:
 
 * :class:`SerialBackend` — everything in-process, no pickling.  Payloads
   may carry live objects (``inline_payloads`` is always true), tracebacks
   stay readable, and there is zero process overhead: the right choice for
   debugging and small runs, and the reference semantics the other
   backends must reproduce bit-identically.
-* :class:`PoolBackend` — a fresh ``multiprocessing`` pool per dispatch,
-  the engine's historical ``jobs > 1`` behaviour.  Each phase pays the
-  pool's interpreter + import startup once, which amortises well over
-  large phases.
+* :class:`PoolBackend` — a fresh process pool per dispatch, the engine's
+  historical ``jobs > 1`` behaviour.  Each phase pays the pool's
+  fork + start-up cost once, which amortises well over large phases.
 * :class:`PersistentWorkerBackend` — worker subprocesses spawned once,
   on first use, and kept warm across phases *and* across engine runs for
   the lifetime of the backend object.  Repeated small dispatches (a
   campaign's trace phase followed by its simulate phase, a CLI process
-  running several sweeps) skip the per-dispatch fork/import cost the
-  pool backend pays every time.
+  running several sweeps) skip the per-dispatch fork cost the pool
+  backend pays every time.
 
 Because a backend only changes *where* a work unit executes — payloads and
 outcomes are the same JSON dicts everywhere — results are bit-identical
 across backends for every cache temperature; ``tests/engine/test_backends.py``
-and ``tests/engine/test_remote_backend.py`` pin that parity.  The remote
-backend slots in without touching the task, phase or cache layers —
-exactly the seam this module exists to provide.
+pins that parity.
+
+Both process backends run on :class:`concurrent.futures.ProcessPoolExecutor`.
+A work unit's own exception reaches the caller with its original type; a
+worker process that dies mid-dispatch (killed, out of memory) breaks the
+executor, and the dispatch raises :class:`~repro.errors.DispatchError`
+instead of waiting forever for an outcome that will never arrive.  Closing
+a pool, whether a dispatch succeeded or failed, terminates its workers, so
+an error (a task's, a progress callback's, a ``KeyboardInterrupt``)
+reaches the caller without waiting for the units still running.
 
 Worker processes are forked from the parent, so they inherit the predictor
 registry as of backend start-up.  A registry re-binding made *after* a
@@ -43,12 +47,16 @@ from __future__ import annotations
 import multiprocessing
 import time
 import weakref
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine.telemetry import NULL_TELEMETRY
+from repro.errors import DispatchError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Names accepted by :func:`resolve_backend` and the CLI's ``--backend``.
-BACKEND_NAMES = ("serial", "pool", "persistent", "remote")
+BACKEND_NAMES = ("serial", "pool", "persistent")
 
 
 class ExecutorBackend:
@@ -126,17 +134,44 @@ def _map_serial(
     return results
 
 
-def _map_pool(
-    pool,
+def _new_executor(workers: int) -> ProcessPoolExecutor:
+    # Imported here so that serial runs never load the executor's modules.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context())
+
+
+def _map_executor(
+    executor: ProcessPoolExecutor,
     function: Callable[[dict], dict],
     payloads: Sequence[dict],
     on_result: Callable[[int], None] | None,
 ) -> list[dict]:
+    """Submit every unit, then collect the outcomes in input order.
+
+    A dead worker breaks the executor, which fails every unfinished
+    future at once; that surfaces as :class:`DispatchError`.  Any other
+    exception (a task's own, or one from ``on_result``) propagates as is.
+    Either way the units not yet started are cancelled.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = []
     results: list[dict] = []
-    for index, outcome in enumerate(pool.imap(function, payloads)):
-        results.append(outcome)
-        if on_result is not None:
-            on_result(index)
+    try:
+        futures = [executor.submit(function, payload) for payload in payloads]
+        for index, future in enumerate(futures):
+            results.append(future.result())
+            if on_result is not None:
+                on_result(index)
+    except BrokenProcessPool as error:
+        raise DispatchError(
+            f"a worker process died after {len(results)} of {len(payloads)} "
+            f"unit(s) returned ({error})"
+        ) from error
+    finally:
+        for future in futures[len(results) :]:
+            future.cancel()
     return results
 
 
@@ -154,7 +189,7 @@ class SerialBackend(ExecutorBackend):
 
 
 class PoolBackend(ExecutorBackend):
-    """A fresh ``multiprocessing`` pool per dispatch (historical ``jobs > 1``).
+    """A fresh process pool per dispatch (historical ``jobs > 1``).
 
     A dispatch of at most one unit runs in-process instead — spinning up a
     pool for a single task costs more than it saves — which is why
@@ -183,19 +218,26 @@ class PoolBackend(ExecutorBackend):
             "dispatch", backend=self.name, units=len(payloads), workers=workers
         ) as span:
             pool_started = time.perf_counter()
-            with multiprocessing.get_context().Pool(processes=workers) as pool:
-                # Startup is the pool backend's recurring cost (fork +
-                # interpreter import per dispatch) — the number the
-                # persistent backend exists to amortise away.
+            executor = _new_executor(workers)
+            try:
+                # Startup is the pool backend's recurring cost (one fork
+                # per worker per dispatch) — the number the persistent
+                # backend exists to amortise away.
                 span.set(startup_seconds=time.perf_counter() - pool_started)
-                return _map_pool(pool, function, payloads, on_result)
+                return _map_executor(executor, function, payloads, on_result)
+            finally:
+                _terminate_executor(executor)
 
 
-def _shutdown_pool(pool) -> None:
-    """Terminate a worker pool promptly (finalizer-safe)."""
+def _terminate_executor(executor: ProcessPoolExecutor) -> None:
+    """Stop a worker pool now, killing units still running (finalizer-safe)."""
     try:
-        pool.terminate()
-        pool.join()
+        # The executor has no public way to stop running work; terminating
+        # its workers makes it fail what is left, after which shutdown no
+        # longer waits.  Read before shutdown, which drops the reference.
+        for process in list((executor._processes or {}).values()):
+            process.terminate()
+        executor.shutdown(wait=True, cancel_futures=True)
     except Exception:
         pass
 
@@ -205,17 +247,19 @@ class PersistentWorkerBackend(ExecutorBackend):
 
     The pool is spawned lazily on the first dispatch and kept alive until
     :meth:`close` (or garbage collection / interpreter exit via a
-    ``weakref`` finalizer — workers are daemonic either way, so they can
-    never outlive the parent).  Every dispatch goes to the warm workers,
+    ``weakref`` finalizer).  Every dispatch goes to the warm workers,
     including single-unit ones, so ``inline_payloads`` is always false and
-    payloads must stay picklable.
+    payloads must stay picklable.  A dispatch that loses a worker raises
+    :class:`DispatchError` and drops the broken pool, so the next dispatch
+    starts a fresh one; a worker that dies while idle between dispatches
+    loses no unit, so the next dispatch just replaces the broken pool.
     """
 
     name = "persistent"
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
-        self._pool = None
+        self._executor: ProcessPoolExecutor | None = None
         self._finalizer = None
 
     def inline_payloads(self, task_count: int) -> bool:
@@ -224,16 +268,19 @@ class PersistentWorkerBackend(ExecutorBackend):
     def parallel_slots(self) -> int:
         return self.jobs
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = multiprocessing.get_context().Pool(processes=self.jobs)
-            self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-        return self._pool
+    def _ensure_executor(self) -> ProcessPoolExecutor:
+        if self._executor is None:
+            self._executor = _new_executor(self.jobs)
+            self._finalizer = weakref.finalize(self, _terminate_executor, self._executor)
+        return self._executor
 
     def map(self, function, payloads, on_result=None):
         if not payloads:
             return []
-        warm = self._pool is not None
+        # The executor sets ``_broken`` as soon as any worker dies, busy or not.
+        if self._executor is not None and self._executor._broken:
+            self.close()
+        warm = self._executor is not None
         with self.telemetry.span(
             "dispatch",
             backend=self.name,
@@ -241,30 +288,27 @@ class PersistentWorkerBackend(ExecutorBackend):
             workers=self.jobs,
             warm=warm,
         ):
-            return _map_pool(self._ensure_pool(), function, payloads, on_result)
+            try:
+                return _map_executor(self._ensure_executor(), function, payloads, on_result)
+            except DispatchError:
+                self.close()
+                raise
 
     def close(self) -> None:
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
-        self._pool = None
+        self._executor = None
 
 
-def resolve_backend(
-    backend: "str | ExecutorBackend | None",
-    jobs: int,
-    workers: "Sequence[str] | None" = None,
-) -> ExecutorBackend:
+def resolve_backend(backend: "str | ExecutorBackend | None", jobs: int) -> ExecutorBackend:
     """Map an engine's ``backend`` argument to a backend instance.
 
     ``None`` preserves the engine's historical behaviour: in-process for
     ``jobs == 1``, a per-dispatch pool otherwise.  A string selects by
-    name (``"serial"``, ``"pool"``, ``"persistent"``, ``"remote"``),
-    sized by ``jobs``; an :class:`ExecutorBackend` instance is used as-is
-    (the caller owns its lifetime — one persistent backend can serve many
-    engines).  The remote backend additionally needs ``workers``, the
-    ``host:port`` addresses of running ``repro-vp worker serve``
-    processes; ``jobs`` becomes its per-worker in-flight limit.
+    name (``"serial"``, ``"pool"``, ``"persistent"``), sized by ``jobs``;
+    an :class:`ExecutorBackend` instance is used as-is (the caller owns
+    its lifetime — one persistent backend can serve many engines).
     """
     if isinstance(backend, ExecutorBackend):
         return backend
@@ -276,16 +320,6 @@ def resolve_backend(
         return PoolBackend(jobs)
     if backend == "persistent":
         return PersistentWorkerBackend(jobs)
-    if backend == "remote":
-        if not workers:
-            raise ValueError(
-                "the remote backend needs worker addresses "
-                "(--workers host:port[,host:port...])"
-            )
-        # Imported lazily: the remote module builds on this one.
-        from repro.engine.remote import RemoteBackend
-
-        return RemoteBackend(workers, in_flight=jobs)
     raise ValueError(
         f"unknown executor backend {backend!r} (expected one of {', '.join(BACKEND_NAMES)})"
     )

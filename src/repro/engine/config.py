@@ -1,6 +1,6 @@
 """One immutable value holding every execution-engine setting.
 
-:class:`EngineConfig` is the single place the engine's eight settings are
+:class:`EngineConfig` is the single place the engine's seven settings are
 declared and validated.  :class:`~repro.engine.scheduler.ExecutionEngine`
 takes one, the process-wide campaign defaults
 (:func:`repro.simulation.campaign.set_campaign_defaults`) are one, and
@@ -32,8 +32,7 @@ class EngineConfig:
     jobs:
         Worker process count for the process-based backends (clamped to
         at least 1); with the default backend selection, ``1`` executes
-        everything in-process and is the reference serial path.  For the
-        ``remote`` backend it is the per-worker in-flight limit.
+        everything in-process and is the reference serial path.
     cache_dir:
         Root of the persistent :class:`~repro.engine.cache.ResultCache`;
         ``None`` disables on-disk caching.
@@ -44,15 +43,10 @@ class EngineConfig:
         is set, a bounded GC pass runs after every run; entries produced
         or touched by the finishing run are never evicted by that pass.
     backend:
-        Executor backend name (``"serial"``, ``"pool"``, ``"persistent"``,
-        ``"remote"``) or ``None`` for the historical default — serial
-        when ``jobs == 1``, a per-dispatch pool otherwise.  ``workers``
-        without a backend implies ``"remote"``.  Results are
+        Executor backend name (``"serial"``, ``"pool"``, ``"persistent"``)
+        or ``None`` for the historical default — serial when
+        ``jobs == 1``, a per-dispatch pool otherwise.  Results are
         bit-identical across backends; see :mod:`repro.engine.backends`.
-    workers:
-        ``host:port`` addresses of running ``repro-vp worker serve``
-        processes, required by (and only valid for) the ``remote``
-        backend; stored as a tuple.
     kernel:
         Simulation kernel: ``"scalar"``, ``"vector"``, ``"auto"`` (vector
         when numpy is importable) or ``None`` to defer to the
@@ -68,7 +62,6 @@ class EngineConfig:
     cache_max_bytes: int | None = None
     cache_max_age: float | None = None
     backend: str | None = None
-    workers: tuple[str, ...] | None = None
     kernel: str | None = None
 
     def __post_init__(self) -> None:
@@ -81,14 +74,4 @@ class EngineConfig:
         # A bad kernel name (or a forced "vector" without numpy) fails
         # here, not mid-run.
         resolve_kernel(self.kernel)
-        workers = tuple(self.workers) if self.workers else None
-        backend = self.backend
-        if workers and backend is None:
-            backend = "remote"
-        if backend == "remote" and not workers:
-            raise ValueError("--backend remote needs --workers HOST:PORT[,HOST:PORT...]")
-        if workers and backend != "remote":
-            raise ValueError(f"--workers does not apply to --backend {backend}")
         object.__setattr__(self, "jobs", max(1, int(self.jobs)))
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "workers", workers)

@@ -20,8 +20,8 @@ function and result decoders.  The one trace-materialisation policy,
 lazy-with-repair, lives above this layer: the trace phase's
 ``accept_cached`` only probes the digest and statistics, and a corrupt
 body is repaired when :class:`~repro.engine.scheduler.LazyTrace` first
-decodes it.  Protocol changes — a distributed backend, a new cache
-envelope — land here once.
+decodes it.  Protocol changes — a new backend, a new cache envelope —
+land here once.
 
 Progress accounting: ``phase_started`` reports ``total`` units (defaults
 to ``len(tasks)``) of which ``presatisfied_count + cache hits`` were warm;
@@ -165,11 +165,11 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
                 [task.build_payload(inline) for task in pending],
             )
         except DispatchError as error:
-            # Backend-infrastructure failures (remote workers lost, protocol
-            # violations) get the phase context stamped on before they reach
+            # Backend-infrastructure failures (a worker process died) get
+            # the phase context stamped on before they reach
             # the caller; the cache is untouched for the undispatched units,
             # so a rerun resumes exactly where this phase stopped.
-            raise type(error)(
+            raise DispatchError(
                 f"{spec.name} phase failed to dispatch {len(pending)} pending "
                 f"unit(s) on the {engine.backend.name!r} backend: {error}"
             ) from error

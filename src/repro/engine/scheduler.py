@@ -112,7 +112,7 @@ class ExecutionEngine:
     ----------
     config:
         The engine's settings (:class:`~repro.engine.config.EngineConfig`:
-        jobs, cache, GC bounds, backend, workers, kernel);
+        jobs, cache, GC bounds, backend, kernel);
         ``None`` means ``EngineConfig()`` — serial and cache-less.
         Results are bit-identical for every setting; see the config's
         attributes for what each one changes.
@@ -159,7 +159,7 @@ class ExecutionEngine:
         self.backend = (
             backend
             if backend is not None
-            else resolve_backend(config.backend, config.jobs, workers=config.workers)
+            else resolve_backend(config.backend, config.jobs)
         )
         self.stats = EngineStats()
         #: Report of the most recent post-run auto-GC pass (``None`` when

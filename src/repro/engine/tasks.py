@@ -24,13 +24,13 @@ from repro.trace.stream import ValueTrace
 #: campaign's default-configuration traces and a sweep's explicit traces
 #: address the same entries.
 #: Version 3: worker outcomes may carry the reserved ``__telemetry__``
-#: sidecar (worker-side execute time; see :mod:`repro.engine.telemetry`).
-#: The phase executor strips it before caching, but an *older* engine
-#: driving a newer worker would cache sidecar-bearing entries — so the
-#: remote handshake must refuse the skew, which this bump enforces.
+#: sidecar (worker-side execute time; see :mod:`repro.engine.telemetry`),
+#: which the phase executor strips before caching.
 #: Version 4: the (since removed) intra-trace window cache kind and its
 #: worker functions.  No surviving key changed meaning when they went, so
-#: the version stays; ``PROTOCOL_VERSION`` pins the worker-function set.
+#: the version stays.
+#: The version keys only the result cache (every task's cache key carries
+#: it) and CI's persisted-cache key, so a bump starts both cold.
 TASK_FORMAT_VERSION = 4
 
 
@@ -135,9 +135,8 @@ class SimulateTask:
 
         ``kernel`` is the engine's (unresolved) simulation-kernel setting;
         it travels in the payload — never in the cache key, because both
-        kernels produce byte-identical results — and each worker resolves
-        it against its own environment, so an ``"auto"`` fleet mixing
-        numpy-less hosts still computes identical shards everywhere.
+        kernels produce byte-identical results — and each worker process
+        resolves it against its own environment.
         """
         from repro.trace.io import dumps_trace_binary
 

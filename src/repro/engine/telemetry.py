@@ -7,10 +7,10 @@ survives the process.  This module is the persistent counterpart: a
 run id, wall-clock start, monotonic duration, parent span and structured
 attributes), **events** (point-in-time records) and **counters**
 (aggregated totals, flushed on close) as JSON Lines, plus a
-``manifest.json`` describing the run itself (argv, package and protocol
-versions, backend, workers).  ``repro-vp inspect RUN_DIR`` renders the
+``manifest.json`` describing the run itself (argv, package and schema
+versions, backend, jobs).  ``repro-vp inspect RUN_DIR`` renders the
 pair back into a human summary; every layer of the engine — phases,
-backends, the remote fleet, the result cache — emits into it.
+backends, the result cache — emits into it.
 
 Design constraints, in order:
 
@@ -24,9 +24,11 @@ Design constraints, in order:
 2. **One run, one directory.**  Constructing a :class:`RunTelemetry`
    truncates ``metrics.jsonl`` and rewrites ``manifest.json`` in its
    directory, so a run directory always describes exactly one run.
-3. **Thread-safe.**  The remote backend's driver threads and the worker
-   server's connection threads emit concurrently; all sink state is
-   guarded by one lock and records are written as whole lines.
+3. **Thread-safe.**  One sink may be shared by every engine a process
+   builds, and a library caller may drive those engines from several
+   threads at once; all sink state is guarded by one lock and records
+   are written as whole lines, so concurrent emitters never interleave
+   a record.
 
 JSONL record schema (one JSON object per line; also documented with
 examples in ``docs/observability.md``):
@@ -201,14 +203,12 @@ class Span:
 
 
 def _engine_versions() -> dict:
-    """The protocol/schema versions a manifest pins (imported lazily:
-    the engine modules this reads from themselves import this module)."""
+    """The schema versions a manifest pins (imported lazily: the engine
+    modules this reads from themselves import this module)."""
     from repro.engine.codecs import CACHE_ENTRY_VERSION
-    from repro.engine.remote import PROTOCOL_VERSION
     from repro.engine.tasks import TASK_FORMAT_VERSION
 
     return {
-        "protocol_version": PROTOCOL_VERSION,
         "task_format_version": TASK_FORMAT_VERSION,
         "cache_entry_version": CACHE_ENTRY_VERSION,
     }
@@ -461,8 +461,8 @@ def summarize_run(directory: str | Path) -> dict:
     """Aggregate a run directory into the structure ``repro-vp inspect`` renders.
 
     Returns a plain dict (JSON-renderable) with the manifest, per-phase
-    breakdown, per-task spans sorted slowest-first, cache counters with a
-    derived hit ratio, per-worker utilization records, the raw counter
+    breakdown, per-task spans sorted slowest-first, backend dispatch
+    spans, cache counters with a derived hit ratio, the raw counter
     totals and a ``problems`` list describing any damage tolerated along
     the way (missing or truncated files).  A directory with *neither*
     manifest nor metrics raises :class:`FileNotFoundError` — that is not a
@@ -492,8 +492,6 @@ def summarize_run(directory: str | Path) -> dict:
     tasks: list[dict] = []
     runs: list[dict] = []
     dispatches: list[dict] = []
-    workers: list[dict] = []
-    redispatches: list[dict] = []
     counters: dict[str, int | float] = {}
     for record in records:
         kind, name = record.get("type"), record.get("name")
@@ -508,10 +506,6 @@ def summarize_run(directory: str | Path) -> dict:
             runs.append({**attrs, "seconds": record.get("dt", 0.0)})
         elif kind == "span" and name == "dispatch":
             dispatches.append({**attrs, "seconds": record.get("dt", 0.0)})
-        elif kind == "event" and name == "remote.worker":
-            workers.append(attrs)
-        elif kind == "event" and name == "remote.redispatch":
-            redispatches.append(attrs)
     tasks.sort(key=lambda task: task.get("seconds", 0.0), reverse=True)
     hits = counters.get("cache.hit", 0)
     misses = counters.get("cache.miss", 0)
@@ -534,8 +528,6 @@ def summarize_run(directory: str | Path) -> dict:
         "phases": phases,
         "tasks": tasks,
         "dispatches": dispatches,
-        "workers": workers,
-        "redispatches": redispatches,
         "cache": {
             "hits": hits,
             "misses": misses,

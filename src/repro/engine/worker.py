@@ -33,7 +33,7 @@ def _telemetry_sidecar(
     """The observability sidecar every worker outcome carries.
 
     Worker-side execute time is measured here — on the worker's own
-    monotonic clock, whichever process or host that is — and travels back
+    monotonic clock, whichever process that is — and travels back
     inside the outcome under the reserved :data:`TELEMETRY_KEY`.  The
     phase executor strips the key before the outcome is decoded or
     cached, so cache entries and results never contain it.
@@ -93,7 +93,7 @@ def execute_simulate_task(payload: dict) -> dict:
     """Simulate one predictor over one whole trace; returns the encoded shard.
 
     The trace arrives either inline (``trace``, in-process dispatch) or as
-    v3 binary bytes (``trace_bytes``, the pool and remote wire format);
+    v3 binary bytes (``trace_bytes``, the process backends' wire format);
     both decode to the same records.  The predictor starts empty.
 
     ``kernel`` selects the simulation kernel; it is resolved against
@@ -162,26 +162,3 @@ def _payload_records(payload: dict):
     if trace is None:
         trace = loads_trace_binary(payload["trace_bytes"])
     return trace
-
-
-#: Worker functions addressable *by name* over the remote worker protocol
-#: (:mod:`repro.engine.remote`).  A remote dispatch ships the registry key
-#: instead of a pickled callable, so engine and worker only have to agree
-#: on this mapping — which the handshake's ``PROTOCOL_VERSION`` pin
-#: guarantees.
-WORKER_FUNCTIONS = {
-    "trace": execute_trace_task,
-    "simulate": execute_simulate_task,
-}
-
-
-def worker_function_name(function) -> str:
-    """The registry name a worker function travels under on the wire."""
-    for name, registered in WORKER_FUNCTIONS.items():
-        if registered is function:
-            return name
-    raise ValueError(
-        f"{function!r} is not a registered worker function; remote dispatch "
-        f"only executes the named entries of WORKER_FUNCTIONS "
-        f"({', '.join(sorted(WORKER_FUNCTIONS))})"
-    )

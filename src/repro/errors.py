@@ -74,40 +74,9 @@ class SweepError(ReproError):
 class DispatchError(ReproError):
     """Raised when an executor backend cannot complete a dispatch.
 
-    This is an *infrastructure* failure — workers unreachable, a protocol
-    violation on the wire, every remote worker lost mid-run — as opposed
-    to a work unit's own exception, which propagates as whatever the task
-    raised (wrapped in :class:`RemoteTaskError` when it happened on a
-    remote worker)."""
-
-
-class RemoteProtocolError(DispatchError):
-    """Raised when the remote worker protocol is violated.
-
-    Covers malformed frames (truncated headers, oversized or undecodable
-    bodies), out-of-sequence responses, and handshake rejections — a
-    worker running mismatched task/cache schema versions is refused up
-    front so it can never poison the shared result cache."""
-
-
-class RemoteWorkerError(DispatchError):
-    """Raised when remote workers are lost and no replacement remains.
-
-    A single worker loss is retried silently (its in-flight units are
-    re-dispatched to surviving workers); this error surfaces only when no
-    worker remains to take the pending work."""
-
-
-class RemoteTaskError(ReproError):
-    """Raised when a work unit itself raised on a remote worker.
-
-    Carries the remote traceback text; unlike worker loss this is never
-    retried — the task graph is deterministic, so the unit would fail
-    identically anywhere."""
-
-    def __init__(self, message: str, remote_traceback: str | None = None) -> None:
-        super().__init__(message)
-        self.remote_traceback = remote_traceback
+    This is an *infrastructure* failure — a worker process died (killed,
+    out of memory) before returning its outcome — as opposed to a work
+    unit's own exception, which propagates as whatever the task raised."""
 
 
 class ReportingError(ReproError):

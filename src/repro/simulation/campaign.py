@@ -67,14 +67,13 @@ _CACHE: dict[tuple, CampaignResult] = {}
 _DEFAULT_CONFIG: EngineConfig | None = None
 _DEFAULT_TELEMETRY: Telemetry | None = None
 _LAST_STATS: EngineStats | None = None
-#: Shared executor backends, keyed by (name, jobs, workers).  Only the
-#: persistent and remote backends are stateful enough to be worth
-#: sharing: handing every engine built from the process-wide defaults
-#: the *same* instance keeps warm workers (and handshaken connections)
-#: alive across campaigns and sweeps (e.g. the tables and figures of one
-#: ``repro-vp experiments`` invocation), which is the whole point of
-#: those backends.
-_SHARED_BACKENDS: dict[tuple, ExecutorBackend] = {}
+#: Shared persistent backends, keyed by ``jobs``.  Only the persistent
+#: backend is stateful enough to be worth sharing: handing every engine
+#: built from the process-wide defaults the *same* instance keeps warm
+#: workers alive across campaigns and sweeps (e.g. the tables and
+#: figures of one ``repro-vp experiments`` invocation), which is the
+#: whole point of that backend.
+_SHARED_BACKENDS: dict[int, ExecutorBackend] = {}
 
 
 def campaign_scale_for(profile: str) -> float:
@@ -114,21 +113,19 @@ def build_engine(config: EngineConfig) -> ExecutionEngine:
     """Construct an :class:`ExecutionEngine` on ``config`` and the default sink.
 
     Used by :func:`run_campaign` and :func:`repro.engine.sweeps.run_sweep`.
-    The ``"persistent"`` and ``"remote"`` backends resolve to one
-    process-wide shared instance per (backend, jobs, workers), so warm
-    local workers (and handshaken remote connections) survive across the
-    engines these façades build.
+    The ``"persistent"`` backend resolves to one process-wide shared
+    instance per ``jobs``, so warm workers survive across the engines
+    these façades build.
     """
     from repro.engine.backends import resolve_backend
     from repro.engine.scheduler import ExecutionEngine
 
     backend = None
-    if config.backend in ("persistent", "remote"):
-        key = (config.backend, config.jobs, config.workers)
-        backend = _SHARED_BACKENDS.get(key)
+    if config.backend == "persistent":
+        backend = _SHARED_BACKENDS.get(config.jobs)
         if backend is None:
-            backend = resolve_backend(config.backend, config.jobs, workers=config.workers)
-            _SHARED_BACKENDS[key] = backend
+            backend = resolve_backend(config.backend, config.jobs)
+            _SHARED_BACKENDS[config.jobs] = backend
     return ExecutionEngine(config, backend=backend, telemetry=_DEFAULT_TELEMETRY)
 
 

@@ -43,21 +43,6 @@ class TestValidation:
         with pytest.raises(TypeError):
             EngineConfig(shard_window=window)
 
-    def test_remote_without_workers_raises(self):
-        with pytest.raises(ValueError) as error:
-            EngineConfig(backend="remote")
-        assert str(error.value) == "--backend remote needs --workers HOST:PORT[,HOST:PORT...]"
-
-    def test_workers_with_local_backend_raise(self):
-        with pytest.raises(ValueError) as error:
-            EngineConfig(backend="serial", workers=("127.0.0.1:8750",))
-        assert str(error.value) == "--workers does not apply to --backend serial"
-
-    def test_workers_imply_remote_and_become_a_tuple(self):
-        config = EngineConfig(workers=["127.0.0.1:8750"])
-        assert config.backend == "remote"
-        assert config.workers == ("127.0.0.1:8750",)
-
     def test_jobs_clamped_to_one(self):
         assert EngineConfig(jobs=0).jobs == 1
         assert EngineConfig(jobs=-3).jobs == 1
@@ -80,7 +65,7 @@ class TestValueSemantics:
         assert hash(first) == hash(second)
         assert len({first, second, EngineConfig()}) == 2
 
-    def test_eight_settings(self):
+    def test_seven_settings(self):
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "jobs",
             "cache_dir",
@@ -88,7 +73,6 @@ class TestValueSemantics:
             "cache_max_bytes",
             "cache_max_age",
             "backend",
-            "workers",
             "kernel",
         ]
 
@@ -135,11 +119,24 @@ class TestCliParity:
         args = _build_parser().parse_args(["campaign", "--no-cache"])
         assert _engine_config(args) == EngineConfig(use_cache=False, kernel="auto")
 
-    def test_invalid_pairing_exits_2(self, capsys):
-        assert main(["campaign", "--backend", "remote"]) == 2
-        assert "--backend remote needs --workers" in capsys.readouterr().err
-        assert main(["sweep", "--backend", "pool", "--workers", "127.0.0.1:8750"]) == 2
-        assert "--workers does not apply to --backend pool" in capsys.readouterr().err
+    @pytest.mark.parametrize("backend", ["serial", "pool", "persistent"])
+    def test_every_local_backend_is_accepted(self, backend):
+        args = _build_parser().parse_args(["campaign", "--backend", backend])
+        assert _engine_config(args).backend == backend
+        assert ExecutionEngine(_engine_config(args)).backend.name == backend
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--backend", "remote"], "argument --backend: invalid choice: 'remote'"),
+            (["--workers", "127.0.0.1:8750"], "unrecognized arguments: --workers"),
+        ],
+    )
+    def test_remote_options_are_usage_errors(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDefaultsReplacedWhole:

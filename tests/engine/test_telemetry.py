@@ -5,14 +5,13 @@ entries are **byte-identical** with telemetry on or off — the observability
 sidecar workers attach to their outcomes is stripped before anything is
 decoded or cached, and the sinks only observe.  On top of that invariant
 this file pins the JSONL record schema round-trip, manifest contents, the
-span parent chain, the recorded-run summary ``repro-vp inspect`` renders,
-and the remote fleet's worker-side timing and utilization records.
+span parent chain, and the recorded-run summary ``repro-vp inspect``
+renders, including the per-task worker pid and worker-side seconds.
 """
 
 from __future__ import annotations
 
 import json
-import io
 import os
 import subprocess
 import sys
@@ -23,7 +22,6 @@ import pytest
 import repro
 from repro.cli import main
 from repro.engine import EngineConfig, ExecutionEngine
-from repro.engine.remote import WorkerServer
 from repro.engine.sweeps import SweepSpec
 from repro.engine.telemetry import (
     NULL_TELEMETRY,
@@ -68,7 +66,7 @@ class TestNullTelemetry:
         with sink.span("phase", phase="trace") as span:
             span.set(total=3)
         sink.span_record("task", 0.25, label="gcc")
-        sink.event("remote.worker", worker="a")
+        sink.event("cache.gc", removed=1)
         sink.count("cache.hit")
         sink.annotate(backend="serial")
         sink.close()
@@ -109,16 +107,17 @@ class TestRunTelemetry:
 
     def test_manifest_contents_and_annotate(self, tmp_path):
         sink = RunTelemetry(tmp_path, argv=["repro-vp", "campaign"], command="campaign")
-        sink.annotate(backend="remote", jobs=4)
+        sink.annotate(backend="persistent", jobs=4)
         sink.close()
         manifest = read_manifest(tmp_path)
         assert manifest["command"] == "campaign"
         assert manifest["argv"] == ["repro-vp", "campaign"]
         assert manifest["run_id"] == sink.run_id
-        assert manifest["backend"] == "remote"
+        assert manifest["backend"] == "persistent"
         assert manifest["jobs"] == 4
-        for pin in ("protocol_version", "task_format_version", "cache_entry_version"):
+        for pin in ("task_format_version", "cache_entry_version"):
             assert isinstance(manifest[pin], int)
+        assert "protocol_version" not in manifest
         assert manifest["finished_wall"] >= manifest["created_wall"]
 
     def test_manifest_records_version_from_a_source_checkout(self, tmp_path):
@@ -206,6 +205,17 @@ class TestOnOffParity:
                 result = engine.run_sweep(spec)
             if telemetry is not None:
                 telemetry.close()
+                # Per-task spans carry the worker process's pid and its
+                # own execute seconds, measured on the worker side.  The
+                # one-unit trace dispatch runs inline; the two simulate
+                # units go to the pool.
+                tasks = summarize_run(tmp_path / "telemetry-sweep")["tasks"]
+                simulate = [task for task in tasks if task["phase"] == "simulate"]
+                assert len(simulate) == 2
+                for task in simulate:
+                    assert task["seconds"] > 0
+                    assert isinstance(task["worker_pid"], int)
+                    assert task["worker_pid"] != os.getpid()
             points[mode] = [
                 (entry.point, entry.record_count, entry.accuracy)
                 for entry in result.points
@@ -262,67 +272,6 @@ class TestInstrumentedRun:
         assert stats.trace_seconds > 0
         assert stats.simulate_seconds > 0
         assert stats.trace_seconds + stats.simulate_seconds <= stats.total_seconds * 1.01
-
-
-class TestRemoteTelemetry:
-    def test_two_worker_run_records_worker_timing_and_utilization(self, tmp_path):
-        telemetry = RunTelemetry(tmp_path / "telemetry", argv=[], command="campaign")
-        with WorkerServer() as alpha, WorkerServer() as beta:
-            with ExecutionEngine(
-                EngineConfig(
-                    jobs=2,
-                    cache_dir=tmp_path / "cache",
-                    backend="remote",
-                    workers=(alpha.address, beta.address),
-                ),
-                telemetry=telemetry,
-            ) as engine:
-                result = engine.run(
-                    scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS
-                )
-            server_stats = {
-                server.address: (server.tasks_served, server.bytes_received, server.bytes_sent)
-                for server in (alpha, beta)
-            }
-        telemetry.close()
-        assert result.benchmarks() == BENCHMARKS
-        summary = summarize_run(tmp_path / "telemetry")
-        # per-task spans carry the worker-side execute time and pid
-        assert summary["tasks"], "remote run recorded no task spans"
-        for task in summary["tasks"]:
-            assert task["seconds"] > 0 and isinstance(task["worker_pid"], int)
-        # per-worker utilization events, one per worker per dispatch
-        workers = summary["workers"]
-        assert {worker["worker"] for worker in workers} == set(server_stats)
-        total_tasks = sum(worker["tasks"] for worker in workers)
-        assert total_tasks == sum(stats[0] for stats in server_stats.values())
-        for worker in workers:
-            assert worker["busy_seconds"] >= 0
-            assert 0 <= worker["utilization"] <= 1.0 or worker["tasks"] == 0
-            assert worker["peak_in_flight"] <= engine.config.jobs
-            assert worker["frames_sent"] >= worker["tasks"]
-        # Wire counters agree with the servers' own accounting up to the
-        # handshake frames (counted by the server, but exchanged before
-        # the first dispatch's per-worker deltas begin).
-        server_received = sum(stats[1] for stats in server_stats.values())
-        server_sent = sum(stats[2] for stats in server_stats.values())
-        assert 0 < summary["counters"]["remote.bytes_sent"] <= server_received
-        assert 0 < summary["counters"]["remote.bytes_received"] <= server_sent
-
-    def test_result_frames_carry_worker_seconds(self, tmp_path):
-        with WorkerServer() as server:
-            with ExecutionEngine(
-                EngineConfig(jobs=2, backend="remote", workers=(server.address,)),
-            ) as engine:
-                engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
-            assert server.execute_seconds > 0
-            assert server.tasks_served == 2  # one trace, one simulate
-
-    def test_worker_stats_line(self):
-        server = WorkerServer()
-        line = server.stats_line()
-        assert "0 task(s) served" in line
-        assert "B in" in line and "B out" in line
 
 
 class TestInspectCli:
@@ -410,7 +359,6 @@ class TestInspectCli:
                 "cache_max_bytes",
                 "cache_max_age",
                 "backend",
-                "workers",
                 "kernel",
                 "resolved_kernel",
             )
@@ -422,23 +370,8 @@ class TestInspectCli:
             "cache_max_bytes": 10 * 1024**2,
             "cache_max_age": 7 * 86400.0,
             "backend": "serial",
-            "workers": None,
             "kernel": "scalar",
             "resolved_kernel": "scalar",
         }
         assert "shard_window" not in manifest
-
-
-class TestWorkerServeStatsInterval:
-    def test_periodic_stats_line_goes_to_stream(self, monkeypatch):
-        server = WorkerServer()
-        stream = io.StringIO()
-
-        # serve_forever with a tiny interval; stop from a timer thread.
-        import threading
-
-        threading.Timer(0.5, server.stop).start()
-        server.serve_forever(stats_interval=0.1, stats_stream=stream)
-        lines = [line for line in stream.getvalue().splitlines() if line]
-        assert lines, "no stats lines emitted"
-        assert all("task(s) served" in line for line in lines)
+        assert "workers" not in manifest

@@ -372,8 +372,9 @@ class TestWorkerParity:
     One simulate unit is one (trace, predictor) pair run by
     :func:`execute_simulate_task` from a fresh predictor over the whole
     trace.  Its payload carries the trace inline (in-process dispatch) or
-    as v3 bytes (pool and remote wire), and each kernel decodes it its own
-    way; all four combinations must return the same shard dict.
+    as v3 bytes (the process backends' wire format), and each kernel
+    decodes it its own way; all four combinations must return the same
+    shard dict.
     """
 
     @pytest.mark.parametrize("transport", ("inline", "bytes"))
