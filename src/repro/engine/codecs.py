@@ -34,7 +34,7 @@ from repro.simulation.simulator import (
     PredictorShard,
     SimulationResult,
 )
-from repro.trace.io import decode_uvarint, encode_uvarint, loads_trace_binary
+from repro.trace.io import decode_trace, decode_uvarint, encode_uvarint
 from repro.trace.stream import TraceStatistics, ValueTrace
 
 
@@ -310,6 +310,9 @@ def payload_trace(payload: dict) -> ValueTrace:
 
     Fresh task outcomes off the worker wire and decoded cache entries both
     carry the trace as v3 bytes under ``trace_binary``; its digest rides
-    next to it under ``digest``, stamped by the trace task.
+    next to it under ``digest``, stamped by the trace task.  The bytes
+    decode straight to array columns (:func:`repro.trace.io.decode_trace`),
+    so the trace's columns are free and no ``TraceRecord`` is built unless
+    a caller asks for ``records``.
     """
-    return loads_trace_binary(payload["trace_binary"])
+    return decode_trace(payload["trace_binary"])

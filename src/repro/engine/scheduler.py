@@ -420,14 +420,18 @@ class ExecutionEngine:
 # The two phases — one copy each, shared by campaigns and sweeps
 # --------------------------------------------------------------------------- #
 class LazyTrace:
-    """One trace-phase result: digest and statistics now, records on first use.
+    """One trace-phase result: digest and statistics now, the trace on first use.
 
     A cached entry passes the trace phase on a cheap probe (digest and
     statistics readable), so a fully warm run never decodes the embedded
-    trace.  When :meth:`get` finds a cached body corrupt, the trace is
-    repaired: re-traced in the parent, accounted as computed rather than
-    cached, and its cache entry overwritten so the repair sticks.  A fresh
-    outcome that does not decode is a bug and raises.
+    trace.  :meth:`get` decodes the v3 bytes straight to array columns
+    (:func:`~repro.engine.codecs.payload_trace`).  When it finds a cached
+    body corrupt, the trace is repaired: re-traced in the parent,
+    accounted as computed rather than cached, and its cache entry
+    overwritten so the repair sticks.  A fresh outcome that does not
+    decode is a bug and raises.  :attr:`trace_binary` is the bytes
+    :meth:`get` accepted, so process backends are shipped exactly what
+    the trace phase produced, and never a corrupt body.
     """
 
     def __init__(self, engine, task: TraceTask, label: str, payload: dict, cached: bool):
@@ -447,9 +451,15 @@ class LazyTrace:
             except Exception:
                 if not self._cached:
                     raise
-                self._trace = payload_trace(self._repair())
-            self._payload = None
+                self._payload = self._repair()
+                self._trace = payload_trace(self._payload)
         return self._trace
+
+    @property
+    def trace_binary(self) -> bytes:
+        """The trace's compressed v3 bytes, once :meth:`get` has accepted them."""
+        self.get()
+        return self._payload["trace_binary"]
 
     def _repair(self) -> dict:
         engine = self._engine
@@ -527,10 +537,12 @@ def simulate_phase(
 
     ``units`` maps each ``(trace digest, predictor)`` pair to its progress
     label and trace; each runs as one unit through the shared phase
-    executor, from a fresh predictor over the whole trace.
-    ``presatisfied_count`` and ``presatisfied_labels`` report units the
-    caller satisfied before the phase (the campaign's merge-level hits) as
-    warm progress.
+    executor, from a fresh predictor over the whole trace.  In-process
+    backends get the decoded trace itself; process backends get the
+    trace phase's own compressed v3 bytes (:attr:`LazyTrace.trace_binary`),
+    never a re-encoding.  ``presatisfied_count`` and
+    ``presatisfied_labels`` report units the caller satisfied before the
+    phase (the campaign's merge-level hits) as warm progress.
     """
     kernel = engine.config.kernel
     signatures = {
@@ -546,18 +558,14 @@ def simulate_phase(
         )
         for (digest, predictor), (_, trace) in units.items()
     }
-    # Encode each trace for the wire at most once, however many predictors
-    # are pending over it.
-    wire_bytes: dict[str, bytes] = {}
 
     def build_payload(uid: tuple[str, str], inline: bool) -> dict:
-        digest, trace = uid[0], units[uid][1]
-        payload = tasks[uid].payload(
-            trace.get(), inline=inline, trace_bytes=wire_bytes.get(digest), kernel=kernel
-        )
-        if not inline:
-            wire_bytes.setdefault(digest, payload["trace_bytes"])
-        return payload
+        # Both branches decode the trace in the parent first, so a corrupt
+        # cached body is repaired before any worker sees its bytes.
+        trace = units[uid][1]
+        if inline:
+            return tasks[uid].payload(trace=trace.get(), kernel=kernel)
+        return tasks[uid].payload(trace_bytes=trace.trace_binary, kernel=kernel)
 
     shards: dict[tuple[str, str], PredictorShard] = {}
 

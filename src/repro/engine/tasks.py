@@ -113,23 +113,22 @@ class SimulateTask:
 
     def payload(
         self,
-        trace: ValueTrace | None,
-        inline: bool,
+        *,
+        trace: ValueTrace | None = None,
         trace_bytes: bytes | None = None,
         kernel: str | None = None,
     ) -> dict:
-        """Build the worker payload.
+        """Build the worker payload; pass exactly one of ``trace`` and ``trace_bytes``.
 
-        ``inline`` payloads carry the trace object itself (no serialisation
-        cost; used when executing in-process), otherwise the trace travels
-        as v3 binary bytes — the same compact framing the cache stores —
-        so the payload stays picklable and roughly an order of magnitude
-        smaller on the pool wire than the canonical text form.  This is the
-        one place a simulate payload encodes its trace; the simulate phase
-        hands the first payload's bytes back as ``trace_bytes`` for every
-        other task over the same trace, so the encode+compress pass runs
-        once per trace, not once per task.  The expected predictor signature rides along so
-        a worker whose registry disagrees (e.g. a ``spawn``-start process
+        ``trace`` is the trace object itself, for in-process dispatch (no
+        serialisation cost).  ``trace_bytes`` are the compressed v3 bytes
+        the trace phase produced (its ``trace_binary``, off the worker
+        wire or out of the cache), shipped to process backends as they
+        are: nothing re-encodes a trace for the wire.  They travel with
+        the trace digest, which a worker process keys its decoded-trace
+        memo by, so it decodes each trace once rather than once per
+        predictor.  The expected predictor signature rides along so a
+        worker whose registry disagrees (e.g. a ``spawn``-start process
         that re-imported a registry without a dynamic re-binding) fails
         loudly instead of simulating the wrong configuration.
 
@@ -138,21 +137,15 @@ class SimulateTask:
         kernels produce byte-identical results — and each worker process
         resolves it against its own environment.
         """
-        from repro.trace.io import dumps_trace_binary
-
         payload: dict = {
             "predictor": self.predictor,
             "signature": self.predictor_signature,
         }
         if kernel is not None:
             payload["kernel"] = kernel
-        if inline:
+        if trace is not None:
             payload["trace"] = trace
-        elif trace_bytes is not None:
-            payload["trace_bytes"] = trace_bytes
         else:
-            # Compressed framing: unlike the cache envelope (whose outer
-            # zlib pass covers the whole body) nothing else compresses the
-            # pool wire, so the task opts in here.
-            payload["trace_bytes"] = dumps_trace_binary(trace, compress=True)
+            payload["trace_bytes"] = trace_bytes
+            payload["trace_digest"] = self.trace_digest
         return payload

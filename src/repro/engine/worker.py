@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import os
 import time
+from collections import OrderedDict
 from hashlib import sha256
 
 from repro.core.registry import create_predictor
 from repro.engine.codecs import shard_to_dict, statistics_to_dict
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.errors import SimulationError
-from repro.trace.io import dumps_trace, dumps_trace_binary, loads_trace_binary
+from repro.trace.io import decode_trace, dumps_trace, dumps_trace_binary
 from repro.simulation.simulator import simulate_shard
 from repro.simulation.vectorized import resolve_kernel
+from repro.trace.stream import ValueTrace
 from repro.workloads.suite import get_workload
 
 
@@ -93,36 +95,31 @@ def execute_simulate_task(payload: dict) -> dict:
     """Simulate one predictor over one whole trace; returns the encoded shard.
 
     The trace arrives either inline (``trace``, in-process dispatch) or as
-    v3 binary bytes (``trace_bytes``, the process backends' wire format);
-    both decode to the same records.  The predictor starts empty.
+    the trace phase's compressed v3 bytes (``trace_bytes`` plus
+    ``trace_digest``, the process backends' wire format).  Bytes decode
+    straight to array columns (:func:`repro.trace.io.decode_trace`), once
+    per trace per worker process (see :func:`_payload_trace`), so neither
+    transport builds a ``TraceRecord`` under the vector kernel.  The
+    predictor starts empty.
 
     ``kernel`` selects the simulation kernel; it is resolved against
     *this* worker's environment (see
-    :func:`repro.simulation.vectorized.resolve_kernel`), and under the
-    vector kernel binary wire bytes decode straight into numpy columns —
-    no ``TraceRecord`` objects are ever materialised on the hot path.
+    :func:`repro.simulation.vectorized.resolve_kernel`).
     """
     started = time.perf_counter()
     kernel = resolve_kernel(payload.get("kernel"))
     name = _check_signature(payload)
+    trace = _payload_trace(payload)
     shard = None
-    trace = payload.get("trace")
     if kernel == "vector":
         from repro.simulation.vectorized import simulate_shard_vector
-        from repro.trace.io import decode_trace_columns, trace_columns
+        from repro.trace.io import trace_columns
 
-        columns = None
-        if trace is None:
-            columns = decode_trace_columns(payload["trace_bytes"])
-        if columns is None:
-            trace = _payload_records(payload)
-            columns = trace_columns(trace)
+        columns = trace_columns(trace)
         if columns is not None:
             shard = simulate_shard_vector(columns, name)
     fallback = kernel == "vector" and shard is None
     if shard is None:
-        if trace is None:
-            trace = _payload_records(payload)
         shard = simulate_shard(trace, name, kernel="scalar")
     return {
         "shard": shard_to_dict(shard),
@@ -156,9 +153,33 @@ def _check_signature(payload: dict) -> str:
     return name
 
 
-def _payload_records(payload: dict):
-    """Materialise the payload's trace (inline or from v3 bytes)."""
+#: This process's decoded traces, by digest, most recently used last.
+#: The simulate phase dispatches its units trace by trace, so a worker
+#: needs only the trace it is on and the one before it.
+_DECODED: OrderedDict[str, tuple[bytes, ValueTrace]] = OrderedDict()
+_DECODED_LIMIT = 2
+
+
+def _payload_trace(payload: dict) -> ValueTrace:
+    """The payload's trace: inline, memoised by digest, or decoded now.
+
+    A memo hit also needs the bytes to match, so a digest that names
+    different bytes (payloads built by hand) decodes afresh rather than
+    returning another trace.
+    """
     trace = payload.get("trace")
-    if trace is None:
-        trace = loads_trace_binary(payload["trace_bytes"])
+    if trace is not None:
+        return trace
+    data = payload["trace_bytes"]
+    digest = payload.get("trace_digest")
+    entry = _DECODED.get(digest)
+    if entry is not None and entry[0] == data:
+        _DECODED.move_to_end(digest)
+        return entry[1]
+    trace = decode_trace(data)
+    if digest is not None:
+        _DECODED[digest] = (data, trace)
+        _DECODED.move_to_end(digest)
+        while len(_DECODED) > _DECODED_LIMIT:
+            _DECODED.popitem(last=False)
     return trace

@@ -129,10 +129,8 @@ class PredictionSimulator:
         subset_counts: dict[tuple[bool, ...], int] = {}
         subset_by_category: dict[Category, dict[tuple[bool, ...], int]] = {}
 
-        for record in trace.records:
-            pc = record.pc
-            value = record.value
-            category = record.category
+        columns = trace.record_columns()
+        for pc, value, category in zip(columns.pcs, columns.values, columns.categories):
             pc_total[pc] = pc_total.get(pc, 0) + 1
             pc_category.setdefault(pc, category)
             outcome: list[bool] = []
@@ -259,16 +257,16 @@ def simulate_shard(
     predictor = create_predictor(predictor_name)
     result = PredictorResult(predictor=predictor_name)
     outcomes: list[bool] = []
-    for record in trace.records:
-        category = record.category
-        correct = predictor.observe(record.pc, record.value, category)
+    columns = trace.record_columns()
+    for pc, value, category in zip(columns.pcs, columns.values, columns.categories):
+        correct = predictor.observe(pc, value, category)
         outcomes.append(correct)
         result.total += 1
         result.category_total[category] = result.category_total.get(category, 0) + 1
         if correct:
             result.correct += 1
             result.category_correct[category] = result.category_correct.get(category, 0) + 1
-            result.pc_correct[record.pc] = result.pc_correct.get(record.pc, 0) + 1
+            result.pc_correct[pc] = result.pc_correct.get(pc, 0) + 1
     return PredictorShard(
         result=result, correctness=pack_outcomes(outcomes), record_count=len(trace)
     )
@@ -311,12 +309,13 @@ def merge_shards(
     pc_category: dict[int, Category] = {}
     subset_counts: dict[tuple[bool, ...], int] = {}
     subset_by_category: dict[Category, dict[tuple[bool, ...], int]] = {}
-    for index, record in enumerate(trace.records):
-        pc_total[record.pc] = pc_total.get(record.pc, 0) + 1
-        pc_category.setdefault(record.pc, record.category)
+    columns = trace.record_columns()
+    for index, (pc, category) in enumerate(zip(columns.pcs, columns.categories)):
+        pc_total[pc] = pc_total.get(pc, 0) + 1
+        pc_category.setdefault(pc, category)
         key = tuple(outcome_at(bits, index) for bits in packed)
         subset_counts[key] = subset_counts.get(key, 0) + 1
-        per_category = subset_by_category.setdefault(record.category, {})
+        per_category = subset_by_category.setdefault(category, {})
         per_category[key] = per_category.get(key, 0) + 1
     return SimulationResult(
         trace_name=trace.name,

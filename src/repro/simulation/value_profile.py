@@ -10,7 +10,9 @@ capacities suffice for context-based prediction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from repro.isa.opcodes import Category, REPORTED_CATEGORIES
@@ -74,14 +76,16 @@ def _empty_distribution() -> dict[str, float]:
 def value_profile(
     trace: ValueTrace, categories: tuple[Category, ...] = REPORTED_CATEGORIES
 ) -> ValueProfile:
-    """Profile unique-value counts for one benchmark's trace."""
-    unique_values: dict[int, set[int]] = {}
-    dynamic_count: dict[int, int] = {}
-    pc_category: dict[int, Category] = {}
-    for record in trace.records:
-        unique_values.setdefault(record.pc, set()).add(record.value)
-        dynamic_count[record.pc] = dynamic_count.get(record.pc, 0) + 1
-        pc_category.setdefault(record.pc, record.category)
+    """Profile unique-value counts for one benchmark's trace.
+
+    Every per-PC tally is one C-level pass over the trace's columns; the
+    bucket sums below are integer counts, so their order does not matter.
+    """
+    columns = trace.record_columns()
+    dynamic_count = Counter(columns.pcs)
+    unique_count = Counter(map(itemgetter(0), dict.fromkeys(zip(columns.pcs, columns.values))))
+    # Reversed, so the first record of each PC writes its category last.
+    pc_category = dict(zip(reversed(columns.pcs), reversed(columns.categories)))
 
     groups = ["All"] + [category.value for category in categories]
     static_counts = {group: _empty_distribution() for group in groups}
@@ -89,8 +93,8 @@ def value_profile(
     static_totals = {group: 0 for group in groups}
     dynamic_totals = {group: 0 for group in groups}
 
-    for pc, values in unique_values.items():
-        label = bucket_for(len(values))
+    for pc, unique in unique_count.items():
+        label = bucket_for(unique)
         weight = dynamic_count[pc]
         group_names = ["All"]
         category = pc_category[pc]

@@ -31,7 +31,7 @@ from urllib.parse import quote, unquote
 from repro.errors import TraceError
 from repro.isa.opcodes import Opcode, category_of
 from repro.trace.record import TraceRecord
-from repro.trace.stream import ValueTrace
+from repro.trace.stream import RecordColumns, ValueTrace
 
 #: v1 wrote the name verbatim (corrupting it if it contained spaces);
 #: v2 percent-encodes it.  The loader keys decoding off the header version
@@ -273,12 +273,22 @@ def dump_trace_binary(trace: ValueTrace, destination: BinaryIO, compress: bool =
     destination.write(dumps_trace_binary(trace, compress=compress))
 
 
+def _ascii(field: memoryview, what: str) -> str:
+    """Decode an ASCII header field, raising :class:`TraceError` if it is not."""
+    try:
+        return bytes(field).decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"corrupt binary trace: non-ASCII byte in the {what}") from exc
+
+
 def _parse_binary_container(data: bytes) -> tuple[str, int, int, list[Opcode], bytes]:
     """Parse the v3 header and return ``(name, total, records, table, body)``.
 
     The body comes back decompressed; record decoding — scalar
     (:func:`loads_trace_binary`) or columnar
     (:func:`decode_trace_columns`) — is the caller's half of the work.
+    Every header invariant both decoders share is checked here, and any
+    violation raises :class:`TraceError`.
     """
     view = memoryview(data)
     if bytes(view[: len(BINARY_MAGIC)]) != BINARY_MAGIC:
@@ -291,17 +301,22 @@ def _parse_binary_container(data: bytes) -> tuple[str, int, int, list[Opcode], b
     name_length, offset = decode_uvarint(view, offset)
     if offset + name_length > len(view):
         raise TraceError("truncated binary trace: name overruns the data")
-    name = unquote(bytes(view[offset : offset + name_length]).decode("ascii"))
+    name = unquote(_ascii(view[offset : offset + name_length], "trace name"))
     offset += name_length
     total, offset = decode_uvarint(view, offset)
     expected_records, offset = decode_uvarint(view, offset)
+    if total < expected_records:
+        raise TraceError(
+            "corrupt binary trace: total dynamic instructions cannot be smaller "
+            f"than the number of records ({total} < {expected_records})"
+        )
     opcode_count, offset = decode_uvarint(view, offset)
     table: list[Opcode] = []
     for _ in range(opcode_count):
         length, offset = decode_uvarint(view, offset)
         if offset + length > len(view):
             raise TraceError("truncated binary trace: opcode table overruns the data")
-        mnemonic = bytes(view[offset : offset + length]).decode("ascii")
+        mnemonic = _ascii(view[offset : offset + length], "opcode table")
         offset += length
         try:
             table.append(Opcode(mnemonic))
@@ -462,6 +477,16 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.values)
 
+    def record_columns(self) -> RecordColumns:
+        """The same rows as the list columns a :class:`ValueTrace` reads."""
+        return RecordColumns(
+            serials=self.serials.tolist(),
+            pcs=self.pcs.tolist(),
+            opcodes=list(map(self.opcodes.__getitem__, self.opcode_codes.tolist())),
+            categories=list(map(self.categories.__getitem__, self.category_codes.tolist())),
+            values=self.values.tolist(),
+        )
+
 
 def _category_mapping(table: list[Opcode] | tuple[Opcode, ...]):
     """Distinct categories of an opcode table plus the per-opcode code map."""
@@ -498,11 +523,12 @@ def _prefix_sum_int64(np, deltas):
 def decode_trace_columns(data: bytes) -> TraceColumns | None:
     """Decode v3 binary bytes straight into columns, skipping records.
 
-    Returns ``None`` when the fast path does not apply — numpy missing, or
-    a field outside the 64-bit domain the vectorized kernel computes in
+    This is the production decoder (see :func:`decode_trace`).  Returns
+    ``None`` when the fast path does not apply — numpy missing, or a
+    field outside the 64-bit domain the vectorized kernel computes in
     (the scalar decoder handles those with arbitrary-precision ints).
-    Raises :class:`TraceError` on corrupt data, like
-    :func:`loads_trace_binary`.
+    Raises :class:`TraceError`, and only that, on corrupt data — exactly
+    where :func:`loads_trace_binary` does.
     """
     try:
         import numpy as np
@@ -564,6 +590,22 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
         name, total, serials, pcs, values, opcode_codes, tuple(table),
         category_codes, categories,
     )
+
+
+def decode_trace(data: bytes) -> ValueTrace:
+    """Decode v3 binary bytes into a trace, building no ``TraceRecord``.
+
+    The trace is backed by :func:`decode_trace_columns`' arrays, which
+    :func:`trace_columns` then returns for free; its list columns and
+    records are built only when a caller asks for them.  Only when the
+    columnar decoder declines (``None``) does the scalar
+    :func:`loads_trace_binary` decode instead.  Raises
+    :class:`TraceError` on corrupt data.
+    """
+    columns = decode_trace_columns(data)
+    if columns is None:
+        return loads_trace_binary(data)
+    return ValueTrace.from_arrays(columns)
 
 
 def trace_columns(trace: ValueTrace) -> TraceColumns | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import TraceError
@@ -63,12 +64,14 @@ class RecordColumns(NamedTuple):
 class ValueTrace:
     """An ordered collection of predicted-instruction trace records.
 
-    A trace is backed either by :class:`TraceRecord` objects (traces built
-    from records or loaded from a file) or by :class:`RecordColumns` (the
-    traces :func:`repro.trace.collector.collect_trace` builds).  Readers
-    that visit every record in order go through :meth:`record_columns`,
-    which serves both; :attr:`records` of a column-backed trace is built
-    on first access and kept.
+    A trace is backed by :class:`TraceRecord` objects (traces built from
+    records), by :class:`RecordColumns` (the traces
+    :func:`repro.trace.collector.collect_trace` builds) or by decoded
+    array columns (:meth:`from_arrays`, the traces the engine reads back
+    from v3 bytes).  Readers that visit every record in order go through
+    :meth:`record_columns`, which serves all three; the list columns of an
+    array-backed trace and the :attr:`records` of any column-backed trace
+    are built on first access and kept.
     """
 
     def __init__(
@@ -80,6 +83,9 @@ class ValueTrace:
         self.name = name
         self._records: list[TraceRecord] | None = list(records)
         self._record_columns: RecordColumns | None = None
+        #: :func:`repro.trace.io.trace_columns`' memo: ``False`` until
+        #: computed, ``None`` when the arrays cannot hold the trace.
+        self._columns = False
         self._total_dynamic_instructions = total_dynamic_instructions
 
     @classmethod
@@ -97,6 +103,19 @@ class ValueTrace:
             trace.set_total_dynamic_instructions(total_dynamic_instructions)
         return trace
 
+    @classmethod
+    def from_arrays(cls, columns) -> "ValueTrace":
+        """A trace over decoded :class:`repro.trace.io.TraceColumns`.
+
+        The arrays serve the vectorized kernel as they are; list columns
+        and records are built only if a caller asks for them.
+        """
+        trace = cls(columns.name)
+        trace._records = None
+        trace._columns = columns
+        trace.set_total_dynamic_instructions(columns.total_dynamic_instructions)
+        return trace
+
     # ------------------------------------------------------------------ #
     # Mutation (used only while a trace is being collected)
     # ------------------------------------------------------------------ #
@@ -104,6 +123,7 @@ class ValueTrace:
         """Append a record to the trace (collection-time only)."""
         self.records.append(record)
         self._record_columns = None
+        self._columns = False
 
     def set_total_dynamic_instructions(self, total: int) -> None:
         """Record the total dynamic instruction count of the producing run."""
@@ -121,7 +141,7 @@ class ValueTrace:
     def records(self) -> list[TraceRecord]:
         """The trace records in program order."""
         if self._records is None:
-            self._records = list(map(TraceRecord, *self._record_columns))
+            self._records = list(map(TraceRecord, *self.record_columns()))
         return self._records
 
     def record_columns(self) -> RecordColumns:
@@ -129,6 +149,9 @@ class ValueTrace:
         if self._record_columns is not None:
             return self._record_columns
         records = self._records
+        if records is None:
+            self._record_columns = self._columns.record_columns()
+            return self._record_columns
         return RecordColumns(
             serials=[record.serial for record in records],
             pcs=[record.pc for record in records],
@@ -145,9 +168,11 @@ class ValueTrace:
         return self._total_dynamic_instructions
 
     def __len__(self) -> int:
+        if self._records is not None:
+            return len(self._records)
         if self._record_columns is not None:
             return len(self._record_columns.values)
-        return len(self._records)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -169,29 +194,28 @@ class ValueTrace:
     # ------------------------------------------------------------------ #
     def static_pcs(self) -> list[int]:
         """Distinct static PCs appearing in the trace, in first-seen order."""
-        seen: dict[int, None] = {}
-        for record in self.records:
-            if record.pc not in seen:
-                seen[record.pc] = None
-        return list(seen)
+        return list(dict.fromkeys(self.record_columns().pcs))
 
     def values_by_pc(self) -> dict[int, list[int]]:
         """Map each static PC to the ordered list of values it produced."""
+        columns = self.record_columns()
         grouped: dict[int, list[int]] = defaultdict(list)
-        for record in self.records:
-            grouped[record.pc].append(record.value)
+        for pc, value in zip(columns.pcs, columns.values):
+            grouped[pc].append(value)
         return dict(grouped)
 
     def filter_category(self, category: Category) -> "ValueTrace":
         """Return a sub-trace containing only the given category."""
-        return ValueTrace(
+        columns = self.record_columns()
+        keep = [record_category is category for record_category in columns.categories]
+        return ValueTrace.from_columns(
             f"{self.name}:{category.value}",
-            [record for record in self.records if record.category is category],
+            RecordColumns(*(list(compress(column, keep)) for column in columns)),
         )
 
     def category_counts(self) -> Counter:
         """Dynamic record count per category."""
-        return Counter(record.category for record in self.records)
+        return Counter(self.record_columns().categories)
 
     def statistics(self) -> TraceStatistics:
         """Compute the Table 2 / Tables 4-5 style statistics for this trace.

@@ -35,3 +35,22 @@ def compress_trace():
 def m88ksim_trace():
     """A small m88ksim trace (the most predictable benchmark)."""
     return get_workload("m88ksim").trace(scale=0.05)
+
+
+@pytest.fixture
+def dispatch_spy():
+    """``dispatch_spy(engine)`` returns a list that fills with every payload
+    the engine's backend is handed, in dispatch order."""
+
+    def install(engine):
+        dispatched: list[dict] = []
+        original_map = engine.backend.map
+
+        def spy_map(function, payloads, on_result=None):
+            dispatched.extend(payloads)
+            return original_map(function, payloads, on_result)
+
+        engine.backend.map = spy_map
+        return dispatched
+
+    return install

@@ -390,23 +390,38 @@ class TestEngineBinaryCachePath:
         for benchmark in BENCHMARKS:
             assert result.simulations[benchmark] == cold_result.simulations[benchmark]
 
-    def test_corrupt_embedded_trace_recomputes(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["serial", "pool", "persistent"])
+    def test_corrupt_embedded_trace_recomputes(self, tmp_path, dispatch_spy, backend):
         # The envelope decodes fine but the v3 bytes inside do not: the
-        # scheduler must fall back to re-tracing, not crash the run.
+        # scheduler must fall back to re-tracing, not crash the run, and
+        # never dispatch the bad bytes to the simulations it recomputes.
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        config = EngineConfig(
+            jobs=1 if backend == "serial" else 2, backend=backend, cache_dir=cache_dir
+        )
+        with ExecutionEngine(config) as cold:
+            cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         for benchmark in BENCHMARKS:
             key = TraceTask.for_workload(benchmark, SCALE).cache_key()
             path = cold.cache.path_for("trace", key)
             assert path.exists()
             path.write_bytes(encode_cache_entry(key, {"trace_binary": b"\x00garbage"}))
+        for entry_path in list(cold.cache.entry_paths()):
+            if entry_path.parent.parent.name in ("simulate", "merge"):
+                entry_path.unlink()
 
-        warm = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        with ExecutionEngine(config) as warm:
+            dispatched = dispatch_spy(warm)
+            result = warm.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert warm.stats.traces_computed == len(BENCHMARKS)
+        assert warm.stats.traces_cached == 0
         for benchmark in BENCHMARKS:
             assert result.simulations[benchmark] == cold_result.simulations[benchmark]
+        simulate_payloads = [payload for payload in dispatched if "predictor" in payload]
+        assert len(simulate_payloads) == len(BENCHMARKS) * len(PREDICTORS)
+        for payload in simulate_payloads:
+            if "trace_bytes" in payload:
+                assert payload_trace({"trace_binary": payload["trace_bytes"]})
 
     def test_engine_takes_no_cache_format(self, tmp_path):
         # .rvpc is the only entry format, so there is nothing to choose.

@@ -1,0 +1,114 @@
+"""Pins on the engine's hot path under the vector kernel.
+
+Traces live as columns from the interpreter to the kernel: a campaign,
+cold or warm, serial or on persistent worker processes, never decodes v3
+bytes into ``TraceRecord`` objects, encodes each computed trace exactly
+once (in its trace task) and ships process workers the trace phase's own
+bytes.  The spies count calls in a file, so calls made in forked worker
+processes are counted too.
+"""
+
+from __future__ import annotations
+
+import shutil
+import sys
+
+import pytest
+
+from repro.engine import EngineConfig, ExecutionEngine
+from repro.engine.codecs import decode_cache_entry
+from repro.trace import io as trace_io
+from repro.trace.record import TraceRecord
+
+pytest.importorskip("numpy")
+
+SCALE = 0.05
+BENCHMARKS = ("compress", "m88ksim")
+PREDICTORS = ("l", "s2", "fcm2")
+BACKENDS = {"serial": 1, "persistent": 2}
+
+
+def _count_calls(monkeypatch, ledger, module, name):
+    """Wrap ``module.name`` wherever ``repro`` bound it; log each call."""
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        with open(ledger / name, "a") as handle:
+            handle.write("x")
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if getattr(loaded, "__name__", "").startswith("repro") and (
+            loaded.__dict__.get(name) is original
+        ):
+            monkeypatch.setattr(loaded, name, spy)
+
+
+def _calls(ledger, name) -> int:
+    path = ledger / name
+    return len(path.read_text()) if path.exists() else 0
+
+
+@pytest.fixture
+def ledger(tmp_path, monkeypatch):
+    """A directory counting decoder, encoder and ``TraceRecord`` calls."""
+    directory = tmp_path / "ledger"
+    directory.mkdir()
+    _count_calls(monkeypatch, directory, trace_io, "loads_trace_binary")
+    _count_calls(monkeypatch, directory, trace_io, "dumps_trace_binary")
+    original_init = TraceRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        with open(directory / "TraceRecord", "a") as handle:
+            handle.write("x")
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+    return directory
+
+
+def _trace_bytes_by_digest(cache) -> dict[str, bytes]:
+    """Every cached trace entry's v3 bytes, by trace digest."""
+    entries = {}
+    for path in cache.entry_paths():
+        if path.parent.parent.name == "trace":
+            _, payload = decode_cache_entry(path.read_bytes())
+            entries[payload["digest"]] = payload["trace_binary"]
+    return entries
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_campaign_builds_no_records_and_ships_trace_phase_bytes(
+    tmp_path, ledger, dispatch_spy, backend
+):
+    cache_dir = tmp_path / "cache"
+    config = EngineConfig(
+        jobs=BACKENDS[backend], backend=backend, cache_dir=cache_dir, kernel="vector"
+    )
+    results = []
+    # Cold, then traces cached but simulations not, then fully warm.
+    for temperature in ("cold", "traces-warm", "warm"):
+        if temperature == "traces-warm":
+            shutil.rmtree(cache_dir / "simulate")
+            shutil.rmtree(cache_dir / "merge")
+        encodes_before = _calls(ledger, "dumps_trace_binary")
+        with ExecutionEngine(config) as engine:
+            dispatched = dispatch_spy(engine)
+            result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+            stats = engine.stats
+            trace_bytes = _trace_bytes_by_digest(engine.cache)
+        results.append(result.simulations)
+
+        assert _calls(ledger, "loads_trace_binary") == 0, temperature
+        assert _calls(ledger, "TraceRecord") == 0, temperature
+        encodes = _calls(ledger, "dumps_trace_binary") - encodes_before
+        assert encodes == stats.traces_computed, temperature
+        simulate_payloads = [payload for payload in dispatched if "predictor" in payload]
+        expected_units = 0 if temperature == "warm" else len(BENCHMARKS) * len(PREDICTORS)
+        assert len(simulate_payloads) == expected_units, temperature
+        for payload in simulate_payloads:
+            if backend == "serial":
+                assert "trace_bytes" not in payload
+            else:
+                assert payload["trace_bytes"] == trace_bytes[payload["trace_digest"]]
+    assert results[0] == results[1] == results[2]

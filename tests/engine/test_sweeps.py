@@ -22,6 +22,7 @@ from repro.simulation.sensitivity import (
     order_sensitivity,
 )
 from repro.simulation.simulator import SIMULATION_COUNTER, simulate_trace
+from repro.trace.io import dumps_trace_binary
 from repro.workloads.suite import get_workload
 
 SCALE = 0.05
@@ -199,31 +200,40 @@ class TestPersistentCache:
             )
         assert trees[0] and trees[0] == trees[1]
 
+    @pytest.mark.parametrize("backend", ["serial", "pool", "persistent"])
     @pytest.mark.parametrize(
         "run", ["sweep", "campaign-merge-kept", "campaign-merge-deleted"]
     )
-    def test_corrupt_cached_trace_is_repaired_and_accounted(self, tmp_path, run):
+    def test_corrupt_cached_trace_is_repaired_and_accounted(
+        self, tmp_path, dispatch_spy, run, backend
+    ):
         # A stamped entry can pass the cheap warm probe (digest and
         # statistics readable) while its trace body is corrupt.  Sweeps and
-        # campaigns share one repair policy: when the records are first
+        # campaigns share one repair policy: when the trace is first
         # needed, re-trace once, report the work honestly (not as a cache
         # hit) and overwrite the bad entry so the repair sticks.  A warm
-        # sweep needs the records only for a pending simulation, a
-        # campaign for its merge or its decoded ``traces``.
-        from repro.engine.codecs import encode_cache_entry
+        # sweep needs the trace only for a pending simulation, a
+        # campaign for its merge or its decoded ``traces``.  The repair
+        # happens in the parent: no backend is ever handed the bad body.
+        from repro.engine.codecs import encode_cache_entry, payload_trace
         from repro.engine.tasks import TraceTask
+
+        predictors = ("l", "s2")
 
         def execute(engine):
             if run == "sweep":
-                spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=("l",))
-                return engine.run_sweep(spec).points[0].result
-            result = engine.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
+                spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=predictors)
+                return [point.result for point in engine.run_sweep(spec).points]
+            result = engine.run(scale=SCALE, predictors=predictors, benchmarks=("compress",))
             return result.simulations["compress"], result.traces["compress"].records
 
         stale_kind = {"sweep": "simulate", "campaign-merge-deleted": "merge"}.get(run)
         cache_dir = tmp_path / "cache"
-        cold = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        cold_result = execute(cold)
+        config = EngineConfig(
+            jobs=1 if backend == "serial" else 2, backend=backend, cache_dir=cache_dir
+        )
+        with ExecutionEngine(config) as cold:
+            cold_result = execute(cold)
 
         task = TraceTask.for_workload("compress", SCALE)
         path = cold.cache.path_for("trace", task.cache_key())
@@ -235,11 +245,18 @@ class TestPersistentCache:
             if entry_path.parent.parent.name == stale_kind:
                 entry_path.unlink()
 
-        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
-        assert execute(engine) == cold_result
+        with ExecutionEngine(config) as engine:
+            dispatched = dispatch_spy(engine)
+            assert execute(engine) == cold_result
         assert engine.stats.traces_computed == 1
         assert engine.stats.traces_cached == 0
         assert cold.cache.verify().ok  # the bad entry was overwritten
+        simulate_payloads = [payload for payload in dispatched if "predictor" in payload]
+        assert len(simulate_payloads) == (len(predictors) if run == "sweep" else 0)
+        for payload in simulate_payloads:
+            if "trace_bytes" in payload:
+                assert payload["trace_bytes"] != b"\x00garbage"
+                payload_trace({"trace_binary": payload["trace_bytes"]})
 
 
 class TestSpecValidation:
@@ -389,13 +406,16 @@ class TestBinaryWireFormat:
             trace_digest="d",
             predictor_signature="sig",
         )
-        payload = task.payload(compress_trace, inline=False)
-        assert isinstance(payload["trace_bytes"], bytes)
+        blob = dumps_trace_binary(compress_trace, compress=True)
+        payload = task.payload(trace_bytes=blob)
+        # The trace phase's bytes ship as they are, keyed by the digest.
+        assert payload["trace_bytes"] is blob
+        assert payload["trace_digest"] == "d"
+        assert "trace" not in payload
 
     def test_worker_decodes_binary_and_inline_identically(self, compress_trace):
         from repro.engine.codecs import shard_from_dict
         from repro.engine.fingerprint import predictor_signature
-        from repro.trace.io import dumps_trace_binary
 
         signature = predictor_signature("s2")
         base = {"predictor": "s2", "signature": signature}
@@ -406,11 +426,17 @@ class TestBinaryWireFormat:
         assert shard_from_dict(inline["shard"]) == shard_from_dict(binary["shard"])
 
     def test_binary_payload_smaller_than_text(self, compress_trace):
+        from repro.engine.tasks import TraceTask
+        from repro.engine.worker import execute_trace_task
         from repro.trace.io import dumps_trace
 
+        outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
         task = SimulateTask(
-            benchmark="compress", predictor="l", trace_digest="d", predictor_signature="s"
+            benchmark="compress",
+            predictor="l",
+            trace_digest=outcome["digest"],
+            predictor_signature="s",
         )
-        payload = task.payload(compress_trace, inline=False)
+        payload = task.payload(trace_bytes=outcome["trace_binary"])
         text = dumps_trace(compress_trace)
         assert len(payload["trace_bytes"]) < len(text.encode("utf-8")) // 10

@@ -388,7 +388,12 @@ class TestWorkerParity:
             trace_digest="unused",
             predictor_signature=predictor_signature(name),
         )
-        payload = task.payload(trace, inline=transport == "inline", kernel=kernel)
+        if transport == "inline":
+            payload = task.payload(trace=trace, kernel=kernel)
+        else:
+            payload = task.payload(
+                trace_bytes=dumps_trace_binary(trace, compress=True), kernel=kernel
+            )
         outcome = execute_simulate_task(payload)
         reference = shard_to_dict(simulate_shard(trace, name, kernel="scalar"))
         assert json.dumps(outcome["shard"]) == json.dumps(reference)

@@ -9,6 +9,7 @@ from repro.errors import TraceError
 from repro.isa.opcodes import Opcode
 from repro.trace.io import (
     BINARY_MAGIC,
+    decode_trace_columns,
     decode_uvarint,
     dumps_trace,
     dumps_trace_binary,
@@ -29,6 +30,26 @@ def _assert_same_trace(left, right):
         assert (a.serial, a.pc, a.opcode, a.category, a.value) == (
             b.serial, b.pc, b.opcode, b.category, b.value,
         )
+
+
+def _decode_columnar(blob, tmp_path):
+    pytest.importorskip("numpy")
+    return decode_trace_columns(blob)
+
+
+def _decode_file(blob, tmp_path):
+    path = tmp_path / "trace.rvpt"
+    path.write_bytes(blob)
+    return load_trace_file(path)
+
+
+#: Every way a v3 blob is decoded: the scalar and the columnar decoder,
+#: and the file loader.
+_DECODERS = {
+    "scalar": lambda blob, tmp_path: loads_trace_binary(blob),
+    "columnar": _decode_columnar,
+    "file": _decode_file,
+}
 
 
 class TestVarints:
@@ -118,13 +139,19 @@ class TestBinaryCorruption:
             loads_trace_binary(blob[:keep])
 
     @staticmethod
-    def _blob(records_field: int, body: bytes, opcode: bytes = b"add") -> bytes:
+    def _blob(
+        records_field: int,
+        body: bytes,
+        opcode: bytes = b"add",
+        name: bytes = b"x",
+        total: int = 5,
+    ) -> bytes:
         """Hand-assemble a minimal v3 container around ``body``."""
         out = bytearray(BINARY_MAGIC)
         out += encode_uvarint(3)  # version
         out += encode_uvarint(0)  # flags
-        out += encode_uvarint(1) + b"x"  # name
-        out += encode_uvarint(5)  # total
+        out += encode_uvarint(len(name)) + name
+        out += encode_uvarint(total)
         out += encode_uvarint(records_field)
         out += encode_uvarint(1)  # opcode table with one entry
         out += encode_uvarint(len(opcode)) + opcode
@@ -155,6 +182,25 @@ class TestBinaryCorruption:
         # must be reported as a bad index, not as body truncation.
         with pytest.raises(TraceError, match="invalid opcode index"):
             loads_trace_binary(self._blob(1, b"\x00\x00\x05\x0e"))
+
+    @pytest.mark.parametrize("decoder", ["scalar", "columnar", "file"])
+    @pytest.mark.parametrize(
+        "field", [{"name": b"n\xe9"}, {"opcode": b"a\xffd"}], ids=["name", "opcode"]
+    )
+    def test_non_ascii_header_byte_raises_trace_error(self, tmp_path, decoder, field):
+        # A flipped high bit in the name or the opcode table is corruption
+        # like any other: TraceError, never UnicodeDecodeError.
+        blob = self._blob(1, self.ONE_RECORD, **field)
+        with pytest.raises(TraceError, match="non-ASCII"):
+            _DECODERS[decoder](blob, tmp_path)
+
+    @pytest.mark.parametrize("decoder", ["scalar", "columnar", "file"])
+    def test_total_below_record_count_rejected(self, tmp_path, decoder):
+        # Both decoders enforce the invariant ValueTrace does: a trace
+        # cannot hold more records than dynamic instructions.
+        blob = self._blob(2, self.ONE_RECORD * 2, total=1)
+        with pytest.raises(TraceError, match="smaller"):
+            _DECODERS[decoder](blob, tmp_path)
 
     def test_corrupt_zlib_body_rejected(self):
         trace = trace_from_values([5] * 30)
