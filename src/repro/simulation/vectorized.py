@@ -11,10 +11,11 @@ whole-trace array passes over the columnar form of a trace
   then shifted compares and a forward-fill give every record the table
   state its scalar ``predict`` would have seen;
 * **saturating-counter variants** (``lv-counter``, ``lv-consecutive``,
-  ``stride-counter``) are feedback state machines, so they run in
-  *lockstep*: step ``k`` processes the ``k``-th record of every PC group
-  at once, advancing one small state vector per group.  Total elementwise
-  work stays O(n) because the active set shrinks with depth;
+  ``stride-counter``) are feedback state machines with no closed-form
+  scan, so each runs as a tight Python loop over every PC's slice of the
+  sorted values.  A trace has a few dozen PCs, each hundreds to thousands
+  of records deep, so stepping all PCs in lockstep with numpy calls on
+  arrays of a few dozen elements costs far more than the loop itself;
 * **FCM** becomes a hash-then-scatter pass: records are grouped by their
   exact (PC, context) key, occurrence counts come from a running count of
   (group, value) pairs, and the scalar tie-break of
@@ -28,7 +29,9 @@ whole-trace array passes over the columnar form of a trace
   lazy exclusion each order's candidate stream is exactly the records not
   matched at a higher order (which is precisely the set that updates that
   order's table); under full update every gated record feeds every order
-  and a record keeps the highest-order match;
+  and a record keeps the highest-order match.  Context ids come from one
+  per-trace table that grows one order at a time, so ``fcm0``…``fcm8``
+  and the hybrids' ``fcm3`` share each order's single factorize pass;
 * **hybrids** compose their components' plans and vectorize the chooser:
   ``PcChooser`` scores are a segmented prefix scan over the saturating-add
   monoid ``y -> min(C, max(B, y + A))``, ``CategoryChooser`` is a static
@@ -38,6 +41,9 @@ whole-trace array passes over the columnar form of a trace
 Every registered configuration (and every dynamic ``fcmN`` /
 ``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan,
 and every plan starts from a fresh predictor and covers the whole trace.
+What plans derive from a trace — the per-PC grouping, the context table
+and the hybrids' component results — is kept for the current trace only
+and released when the kernel moves to another trace or the trace dies.
 Cache keys never include the kernel: both kernels produce byte-identical
 entries, and the differential parity harness
 (``tests/simulation/test_kernel_parity.py``) pins that equivalence.
@@ -46,6 +52,7 @@ entries, and the differential parity harness
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import SimulationError
@@ -112,14 +119,16 @@ class _VectorizationUnsupported(Exception):
 # Per-PC grouping (shared by every plan over one trace)
 # --------------------------------------------------------------------------- #
 class _Grouping:
-    """Stable per-PC grouping of a trace's columns.
+    """Stable per-PC grouping of a trace's columns, plus what plans share.
 
     ``order`` sorts records by PC (stable, so within each group the
     records keep program order — the axis every predictor table walks).
     ``gid`` is a dense group id per sorted position, ``t`` the occurrence
     index of the record within its PC's stream, ``vs`` the values in the
-    sorted domain.  ``starts``/``sizes`` describe the groups themselves:
-    the lockstep plans index records as ``starts[g] + k``.
+    sorted domain.  ``starts``/``sizes`` describe the groups themselves
+    and ``depth`` is the deepest PC stream.  :meth:`context` holds the
+    FCM context table, and ``components`` memoises hybrid component
+    results by their predictor's config signature.
     """
 
     def __init__(self, np, columns) -> None:
@@ -137,14 +146,58 @@ class _Grouping:
         self.t = np.arange(n) - (starts[self.gid] if n else 0)
         self.starts = starts
         self.sizes = np.diff(np.append(starts, n))
+        self.depth = int(self.sizes.max()) if n else 0
+        self.components: dict = {}
+        self._np = np
+        self._contexts = [self.gid.astype(np.int32)]
+
+    def context(self, order: int):
+        """Dense ids of each position's (PC, last ``order`` values) context.
+
+        Only positions with ``t >= order`` hold an id; the rest hold -1.
+        Order ``k`` is built from order ``k - 1`` with one factorize pass
+        and kept (four bytes per record), so every plan over the trace
+        shares each order's pass.  No stream reaches an order at or past
+        ``depth``, so none is built.
+        """
+        np = self._np
+        if order >= self.depth:
+            return np.full(self.n, -1, dtype=np.int32)
+        contexts = self._contexts
+        while len(contexts) <= order:
+            back = len(contexts)
+            positions = np.flatnonzero(self.t >= back)
+            ids = np.full(self.n, -1, dtype=np.int32)
+            ids[positions] = _factorize_pairs(
+                np, contexts[-1][positions], self.vs[positions - back]
+            )
+            contexts.append(ids)
+        return contexts[order]
+
+
+#: ``(weakref to TraceColumns, its _Grouping)`` for the trace the kernel
+#: ran last, or ``None``.  One slot, so a campaign holds one trace's
+#: derived state at a time; the weakref's callback empties the slot as
+#: soon as the trace itself dies.
+_current_trace: "tuple[weakref.ref, _Grouping] | None" = None
+
+
+def _release_trace(reference) -> None:
+    global _current_trace
+    if _current_trace is not None and _current_trace[0] is reference:
+        _current_trace = None
 
 
 def _grouping(np, columns) -> _Grouping:
-    grouping = columns.scratch.get("grouping")
-    if grouping is None:
-        grouping = _Grouping(np, columns)
-        columns.scratch["grouping"] = grouping
-    return grouping
+    """The grouping of ``columns``, built once while it is the current trace."""
+    global _current_trace
+    current = _current_trace
+    if current is not None and current[0]() is columns:
+        return current[1]
+    _current_trace = None  # free the previous trace's state before building
+    group = _Grouping(np, columns)
+    _current_trace = (weakref.ref(columns, _release_trace), group)
+    return group
 
 
 def _factorize_pairs(np, a, b):
@@ -171,7 +224,7 @@ def _segmented_cummax(np, gid, keys, key_bound: int):
 
 
 # --------------------------------------------------------------------------- #
-# Lockstep scheduling (feedback state machines: counters, saturating FCM)
+# Lockstep scheduling (feedback state machines: saturating-counter FCM)
 # --------------------------------------------------------------------------- #
 def _lockstep_schedule(np, sizes, n):
     """Schedule per-group state machines over the group depth.
@@ -198,6 +251,25 @@ def _active_groups(np, by_size, negative_sizes, step):
 # --------------------------------------------------------------------------- #
 # The FCM count/argmax machinery (shared by single-order and blended plans)
 # --------------------------------------------------------------------------- #
+def _pair_runs(np, gid, y):
+    """Positions of a stream sorted by ``(gid, y)`` pair, stably.
+
+    ``gid`` holds dense ids below ``len(y)``, so the id and the value's
+    rank pack into one int64 key, and one stable sort lists each pair's
+    occurrences in time order.  Returns that order and a mask of where
+    each pair's run starts in it.
+    """
+    m = len(y)
+    _, y_rank = np.unique(y, return_inverse=True)
+    key = gid * np.int64(m) + y_rank
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.empty(m, dtype=bool)
+    start[0] = True
+    start[1:] = key[1:] != key[:-1]
+    return order, start
+
+
 def _fcm_stream(np, group_ids, y):
     """Predict each element of a (group, value) stream from its group's past.
 
@@ -221,16 +293,12 @@ def _fcm_stream(np, group_ids, y):
     u = np.arange(m) - np.flatnonzero(new_group)[gid]
 
     # Running count c of each (group, value) pair at each occurrence.
-    pid = _factorize_pairs(np, gid, y2)
-    pair_order = np.argsort(pid, kind="stable")
-    pid_sorted = pid[pair_order]
-    pair_start = np.empty(m, dtype=bool)
-    pair_start[0] = True
-    pair_start[1:] = pid_sorted[1:] != pid_sorted[:-1]
+    pair_order, pair_start = _pair_runs(np, gid, y2)
+    pid_sorted = np.cumsum(pair_start) - 1
+    pid = np.empty(m, dtype=np.int64)
+    pid[pair_order] = pid_sorted
     counts = np.empty(m, dtype=np.int64)
-    counts[pair_order] = (
-        np.arange(m) - np.flatnonzero(pair_start)[np.cumsum(pair_start) - 1] + 1
-    )
+    counts[pair_order] = np.arange(m) - np.flatnonzero(pair_start)[pid_sorted] + 1
 
     # Running maximum count per group.
     count_bound = int(counts.max()) + 1
@@ -238,9 +306,8 @@ def _fcm_stream(np, group_ids, y):
 
     # Insertion rank of each pair within its group, plus the group-local
     # table decoding (group, rank) back to the pair's value.
-    pair_count = int(pid.max()) + 1
-    first_pos = np.empty(pair_count, dtype=np.int64)
-    first_pos[pid_sorted[pair_start]] = pair_order[pair_start]
+    first_pos = pair_order[pair_start]
+    pair_count = len(first_pos)
     pair_gid = gid[first_pos]
     rank_order = np.lexsort((first_pos, pair_gid))
     ranked_gid = pair_gid[rank_order]
@@ -343,127 +410,105 @@ def _plan_two_delta(np, group):
 
 
 # --------------------------------------------------------------------------- #
-# Lockstep counter plans (hysteresis feeds back into the stored value, so
-# no closed-form scan exists; the per-group state machines advance in
-# lockstep instead)
+# Counter plans (hysteresis feeds back into the stored value, so no
+# closed-form scan exists; each PC's state machine runs as a plain loop)
 # --------------------------------------------------------------------------- #
+def _pc_slices(group):
+    """``(start, stop)`` of each PC's stream in the sorted domain."""
+    bounds = group.starts.tolist()
+    bounds.append(group.n)
+    return zip(bounds, bounds[1:])
+
+
 def _plan_lv_counter(np, group, counter_max, threshold):
     """``lv-counter``: replace the value only when the counter sags."""
-    group_count = len(group.sizes)
-    exists = np.zeros(group_count, dtype=bool)
-    value = np.zeros(group_count, dtype=np.int64)
-    counter = np.zeros(group_count, dtype=np.int64)
-    by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    maximum = np.int64(counter_max)
-    limit = np.int64(threshold)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
-        position = group.starts[active] + step
-        actual = group.vs[position]
-        alive = exists[active]
-        stored = value[active]
-        has[position] = alive
-        pred[position] = np.where(alive, stored, 0)
+    values = group.vs.tolist()
+    pred = []
+    emit = pred.append
+    for start, stop in _pc_slices(group):
         # Mirror LastValuePredictor._update_counter: bump on a hit, decay
         # on a miss, replace (and zero) when the decayed counter is below
-        # the threshold.  Fresh entries store the value with counter 0.
-        hit = stored == actual
-        count = np.where(
-            hit,
-            np.minimum(maximum, counter[active] + 1),
-            np.maximum(np.int64(0), counter[active] - 1),
-        )
-        replace = ~hit & (count < limit)
-        fresh = ~alive
-        value[active] = np.where(fresh | replace, actual, stored)
-        counter[active] = np.where(fresh | replace, 0, count)
-        exists[active] = True
-    return has, pred
+        # the threshold.  A fresh entry stores its value with counter 0.
+        stored = values[start]
+        counter = 0
+        emit(0)
+        for actual in values[start + 1 : stop]:
+            emit(stored)
+            if stored == actual:
+                if counter < counter_max:
+                    counter += 1
+                continue
+            if counter:
+                counter -= 1
+            if counter < threshold:
+                stored = actual
+                counter = 0
+    return group.t >= 1, np.array(pred, dtype=np.int64)
 
 
 def _plan_lv_consecutive(np, group, required_run):
     """``lv-consecutive``: replace after a run of identical new values."""
-    group_count = len(group.sizes)
-    exists = np.zeros(group_count, dtype=bool)
-    value = np.zeros(group_count, dtype=np.int64)
-    candidate = np.zeros(group_count, dtype=np.int64)
-    has_candidate = np.zeros(group_count, dtype=bool)
-    run = np.zeros(group_count, dtype=np.int64)
-    by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    required = np.int64(required_run)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
-        position = group.starts[active] + step
-        actual = group.vs[position]
-        alive = exists[active]
-        stored = value[active]
-        has[position] = alive
-        pred[position] = np.where(alive, stored, 0)
+    values = group.vs.tolist()
+    pred = []
+    emit = pred.append
+    for start, stop in _pc_slices(group):
         # Mirror LastValuePredictor._update_consecutive: a hit clears the
         # candidate; a miss extends (or restarts) the candidate run, and a
         # long enough run promotes the candidate to the stored value.
-        hit = stored == actual
-        extend = has_candidate[active] & (candidate[active] == actual)
-        streak = np.where(
-            hit, np.int64(0), np.where(extend, run[active] + 1, np.int64(1))
-        )
-        promote = ~hit & (streak >= required)
-        value[active] = np.where(~alive | promote, actual, stored)
-        candidate[active] = np.where(alive & ~hit, actual, 0)
-        has_candidate[active] = alive & ~hit & ~promote
-        run[active] = np.where(alive & ~promote, streak, 0)
-        exists[active] = True
-    return has, pred
+        stored = values[start]
+        candidate = None
+        run = 0
+        emit(0)
+        for actual in values[start + 1 : stop]:
+            emit(stored)
+            if stored == actual:
+                candidate = None
+                run = 0
+                continue
+            if candidate == actual:
+                run += 1
+            else:
+                candidate = actual
+                run = 1
+            if run >= required_run:
+                stored = actual
+                candidate = None
+                run = 0
+    return group.t >= 1, np.array(pred, dtype=np.int64)
+
+
+_UINT64_MASK = (1 << 64) - 1
 
 
 def _plan_stride_counter(np, group, counter_max, threshold):
     """``stride-counter``: replace the stride only when the counter sags."""
-    group_count = len(group.sizes)
-    exists = np.zeros(group_count, dtype=bool)
-    last = np.zeros(group_count, dtype=np.uint64)
-    stride = np.zeros(group_count, dtype=np.uint64)
-    has_stride = np.zeros(group_count, dtype=bool)
-    counter = np.zeros(group_count, dtype=np.int64)
-    by_size, negative_sizes, depth = _lockstep_schedule(np, group.sizes, group.n)
-    values = group.vs.view(np.uint64)
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    maximum = np.int64(counter_max)
-    limit = np.int64(threshold)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
-        position = group.starts[active] + step
-        actual = values[position]
-        alive = exists[active]
-        base = last[active]
-        known = has_stride[active]
-        guess = base + np.where(known, stride[active], np.uint64(0))
-        has[position] = alive
-        pred[position] = np.where(alive, guess, np.uint64(0)).view(np.int64)
+    values = group.vs.view(np.uint64).tolist()
+    pred = []
+    emit = pred.append
+    for start, stop in _pc_slices(group):
         # Mirror CounterStridePredictor.update: score the prediction, and
         # only a miss with a sagging counter (or a still-empty stride
         # field) adopts the observed delta.  All arithmetic wraps in the
         # uint64 domain, matching wrap_value.
-        observed = actual - base
-        hit = guess == actual
-        count = np.where(
-            hit,
-            np.minimum(maximum, counter[active] + 1),
-            np.maximum(np.int64(0), counter[active] - 1),
-        )
-        adopt = (~hit & (count < limit)) | ~known
-        stride[active] = np.where(
-            alive & adopt, observed, np.where(alive, stride[active], np.uint64(0))
-        )
-        has_stride[active] = alive
-        counter[active] = np.where(alive, count, 0)
-        last[active] = actual
-        exists[active] = True
-    return has, pred
+        last = values[start]
+        stride = None
+        counter = 0
+        emit(0)
+        for actual in values[start + 1 : stop]:
+            guess = last if stride is None else (last + stride) & _UINT64_MASK
+            emit(guess)
+            if guess == actual:
+                if counter < counter_max:
+                    counter += 1
+            else:
+                if counter:
+                    counter -= 1
+                if counter < threshold:
+                    stride = (actual - last) & _UINT64_MASK
+            if stride is None:
+                stride = (actual - last) & _UINT64_MASK
+            last = actual
+    return group.t >= 1, np.array(pred, dtype=np.uint64).view(np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -638,19 +683,21 @@ def _halve_and_rescan(
 # --------------------------------------------------------------------------- #
 # FCM plans: context keys, single and blended orders
 # --------------------------------------------------------------------------- #
-def _context_keys(np, group, order, positions):
-    """Dense context ids — (group, last ``order`` values) — for ``positions``."""
-    keys = group.gid[positions]
-    for back in range(1, order + 1):
-        keys = _factorize_pairs(np, keys, group.vs[positions - back])
-    return keys
+def _context_keys(group, order, positions):
+    """Context ids — (group, last ``order`` values) — for ``positions``.
+
+    Ids come from the trace's shared table, so they are dense over every
+    position of that order rather than over ``positions``; the FCM passes
+    re-densify them, so predictions do not depend on the labelling.
+    """
+    return group.context(order)[positions]
 
 
 def _plan_fcm(np, group, order, counter_max):
     """Single fixed-order FCM, with optional saturating counters."""
     stream = np.flatnonzero(group.t >= order)
     stream_has, stream_pred = _fcm_eval(
-        np, _context_keys(np, group, order, stream), group.vs[stream], counter_max
+        np, _context_keys(group, order, stream), group.vs[stream], counter_max
     )
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
@@ -667,20 +714,21 @@ def _plan_blended_fcm(np, group, order, counter_max, update_policy):
     table, so each round's candidate stream doubles as that order's
     updater stream.  Under full update every gated record feeds every
     order's table.  Either way a record keeps the highest order where a
-    previous same-context candidate exists.
+    previous same-context candidate exists.  No record reaches an order at
+    or past the deepest PC stream, so the walk starts below it.
     """
     lazy = update_policy == "lazy-exclusion"
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
     unmatched = np.ones(group.n, dtype=bool)
-    for model_order in range(order, -1, -1):
+    for model_order in range(min(order, group.depth - 1), -1, -1):
         gated = group.t >= model_order
         candidates = np.flatnonzero((unmatched & gated) if lazy else gated)
         if candidates.size == 0:
             continue
         stream_has, stream_pred = _fcm_eval(
             np,
-            _context_keys(np, group, model_order, candidates),
+            _context_keys(group, model_order, candidates),
             group.vs[candidates],
             counter_max,
         )
@@ -695,9 +743,21 @@ def _plan_blended_fcm(np, group, order, counter_max, update_policy):
 # --------------------------------------------------------------------------- #
 # Hybrid plans: component composition plus vectorized choosers
 # --------------------------------------------------------------------------- #
-def _hybrid_components(np, columns, group, plans):
-    """Run every component plan; return (has, pred) pairs and correctness."""
-    results = [plan(np, columns, group) for plan in plans]
+def _hybrid_components(np, columns, group, components):
+    """Every component's (has, pred) pair and correctness.
+
+    ``components`` lists ``(config signature, plan)``.  Results are
+    memoised on the grouping by signature, so hybrids sharing a component
+    configuration (``s2`` and ``fcm3`` in all three registered hybrids)
+    compute it once per trace.
+    """
+    memo = group.components
+    results = []
+    for signature, plan in components:
+        result = memo.get(signature)
+        if result is None:
+            result = memo[signature] = plan(np, columns, group)
+        results.append(result)
     correct = [has & (pred == group.vs) for has, pred in results]
     return results, correct
 
@@ -772,7 +832,7 @@ def _pc_chooser_select(np, group, correct, score_max):
     return np.where(group.t >= 1, selection, np.int64(0))
 
 
-def _plan_hybrid(predictor, component_plans):
+def _plan_hybrid(predictor, components):
     """Build the plan closure for one hybrid configuration."""
     from repro.core.hybrid import CategoryChooser, OracleChooser, PcChooser
 
@@ -780,7 +840,7 @@ def _plan_hybrid(predictor, component_plans):
     if isinstance(chooser, OracleChooser):
 
         def plan(np, columns, group):
-            _, correct = _hybrid_components(np, columns, group, component_plans)
+            _, correct = _hybrid_components(np, columns, group, components)
             combined = np.zeros(group.n, dtype=bool)
             for flags in correct:
                 combined |= flags
@@ -794,7 +854,7 @@ def _plan_hybrid(predictor, component_plans):
         default = chooser.default
 
         def plan(np, columns, group):
-            results, _ = _hybrid_components(np, columns, group, component_plans)
+            results, _ = _hybrid_components(np, columns, group, components)
             lookup = np.asarray(
                 [mapping.get(category, default) for category in columns.categories],
                 dtype=np.int64,
@@ -804,12 +864,12 @@ def _plan_hybrid(predictor, component_plans):
 
         return plan
     if isinstance(chooser, PcChooser):
-        if chooser.num_components != len(component_plans):
+        if chooser.num_components != len(components):
             return None
         score_max = chooser.score_max
 
         def plan(np, columns, group):
-            results, correct = _hybrid_components(np, columns, group, component_plans)
+            results, correct = _hybrid_components(np, columns, group, components)
             selection = _pc_chooser_select(np, group, correct, score_max)
             return _gather_selected(np, results, selection)
 
@@ -869,12 +929,13 @@ def _plan_for(predictor):
             np, group, order, saturation, policy
         )
     if kind is HybridPredictor:
-        component_plans = [
-            _plan_for(component.predictor) for component in predictor.components
+        components = [
+            (component.predictor.config_signature(), _plan_for(component.predictor))
+            for component in predictor.components
         ]
-        if any(plan is None for plan in component_plans):
+        if any(plan is None for _, plan in components):
             return None
-        return _plan_hybrid(predictor, component_plans)
+        return _plan_hybrid(predictor, components)
     return None
 
 

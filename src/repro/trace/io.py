@@ -457,8 +457,10 @@ class TraceColumns:
     ``opcode_codes`` indexes ``opcodes`` (the file's embedded table) and
     ``category_codes`` indexes ``categories`` (the distinct categories of
     that table, in table order).  ``scratch`` is a plain dict where the
-    vectorized kernel memoises derived structures (e.g. the per-PC
-    grouping) so they are computed once per trace, not once per predictor.
+    vectorized kernel memoises small per-trace results (the per-category
+    record totals) so they are computed once per trace, not once per
+    predictor; its large derived structures live only while the trace is
+    the one the kernel is running.
     """
 
     def __init__(self, name, total_dynamic_instructions, serials, pcs, values,

@@ -16,8 +16,11 @@ trace transport — and each shard's accounting to the scalar reference.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -246,22 +249,20 @@ def _edge_trace(name: str, triples) -> ValueTrace:
 
 @requires_numpy
 class TestEdgeCases:
-    EDGE_NAMES = ("l", "s", "s2", "fcm1", "fcm2", "fcm3", "fcm0", "fcm2-single")
-
-    @pytest.mark.parametrize("name", EDGE_NAMES)
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_empty_trace(self, name):
         assert_shard_parity(ValueTrace("empty", []), name)
 
-    @pytest.mark.parametrize("name", EDGE_NAMES)
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_single_record(self, name):
         assert_shard_parity(_edge_trace("one", [(0x10, Opcode.ADD, 7)]), name)
 
-    @pytest.mark.parametrize("name", EDGE_NAMES)
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_single_hot_pc(self, name):
         triples = [(0x10, Opcode.LW, value) for value in (3, 5, 7, 9, 9, 9, 11, 3, 5, 7)]
         assert_shard_parity(_edge_trace("hot", triples), name)
 
-    @pytest.mark.parametrize("name", EDGE_NAMES)
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_interleaved_aliasing_pcs(self, name):
         # Two PCs in lockstep with identical values: per-PC grouping must
         # not leak one PC's history into the other's table walk.
@@ -271,7 +272,7 @@ class TestEdgeCases:
             triples.append((0x20, Opcode.SUB, value))
         assert_shard_parity(_edge_trace("alias", triples), name)
 
-    @pytest.mark.parametrize("name", EDGE_NAMES)
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_extreme_values_through_zigzag(self, name):
         triples = [
             (0x10, Opcode.LUI, 2**63 - 1),
@@ -351,6 +352,144 @@ class TestCounterEdges:
         for name, factory in self._cases():
             temporary_predictor(name, factory)
             assert_shard_parity(_edge_trace("flipflop", triples), name)
+
+
+@functools.lru_cache(maxsize=None)
+def deep_single_pc_trace(length: int = 5000) -> ValueTrace:
+    """One PC, ``length`` records deep, cycling through value behaviours.
+
+    Runs of repeats (with one-off glitches), strides (some wrapping past
+    64 bits), two-value flip-flops and 64-bit noise drive every counter
+    and hysteresis edge many times over on a single table entry.
+    """
+    rng = random.Random(length)
+    values: list[int] = []
+    value = 0
+    while len(values) < length:
+        behaviour = rng.choice(("repeat", "stride", "flip", "noise"))
+        stride = rng.choice((-8, 1, 4, 2**62))
+        other = rng.randint(-9, 9)
+        for step in range(rng.randint(3, 60)):
+            if behaviour == "repeat":
+                emitted = rng.randint(-9, 9) if rng.random() < 0.1 else value
+            elif behaviour == "stride":
+                value = (value + stride + 2**63) % 2**64 - 2**63
+                emitted = value
+            elif behaviour == "flip":
+                emitted = value if step % 2 else other
+            else:
+                emitted = rng.randrange(-(2**63), 2**63)
+            values.append(emitted)
+    return _edge_trace("deep", [(0x40, Opcode.ADD, value) for value in values[:length]])
+
+
+@requires_numpy
+class TestDeepStream:
+    """A PC stream deeper than 4,096 records, on a single-PC trace."""
+
+    @pytest.mark.parametrize("name", ("lv-counter", "lv-consecutive", "stride-counter"))
+    def test_counter_plans_stay_vectorized(self, name):
+        # The per-PC counter loops have no depth guard: the shard comes
+        # from the vector plan, never from the scalar fallback.
+        trace = deep_single_pc_trace()
+        shard = vectorized.simulate_shard_vector(trace_columns(trace), name)
+        assert shard is not None
+        reference = simulate_shard(trace, name, kernel="scalar")
+        assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference))
+
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
+    def test_deep_stream_parity(self, name):
+        assert_shard_parity(deep_single_pc_trace(), name)
+
+
+def _fresh_columns(trace: ValueTrace):
+    """A new ``TraceColumns`` for ``trace``, sharing no kernel state."""
+    return decode_trace_columns(dumps_trace_binary(trace))
+
+
+@requires_numpy
+class TestSharedTraceWork:
+    """Work derived from one trace is done once for every plan over it."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, record):
+        original = getattr(vectorized, name)
+
+        def spy(*args):
+            record(*args)
+            return original(*args)
+
+        monkeypatch.setattr(vectorized, name, spy)
+
+    def test_deep_fcm_factorize_passes_grow_linearly(self, compress_trace, monkeypatch):
+        calls = Counter()
+        self._spy(monkeypatch, "_factorize_pairs", lambda *args: calls.update(["factorize"]))
+        self._spy(monkeypatch, "_fcm_stream", lambda *args: calls.update(["stream"]))
+        shard = vectorized.simulate_shard_vector(_fresh_columns(compress_trace), "fcm500")
+        monkeypatch.undo()
+        depth = max(Counter(compress_trace.record_columns().pcs).values())
+        # One pass per context order the deepest stream reaches, plus one
+        # per FCM stream — not one per order per order.
+        assert calls["stream"] <= depth
+        assert calls["factorize"] <= depth + calls["stream"]
+        assert shard is not None
+        reference = simulate_shard(compress_trace, "fcm500", kernel="scalar")
+        assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference))
+
+    def test_orders_and_hybrid_components_computed_once(self, monkeypatch):
+        trace = synthetic_trace(*SCENARIOS[4])
+        names = tuple(f"fcm{order}" for order in range(9)) + (
+            "hybrid-s2-fcm3",
+            "hybrid-type-s2-fcm3",
+            "hybrid-oracle",
+        )
+        calls = Counter()
+        blended_orders: list[int] = []
+        self._spy(monkeypatch, "_factorize_pairs", lambda *args: calls.update(["factorize"]))
+        self._spy(monkeypatch, "_plan_two_delta", lambda *args: calls.update(["s2"]))
+        self._spy(
+            monkeypatch,
+            "_plan_blended_fcm",
+            lambda np, group, order, *rest: blended_orders.append(order),
+        )
+        columns = _fresh_columns(trace)
+        shards = {name: vectorized.simulate_shard_vector(columns, name) for name in names}
+        monkeypatch.undo()
+        # Context orders 1..8 are each factorized once, for all 12 plans.
+        assert calls["factorize"] == 8
+        # fcm0..fcm8 once each, then one fcm3 and one s2 for all three hybrids.
+        assert blended_orders == [*range(9), 3]
+        assert calls["s2"] == 1
+        for name, shard in shards.items():
+            reference = simulate_shard(trace, name, kernel="scalar")
+            assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
+
+
+@requires_numpy
+class TestKernelStateLifetime:
+    """The kernel keeps derived state for the current trace only."""
+
+    def test_moving_to_another_trace_releases_the_first(self):
+        first = _fresh_columns(synthetic_trace(*SCENARIOS[0]))
+        second = _fresh_columns(synthetic_trace(*SCENARIOS[1]))
+        vectorized.simulate_shard_vector(first, "hybrid-oracle")
+        first_state = weakref.ref(vectorized._current_trace[1])
+        vectorized.simulate_shard_vector(second, "hybrid-oracle")
+        gc.collect()
+        assert first_state() is None
+        first_columns = weakref.ref(first)
+        del first
+        gc.collect()
+        assert first_columns() is None
+
+    def test_state_dies_with_its_trace(self):
+        columns = _fresh_columns(synthetic_trace(*SCENARIOS[0]))
+        vectorized.simulate_shard_vector(columns, "fcm3")
+        state = weakref.ref(vectorized._current_trace[1])
+        del columns
+        gc.collect()
+        assert state() is None
+        assert vectorized._current_trace is None
 
 
 @requires_numpy
