@@ -7,9 +7,11 @@ entry records both the key (for inspectability — ``grep`` a cache dir to
 see what produced an entry; the key stays uncompressed) and the payload,
 and :meth:`ResultCache.get` compares the embedded key with the requested
 one, so a file under another entry's name reads as a miss, never as a
-wrong result.  Writes go through a temporary file plus :func:`os.replace`,
-so concurrent producers of the same entry race benignly: both write
-identical content and the last rename wins atomically.
+wrong result.  Writes go through a temporary file plus :func:`os.replace`
+(:func:`~repro.engine.telemetry.replace_file`), each writer with its own
+temporary name, so concurrent producers of the same entry — processes or
+threads — race benignly: both write identical content and the last rename
+wins atomically.
 
 On top of storage, :class:`ResultCache` carries the cache-management layer:
 enumeration of every entry file (``.json`` entries left by older versions
@@ -32,7 +34,7 @@ from typing import Iterator, Mapping
 
 from repro.engine.codecs import decode_cache_entry, encode_cache_entry, payload_trace
 from repro.engine.fingerprint import key_digest
-from repro.engine.telemetry import NULL_TELEMETRY
+from repro.engine.telemetry import NULL_TELEMETRY, replace_file
 
 
 @dataclass
@@ -154,10 +156,7 @@ class ResultCache:
         """Store ``payload`` under ``key`` and return the entry's path."""
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(temporary, "wb") as handle:
-            handle.write(encode_cache_entry(dict(key), payload))
-        os.replace(temporary, path)
+        replace_file(path, encode_cache_entry(dict(key), payload))
         size = 0
         try:
             size = path.stat().st_size

@@ -43,7 +43,7 @@ from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
 from repro.engine.tasks import TASK_FORMAT_VERSION, SimulateTask, TraceTask
 from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
-from repro.engine.worker import execute_simulate_task, execute_trace_task
+from repro.engine.worker import INLINE_TRACE_KEY, execute_simulate_task, execute_trace_task
 from repro.simulation.simulator import PredictorShard, merge_shards
 from repro.trace.stream import TraceStatistics, ValueTrace
 
@@ -424,11 +424,13 @@ class LazyTrace:
 
     A cached entry passes the trace phase on a cheap probe (digest and
     statistics readable), so a fully warm run never decodes the embedded
-    trace.  :meth:`get` decodes the v3 bytes straight to array columns
-    (:func:`~repro.engine.codecs.payload_trace`).  When it finds a cached
-    body corrupt, the trace is repaired: re-traced in the parent,
-    accounted as computed rather than cached, and its cache entry
-    overwritten so the repair sticks.  A fresh outcome that does not
+    trace.  A trace computed in-process (serial backend) is the trace
+    task's own object, handed over in the outcome, so :meth:`get` returns
+    it with no decode; otherwise :meth:`get` decodes the v3 bytes straight
+    to array columns (:func:`~repro.engine.codecs.payload_trace`).  When
+    it finds a cached body corrupt, the trace is repaired: re-traced in
+    the parent, accounted as computed rather than cached, and its cache
+    entry overwritten so the repair sticks.  A fresh outcome that does not
     decode is a bug and raises.  :attr:`trace_binary` is the bytes
     :meth:`get` accepted, so process backends are shipped exactly what
     the trace phase produced, and never a corrupt body.
@@ -442,7 +444,9 @@ class LazyTrace:
         self._label = label
         self._payload = payload
         self._cached = cached
-        self._trace: ValueTrace | None = None
+        # An in-process trace task hands its trace over; taken out here,
+        # before the phase caches the outcome.
+        self._trace: ValueTrace | None = payload.pop(INLINE_TRACE_KEY, None)
 
     def get(self) -> ValueTrace:
         if self._trace is None:
@@ -515,7 +519,7 @@ def trace_phase(
                     uid=key,
                     label=label,
                     cache_key=task.cache_key(),
-                    build_payload=lambda inline, task=task: task.payload(),
+                    build_payload=lambda inline, task=task: task.payload(inline=inline),
                 )
                 for key, (task, label) in first.items()
             ],

@@ -84,13 +84,22 @@ class TraceTask:
             "flags": self.flags,
         }
 
-    def payload(self) -> dict:
-        return {
+    def payload(self, *, inline: bool = False) -> dict:
+        """Build the worker payload.
+
+        ``inline`` (in-process dispatch) asks the worker to hand back the
+        trace object it collected next to its bytes, so the parent need not
+        decode them; a payload bound for another process never asks.
+        """
+        payload: dict = {
             "benchmark": self.benchmark,
             "scale": self.scale,
             "input": self.input_name,
             "flags": self.flags,
         }
+        if inline:
+            payload["return_trace"] = True
+        return payload
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,29 @@ MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.jsonl"
 
 
+def replace_file(path: Path, data: bytes) -> None:
+    """Atomically make ``data`` the content of ``path``.
+
+    The bytes go to a temporary file beside ``path``, then
+    :func:`os.replace` moves it into place.  The temporary name carries
+    the pid and the thread id, so concurrent writers of one path — other
+    processes or threads of this one — never share a temporary file; it
+    ends in ``.tmp``, which cache enumeration skips.  A failed write
+    removes its temporary file.
+    """
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
+
+
 def default_run_id() -> str:
     """A fresh run identifier: wall-clock tag plus pid (``20260808-142501-12345``).
 
@@ -362,11 +385,9 @@ class RunTelemetry(Telemetry):
 
     def _write_manifest(self) -> None:
         path = self.directory / MANIFEST_NAME
-        temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with self._lock:
             body = json.dumps(self._manifest, indent=2, sort_keys=False, default=str)
-        temporary.write_text(body + "\n", encoding="utf-8")
-        os.replace(temporary, path)
+        replace_file(path, (body + "\n").encode("utf-8"))
 
     # ------------------------------------------------------------------ #
     # Lifecycle

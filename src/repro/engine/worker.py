@@ -59,6 +59,11 @@ def _telemetry_sidecar(
     return sidecar
 
 
+#: Outcome key of the trace object an in-process trace task hands back
+#: (see :func:`execute_trace_task`); never cached, never pickled.
+INLINE_TRACE_KEY = "__trace__"
+
+
 def execute_trace_task(payload: dict) -> dict:
     """Run one benchmark into a trace; returns v3 bytes plus statistics.
 
@@ -68,12 +73,19 @@ def execute_trace_task(payload: dict) -> dict:
     roughly an order of magnitude smaller on the pool wire than the
     canonical text, and exactly what the binary cache envelope embeds, so
     the parent never renders or re-parses text for a cold trace.  The
-    canonical text form still exists transiently in the worker because the
-    ``digest`` that keys the simulate phase is defined over it (see
-    ``docs/trace-format.md``).  The workload's trace comes straight from
-    the interpreter's columns (:func:`repro.trace.collector.collect_trace`),
-    and the text, the v3 bytes and the statistics are all rendered from
-    those columns: the worker builds no ``TraceRecord``.
+    ``digest`` that keys the simulate phase is defined over the canonical
+    text (see ``docs/trace-format.md``), so the worker renders that text
+    too, hashes it and drops it.  With numpy the workload's trace is the
+    interpreter's output as array columns
+    (:func:`repro.trace.collector.collect_trace`), and the text, the v3
+    bytes and the statistics are all rendered from those arrays in chunked
+    numpy passes: the worker builds no ``TraceRecord`` and no per-record
+    Python object.
+
+    A payload with ``return_trace`` (in-process dispatch only, see
+    :meth:`~repro.engine.tasks.TraceTask.payload`) also gets the trace
+    object back under :data:`INLINE_TRACE_KEY`; the scheduler takes it out
+    of the outcome before the outcome is cached.
     """
     started = time.perf_counter()
     workload = get_workload(payload["benchmark"])
@@ -83,12 +95,15 @@ def execute_trace_task(payload: dict) -> dict:
         flags=payload.get("flags"),
     )
     text = dumps_trace(trace)
-    return {
+    outcome = {
         "trace_binary": dumps_trace_binary(trace, compress=True),
         "digest": sha256(text.encode("utf-8")).hexdigest(),
         "statistics": statistics_to_dict(trace.statistics()),
         TELEMETRY_KEY: _telemetry_sidecar("trace", started),
     }
+    if payload.get("return_trace"):
+        outcome[INLINE_TRACE_KEY] = trace
+    return outcome
 
 
 def execute_simulate_task(payload: dict) -> dict:

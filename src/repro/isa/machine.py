@@ -112,17 +112,38 @@ class Machine:
                     f"dynamic instructions"
                 )
 
-        category_counts: dict[Category, int] = {}
-        for static_index, count in Counter(retired).items():
-            category = instructions[static_index].category
-            category_counts[category] = category_counts.get(category, 0) + count
         return ExecutionResult(
             program_name=program.name,
             retired_instructions=len(retired),
             register_writes=len(values),
             halted=True,
-            category_counts=category_counts,
+            category_counts=_category_counts(instructions, retired),
         )
+
+
+def _category_counts(instructions: list[Instruction], retired: array) -> dict[Category, int]:
+    """Retired instructions per category, categories in order of first retirement."""
+    try:
+        import numpy as np
+    except ImportError:
+        counts: dict[Category, int] = {}
+        for static_index, count in Counter(retired).items():
+            category = instructions[static_index].category
+            counts[category] = counts.get(category, 0) + count
+        return counts
+    if not retired:
+        return {}
+    categories = list(dict.fromkeys(instruction.category for instruction in instructions))
+    static_codes = np.array(
+        [categories.index(instruction.category) for instruction in instructions], dtype=np.int8
+    )
+    codes = static_codes[np.frombuffer(retired, dtype=np.int64)]
+    totals = np.bincount(codes, minlength=len(categories))
+    present = np.flatnonzero(totals).tolist()
+    first = {code: int(np.argmax(codes == code)) for code in present}
+    return {
+        categories[code]: int(totals[code]) for code in sorted(present, key=first.__getitem__)
+    }
 
 
 class _Compiler:

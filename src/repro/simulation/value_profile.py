@@ -78,14 +78,20 @@ def value_profile(
 ) -> ValueProfile:
     """Profile unique-value counts for one benchmark's trace.
 
-    Every per-PC tally is one C-level pass over the trace's columns; the
-    bucket sums below are integer counts, so their order does not matter.
+    The per-PC tallies are numpy passes over an array-backed trace's
+    arrays (:func:`_array_pc_tallies`) and C-level passes over any other
+    trace's list columns; the bucket sums below are integer counts, so
+    their order does not matter.
     """
-    columns = trace.record_columns()
-    dynamic_count = Counter(columns.pcs)
-    unique_count = Counter(map(itemgetter(0), dict.fromkeys(zip(columns.pcs, columns.values))))
-    # Reversed, so the first record of each PC writes its category last.
-    pc_category = dict(zip(reversed(columns.pcs), reversed(columns.categories)))
+    arrays = trace.array_columns()
+    if arrays is not None:
+        unique_count, dynamic_count, pc_category = _array_pc_tallies(arrays)
+    else:
+        columns = trace.record_columns()
+        dynamic_count = Counter(columns.pcs)
+        unique_count = Counter(map(itemgetter(0), dict.fromkeys(zip(columns.pcs, columns.values))))
+        # Reversed, so the first record of each PC writes its category last.
+        pc_category = dict(zip(reversed(columns.pcs), reversed(columns.categories)))
 
     groups = ["All"] + [category.value for category in categories]
     static_counts = {group: _empty_distribution() for group in groups}
@@ -121,6 +127,32 @@ def value_profile(
         for group in groups
     }
     return ValueProfile(static_percent=static_percent, dynamic_percent=dynamic_percent)
+
+
+def _array_pc_tallies(columns) -> tuple[dict, dict, dict]:
+    """Per-PC distinct values, records and first category of numpy ``columns``.
+
+    Returns three dicts keyed by pc, as :func:`value_profile` tallies list
+    columns: distinct ``(pc, value)`` pairs, records, and the category of
+    the pc's first record.
+    """
+    import numpy as np
+
+    pcs, first, pc_ids = np.unique(columns.pcs, return_index=True, return_inverse=True)
+    order = np.lexsort((columns.values, pc_ids))
+    sorted_ids = pc_ids[order]
+    sorted_values = columns.values[order]
+    new_pair = np.ones(len(order), dtype=bool)
+    new_pair[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (sorted_values[1:] != sorted_values[:-1])
+    unique = np.bincount(sorted_ids[new_pair], minlength=len(pcs))
+    dynamic = np.bincount(pc_ids, minlength=len(pcs))
+    keys = pcs.tolist()
+    categories = columns.categories
+    return (
+        dict(zip(keys, unique.tolist())),
+        dict(zip(keys, dynamic.tolist())),
+        dict(zip(keys, map(categories.__getitem__, columns.category_codes[first].tolist()))),
+    )
 
 
 def average_value_profiles(profiles: Sequence[ValueProfile]) -> ValueProfile:

@@ -16,10 +16,22 @@ remains the single source of truth):
 
 Binary files and text files are distinguished by the leading magic bytes,
 so :func:`load_trace_file` reads either transparently.
+
+Each format has two writers and two decoders with byte-identical results.
+With numpy, :func:`dump_trace` and :func:`dumps_trace_binary` render a
+trace from its :class:`TraceColumns` in fixed-size chunks of array passes
+(see "Columnar writers" below), and :func:`decode_trace_columns` decodes v3
+straight to arrays.  The Python loops over
+:meth:`~repro.trace.stream.ValueTrace.record_columns` —
+:func:`_write_text_records`, :func:`_binary_body_records` and
+:func:`loads_trace_binary` — are the fallback without numpy or for fields
+outside int64.  The canonical text, and so the digest, is the same
+whichever writer ran.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import zlib
 from itertools import chain
@@ -53,9 +65,20 @@ _FLAG_ZLIB_BODY = 0x01
 #: Stable opcode order used only as the *default* table layout; the binary
 #: header embeds the table it actually used, so files survive enum edits.
 _OPCODE_ORDER: tuple[Opcode, ...] = tuple(Opcode)
+#: Each opcode's index in :data:`_OPCODE_ORDER`.
+_OPCODE_INDEX: dict[Opcode, int] = {opcode: index for index, opcode in enumerate(_OPCODE_ORDER)}
 
 #: Text-format mnemonic of each opcode (a dict lookup beats ``.value``).
 _MNEMONIC: dict[Opcode, str] = {opcode: opcode.value for opcode in Opcode}
+
+
+def _numpy():
+    """The numpy module, or ``None`` when it cannot be imported."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 # --------------------------------------------------------------------------- #
@@ -129,12 +152,31 @@ def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
 
     The name is percent-encoded so that whitespace (or ``=``) in a trace
     name cannot corrupt the space-separated ``key=value`` header fields.
+    Records are rendered from the trace's numpy columns
+    (:func:`trace_columns`) when it has them, else line by line.
     """
-    columns = trace.record_columns()
     destination.write(
         f"{_HEADER_PREFIX} v{_FORMAT_VERSION} name={quote(trace.name, safe='')} "
-        f"total={trace.total_dynamic_instructions} records={len(columns.values)}\n"
+        f"total={trace.total_dynamic_instructions} records={len(trace)}\n"
     )
+    columns = trace_columns(trace)
+    np = None if columns is None else _numpy()
+    if np is None:
+        _write_text_records(trace.record_columns(), destination)
+        return
+    mnemonics = _mnemonic_words(np, columns.opcodes)
+    for start in range(0, len(columns), _CHUNK_RECORDS):
+        rows = slice(start, start + _CHUNK_RECORDS)
+        destination.write(
+            _text_chunk(
+                np, columns.serials[rows], columns.pcs[rows],
+                mnemonics[columns.opcode_codes[rows]], columns.values[rows],
+            ).decode("ascii")
+        )
+
+
+def _write_text_records(columns: RecordColumns, destination: TextIO) -> None:
+    """The text writer's Python loop: one formatted line per record."""
     mnemonics = map(_MNEMONIC.__getitem__, columns.opcodes)
     destination.writelines(
         f"{serial} {pc} {mnemonic} {value}\n"
@@ -228,7 +270,36 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     the body — not the header — through zlib and sets flag bit 0, so the
     record count and name stay inspectable without inflating anything.
     """
-    columns = trace.record_columns()
+    columns = trace_columns(trace)
+    body_bytes = None if columns is None else _binary_body(columns)
+    if body_bytes is None:
+        body_bytes = _binary_body_records(trace.record_columns())
+
+    flags = 0
+    if compress:
+        flags |= _FLAG_ZLIB_BODY
+        body_bytes = zlib.compress(body_bytes, level=6)
+
+    name_bytes = quote(trace.name, safe="").encode("ascii")
+    out = bytearray(BINARY_MAGIC)
+    out += encode_uvarint(BINARY_FORMAT_VERSION)
+    out += encode_uvarint(flags)
+    out += encode_uvarint(len(name_bytes))
+    out += name_bytes
+    out += encode_uvarint(trace.total_dynamic_instructions)
+    out += encode_uvarint(len(trace))
+    out += encode_uvarint(len(_OPCODE_ORDER))
+    for opcode in _OPCODE_ORDER:
+        mnemonic = opcode.value.encode("ascii")
+        out += encode_uvarint(len(mnemonic))
+        out += mnemonic
+    out += encode_uvarint(len(body_bytes))
+    out += body_bytes
+    return bytes(out)
+
+
+def _binary_body_records(columns: RecordColumns) -> bytes:
+    """The v3 writer's Python loop: each record's four varints, in order."""
     svarint = _SvarintTable()
     opcode_index = {opcode: encode_uvarint(index) for index, opcode in enumerate(_OPCODE_ORDER)}
     body = io.BytesIO()
@@ -243,29 +314,7 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
             )
         )
     )
-    body_bytes = body.getvalue()
-
-    flags = 0
-    if compress:
-        flags |= _FLAG_ZLIB_BODY
-        body_bytes = zlib.compress(body_bytes, level=6)
-
-    name_bytes = quote(trace.name, safe="").encode("ascii")
-    out = bytearray(BINARY_MAGIC)
-    out += encode_uvarint(BINARY_FORMAT_VERSION)
-    out += encode_uvarint(flags)
-    out += encode_uvarint(len(name_bytes))
-    out += name_bytes
-    out += encode_uvarint(trace.total_dynamic_instructions)
-    out += encode_uvarint(len(columns.values))
-    out += encode_uvarint(len(_OPCODE_ORDER))
-    for opcode in _OPCODE_ORDER:
-        mnemonic = opcode.value.encode("ascii")
-        out += encode_uvarint(len(mnemonic))
-        out += mnemonic
-    out += encode_uvarint(len(body_bytes))
-    out += body_bytes
-    return bytes(out)
+    return body.getvalue()
 
 
 def dump_trace_binary(trace: ValueTrace, destination: BinaryIO, compress: bool = False) -> None:
@@ -476,6 +525,23 @@ class TraceColumns:
         self.categories = categories
         self.scratch: dict = {}
 
+    @classmethod
+    def from_static(cls, np, name, total_dynamic_instructions, serials, static,
+                    static_pcs, static_opcodes, values) -> "TraceColumns":
+        """Columns whose record ``k`` comes from static instruction ``static[k]``.
+
+        ``static_pcs`` and ``static_opcodes`` describe each static
+        instruction; a record's pc, opcode and category are looked up in
+        per-static tables, with opcodes coded in :data:`_OPCODE_ORDER`.
+        """
+        categories, op_to_cat = _category_mapping(_OPCODE_ORDER)
+        opcode_codes = np.array([_OPCODE_INDEX[opcode] for opcode in static_opcodes])[static]
+        return cls(
+            name, total_dynamic_instructions, serials,
+            np.asarray(static_pcs, dtype=np.int64)[static], values, opcode_codes,
+            _OPCODE_ORDER, np.asarray(op_to_cat, dtype=np.int64)[opcode_codes], categories,
+        )
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -532,9 +598,8 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
     Raises :class:`TraceError`, and only that, on corrupt data — exactly
     where :func:`loads_trace_binary` does.
     """
-    try:
-        import numpy as np
-    except ImportError:
+    np = _numpy()
+    if np is None:
         return None
     name, total, expected_records, table, body = _parse_binary_container(data)
     categories, op_to_cat = _category_mapping(table)
@@ -619,13 +684,11 @@ def trace_columns(trace: ValueTrace) -> TraceColumns | None:
     cached = getattr(trace, "_columns", False)
     if cached is not False:
         return cached
-    try:
-        import numpy as np
-    except ImportError:
+    np = _numpy()
+    if np is None:
         return None
     fields = trace.record_columns()
     count = len(fields.values)
-    index = {opcode: code for code, opcode in enumerate(_OPCODE_ORDER)}
     categories, op_to_cat = _category_mapping(_OPCODE_ORDER)
     try:
         serials = np.fromiter(fields.serials, dtype=np.int64, count=count)
@@ -634,7 +697,9 @@ def trace_columns(trace: ValueTrace) -> TraceColumns | None:
     except OverflowError:
         trace._columns = None
         return None
-    opcode_codes = np.fromiter(map(index.__getitem__, fields.opcodes), dtype=np.int64, count=count)
+    opcode_codes = np.fromiter(
+        map(_OPCODE_INDEX.__getitem__, fields.opcodes), dtype=np.int64, count=count
+    )
     category_codes = np.asarray(op_to_cat, dtype=np.int64)[opcode_codes]
     columns = TraceColumns(
         trace.name, trace.total_dynamic_instructions, serials, pcs, values,
@@ -642,6 +707,174 @@ def trace_columns(trace: ValueTrace) -> TraceColumns | None:
     )
     trace._columns = columns
     return columns
+
+
+# --------------------------------------------------------------------------- #
+# Columnar writers (the production path of dump_trace / dumps_trace_binary)
+# --------------------------------------------------------------------------- #
+#: Records rendered per numpy pass, so the writers' scratch arrays stay the
+#: same size however long the trace is.
+_CHUNK_RECORDS = 8192
+
+
+def _word(np, text: bytes) -> int:
+    """The ``uint32`` whose bytes in memory are ``text``, zero-padded."""
+    return int(np.frombuffer(text.ljust(4, b"\0"), dtype=np.uint32)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_words(np):
+    """Four-digit groups as ``uint32`` words of ASCII bytes: ``(lowest, higher)``.
+
+    Index ``r`` holds ``r`` (0..9999) right-aligned with its leading zeros
+    as 0 bytes (the most significant group of a number); index
+    ``10000 + r`` holds all four digits (a group with more above it).  The
+    two tables differ only at 0: the lowest group of the number 0 is
+    ``"0"``, any higher group of it is empty.
+    """
+    numbers = np.arange(10_000)
+    digits = (numbers[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    full = digits.view(np.uint32).ravel().copy()
+    lengths = np.searchsorted(np.array([10, 100, 1000]), numbers, side="right") + 1
+    digits[np.arange(4) < (4 - lengths)[:, None]] = 0
+    leading = digits.view(np.uint32).ravel()
+    lowest = np.concatenate([leading, full])
+    higher = lowest.copy()
+    higher[0] = 0
+    return lowest, higher
+
+
+@functools.lru_cache(maxsize=8)
+def _mnemonic_words(np, opcodes: tuple[Opcode, ...]):
+    """Each opcode's ``" " + mnemonic`` as a row of zero-padded ``uint32`` words."""
+    encoded = [b" " + opcode.value.encode("ascii") for opcode in opcodes]
+    width = -(-max(map(len, encoded), default=1) // 4) * 4
+    table = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in encoded), np.uint8)
+    return table.view(np.uint32).reshape(len(opcodes), width // 4)
+
+
+def _decimal_words(np, column, separator: bytes) -> list:
+    """``column``'s ``int64`` values as text, one ``uint32`` word array per position.
+
+    The first word is ``separator`` plus the sign, then come the digits in
+    groups of four, most significant first (:func:`_digit_words`).  Every
+    byte that is not text is 0.
+    """
+    lowest, higher = _digit_words(np)
+    negative = column < 0
+    unsigned = column.view(np.uint64)
+    magnitude = np.where(negative, -unsigned, unsigned)
+    words = [np.where(negative, _word(np, separator + b"-"), _word(np, separator))]
+    top = int(magnitude.max())
+    table = lowest
+    while True:
+        if top <= 0xFFFFFFFF:
+            magnitude = magnitude.astype(np.uint32, copy=False)
+        quotient = magnitude // 10_000
+        index = (magnitude - quotient * 10_000).astype(np.intp)
+        index[quotient != 0] += 10_000
+        words.insert(1, table.take(index))
+        top //= 10_000
+        if not top:
+            return words
+        magnitude, table = quotient, higher
+
+
+def _text_chunk(np, serials, pcs, opcode_words, values) -> bytes:
+    """Canonical text lines of a run of records, from their columns.
+
+    Every field and separator of a record fills a row of ``uint32`` words
+    whose padding bytes are 0; as no byte of a text record is 0, dropping
+    the zero bytes of all rows in one pass leaves exactly the lines.
+    """
+    words = [
+        *_decimal_words(np, serials, b""),
+        *_decimal_words(np, pcs, b" "),
+        *opcode_words.T,
+        *_decimal_words(np, values, b" "),
+        _word(np, b"\n"),
+    ]
+    rows = np.empty((len(values), len(words)), dtype=np.uint32)
+    for position, word in enumerate(words):
+        rows[:, position] = word
+    text = rows.view(np.uint8).ravel()
+    return np.compress(text != 0, text).tobytes()
+
+
+def _zigzag_int64(np, column):
+    """Vectorised :func:`_zigzag` of an ``int64`` array, as ``uint64``."""
+    return (column.view(np.uint64) << np.uint64(1)) ^ (column >> 63).view(np.uint64)
+
+
+def _varint_bytes(np, unsigned) -> list:
+    """LEB128 encodings of a ``uint64`` array, one ``uint8`` array per byte.
+
+    Byte ``k`` of a value whose encoding is shorter is 0; no byte of an
+    encoding but its first can be 0.
+    """
+    width = max(1, -(-int(unsigned.max()).bit_length() // 7))
+    columns = []
+    for _ in range(width):
+        more = unsigned >> np.uint64(7)
+        columns.append(
+            (unsigned.astype(np.uint8) & np.uint8(0x7F)) | ((more != 0).view(np.uint8) << 7)
+        )
+        unsigned = more
+    return columns
+
+
+def _deltas(np, column, previous: int):
+    """``column`` minus each row's predecessor (``previous`` before the
+    first), or ``None`` if a difference overflows int64."""
+    before = np.empty_like(column)
+    before[0] = previous
+    before[1:] = column[:-1]
+    deltas = column - before
+    if np.any(((column ^ before) & (column ^ deltas)) < 0):
+        return None
+    return deltas
+
+
+def _binary_body(columns: "TraceColumns") -> bytes | None:
+    """The v3 record block of ``columns``, or ``None`` to use the Python loop.
+
+    Byte for byte what :func:`_binary_body_records` writes.  Opcode codes
+    are remapped to :data:`_OPCODE_ORDER`, the table every v3 file is
+    written with.  Declines when numpy is missing or a serial or pc delta
+    does not fit int64.
+    """
+    np = _numpy()
+    if np is None:
+        return None
+    remap = np.array([_OPCODE_INDEX[opcode] for opcode in columns.opcodes], dtype=np.uint64)
+    parts = []
+    serial = pc = 0
+    for start in range(0, len(columns), _CHUNK_RECORDS):
+        rows = slice(start, start + _CHUNK_RECORDS)
+        serials, pcs = columns.serials[rows], columns.pcs[rows]
+        serial_deltas = _deltas(np, serials, serial)
+        pc_deltas = _deltas(np, pcs, pc)
+        if serial_deltas is None or pc_deltas is None:
+            return None
+        serial, pc = int(serials[-1]), int(pcs[-1])
+        fields = [
+            _varint_bytes(np, _zigzag_int64(np, serial_deltas)),
+            _varint_bytes(np, _zigzag_int64(np, pc_deltas)),
+            _varint_bytes(np, remap.take(columns.opcode_codes[rows])),
+            _varint_bytes(np, _zigzag_int64(np, columns.values[rows])),
+        ]
+        record = np.empty((len(serials), sum(map(len, fields))), dtype=np.uint8)
+        keep = np.zeros(record.shape, dtype=bool)
+        position = 0
+        for field in fields:
+            keep[:, position] = True
+            for byte in field:
+                record[:, position] = byte
+                position += 1
+        keep |= record != 0
+        body = record.ravel()
+        parts.append(np.compress(keep.ravel(), body).tobytes())
+    return b"".join(parts)
 
 
 # --------------------------------------------------------------------------- #

@@ -66,12 +66,15 @@ class ValueTrace:
 
     A trace is backed by :class:`TraceRecord` objects (traces built from
     records), by :class:`RecordColumns` (the traces
-    :func:`repro.trace.collector.collect_trace` builds) or by decoded
-    array columns (:meth:`from_arrays`, the traces the engine reads back
-    from v3 bytes).  Readers that visit every record in order go through
-    :meth:`record_columns`, which serves all three; the list columns of an
-    array-backed trace and the :attr:`records` of any column-backed trace
-    are built on first access and kept.
+    :func:`repro.trace.collector.collect_trace` builds without numpy) or
+    by numpy array columns (:meth:`from_arrays`: the traces the collector
+    builds with numpy and the engine reads back from v3 bytes).  The
+    writers, :meth:`statistics` and Figure 10's profile read an
+    array-backed trace's arrays (:meth:`array_columns`); other readers
+    that visit every record in order go through :meth:`record_columns`,
+    which serves all three.  The list columns of an array-backed trace and
+    the :attr:`records` of any column-backed trace are built on first
+    access and kept.
     """
 
     def __init__(
@@ -160,6 +163,16 @@ class ValueTrace:
             values=[record.value for record in records],
         )
 
+    def array_columns(self):
+        """The numpy :class:`~repro.trace.io.TraceColumns` behind this trace, or ``None``.
+
+        Present on traces built by :meth:`from_arrays` (collected with
+        numpy, or decoded) and once :func:`repro.trace.io.trace_columns`
+        has memoised them; never built here.
+        """
+        columns = self._columns
+        return None if columns is False or columns is None else columns
+
     @property
     def total_dynamic_instructions(self) -> int:
         """Total dynamic instructions (predicted + non-predicted)."""
@@ -221,21 +234,56 @@ class ValueTrace:
         """Compute the Table 2 / Tables 4-5 style statistics for this trace.
 
         Both category maps list categories in order of first appearance.
+        A category's static count is its number of distinct pcs.  An
+        array-backed trace is counted with numpy passes over its arrays.
         """
-        columns = self.record_columns()
-        dynamic_counts: dict[Category, int] = {}
-        static_counts: dict[Category, int] = {}
-        for (category, _pc), count in Counter(zip(columns.categories, columns.pcs)).items():
-            dynamic_counts[category] = dynamic_counts.get(category, 0) + count
-            static_counts[category] = static_counts.get(category, 0) + 1
+        arrays = self.array_columns()
+        if arrays is not None:
+            dynamic_counts, static_counts, static_pcs = _array_category_counts(arrays)
+        else:
+            columns = self.record_columns()
+            dynamic_counts = {}
+            static_counts = {}
+            for (category, _pc), count in Counter(zip(columns.categories, columns.pcs)).items():
+                dynamic_counts[category] = dynamic_counts.get(category, 0) + count
+                static_counts[category] = static_counts.get(category, 0) + 1
+            static_pcs = len(set(columns.pcs))
         return TraceStatistics(
             name=self.name,
             total_dynamic_instructions=self.total_dynamic_instructions,
-            predicted_instructions=len(columns.values),
-            static_instruction_count=len(set(columns.pcs)),
+            predicted_instructions=len(self),
+            static_instruction_count=static_pcs,
             category_dynamic_counts=dynamic_counts,
             category_static_counts=static_counts,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ValueTrace(name={self.name!r}, records={len(self)})"
+
+
+def _array_category_counts(columns) -> tuple[dict, dict, int]:
+    """Per-category record and distinct-pc counts of numpy ``columns``.
+
+    Returns ``(dynamic counts, static counts, distinct pcs)``; both dicts
+    list categories in order of first appearance, as
+    :meth:`ValueTrace.statistics` does for list columns.
+    """
+    import numpy as np
+
+    codes = columns.category_codes
+    if not len(codes):
+        return {}, {}, 0
+    width = len(columns.categories)
+    pcs, pc_ids = np.unique(columns.pcs, return_inverse=True)
+    pairs = np.bincount(pc_ids * width + codes, minlength=len(pcs) * width).reshape(-1, width)
+    dynamic = pairs.sum(axis=0)
+    static = np.count_nonzero(pairs, axis=0)
+    present = np.flatnonzero(dynamic).tolist()
+    first = {code: int(np.argmax(codes == code)) for code in present}
+    order = sorted(present, key=first.__getitem__)
+    categories = columns.categories
+    return (
+        {categories[code]: int(dynamic[code]) for code in order},
+        {categories[code]: int(static[code]) for code in order},
+        len(pcs),
+    )

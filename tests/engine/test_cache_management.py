@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -136,6 +138,50 @@ class TestCacheStorage:
         assert stats.entries == 2
         assert set(stats.kinds) == {"trace", "simulate"}
         assert stats.bytes == sum(path.stat().st_size for path in cache.entry_paths())
+
+    def test_concurrent_puts_of_one_key_in_one_process(self, tmp_path):
+        # Regression: the temporary file was named per process, so threads
+        # putting one key shared it and one thread's rename could take the
+        # file away from under another (126 FileNotFoundErrors of 1,200).
+        cache = ResultCache(tmp_path)
+        payload = self._trace_payload()
+        errors = []
+
+        def put_many():
+            for _ in range(300):
+                try:
+                    cache.put("trace", self.KEY, payload)
+                except Exception as error:  # noqa: BLE001 - collected below
+                    errors.append(error)
+
+        threads = [threading.Thread(target=put_many) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.get("trace", self.KEY) == payload
+        assert [path.name for path in cache.path_for("trace", self.KEY).parent.iterdir()] == [
+            cache.path_for("trace", self.KEY).name
+        ]
+
+    def test_failed_put_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for("trace", self.KEY)
+
+        def fail(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put("trace", self.KEY, self._trace_payload())
+        assert list(path.parent.iterdir()) == []
 
     def test_tmp_files_not_counted(self, tmp_path):
         cache = ResultCache(tmp_path)

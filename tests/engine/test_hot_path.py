@@ -3,9 +3,12 @@
 Traces live as columns from the interpreter to the kernel: a campaign,
 cold or warm, serial or on persistent worker processes, never decodes v3
 bytes into ``TraceRecord`` objects, encodes each computed trace exactly
-once (in its trace task) and ships process workers the trace phase's own
-bytes.  The spies count calls in a file, so calls made in forked worker
-processes are counted too.
+once (in its trace task), renders text and v3 bytes without the Python
+writer loops and ships process workers the trace phase's own bytes.  A
+serial cold campaign hands the trace task's own trace to the kernel and
+decodes nothing, and Figure 10's profile builds no list columns.  The
+spies count calls in a file, so calls made in forked worker processes
+are counted too.
 """
 
 from __future__ import annotations
@@ -54,8 +57,14 @@ def ledger(tmp_path, monkeypatch):
     """A directory counting decoder, encoder and ``TraceRecord`` calls."""
     directory = tmp_path / "ledger"
     directory.mkdir()
-    _count_calls(monkeypatch, directory, trace_io, "loads_trace_binary")
-    _count_calls(monkeypatch, directory, trace_io, "dumps_trace_binary")
+    for name in (
+        "loads_trace_binary",
+        "dumps_trace_binary",
+        "decode_trace_columns",
+        "_write_text_records",
+        "_binary_body_records",
+    ):
+        _count_calls(monkeypatch, directory, trace_io, name)
     original_init = TraceRecord.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -112,3 +121,54 @@ def test_campaign_builds_no_records_and_ships_trace_phase_bytes(
             else:
                 assert payload["trace_bytes"] == trace_bytes[payload["trace_digest"]]
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_campaign_runs_no_python_writer_loop(tmp_path, ledger, backend):
+    config = EngineConfig(
+        jobs=BACKENDS[backend], backend=backend, cache_dir=tmp_path / "cache", kernel="vector"
+    )
+    with ExecutionEngine(config) as engine:
+        engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        assert engine.stats.traces_computed == len(BENCHMARKS)
+    assert _calls(ledger, "dumps_trace_binary") == len(BENCHMARKS)
+    assert _calls(ledger, "_write_text_records") == 0
+    assert _calls(ledger, "_binary_body_records") == 0
+
+
+def test_serial_cold_campaign_decodes_nothing(tmp_path, ledger):
+    config = EngineConfig(jobs=1, backend="serial", cache_dir=tmp_path / "cache", kernel="vector")
+    with ExecutionEngine(config) as engine:
+        result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        assert engine.stats.traces_computed == len(BENCHMARKS)
+    assert _calls(ledger, "decode_trace_columns") == 0
+    assert _calls(ledger, "loads_trace_binary") == 0
+    # The cache holds the trace phase's bytes all the same: a fresh engine
+    # reads the traces back and simulates nothing new.
+    with ExecutionEngine(config) as engine:
+        rerun = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        assert engine.stats.traces_computed == 0
+    assert rerun.simulations == result.simulations
+
+
+def test_value_profile_builds_no_list_columns(monkeypatch):
+    from repro.simulation.value_profile import value_profile
+    from repro.trace.stream import ValueTrace
+    from repro.workloads.suite import get_workload
+
+    trace = get_workload("compress").trace(scale=SCALE)
+    assert trace.array_columns() is not None
+    calls = []
+    original = ValueTrace.record_columns
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ValueTrace, "record_columns", counting)
+    profile = value_profile(trace)
+    assert calls == []
+    assert trace._record_columns is None
+    monkeypatch.setattr(ValueTrace, "record_columns", original)
+    listed = ValueTrace.from_columns(trace.name, trace.record_columns(), len(trace))
+    assert profile == value_profile(listed)

@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,36 @@ class TestRunTelemetry:
             assert isinstance(manifest[pin], int)
         assert "protocol_version" not in manifest
         assert manifest["finished_wall"] >= manifest["created_wall"]
+
+    def test_concurrent_annotates_share_no_temporary_file(self, tmp_path):
+        # Regression: the manifest's temporary file was named per process,
+        # so threads annotating one run collided on it.
+        sink = RunTelemetry(tmp_path, argv=[], command="test")
+        errors = []
+
+        def annotate_many(thread):
+            for index in range(300):
+                try:
+                    sink.annotate(**{f"thread{thread}": index})
+                except Exception as error:  # noqa: BLE001 - collected below
+                    errors.append(error)
+
+        threads = [threading.Thread(target=annotate_many, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        sink.close()
+        assert errors == []
+        manifest = read_manifest(tmp_path)
+        assert [manifest[f"thread{n}"] for n in range(4)] == [299] * 4
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_manifest_records_version_from_a_source_checkout(self, tmp_path):
         # Run from a checkout on PYTHONPATH there is no installed
