@@ -54,8 +54,12 @@ def _decode_category_map(data: dict[str, int]) -> dict[Category, int]:
     return {Category(value): count for value, count in data.items()}
 
 
+#: Maps the bytes of a bool tuple (``0``/``1``) to the digits ``"0"``/``"1"``.
+_OUTCOME_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _encode_outcome_key(key: tuple[bool, ...]) -> str:
-    return "".join("1" if correct else "0" for correct in key)
+    return bytes(key).translate(_OUTCOME_DIGITS).decode("ascii")
 
 
 def _decode_outcome_key(text: str) -> tuple[bool, ...]:

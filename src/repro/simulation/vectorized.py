@@ -25,27 +25,34 @@ whole-trace array passes over the columnar form of a trace
   keys, where ``rank`` is the value's insertion rank within its group.
   The ``counter_max`` halve-on-saturation variant drives the same
   pair/rank tables in lockstep;
-* **blended FCM** runs the FCM pass top-down over orders ``k..0``.  Under
-  lazy exclusion each order's candidate stream is exactly the records not
-  matched at a higher order (which is precisely the set that updates that
-  order's table); under full update every gated record feeds every order
-  and a record keeps the highest-order match.  Context ids come from one
-  per-trace table that grows one order at a time, so ``fcm0``…``fcm8``
-  and the hybrids' ``fcm3`` share each order's single factorize pass;
+* **blended FCM** predicts each record from the deepest order whose
+  context occurred earlier in the record's PC stream (its *match
+  order*, capped at the top order).  A context's first occurrence is
+  never matched at a higher order, so a record that has seen ``o``
+  values updates order ``o`` below the top exactly when its match order
+  is at most ``o`` under lazy exclusion, and always under full update.
+  Neither depends on the top order, so ``fcmN`` runs one stream at its
+  own top order and takes the rest from lower-order predictions shared
+  by every blended FCM of its configuration.  Context ids and match
+  orders come from one per-trace table that grows one order at a time,
+  so ``fcm0``…``fcm8`` and the hybrids' ``fcm3`` share each order's
+  single factorize pass;
 * **hybrids** compose their components' plans and vectorize the chooser:
-  ``PcChooser`` scores are a segmented prefix scan over the saturating-add
-  monoid ``y -> min(C, max(B, y + A))``, ``CategoryChooser`` is a static
-  per-category gather, and ``OracleChooser`` is an OR over component
-  correctness.
+  ``PcChooser`` scores are per-PC saturating counters run as plain loops
+  (like the counter plans) followed by an ``argmax``,
+  ``CategoryChooser`` is a static per-category gather, and
+  ``OracleChooser`` is an OR over component correctness.
 
 Every registered configuration (and every dynamic ``fcmN`` /
 ``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan,
 and every plan starts from a fresh predictor and covers the whole trace.
 What plans derive from a trace — the per-PC grouping, the context table
-and the hybrids' component results — is kept for the current trace only
-and released when the kernel moves to another trace or the trace dies.
-Cache keys never include the kernel: both kernels produce byte-identical
-entries, and the differential parity harness
+and match orders, the value ranks, the lower-order FCM predictions and
+the hybrids' component results — is kept for the current trace only and
+released when the kernel moves to another trace or the trace dies.
+Shards tally their per-PC counts from the same grouping.  Cache keys
+never include the kernel: both kernels produce byte-identical entries,
+and the differential parity harness
 (``tests/simulation/test_kernel_parity.py``) pins that equivalence.
 """
 
@@ -123,12 +130,13 @@ class _Grouping:
 
     ``order`` sorts records by PC (stable, so within each group the
     records keep program order — the axis every predictor table walks).
-    ``gid`` is a dense group id per sorted position, ``t`` the occurrence
-    index of the record within its PC's stream, ``vs`` the values in the
-    sorted domain.  ``starts``/``sizes`` describe the groups themselves
-    and ``depth`` is the deepest PC stream.  :meth:`context` holds the
-    FCM context table, and ``components`` memoises hybrid component
-    results by their predictor's config signature.
+    ``t`` is the occurrence index of the record within its PC's stream,
+    ``vs`` the values in the sorted domain.  ``starts``/``sizes``
+    describe the groups and ``depth`` is the deepest PC stream.
+    :meth:`context` holds the FCM context table, ``matched`` each
+    record's match order and :meth:`ranks` the value ranks.  ``lower``
+    and ``components`` memoise, by configuration, the blended FCMs'
+    lower-order predictions and the hybrids' component results.
     """
 
     def __init__(self, np, columns) -> None:
@@ -141,15 +149,21 @@ class _Grouping:
         if n:
             new_group[0] = True
             new_group[1:] = sorted_pcs[1:] != sorted_pcs[:-1]
-        self.gid = np.cumsum(new_group) - 1
+        gid = np.cumsum(new_group) - 1
         starts = np.flatnonzero(new_group)
-        self.t = np.arange(n) - (starts[self.gid] if n else 0)
+        self.t = (np.arange(n) - (starts[gid] if n else 0)).astype(np.int32)
         self.starts = starts
         self.sizes = np.diff(np.append(starts, n))
         self.depth = int(self.sizes.max()) if n else 0
+        # The order-0 context is the PC alone: it occurred earlier exactly
+        # when the record is not its PC's first.
+        narrow = np.min_scalar_type(-max(self.depth, 1))
+        self.matched = np.where(self.t >= 1, 0, -1).astype(narrow)
+        self.lower: dict = {}
         self.components: dict = {}
         self._np = np
-        self._contexts = [self.gid.astype(np.int32)]
+        self._contexts = [gid.astype(np.int32)]
+        self._ranks = None
 
     def context(self, order: int):
         """Dense ids of each position's (PC, last ``order`` values) context.
@@ -157,7 +171,9 @@ class _Grouping:
         Only positions with ``t >= order`` hold an id; the rest hold -1.
         Order ``k`` is built from order ``k - 1`` with one factorize pass
         and kept (four bytes per record), so every plan over the trace
-        shares each order's pass.  No stream reaches an order at or past
+        shares each order's pass.  The pass also raises ``matched`` to
+        ``k`` where the context is a repeat, so ``matched`` is exact below
+        the deepest order built.  No stream reaches an order at or past
         ``depth``, so none is built.
         """
         np = self._np
@@ -168,11 +184,20 @@ class _Grouping:
             back = len(contexts)
             positions = np.flatnonzero(self.t >= back)
             ids = np.full(self.n, -1, dtype=np.int32)
-            ids[positions] = _factorize_pairs(
+            pair_ids, repeats = _factorize_pairs(
                 np, contexts[-1][positions], self.vs[positions - back]
             )
+            ids[positions] = pair_ids
+            self.matched[positions[repeats]] = back
             contexts.append(ids)
         return contexts[order]
+
+    def ranks(self):
+        """Each sorted position's value rank among the trace's distinct values."""
+        if self._ranks is None:
+            _, inverse = self._np.unique(self.vs, return_inverse=True)
+            self._ranks = inverse.astype(self._np.int32)
+        return self._ranks
 
 
 #: ``(weakref to TraceColumns, its _Grouping)`` for the trace the kernel
@@ -201,9 +226,13 @@ def _grouping(np, columns) -> _Grouping:
 
 
 def _factorize_pairs(np, a, b):
-    """Dense ids for the distinct ``(a[i], b[i])`` pairs (order-arbitrary)."""
+    """Dense ids (order-arbitrary) for the distinct ``(a[i], b[i])`` pairs.
+
+    Also returns the indices of the pairs' repeats: the sort is stable,
+    so each pair's run starts at its first occurrence.
+    """
     if len(a) == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     order = np.lexsort((b, a))
     a_sorted = a[order]
     b_sorted = b[order]
@@ -212,7 +241,7 @@ def _factorize_pairs(np, a, b):
     boundary[1:] = (a_sorted[1:] != a_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
     ids = np.empty(len(a), dtype=np.int64)
     ids[order] = np.cumsum(boundary) - 1
-    return ids
+    return ids, order[~boundary]
 
 
 def _segmented_cummax(np, gid, keys, key_bound: int):
@@ -251,29 +280,48 @@ def _active_groups(np, by_size, negative_sizes, step):
 # --------------------------------------------------------------------------- #
 # The FCM count/argmax machinery (shared by single-order and blended plans)
 # --------------------------------------------------------------------------- #
-def _pair_runs(np, gid, y):
-    """Positions of a stream sorted by ``(gid, y)`` pair, stably.
+def _pair_runs(np, gid, y_rank):
+    """Positions of a stream sorted by ``(gid, value)`` pair, stably.
 
-    ``gid`` holds dense ids below ``len(y)``, so the id and the value's
-    rank pack into one int64 key, and one stable sort lists each pair's
-    occurrences in time order.  Returns that order and a mask of where
-    each pair's run starts in it.
+    ``y_rank`` maps values one-to-one onto small non-negative ints, so
+    the group id and the rank pack into one int64 key, and one stable
+    sort lists each pair's occurrences in time order.  Returns that order
+    and a mask of where each pair's run starts in it.
     """
-    m = len(y)
-    _, y_rank = np.unique(y, return_inverse=True)
-    key = gid * np.int64(m) + y_rank
+    key = gid * np.int64(int(y_rank.max()) + 1) + y_rank
     order = np.argsort(key, kind="stable")
     key = key[order]
-    start = np.empty(m, dtype=bool)
+    start = np.empty(len(key), dtype=bool)
     start[0] = True
     start[1:] = key[1:] != key[:-1]
     return order, start
 
 
-def _fcm_stream(np, group_ids, y):
+def _insertion_ranks(np, pair_gid, first_pos):
+    """Each pair's insertion rank within its group, by first occurrence.
+
+    Returns the pairs ordered by (group, rank), each group's offset in
+    that order and each pair's rank.  Group ids are dense and every group
+    holds a pair, so the group-change positions double as the offsets.
+    """
+    pair_count = len(first_pos)
+    rank_order = np.lexsort((first_pos, pair_gid))
+    ranked_gid = pair_gid[rank_order]
+    rank_start = np.empty(pair_count, dtype=bool)
+    rank_start[0] = True
+    rank_start[1:] = ranked_gid[1:] != ranked_gid[:-1]
+    group_base = np.flatnonzero(rank_start)
+    rank_sorted = np.arange(pair_count) - group_base[np.cumsum(rank_start) - 1]
+    rank_of_pair = np.empty(pair_count, dtype=np.int64)
+    rank_of_pair[rank_order] = rank_sorted
+    return rank_order, group_base, rank_of_pair
+
+
+def _fcm_stream(np, group_ids, y, y_rank):
     """Predict each element of a (group, value) stream from its group's past.
 
-    The stream must list observations in time order.  For each element
+    The stream must list observations in time order; ``y_rank`` maps its
+    values one-to-one onto small non-negative ints.  For each element
     returns ``has`` (a previous same-group element exists, i.e. the
     context has non-empty counts) and ``pred`` (the value
     :func:`~repro.core.fcm.select_maximum_count` would pick from the
@@ -290,10 +338,9 @@ def _fcm_stream(np, group_ids, y):
     new_group[0] = True
     new_group[1:] = g_sorted[1:] != g_sorted[:-1]
     gid = np.cumsum(new_group) - 1
-    u = np.arange(m) - np.flatnonzero(new_group)[gid]
 
     # Running count c of each (group, value) pair at each occurrence.
-    pair_order, pair_start = _pair_runs(np, gid, y2)
+    pair_order, pair_start = _pair_runs(np, gid, y_rank[order])
     pid_sorted = np.cumsum(pair_start) - 1
     pid = np.empty(m, dtype=np.int64)
     pid[pair_order] = pid_sorted
@@ -307,19 +354,8 @@ def _fcm_stream(np, group_ids, y):
     # Insertion rank of each pair within its group, plus the group-local
     # table decoding (group, rank) back to the pair's value.
     first_pos = pair_order[pair_start]
-    pair_count = len(first_pos)
     pair_gid = gid[first_pos]
-    rank_order = np.lexsort((first_pos, pair_gid))
-    ranked_gid = pair_gid[rank_order]
-    rank_start = np.empty(pair_count, dtype=bool)
-    rank_start[0] = True
-    rank_start[1:] = ranked_gid[1:] != ranked_gid[:-1]
-    # Every group holds at least one pair and pair_gid is dense, so the
-    # group-change positions double as per-group base offsets.
-    group_base = np.flatnonzero(rank_start)
-    rank_sorted = np.arange(pair_count) - group_base[np.cumsum(rank_start) - 1]
-    rank_of_pair = np.empty(pair_count, dtype=np.int64)
-    rank_of_pair[rank_order] = rank_sorted
+    rank_order, group_base, rank_of_pair = _insertion_ranks(np, pair_gid, first_pos)
     value_by_rank = y2[first_pos][rank_order]
 
     # Leader = first-inserted value among the current maximal-count set.
@@ -337,7 +373,7 @@ def _fcm_stream(np, group_ids, y):
 
     # The prediction for element p reads the state after element p-1 of
     # its group: recent value, its count, the running max and the leader.
-    has = u >= 1
+    has = ~new_group
     recent = np.zeros(m, dtype=np.int64)
     prev_count = np.zeros(m, dtype=np.int64)
     prev_max = np.full(m, -1, dtype=np.int64)
@@ -523,15 +559,18 @@ def _ragged_arange(np, counts):
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _fcm_eval(np, group_ids, y, counter_max):
-    """(has, pred) for a (context, value) stream in time order.
+def _fcm_eval(np, group, order, stream, counter_max):
+    """(has, pred) of the order-``order`` FCM table fed by ``stream``.
 
-    The pure scan handles the exact-count case; halve-on-saturation
-    counters run the same pair/rank tables in lockstep.
+    ``stream`` lists sorted positions with ``t >= order`` in time order;
+    the passes re-densify its context ids.  Exact counts run the pure
+    scan, halve-on-saturation counters the same tables in lockstep.
     """
+    keys = group.context(order)[stream]
+    values = group.vs[stream]
     if counter_max is None:
-        return _fcm_stream(np, group_ids, y)
-    return _fcm_lockstep(np, group_ids, y, counter_max)
+        return _fcm_stream(np, keys, values, group.ranks()[stream])
+    return _fcm_lockstep(np, keys, values, counter_max)
 
 
 def _fcm_lockstep(np, group_ids, y, counter_max):
@@ -560,27 +599,14 @@ def _fcm_lockstep(np, group_ids, y, counter_max):
 
     # One dense id per distinct (context, value) pair; insertion ranks
     # follow first occurrence — exactly the scalar dict order.
-    pair_id = _factorize_pairs(np, gid, y2)
+    pair_id, repeats = _factorize_pairs(np, gid, y2)
     pair_count = int(pair_id.max()) + 1
-    by_pair = np.argsort(pair_id, kind="stable")
-    pair_sorted = pair_id[by_pair]
-    pair_start = np.empty(m, dtype=bool)
-    pair_start[0] = True
-    pair_start[1:] = pair_sorted[1:] != pair_sorted[:-1]
+    first = np.ones(m, dtype=bool)
+    first[repeats] = False
     first_pos = np.empty(pair_count, dtype=np.int64)
-    first_pos[pair_sorted[pair_start]] = by_pair[pair_start]
+    first_pos[pair_id[first]] = np.flatnonzero(first)
     pair_gid = gid[first_pos]
-    rank_order = np.lexsort((first_pos, pair_gid))
-    ranked_gid = pair_gid[rank_order]
-    rank_start = np.empty(pair_count, dtype=bool)
-    rank_start[0] = True
-    rank_start[1:] = ranked_gid[1:] != ranked_gid[:-1]
-    # Every dense group has at least one stream element, hence at least
-    # one pair, so the group-change positions double as base offsets.
-    group_base = np.flatnonzero(rank_start)
-    rank_sorted = np.arange(pair_count) - group_base[np.cumsum(rank_start) - 1]
-    rank_of_pair = np.empty(pair_count, dtype=np.int64)
-    rank_of_pair[rank_order] = rank_sorted
+    rank_order, group_base, rank_of_pair = _insertion_ranks(np, pair_gid, first_pos)
     value_of_pair = y2[first_pos]
     value_by_rank = value_of_pair[rank_order]
     pairs_per_group = np.bincount(pair_gid, minlength=group_count)
@@ -681,24 +707,12 @@ def _halve_and_rescan(
 
 
 # --------------------------------------------------------------------------- #
-# FCM plans: context keys, single and blended orders
+# FCM plans: single and blended orders
 # --------------------------------------------------------------------------- #
-def _context_keys(group, order, positions):
-    """Context ids — (group, last ``order`` values) — for ``positions``.
-
-    Ids come from the trace's shared table, so they are dense over every
-    position of that order rather than over ``positions``; the FCM passes
-    re-densify them, so predictions do not depend on the labelling.
-    """
-    return group.context(order)[positions]
-
-
 def _plan_fcm(np, group, order, counter_max):
     """Single fixed-order FCM, with optional saturating counters."""
     stream = np.flatnonzero(group.t >= order)
-    stream_has, stream_pred = _fcm_eval(
-        np, _context_keys(group, order, stream), group.vs[stream], counter_max
-    )
+    stream_has, stream_pred = _fcm_eval(np, group, order, stream, counter_max)
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
     has[stream] = stream_has
@@ -709,35 +723,45 @@ def _plan_fcm(np, group, order, counter_max):
 def _plan_blended_fcm(np, group, order, counter_max, update_policy):
     """Blended FCM over orders ``order..0`` under either update policy.
 
-    Lazy exclusion, top-down: the records still unmatched at order o that
-    have seen >= o values are exactly the ones that update order o's
-    table, so each round's candidate stream doubles as that order's
-    updater stream.  Under full update every gated record feeds every
-    order's table.  Either way a record keeps the highest order where a
-    previous same-context candidate exists.  No record reaches an order at
-    or past the deepest PC stream, so the walk starts below it.
+    A record predicts from its ``matched`` order, capped at the top
+    order (see the module docstring).  Records that reach the top take
+    one stream over every record with ``t >= top``; the rest take the
+    shared lower-order predictions.  No record reaches an order at or
+    past the deepest PC stream, so the top order stays below it.
     """
-    lazy = update_policy == "lazy-exclusion"
-    has = np.zeros(group.n, dtype=bool)
-    pred = np.zeros(group.n, dtype=np.int64)
-    unmatched = np.ones(group.n, dtype=bool)
-    for model_order in range(min(order, group.depth - 1), -1, -1):
-        gated = group.t >= model_order
-        candidates = np.flatnonzero((unmatched & gated) if lazy else gated)
-        if candidates.size == 0:
-            continue
-        stream_has, stream_pred = _fcm_eval(
-            np,
-            _context_keys(group, model_order, candidates),
-            group.vs[candidates],
-            counter_max,
-        )
-        fresh = stream_has & unmatched[candidates]
-        chosen = candidates[fresh]
-        has[chosen] = True
-        pred[chosen] = stream_pred[fresh]
-        unmatched[candidates[stream_has]] = False
+    top = min(order, group.depth - 1)
+    has = group.t >= 1
+    if top < 0:
+        return has, np.zeros(group.n, dtype=np.int64)
+    stream = np.flatnonzero(group.t >= top)
+    _, stream_pred = _fcm_eval(np, group, top, stream, counter_max)
+    pred = _lower_order_predictions(np, group, top, counter_max, update_policy).copy()
+    deepest = group.matched[stream] >= top
+    pred[stream[deepest]] = stream_pred[deepest]
     return has, pred
+
+
+def _lower_order_predictions(np, group, top, counter_max, update_policy):
+    """Each record's prediction from its ``matched`` order, below ``top``.
+
+    Order ``o`` is fed by every record with ``t >= o`` (full update) or
+    by those that also have ``matched <= o`` (lazy exclusion), whatever
+    the top order.  So each order's stream runs once per trace and
+    configuration, memoised for every deeper blended FCM to extend.
+    """
+    group.context(top)  # makes ``matched`` exact below ``top``
+    key = (counter_max, update_policy)
+    done, pred = group.lower.get(key) or (0, np.zeros(group.n, dtype=np.int64))
+    lazy = update_policy == "lazy-exclusion"
+    matched = group.matched
+    for model_order in range(done, top):
+        gated = group.t >= model_order
+        stream = np.flatnonzero((gated & (matched <= model_order)) if lazy else gated)
+        _, stream_pred = _fcm_eval(np, group, model_order, stream, counter_max)
+        hits = matched[stream] == model_order
+        pred[stream[hits]] = stream_pred[hits]
+    group.lower[key] = (max(done, top), pred)
+    return pred
 
 
 # --------------------------------------------------------------------------- #
@@ -775,61 +799,27 @@ def _gather_selected(np, results, selection):
     return all_has[selection, index], all_pred[selection, index]
 
 
-def _pc_chooser_select(np, group, correct, score_max):
-    """Vectorized :class:`~repro.core.hybrid.PcChooser` selection.
+def _pc_scores(group, flags, score_max):
+    """One component's :class:`~repro.core.hybrid.PcChooser` score per record.
 
-    Each component's per-PC score stream is a prefix composition of
-    saturating ±1 steps.  The step ``y -> min(C, max(B, y + A))`` is
-    closed under composition, so a segmented Hillis–Steele doubling scan
-    yields, per record, the transform of all earlier same-PC records;
-    applied to the entry's initial score of 0 that is exactly the score
-    the scalar ``select`` reads (``train`` runs after selection).
+    It is the score the scalar ``select`` reads: a per-PC counter in
+    ``[0, score_max]`` that every earlier same-PC record trained (+1 on
+    a hit, -1 on a miss), run as a plain loop over each PC's slice.
     """
-    n = group.n
-    width = len(correct)
-    depth = int(group.sizes.max()) if len(group.sizes) else 0
-    top = np.int64(score_max)
+    hits = flags.tolist()
     scores = []
-    for component in range(width):
-        shift = np.where(correct[component], np.int64(1), np.int64(-1))
-        low = np.zeros(n, dtype=np.int64)
-        high = np.full(n, top, dtype=np.int64)
-        span = 1
-        while span < depth:
-            later = np.flatnonzero(group.t >= span)
-            earlier = later - span
-            shift_early = shift[earlier]
-            low_early = low[earlier]
-            high_early = high[earlier]
-            shift_late = shift[later]
-            low_late = low[later]
-            high_late = high[later]
-            new_high = np.minimum(
-                high_late, np.maximum(low_late, high_early + shift_late)
-            )
-            new_low = np.minimum(
-                new_high, np.maximum(low_late, low_early + shift_late)
-            )
-            shift[later] = shift_early + shift_late
-            low[later] = new_low
-            high[later] = new_high
-            span *= 2
-        value = np.zeros(n, dtype=np.int64)
-        later = np.flatnonzero(group.t >= 1)
-        earlier = later - 1
-        value[later] = np.minimum(
-            high[earlier], np.maximum(low[earlier], shift[earlier])
-        )
-        scores.append(value)
-    # Argmax with the scalar's earlier-index tie-break; records whose PC
-    # has no chooser entry yet (first occurrence) take index 0.
-    selection = np.zeros(n, dtype=np.int64)
-    best = scores[0]
-    for component in range(1, width):
-        better = scores[component] > best
-        selection = np.where(better, np.int64(component), selection)
-        best = np.where(better, scores[component], best)
-    return np.where(group.t >= 1, selection, np.int64(0))
+    emit = scores.append
+    for start, stop in _pc_slices(group):
+        score = 0
+        emit(0)
+        for hit in hits[start : stop - 1]:
+            if hit:
+                if score < score_max:
+                    score += 1
+            elif score:
+                score -= 1
+            emit(score)
+    return scores
 
 
 def _plan_hybrid(predictor, components):
@@ -870,8 +860,11 @@ def _plan_hybrid(predictor, components):
 
         def plan(np, columns, group):
             results, correct = _hybrid_components(np, columns, group, components)
-            selection = _pc_chooser_select(np, group, correct, score_max)
-            return _gather_selected(np, results, selection)
+            scores = [_pc_scores(group, flags, score_max) for flags in correct]
+            # argmax takes the first maximal score: the scalar's tie-break.
+            # A PC's first record has no entry yet and takes component 0,
+            # which its all-zero scores select too.
+            return _gather_selected(np, results, np.argmax(scores, axis=0))
 
         return plan
     return None
@@ -980,11 +973,31 @@ def _first_occurrence_order(np, keys):
 
 def _category_counts(np, columns, codes):
     """Category -> count, keyed in first-occurrence order of ``codes``."""
-    unique, _, counts = _first_occurrence_order(np, codes)
+    counts = np.bincount(codes, minlength=len(columns.categories))
+    first = np.full(len(counts), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    present = np.flatnonzero(counts)
+    present = present[np.argsort(first[present])]
     return {
         columns.categories[code]: count
-        for code, count in zip(unique.tolist(), counts.tolist())
+        for code, count in zip(present.tolist(), counts[present].tolist())
     }
+
+
+def _pc_counts(np, columns, group, flags):
+    """PC -> number of set ``flags`` (sorted domain), in first-set order.
+
+    Segment reductions over the groups give each PC's count and first
+    set record; PCs with none are left out, as in the scalar loop.
+    """
+    if not group.n:
+        return {}
+    counts = np.add.reduceat(flags, group.starts, dtype=np.int64)
+    first = np.minimum.reduceat(np.where(flags, group.order, group.n), group.starts)
+    present = np.flatnonzero(counts)
+    present = present[np.argsort(first[present])]
+    pcs = columns.pcs[group.order[group.starts[present]]]
+    return dict(zip(pcs.tolist(), counts[present].tolist()))
 
 
 def _category_totals(np, columns):
@@ -1021,20 +1034,16 @@ def simulate_shard_vector(columns: "TraceColumns", predictor_name: str):
         return None
     SIMULATION_COUNTER.increment()
     n = group.n
-    has = np.empty(n, dtype=bool)
-    pred = np.empty(n, dtype=np.int64)
-    has[group.order] = has_sorted
-    pred[group.order] = pred_sorted
-    correct = has & (pred == columns.values)
-
-    correct_pcs, _, correct_counts = _first_occurrence_order(np, columns.pcs[correct])
+    correct_sorted = has_sorted & (pred_sorted == group.vs)
+    correct = np.empty(n, dtype=bool)
+    correct[group.order] = correct_sorted
     result = PredictorResult(
         predictor=predictor_name,
         total=n,
-        correct=int(correct.sum()),
+        correct=int(np.count_nonzero(correct_sorted)),
         category_total=dict(_category_totals(np, columns)),
         category_correct=_category_counts(np, columns, columns.category_codes[correct]),
-        pc_correct=dict(zip(correct_pcs.tolist(), correct_counts.tolist())),
+        pc_correct=_pc_counts(np, columns, group, correct_sorted),
     )
     return PredictorShard(
         result=result,
@@ -1062,24 +1071,16 @@ def merge_shards_vector(
 
     key = np.zeros(n, dtype=np.uint64)
     for position, name in enumerate(names):
-        bits = np.unpackbits(
-            np.frombuffer(shards[name].correctness, dtype=np.uint8),
-            count=n,
-            bitorder="little",
-        )
+        packed = np.frombuffer(shards[name].correctness, dtype=np.uint8)
+        bits = np.unpackbits(packed, count=n, bitorder="little")
         key |= bits.astype(np.uint64) << np.uint64(position)
 
-    width = len(names)
-
-    def outcome_tuple(packed: int) -> tuple[bool, ...]:
-        return tuple(bool(packed >> position & 1) for position in range(width))
+    shifts = np.arange(len(names), dtype=np.uint64)
 
     def subset_dict(keys) -> dict:
         unique, _, counts = _first_occurrence_order(np, keys)
-        return {
-            outcome_tuple(packed): count
-            for packed, count in zip(unique.tolist(), counts.tolist())
-        }
+        outcomes = ((unique[:, None] >> shifts) & np.uint64(1)).astype(bool).tolist()
+        return dict(zip(map(tuple, outcomes), counts.tolist()))
 
     subset_counts = subset_dict(key)
     subset_by_category: dict = {}
@@ -1091,10 +1092,8 @@ def merge_shards_vector(
     unique_pcs, first_seen, pc_counts = _first_occurrence_order(np, columns.pcs)
     pc_total = dict(zip(unique_pcs.tolist(), pc_counts.tolist()))
     first_codes = columns.category_codes[first_seen].tolist()
-    pc_category = {
-        pc: columns.categories[code]
-        for pc, code in zip(unique_pcs.tolist(), first_codes)
-    }
+    first_categories = [columns.categories[code] for code in first_codes]
+    pc_category = dict(zip(unique_pcs.tolist(), first_categories))
     return SimulationResult(
         trace_name=columns.name,
         predictor_names=names,
@@ -1105,6 +1104,3 @@ def merge_shards_vector(
         subset_counts=subset_counts,
         subset_counts_by_category=subset_by_category,
     )
-
-
-

@@ -3,14 +3,16 @@
 Each Hypothesis example is one trace — the collected trace of a seed of
 ``tests/isa/random_programs.py``, or a synthetic trace of drawn seed,
 length and PC count (deep single-PC streams, wide PC sets, 64-bit wrap
-values) — and one drawn order of every predictor name below.  All names
-run over one shared ``TraceColumns``, as a campaign runs them, so the
-kernel's per-trace context table and hybrid component memo are exercised
-in every order.  Every vector shard must be a real vector result (no
-scalar fallback) whose JSON equals the scalar reference shard's.
+values) — and one drawn sequence of predictor names: every name below
+in a drawn order, with drawn repeats inserted anywhere.  All names run
+over one shared ``TraceColumns``, as a campaign runs them, so the
+kernel's per-trace context table, lower-order FCM memo and hybrid
+component memo are built and hit in every order, with the ``-small``
+and ``-full`` spellings interleaved with the lazy ones.  Every vector
+shard must be a real vector result (no scalar fallback) whose JSON
+equals the scalar reference shard's.
 ``pytest tests/simulation/test_kernel_fuzz.py --hypothesis-profile=nightly``
-runs many more examples than the default profile.
-"""
+runs many more examples than the default profile."""
 
 from __future__ import annotations
 
@@ -18,14 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
-
-pytest.importorskip("numpy")
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "isa"))
 from random_programs import random_program  # noqa: E402
-from test_kernel_parity import synthetic_trace  # noqa: E402
+from test_kernel_parity import requires_numpy, synthetic_trace  # noqa: E402
 
 from repro.core.registry import available_predictors  # noqa: E402
 from repro.engine.codecs import shard_to_dict  # noqa: E402
@@ -35,19 +34,39 @@ from repro.simulation.vectorized import simulate_shard_vector  # noqa: E402
 from repro.trace.collector import collect_trace  # noqa: E402
 from repro.trace.io import trace_columns  # noqa: E402
 
-#: Every registry name plus every dynamic FCM spelling of orders 0..4.
+#: Every registry name plus every dynamic FCM spelling of orders 0..8 and
+#: of order 40, past the deepest stream of most drawn traces.
 NAMES = tuple(
     dict.fromkeys(
         (
             *available_predictors(),
             *(
                 f"fcm{order}{suffix}"
-                for order in range(5)
+                for order in (*range(9), 40)
                 for suffix in ("", "-single", "-small", "-full")
             ),
         )
     )
 )
+
+
+def _with_repeats(drawn):
+    """Insert each drawn ``(position, name)`` repeat into the permutation."""
+    names, repeats = drawn
+    names = list(names)
+    for position, name in repeats:
+        names.insert(position, name)
+    return names
+
+
+#: Every name once, in a drawn order, plus up to 12 drawn repeats.
+SEQUENCES = st.tuples(
+    st.permutations(NAMES),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(NAMES)), st.sampled_from(NAMES)),
+        max_size=12,
+    ),
+).map(_with_repeats)
 
 
 def _program_trace(seed):
@@ -73,13 +92,16 @@ TRACES = st.one_of(
 ).filter(lambda trace: trace is not None)
 
 
+@requires_numpy
 @settings(deadline=None)
-@given(trace=TRACES, names=st.permutations(NAMES))
+@given(trace=TRACES, names=SEQUENCES)
 def test_vector_shard_matches_scalar(trace, names):
     columns = trace_columns(trace)
     assert columns is not None
+    references = {}
     for name in names:
         shard = simulate_shard_vector(columns, name)
         assert shard is not None, name
-        reference = simulate_shard(trace, name, kernel="scalar")
-        assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
+        if name not in references:
+            references[name] = json.dumps(shard_to_dict(simulate_shard(trace, name, kernel="scalar")))
+        assert json.dumps(shard_to_dict(shard)) == references[name], name

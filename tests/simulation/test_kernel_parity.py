@@ -464,6 +464,48 @@ class TestSharedTraceWork:
             reference = simulate_shard(trace, name, kernel="scalar")
             assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
 
+    def test_blended_fcms_share_lower_orders(self, monkeypatch):
+        # fcmN runs one stream at its top order and reuses the lower
+        # orders' predictions: 9 tops + 8 lower orders + the hybrids' fcm3
+        # top is 18 streams, where a full per-N walk runs 49.
+        trace = synthetic_trace(*SCENARIOS[4])
+        names = tuple(f"fcm{order}" for order in range(9)) + (
+            "hybrid-s2-fcm3",
+            "hybrid-type-s2-fcm3",
+            "hybrid-oracle",
+        )
+        calls = Counter()
+        self._spy(monkeypatch, "_fcm_stream", lambda *args: calls.update(["stream"]))
+        columns = _fresh_columns(trace)
+        shards = {name: vectorized.simulate_shard_vector(columns, name) for name in names}
+        monkeypatch.undo()
+        assert calls["stream"] <= 18
+        for name, shard in shards.items():
+            reference = simulate_shard(trace, name, kernel="scalar")
+            assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
+
+    def test_shards_read_the_grouping(self, monkeypatch):
+        # Per-PC and per-category tallies come from the trace's grouping
+        # and a bincount: the whole-trace first-occurrence sort runs once
+        # per trace (the shared category totals), not twice per shard.
+        trace = synthetic_trace(*SCENARIOS[4])
+        calls = Counter()
+        self._spy(
+            monkeypatch,
+            "_first_occurrence_order",
+            lambda *args: calls.update(["first_occurrence"]),
+        )
+        columns = _fresh_columns(trace)
+        shards = {
+            name: vectorized.simulate_shard_vector(columns, name)
+            for name in available_predictors()
+        }
+        monkeypatch.undo()
+        assert calls["first_occurrence"] <= 1
+        for name, shard in shards.items():
+            reference = simulate_shard(trace, name, kernel="scalar")
+            assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
+
 
 @requires_numpy
 class TestKernelStateLifetime:
@@ -489,6 +531,21 @@ class TestKernelStateLifetime:
         del columns
         gc.collect()
         assert state() is None
+        assert vectorized._current_trace is None
+
+    def test_blended_fcm_state_dies_with_its_trace(self):
+        # The match orders, the value ranks and the lower-order memo live
+        # on the grouping, so they go with the trace like the rest.
+        columns = _fresh_columns(synthetic_trace(*SCENARIOS[4]))
+        for name in ("fcm5", "fcm2-full"):
+            vectorized.simulate_shard_vector(columns, name)
+        group = vectorized._current_trace[1]
+        assert len(group.lower) == 2
+        arrays = [group.matched, group.ranks(), *(pred for _, pred in group.lower.values())]
+        references = [weakref.ref(array) for array in arrays]
+        del columns, group, arrays
+        gc.collect()
+        assert [reference() for reference in references] == [None] * len(references)
         assert vectorized._current_trace is None
 
 
