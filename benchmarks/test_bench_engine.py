@@ -166,15 +166,15 @@ def wire_blobs(bench_campaign):
     }
 
 
-def _cold_simulate(blobs: dict, kernel: str) -> int:
+def _cold_simulate(blobs: dict, names: tuple, kernel: str) -> int:
     """The simulate phase's cold path from wire bytes, on one kernel.
 
     Mirrors what a pool worker does per benchmark: decode the v3 bytes
-    (into records on the scalar path, straight into numpy columns on the
-    vector path — no ``TraceRecord`` objects), then compute one shard per
-    paper predictor.
+    (into records for the scalar reference loop, straight into numpy
+    columns for the vector kernel — no ``TraceRecord`` objects), then
+    compute one shard per configuration.
     """
-    from repro.simulation.simulator import SIMULATION_COUNTER, simulate_shard
+    from repro.simulation.simulator import SIMULATION_COUNTER, simulate_shard_scalar
     from repro.simulation.vectorized import simulate_shard_vector
     from repro.trace.io import decode_trace_columns, loads_trace_binary
 
@@ -182,12 +182,12 @@ def _cold_simulate(blobs: dict, kernel: str) -> int:
     for blob in blobs.values():
         if kernel == "vector":
             columns = decode_trace_columns(blob)
-            for name in PAPER_PREDICTORS:
+            for name in names:
                 assert simulate_shard_vector(columns, name) is not None
         else:
             trace = loads_trace_binary(blob)
-            for name in PAPER_PREDICTORS:
-                simulate_shard(trace, name, kernel="scalar")
+            for name in names:
+                simulate_shard_scalar(trace, name)
     return SIMULATION_COUNTER.count
 
 
@@ -197,31 +197,11 @@ def test_bench_engine_cold_simulate_kernel_axis(benchmark, wire_blobs, kernel):
 
     Both points decode every suite trace from wire bytes and compute all
     (trace, predictor) shards; the ratio between them is the vector
-    kernel's cold-simulate speedup, recorded in the benchmark JSON.
+    kernel's cold-simulate speedup over the reference loop, recorded in
+    the benchmark JSON.
     """
-    if kernel == "vector":
-        pytest.importorskip("numpy")
-    computed = run_once(benchmark, _cold_simulate, wire_blobs, kernel)
+    computed = run_once(benchmark, _cold_simulate, wire_blobs, PAPER_PREDICTORS, kernel)
     assert computed == len(wire_blobs) * len(PAPER_PREDICTORS)
-
-
-def _cold_simulate_names(blobs: dict, names: tuple, kernel: str) -> int:
-    """Cold simulate of specific configurations over every suite trace."""
-    from repro.simulation.simulator import SIMULATION_COUNTER, simulate_shard
-    from repro.simulation.vectorized import simulate_shard_vector
-    from repro.trace.io import decode_trace_columns, loads_trace_binary
-
-    SIMULATION_COUNTER.reset()
-    for blob in blobs.values():
-        if kernel == "vector":
-            columns = decode_trace_columns(blob)
-            for name in names:
-                assert simulate_shard_vector(columns, name) is not None
-        else:
-            trace = loads_trace_binary(blob)
-            for name in names:
-                simulate_shard(trace, name, kernel="scalar")
-    return SIMULATION_COUNTER.count
 
 
 #: Configurations the vector kernel could not run before the counter and
@@ -232,17 +212,13 @@ _HYBRID_CONFIGS = ("hybrid-s2-fcm3", "hybrid-type-s2-fcm3", "hybrid-oracle")
 
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
 def test_bench_engine_cold_simulate_counter_configs(benchmark, wire_blobs, kernel):
-    """Saturating-counter/hysteresis configs per kernel (lockstep scans)."""
-    if kernel == "vector":
-        pytest.importorskip("numpy")
-    computed = run_once(benchmark, _cold_simulate_names, wire_blobs, _COUNTER_CONFIGS, kernel)
+    """Saturating-counter/hysteresis configs per kernel (per-PC loops)."""
+    computed = run_once(benchmark, _cold_simulate, wire_blobs, _COUNTER_CONFIGS, kernel)
     assert computed == len(wire_blobs) * len(_COUNTER_CONFIGS)
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "vector"])
 def test_bench_engine_cold_simulate_hybrid_configs(benchmark, wire_blobs, kernel):
     """Hybrid (two-level selector) configs per kernel (composed plans)."""
-    if kernel == "vector":
-        pytest.importorskip("numpy")
-    computed = run_once(benchmark, _cold_simulate_names, wire_blobs, _HYBRID_CONFIGS, kernel)
+    computed = run_once(benchmark, _cold_simulate, wire_blobs, _HYBRID_CONFIGS, kernel)
     assert computed == len(wire_blobs) * len(_HYBRID_CONFIGS)

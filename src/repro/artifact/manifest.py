@@ -42,7 +42,7 @@ def canonical_json(payload: object) -> str:
 
     Sorted keys, no whitespace, full float precision (``repr``-exact, so a
     digest match means bit-identical numbers, the same property the engine
-    cache pins across backends and kernels).
+    cache pins across backends).
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

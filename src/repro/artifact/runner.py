@@ -3,7 +3,7 @@
 :func:`reproduce` drives every selected deliverable of the committed
 artifact manifest through the existing experiment entry points — and
 therefore through the engine's phase executor, so the configured
-``--backend``/``--jobs``/``--kernel``/``--cache-dir`` defaults apply and
+``--backend``/``--jobs``/``--cache-dir`` defaults apply and
 a warm cache makes the whole reproduction ~free — and writes one
 isolated results directory per run::
 
@@ -221,7 +221,7 @@ def reproduce(
 ) -> ReproductionReport:
     """Regenerate the manifest's deliverables into ``out_dir/<run-id>/``.
 
-    Engine configuration (backend, jobs, kernel, cache)
+    Engine configuration (backend, jobs, cache)
     comes from the process-wide defaults
     (:func:`repro.simulation.campaign.set_campaign_defaults` — the CLI's
     engine flags); telemetry for the run is recorded into the results

@@ -43,7 +43,7 @@ from repro.engine.backends import BACKEND_NAMES
 from repro.engine.cache import ResultCache
 from repro.engine.config import EngineConfig
 from repro.engine.progress import ConsoleProgress
-from repro.errors import DispatchError, SimulationError, UnknownPredictorError, WorkloadError
+from repro.errors import DispatchError, UnknownPredictorError, WorkloadError
 from repro.engine.scheduler import ExecutionEngine
 from repro.engine.sweeps import SweepSpec
 from repro.isa.opcodes import REPORTED_CATEGORIES
@@ -317,13 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--scale", type=_parse_scale, default=QUICK_SCALE)
     simulate.add_argument("--input", default=None, help="named input set for the benchmark")
-    simulate.add_argument(
-        "--kernel",
-        choices=("scalar", "vector", "auto"),
-        default="auto",
-        help="simulation kernel (results are bit-identical; see the campaign "
-        "subcommand's --kernel)",
-    )
 
     subparsers.add_parser("workloads", help="list the available benchmarks")
     subparsers.add_parser("predictors", help="list the available predictor configurations")
@@ -372,15 +365,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="AGE",
         help="auto-GC entries idle longer than AGE after the run (e.g. 30m, 7d)",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=("scalar", "vector", "auto"),
-        default="auto",
-        help="simulation kernel: 'scalar' runs the reference per-record loop, "
-        "'vector' the columnar numpy kernel (fails cleanly without numpy), "
-        "'auto' picks vector when numpy is importable (default); results "
-        "and cache entries are bit-identical across kernels",
-    )
+    # Parsed and ignored: the benchmark harness under perfbench/ still
+    # passes "--kernel vector"; the benchmark-only change that drops the
+    # flag from perfbench/ deletes this option.
+    parser.add_argument("--kernel", choices=("vector",), help=argparse.SUPPRESS)
     parser.add_argument(
         "--telemetry-dir",
         default=None,
@@ -426,27 +414,20 @@ def _parse_scale(text: str) -> float:
     return scale
 
 
-def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
     """Build the engine configuration from the shared engine flags.
 
     The one place ``reproduce``, ``experiments``, ``campaign`` and
-    ``sweep`` turn their flags into an :class:`EngineConfig`.  A kernel
-    that cannot run here prints its one-line error and returns ``None``;
-    the caller exits 2.
+    ``sweep`` turn their flags into an :class:`EngineConfig`.
     """
-    try:
-        return EngineConfig(
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            cache_max_bytes=args.cache_max_bytes,
-            cache_max_age=args.cache_max_age,
-            backend=args.backend,
-            kernel=args.kernel,
-        )
-    except SimulationError as error:
-        print(error, file=sys.stderr)
-        return None
+    return EngineConfig(
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        cache_max_bytes=args.cache_max_bytes,
+        cache_max_age=args.cache_max_age,
+        backend=args.backend,
+    )
 
 
 def _telemetry_from_arguments(args: argparse.Namespace, command: str):
@@ -468,8 +449,6 @@ def _command_reproduce(args: argparse.Namespace, argv: Sequence[str] | None) -> 
     from repro.errors import ArtifactError
 
     config = _engine_config(args)
-    if config is None:
-        return 2
     if args.telemetry_dir is not None:
         print(
             "reproduce records telemetry into the results directory itself "
@@ -554,8 +533,6 @@ def _command_reproduce(args: argparse.Namespace, argv: Sequence[str] | None) -> 
 def _command_experiments(args: argparse.Namespace) -> int:
     names = args.names or sorted(ALL_EXPERIMENTS)
     config = _engine_config(args)
-    if config is None:
-        return 2
     telemetry = _telemetry_from_arguments(args, "experiments")
     set_campaign_defaults(config, telemetry=telemetry)
     scale = QUICK_SCALE if args.quick and args.scale is None else args.scale
@@ -585,8 +562,6 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 def _command_campaign(args: argparse.Namespace) -> int:
     config = _engine_config(args)
-    if config is None:
-        return 2
     try:
         for name in args.predictors:
             create_predictor(name)
@@ -660,8 +635,6 @@ def _stats_line(stats) -> str:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     config = _engine_config(args)
-    if config is None:
-        return 2
     predictors = (
         tuple(f"fcm{order}" for order in args.orders)
         if args.orders
@@ -907,24 +880,6 @@ def _command_inspect(args: argparse.Namespace) -> int:
             )
         )
 
-    kernels = summary.get("kernels") or {}
-    if kernels.get("tasks") or kernels.get("fallback_total"):
-        parts = [
-            f"{count} task(s) on {kernel}"
-            for kernel, count in sorted(kernels.get("tasks", {}).items())
-        ]
-        print()
-        print(f"kernels: {', '.join(parts) if parts else 'no kernel reports'}")
-        fallbacks = kernels.get("fallbacks_by_predictor") or {}
-        if fallbacks:
-            detail = ", ".join(
-                f"{predictor} ×{count}" for predictor, count in fallbacks.items()
-            )
-            print(
-                f"  vector→scalar fallbacks: {kernels.get('fallback_total', 0)} "
-                f"({detail})"
-            )
-
     cache = summary["cache"]
     print()
     if cache["hits"] or cache["misses"] or cache["writes"]:
@@ -948,7 +903,7 @@ def _command_inspect(args: argparse.Namespace) -> int:
 def _command_simulate(args: argparse.Namespace) -> int:
     workload = get_workload(args.benchmark)
     trace = workload.trace(scale=args.scale, input_name=args.input)
-    result = simulate_trace(trace, tuple(args.predictors), kernel=args.kernel)
+    result = simulate_trace(trace, tuple(args.predictors))
     rows = []
     for name in result.predictor_names:
         predictor_result = result.results[name]

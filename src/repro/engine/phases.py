@@ -178,14 +178,6 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
             # cache: entries stay byte-identical with telemetry on or off.
             sidecar = outcome.pop(TELEMETRY_KEY, None) if isinstance(outcome, dict) else None
             if sidecar:
-                extra = {}
-                if sidecar.get("kernel") is not None:
-                    # Simulation tasks report which kernel actually ran;
-                    # a vector request that degraded to the scalar loop is
-                    # counted per predictor so `repro-vp inspect` can name
-                    # the configurations behind a mystery slowdown.
-                    extra["kernel"] = sidecar["kernel"]
-                    extra["kernel_fallback"] = bool(sidecar.get("kernel_fallback"))
                 telemetry.span_record(
                     "task",
                     sidecar.get("execute_seconds", 0.0),
@@ -193,13 +185,7 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
                     label=task.label,
                     worker_pid=sidecar.get("pid"),
                     function=sidecar.get("function"),
-                    **extra,
                 )
-                if sidecar.get("kernel_fallback"):
-                    telemetry.count("kernel.fallback")
-                    predictor = sidecar.get("predictor")
-                    if predictor:
-                        telemetry.count(f"kernel.fallback.{predictor}")
             spec.accept_fresh(task.uid, outcome)
             engine.stats.record(spec.counter, cached=False)
             if cache:

@@ -112,7 +112,7 @@ class ExecutionEngine:
     ----------
     config:
         The engine's settings (:class:`~repro.engine.config.EngineConfig`:
-        jobs, cache, GC bounds, backend, kernel);
+        jobs, cache, GC bounds, backend);
         ``None`` means ``EngineConfig()`` — serial and cache-less.
         Results are bit-identical for every setting; see the config's
         attributes for what each one changes.
@@ -274,17 +274,13 @@ class ExecutionEngine:
         """Stamp the whole engine configuration onto the run manifest.
 
         ``backend`` and ``cache_dir`` record what the run actually used
-        (the resolved backend's name; no directory when caching is off),
-        and ``resolved_kernel`` what ``kernel`` resolves to here.
+        (the resolved backend's name; no directory when caching is off).
         """
-        from repro.simulation.vectorized import resolve_kernel
-
         self.telemetry.annotate(
             **{
                 **asdict(self.config),
                 "backend": self.backend.name,
                 "cache_dir": str(self.cache.root) if self.cache else None,
-                "resolved_kernel": resolve_kernel(self.config.kernel),
             }
         )
 
@@ -358,7 +354,6 @@ class ExecutionEngine:
             simulations[benchmark] = merge_shards(
                 trace.get(),
                 {predictor: shards[(trace.digest, predictor)] for predictor in predictors},
-                kernel=self.config.kernel,
             )
             if self.cache:
                 self.cache.put(
@@ -548,7 +543,6 @@ def simulate_phase(
     ``presatisfied_labels`` report units the caller satisfied before the
     phase (the campaign's merge-level hits) as warm progress.
     """
-    kernel = engine.config.kernel
     signatures = {
         predictor: predictor_signature(predictor)
         for predictor in dict.fromkeys(predictor for _, predictor in units)
@@ -568,8 +562,8 @@ def simulate_phase(
         # cached body is repaired before any worker sees its bytes.
         trace = units[uid][1]
         if inline:
-            return tasks[uid].payload(trace=trace.get(), kernel=kernel)
-        return tasks[uid].payload(trace_bytes=trace.trace_binary, kernel=kernel)
+            return tasks[uid].payload(trace=trace.get())
+        return tasks[uid].payload(trace_bytes=trace.trace_binary)
 
     shards: dict[tuple[str, str], PredictorShard] = {}
 

@@ -125,7 +125,6 @@ class SimulateTask:
         *,
         trace: ValueTrace | None = None,
         trace_bytes: bytes | None = None,
-        kernel: str | None = None,
     ) -> dict:
         """Build the worker payload; pass exactly one of ``trace`` and ``trace_bytes``.
 
@@ -140,18 +139,11 @@ class SimulateTask:
         worker whose registry disagrees (e.g. a ``spawn``-start process
         that re-imported a registry without a dynamic re-binding) fails
         loudly instead of simulating the wrong configuration.
-
-        ``kernel`` is the engine's (unresolved) simulation-kernel setting;
-        it travels in the payload — never in the cache key, because both
-        kernels produce byte-identical results — and each worker process
-        resolves it against its own environment.
         """
         payload: dict = {
             "predictor": self.predictor,
             "signature": self.predictor_signature,
         }
-        if kernel is not None:
-            payload["kernel"] = kernel
         if trace is not None:
             payload["trace"] = trace
         else:

@@ -531,17 +531,6 @@ def summarize_run(directory: str | Path) -> dict:
     hits = counters.get("cache.hit", 0)
     misses = counters.get("cache.miss", 0)
     probes = hits + misses
-    kernel_tasks: dict[str, int] = {}
-    for task in tasks:
-        kernel = task.get("kernel")
-        if kernel:
-            kernel_tasks[kernel] = kernel_tasks.get(kernel, 0) + 1
-    fallback_prefix = "kernel.fallback."
-    kernel_fallbacks = {
-        name[len(fallback_prefix) :]: value
-        for name, value in sorted(counters.items())
-        if name.startswith(fallback_prefix)
-    }
     return {
         "manifest": manifest,
         "problems": problems,
@@ -558,14 +547,6 @@ def summarize_run(directory: str | Path) -> dict:
             "write_bytes": counters.get("cache.write_bytes", 0),
             "gc_removed": counters.get("cache.gc_removed", 0),
             "gc_freed_bytes": counters.get("cache.gc_freed_bytes", 0),
-        },
-        "kernels": {
-            # How many computed simulation tasks each kernel actually ran,
-            # and which predictors fell back to the scalar loop (per the
-            # workers' own sidecar reports).
-            "tasks": kernel_tasks,
-            "fallback_total": counters.get("kernel.fallback", 0),
-            "fallbacks_by_predictor": kernel_fallbacks,
         },
         "counters": counters,
     }

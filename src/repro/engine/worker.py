@@ -20,18 +20,11 @@ from repro.engine.telemetry import TELEMETRY_KEY
 from repro.errors import SimulationError
 from repro.trace.io import decode_trace, dumps_trace, dumps_trace_binary
 from repro.simulation.simulator import simulate_shard
-from repro.simulation.vectorized import resolve_kernel
 from repro.trace.stream import ValueTrace
 from repro.workloads.suite import get_workload
 
 
-def _telemetry_sidecar(
-    function: str,
-    started_perf: float,
-    kernel: str | None = None,
-    fallback: bool | None = None,
-    predictor: str | None = None,
-) -> dict:
+def _telemetry_sidecar(function: str, started_perf: float) -> dict:
     """The observability sidecar every worker outcome carries.
 
     Worker-side execute time is measured here — on the worker's own
@@ -39,24 +32,12 @@ def _telemetry_sidecar(
     inside the outcome under the reserved :data:`TELEMETRY_KEY`.  The
     phase executor strips the key before the outcome is decoded or
     cached, so cache entries and results never contain it.
-
-    Simulation tasks also report ``kernel`` — the kernel that *actually*
-    ran, after any scalar fallback — and ``kernel_fallback``, true when
-    the vector kernel was requested but this task ran the scalar loop.
-    An ``--kernel auto`` run silently degrading to scalar is a mystery
-    slowdown without this.
     """
-    sidecar = {
+    return {
         "function": function,
         "execute_seconds": time.perf_counter() - started_perf,
         "pid": os.getpid(),
     }
-    if kernel is not None:
-        sidecar["kernel"] = kernel
-        sidecar["kernel_fallback"] = bool(fallback)
-    if predictor is not None:
-        sidecar["predictor"] = predictor
-    return sidecar
 
 
 #: Outcome key of the trace object an in-process trace task hands back
@@ -75,7 +56,7 @@ def execute_trace_task(payload: dict) -> dict:
     the parent never renders or re-parses text for a cold trace.  The
     ``digest`` that keys the simulate phase is defined over the canonical
     text (see ``docs/trace-format.md``), so the worker renders that text
-    too, hashes it and drops it.  With numpy the workload's trace is the
+    too, hashes it and drops it.  The workload's trace is the
     interpreter's output as array columns
     (:func:`repro.trace.collector.collect_trace`), and the text, the v3
     bytes and the statistics are all rendered from those arrays in chunked
@@ -114,37 +95,14 @@ def execute_simulate_task(payload: dict) -> dict:
     ``trace_digest``, the process backends' wire format).  Bytes decode
     straight to array columns (:func:`repro.trace.io.decode_trace`), once
     per trace per worker process (see :func:`_payload_trace`), so neither
-    transport builds a ``TraceRecord`` under the vector kernel.  The
-    predictor starts empty.
-
-    ``kernel`` selects the simulation kernel; it is resolved against
-    *this* worker's environment (see
-    :func:`repro.simulation.vectorized.resolve_kernel`).
+    transport builds a ``TraceRecord``.  The predictor starts empty.
     """
     started = time.perf_counter()
-    kernel = resolve_kernel(payload.get("kernel"))
     name = _check_signature(payload)
-    trace = _payload_trace(payload)
-    shard = None
-    if kernel == "vector":
-        from repro.simulation.vectorized import simulate_shard_vector
-        from repro.trace.io import trace_columns
-
-        columns = trace_columns(trace)
-        if columns is not None:
-            shard = simulate_shard_vector(columns, name)
-    fallback = kernel == "vector" and shard is None
-    if shard is None:
-        shard = simulate_shard(trace, name, kernel="scalar")
+    shard = simulate_shard(_payload_trace(payload), name)
     return {
         "shard": shard_to_dict(shard),
-        TELEMETRY_KEY: _telemetry_sidecar(
-            "simulate",
-            started,
-            kernel="scalar" if fallback else kernel,
-            fallback=fallback,
-            predictor=name,
-        ),
+        TELEMETRY_KEY: _telemetry_sidecar("simulate", started),
     }
 
 

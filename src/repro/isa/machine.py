@@ -18,7 +18,6 @@ list and are wrapped to 64 bits when written, never checked when read.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
@@ -123,14 +122,8 @@ class Machine:
 
 def _category_counts(instructions: list[Instruction], retired: array) -> dict[Category, int]:
     """Retired instructions per category, categories in order of first retirement."""
-    try:
-        import numpy as np
-    except ImportError:
-        counts: dict[Category, int] = {}
-        for static_index, count in Counter(retired).items():
-            category = instructions[static_index].category
-            counts[category] = counts.get(category, 0) + count
-        return counts
+    import numpy as np
+
     if not retired:
         return {}
     categories = list(dict.fromkeys(instruction.category for instruction in instructions))

@@ -12,7 +12,7 @@ parameter sweeps on the same engine (:mod:`repro.engine.sweeps`).  Both
 paths execute on :class:`repro.engine.ExecutionEngine`:
 ``repro.simulation.campaign.set_campaign_defaults`` (which the CLI hands
 the ``EngineConfig`` built from its engine flags) selects parallelism,
-backend, kernel and a persistent result cache without touching the entry
+backend and a persistent result cache without touching the entry
 points below.
 """
 

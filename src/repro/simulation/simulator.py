@@ -165,24 +165,17 @@ class PredictionSimulator:
 def simulate_trace(
     trace: ValueTrace,
     predictor_names: tuple[str, ...] | list[str],
-    kernel: str | None = None,
 ) -> SimulationResult:
     """Convenience wrapper: fresh predictors by name, one trace, one result.
 
-    ``kernel`` selects the execution strategy (see
-    :mod:`repro.simulation.vectorized`): ``"scalar"`` runs the reference
-    lockstep loop, ``"vector"`` simulates per-predictor shards on the
-    columnar kernel and merges them, ``"auto"`` picks vector when numpy is
-    importable and ``None`` defers to the ``REPRO_KERNEL`` environment
-    variable.  Results are bit-identical either way.
+    Simulates one shard per predictor (:func:`simulate_shard`) and merges
+    them (:func:`merge_shards`), which gives exactly the result of
+    :meth:`PredictionSimulator.run`, the reference lockstep loop.
     """
-    from repro.simulation.vectorized import resolve_kernel
-
     names = tuple(predictor_names)
-    if names and resolve_kernel(kernel) == "vector":
-        shards = {name: simulate_shard(trace, name, kernel="vector") for name in names}
-        return merge_shards(trace, shards, kernel="vector")
-    return PredictionSimulator.from_names(names).run(trace)
+    if not names:
+        raise SimulationError("at least one predictor is required")
+    return merge_shards(trace, {name: simulate_shard(trace, name) for name in names})
 
 
 # --------------------------------------------------------------------------- #
@@ -226,33 +219,31 @@ class PredictorShard:
     record_count: int
 
 
-def simulate_shard(
-    trace: ValueTrace,
-    predictor_name: str,
-    kernel: str | None = None,
-) -> PredictorShard:
+def simulate_shard(trace: ValueTrace, predictor_name: str) -> PredictorShard:
     """Simulate a single predictor over ``trace``.
 
     Produces bit-identical per-record outcomes to the same predictor's slot
     in the lockstep loop: predictor tables are private, so no other
-    predictor can influence them.  Under the ``"vector"`` kernel (see
-    :func:`simulate_trace`) the columnar kernel computes the same shard —
-    identical down to the dict insertion orders the cache serialises.
-    Every registered configuration has a vector plan; this scalar loop
-    remains the golden reference and the fallback when a plan declines at
-    runtime (e.g. a pathological trace tripping a depth guard).
+    predictor can influence them.  The columnar kernel
+    (:func:`~repro.simulation.vectorized.simulate_shard_vector`) computes
+    the shard.  Only two inputs take the reference loop
+    (:func:`simulate_shard_scalar`) instead: a trace with a field outside
+    int64, which has no numpy columns, and a predictor class registered
+    from outside the package, which has no vector plan.
     """
-    from repro.simulation.vectorized import resolve_kernel
+    from repro.simulation.vectorized import simulate_shard_vector
+    from repro.trace.io import trace_columns
 
-    if resolve_kernel(kernel) == "vector":
-        from repro.simulation.vectorized import simulate_shard_vector
-        from repro.trace.io import trace_columns
+    columns = trace_columns(trace)
+    if columns is not None:
+        shard = simulate_shard_vector(columns, predictor_name)
+        if shard is not None:
+            return shard
+    return simulate_shard_scalar(trace, predictor_name)
 
-        columns = trace_columns(trace)
-        if columns is not None:
-            shard = simulate_shard_vector(columns, predictor_name)
-            if shard is not None:
-                return shard
+
+def simulate_shard_scalar(trace: ValueTrace, predictor_name: str) -> PredictorShard:
+    """The reference loop behind :func:`simulate_shard`: one ``observe`` per record."""
     SIMULATION_COUNTER.increment()
     predictor = create_predictor(predictor_name)
     result = PredictorResult(predictor=predictor_name)
@@ -272,38 +263,40 @@ def simulate_shard(
     )
 
 
-def merge_shards(
-    trace: ValueTrace,
-    shards: Mapping[str, PredictorShard],
-    kernel: str | None = None,
-) -> SimulationResult:
+def merge_shards(trace: ValueTrace, shards: Mapping[str, PredictorShard]) -> SimulationResult:
     """Recombine per-predictor shards into the joint lockstep result.
 
     The shard mapping's order fixes ``predictor_names`` and therefore the
     position of each predictor in the ``subset_counts`` outcome tuples.
-    Under the ``"vector"`` kernel the per-record unpack/tally loop runs as
-    array passes with identical output (see :func:`simulate_trace`).
+    The tally runs as array passes
+    (:func:`~repro.simulation.vectorized.merge_shards_vector`); the
+    reference loop (:func:`merge_shards_scalar`) takes the traces
+    without numpy columns and merges of more than 62 predictors.
     """
-    from repro.simulation.vectorized import resolve_kernel
+    from repro.simulation.vectorized import merge_shards_vector
+    from repro.trace.io import trace_columns
 
     if not shards:
         raise SimulationError("at least one shard is required to merge")
-    names = tuple(shards)
-    for name in names:
-        if shards[name].record_count != len(trace):
+    for name, shard in shards.items():
+        if shard.record_count != len(trace):
             raise SimulationError(
-                f"shard for {name!r} covers {shards[name].record_count} records, "
+                f"shard for {name!r} covers {shard.record_count} records, "
                 f"trace {trace.name!r} has {len(trace)}"
             )
-    if resolve_kernel(kernel) == "vector":
-        from repro.simulation.vectorized import merge_shards_vector
-        from repro.trace.io import trace_columns
+    columns = trace_columns(trace)
+    if columns is not None:
+        merged = merge_shards_vector(columns, shards)
+        if merged is not None:
+            return merged
+    return merge_shards_scalar(trace, shards)
 
-        columns = trace_columns(trace)
-        if columns is not None:
-            merged = merge_shards_vector(columns, shards)
-            if merged is not None:
-                return merged
+
+def merge_shards_scalar(
+    trace: ValueTrace, shards: Mapping[str, PredictorShard]
+) -> SimulationResult:
+    """The reference loop behind :func:`merge_shards` (shards already checked)."""
+    names = tuple(shards)
     packed = [shards[name].correctness for name in names]
     pc_total: dict[int, int] = {}
     pc_category: dict[int, Category] = {}

@@ -23,8 +23,8 @@ whole-trace array passes over the columnar form of a trace
   otherwise the first-inserted of the maximal set — is reproduced with a
   segmented cumulative maximum over packed ``count * R + (R - 1 - rank)``
   keys, where ``rank`` is the value's insertion rank within its group.
-  The ``counter_max`` halve-on-saturation variant drives the same
-  pair/rank tables in lockstep;
+  The ``counter_max`` halve-on-saturation variant runs one plain loop
+  per context, like the counter plans;
 * **blended FCM** predicts each record from the deepest order whose
   context occurred earlier in the record's PC stream (its *match
   order*, capped at the top order).  A context's first occurrence is
@@ -45,20 +45,21 @@ whole-trace array passes over the columnar form of a trace
 
 Every registered configuration (and every dynamic ``fcmN`` /
 ``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan,
-and every plan starts from a fresh predictor and covers the whole trace.
+and every plan starts from a fresh predictor, covers the whole trace and
+runs on any trace the columns hold: no plan declines at runtime.
 What plans derive from a trace — the per-PC grouping, the context table
 and match orders, the value ranks, the lower-order FCM predictions and
 the hybrids' component results — is kept for the current trace only and
 released when the kernel moves to another trace or the trace dies.
-Shards tally their per-PC counts from the same grouping.  Cache keys
-never include the kernel: both kernels produce byte-identical entries,
-and the differential parity harness
-(``tests/simulation/test_kernel_parity.py``) pins that equivalence.
+Shards tally their per-PC counts from the same grouping.  A shard is
+byte-identical to the scalar loop's, down to the dict insertion orders
+the cache serialises; the parity harness
+(``tests/simulation/test_kernel_parity.py``) and the kernel fuzz
+(``tests/simulation/test_kernel_fuzz.py``) pin that equivalence.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import TYPE_CHECKING, Mapping
 
@@ -68,58 +69,17 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
     from repro.simulation.simulator import PredictorShard, SimulationResult
     from repro.trace.io import TraceColumns
 
-#: Valid values of the ``kernel`` parameter / ``--kernel`` flag.
-KERNELS = ("scalar", "vector", "auto")
 
-#: Environment variable consulted when no kernel is passed explicitly.
-KERNEL_ENV = "REPRO_KERNEL"
+def resolve_kernel(kernel: str) -> str:
+    """Return ``"vector"``, the one kernel; anything else raises.
 
-_NUMPY_UNSET = object()
-_numpy_module = _NUMPY_UNSET
-
-
-def numpy_or_none():
-    """The numpy module, or ``None`` when it is not importable (memoised)."""
-    global _numpy_module
-    if _numpy_module is _NUMPY_UNSET:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Resolve a kernel request to ``"scalar"`` or ``"vector"``.
-
-    ``None`` consults :data:`KERNEL_ENV` and defaults to ``"scalar"``;
-    ``"auto"`` selects ``"vector"`` exactly when numpy is importable; an
-    explicit (or environment-forced) ``"vector"`` without numpy raises a
-    clean :class:`SimulationError` instead of an ``ImportError`` deep in
-    a worker.
+    Kept only because the benchmark harness under ``perfbench/`` calls
+    it to record the kernel it ran; the benchmark-only change that drops
+    that call from ``perfbench/`` deletes this function.
     """
-    source = "kernel"
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or "scalar"
-        source = f"{KERNEL_ENV} environment variable"
-    if kernel not in KERNELS:
-        raise SimulationError(
-            f"unknown simulation kernel {kernel!r} (from {source}); "
-            f"expected one of {', '.join(KERNELS)}"
-        )
-    if kernel == "auto":
-        return "vector" if numpy_or_none() is not None else "scalar"
-    if kernel == "vector" and numpy_or_none() is None:
-        raise SimulationError(
-            "the 'vector' simulation kernel requires numpy, which is not "
-            "importable here; use '--kernel auto' to fall back automatically"
-        )
+    if kernel != "vector":
+        raise SimulationError(f"unknown simulation kernel {kernel!r}; the only kernel is 'vector'")
     return kernel
-
-
-class _VectorizationUnsupported(Exception):
-    """Internal: a size guard tripped; the caller retries on the scalar path."""
 
 
 # --------------------------------------------------------------------------- #
@@ -244,37 +204,24 @@ def _factorize_pairs(np, a, b):
     return ids, order[~boundary]
 
 
-def _segmented_cummax(np, gid, keys, key_bound: int):
-    """Running maximum of ``keys`` within each contiguous ascending group."""
-    if len(gid) and int(gid[-1] + 1) * key_bound >= 2**62:
-        raise _VectorizationUnsupported("packed cummax key would overflow int64")
-    packed = gid * np.int64(key_bound) + keys
-    return np.maximum.accumulate(packed) - gid * np.int64(key_bound)
+def _segmented_cummax(np, gid, starts, keys, scale: int):
+    """Running maximum of ``keys`` within each contiguous ascending group.
 
-
-# --------------------------------------------------------------------------- #
-# Lockstep scheduling (feedback state machines: saturating-counter FCM)
-# --------------------------------------------------------------------------- #
-def _lockstep_schedule(np, sizes, n):
-    """Schedule per-group state machines over the group depth.
-
-    Step ``k`` touches the ``k``-th record of every group that has one;
-    the active set is a prefix of the groups ordered by descending size,
-    so total elementwise work stays O(n).  The guard rejects the
-    pathological shape (one dominant group driving thousands of tiny
-    steps) where per-step overhead would lose to the scalar loop anyway.
+    ``gid`` numbers each element's group and group ``g`` starts at
+    ``starts[g]``; a group of ``size`` elements keeps its keys in
+    ``[scale, (size + 1) * scale)``.  Offsetting group ``g`` by
+    ``(starts[g] + g) * scale`` then puts every key of a group above
+    every key of the groups before it, so one running maximum restarts
+    at each group.  Over ``m`` elements the offset keys stay below
+    ``2 * m * scale``; at the FCM streams' scales (1 for counts, at most
+    ``m + 1`` for packed keys) that fits int64 for any stream under
+    2**30 elements.
     """
-    depth = int(sizes.max()) if len(sizes) else 0
-    if depth > 4096 and depth * 32 > n:
-        raise _VectorizationUnsupported("dominant group too deep for lockstep")
-    by_size = np.argsort(-sizes, kind="stable")
-    negative_sizes = -sizes[by_size]
-    return by_size, negative_sizes, depth
-
-
-def _active_groups(np, by_size, negative_sizes, step):
-    """Groups whose size exceeds ``step`` (their ``step``-th record exists)."""
-    return by_size[: int(np.searchsorted(negative_sizes, -step, side="left"))]
+    offset = (starts[gid] + gid) * np.int64(scale)
+    running = offset + keys
+    np.maximum.accumulate(running, out=running)
+    running -= offset
+    return running
 
 
 # --------------------------------------------------------------------------- #
@@ -338,6 +285,7 @@ def _fcm_stream(np, group_ids, y, y_rank):
     new_group[0] = True
     new_group[1:] = g_sorted[1:] != g_sorted[:-1]
     gid = np.cumsum(new_group) - 1
+    starts = np.flatnonzero(new_group)
 
     # Running count c of each (group, value) pair at each occurrence.
     pair_order, pair_start = _pair_runs(np, gid, y_rank[order])
@@ -348,8 +296,7 @@ def _fcm_stream(np, group_ids, y, y_rank):
     counts[pair_order] = np.arange(m) - np.flatnonzero(pair_start)[pid_sorted] + 1
 
     # Running maximum count per group.
-    count_bound = int(counts.max()) + 1
-    running_max = _segmented_cummax(np, gid, counts, count_bound)
+    running_max = _segmented_cummax(np, gid, starts, counts, 1)
 
     # Insertion rank of each pair within its group, plus the group-local
     # table decoding (group, rank) back to the pair's value.
@@ -362,12 +309,16 @@ def _fcm_stream(np, group_ids, y, y_rank):
     # Packing count (major) against inverted insertion rank (minor) makes
     # the running key-max decode to exactly that value: a value's latest
     # occurrence carries its full count, so the maximal key belongs to the
-    # max-count value with the smallest rank.
+    # max-count value with the smallest rank.  The packed keys live only
+    # for the call, so they are freed before the prediction arrays exist.
     rank_bound = int(rank_of_pair.max()) + 2
-    keys = counts * np.int64(rank_bound) + (
-        np.int64(rank_bound - 1) - rank_of_pair[pid]
+    key_max = _segmented_cummax(
+        np,
+        gid,
+        starts,
+        counts * np.int64(rank_bound) + (np.int64(rank_bound - 1) - rank_of_pair[pid]),
+        rank_bound,
     )
-    key_max = _segmented_cummax(np, gid, keys, count_bound * rank_bound)
     leader_rank = np.int64(rank_bound - 1) - (key_max % np.int64(rank_bound))
     leader = value_by_rank[group_base[gid] + leader_rank]
 
@@ -550,160 +501,70 @@ def _plan_stride_counter(np, group, counter_max, threshold):
 # --------------------------------------------------------------------------- #
 # FCM with saturating counters
 # --------------------------------------------------------------------------- #
-def _ragged_arange(np, counts):
-    """``[0..counts[0]), [0..counts[1]), ...`` concatenated."""
-    total = int(counts.sum())
-    starts = np.zeros(len(counts), dtype=np.int64)
-    if len(counts):
-        starts[1:] = np.cumsum(counts)[:-1]
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-
-
 def _fcm_eval(np, group, order, stream, counter_max):
     """(has, pred) of the order-``order`` FCM table fed by ``stream``.
 
     ``stream`` lists sorted positions with ``t >= order`` in time order;
     the passes re-densify its context ids.  Exact counts run the pure
-    scan, halve-on-saturation counters the same tables in lockstep.
+    scan, halve-on-saturation counters one loop per context.
     """
     keys = group.context(order)[stream]
     values = group.vs[stream]
     if counter_max is None:
         return _fcm_stream(np, keys, values, group.ranks()[stream])
-    return _fcm_lockstep(np, keys, values, counter_max)
+    return _fcm_counters(np, keys, values, counter_max)
 
 
-def _fcm_lockstep(np, group_ids, y, counter_max):
-    """The FCM count/argmax pass as per-context lockstep state machines.
+def _fcm_counters(np, group_ids, y, counter_max):
+    """The FCM count/argmax pass with halve-on-saturation counters.
 
-    Covers the feature the closed-form scan cannot: halve-on-saturation
-    counters (``counter_max``).  Predictions mirror
-    :func:`~repro.core.fcm.select_maximum_count` exactly — the recent
-    value wins a count tie, otherwise the first-inserted of the maximal
-    set (its insertion *rank*) is chosen.
+    Covers the feature the closed-form scan cannot: when a count reaches
+    ``counter_max``, every count of its context is halved (never below
+    1).  Each context's stream runs as a plain loop, like the counter
+    plans, over a dict whose insertion order is the scalar table's.  The
+    loop keeps the maximal count and the leader (the first-inserted value
+    holding it) as it goes: a bump either raises the maximum or, on a
+    tie, takes the lead with a lower insertion rank.  Only a halving
+    rescans the context.  Predictions mirror
+    :func:`~repro.core.fcm.select_maximum_count`: the recent value wins
+    a count tie, otherwise the leader.
     """
     m = len(y)
-    if m == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-
     order = np.argsort(group_ids, kind="stable")
     g_sorted = group_ids[order]
-    y2 = y[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
+    new_group = np.ones(m, dtype=bool)
     new_group[1:] = g_sorted[1:] != g_sorted[:-1]
-    gid = np.cumsum(new_group) - 1
-    starts = np.flatnonzero(new_group)
-    group_count = int(gid[-1]) + 1
-    sizes = np.diff(np.append(starts, m))
-
-    # One dense id per distinct (context, value) pair; insertion ranks
-    # follow first occurrence — exactly the scalar dict order.
-    pair_id, repeats = _factorize_pairs(np, gid, y2)
-    pair_count = int(pair_id.max()) + 1
-    first = np.ones(m, dtype=bool)
-    first[repeats] = False
-    first_pos = np.empty(pair_count, dtype=np.int64)
-    first_pos[pair_id[first]] = np.flatnonzero(first)
-    pair_gid = gid[first_pos]
-    rank_order, group_base, rank_of_pair = _insertion_ranks(np, pair_gid, first_pos)
-    value_of_pair = y2[first_pos]
-    value_by_rank = value_of_pair[rank_order]
-    pairs_per_group = np.bincount(pair_gid, minlength=group_count)
-
-    rank_bound = int(rank_of_pair.max()) + 2
-    if (m + 1) * rank_bound >= 2**62:
-        raise _VectorizationUnsupported("packed count key would overflow int64")
-
-    # Mutable per-pair counts and per-group running state.
-    counts = np.zeros(pair_count, dtype=np.int64)
-    has_counts = np.zeros(group_count, dtype=bool)
-    max_count = np.zeros(group_count, dtype=np.int64)
-    leader_rank = np.zeros(group_count, dtype=np.int64)
-    recent_pair = np.zeros(group_count, dtype=np.int64)
-
-    by_size, negative_sizes, depth = _lockstep_schedule(np, sizes, m)
-    has2 = np.empty(m, dtype=bool)
-    pred2 = np.empty(m, dtype=np.int64)
-    saturation = np.int64(counter_max)
-    for step in range(depth):
-        active = _active_groups(np, by_size, negative_sizes, step)
-        position = starts[active] + step
-        pair = pair_id[position]
-        actual = y2[position]
-        known = has_counts[active]
-        recent = recent_pair[active]
-        recent_hot = counts[recent] == max_count[active]
-        leader_value = value_by_rank[group_base[active] + leader_rank[active]]
-        has2[position] = known
-        pred2[position] = np.where(
-            known, np.where(recent_hot, value_of_pair[recent], leader_value), 0
-        )
-        # Update: bump this pair, move the leader if the pair now wins the
-        # (count, -rank) order, and mark it recent.
-        bumped = counts[pair] + 1
-        counts[pair] = bumped
-        rank = rank_of_pair[pair]
-        promote = ~known | (bumped > max_count[active])
-        tie = known & (bumped == max_count[active]) & (rank < leader_rank[active])
-        max_count[active] = np.where(promote, bumped, max_count[active])
-        leader_rank[active] = np.where(promote | tie, rank, leader_rank[active])
-        recent_pair[active] = pair
-        has_counts[active] = True
-        hot = np.flatnonzero(bumped >= saturation)
-        if len(hot):
-            _halve_and_rescan(
-                np,
-                counts,
-                active[hot],
-                group_base,
-                pairs_per_group,
-                rank_order,
-                rank_bound,
-                rank_of_pair,
-                max_count,
-                leader_rank,
-            )
-
+    bounds = np.flatnonzero(new_group).tolist()
+    bounds.append(m)
+    values = y[order].tolist()
+    pred = []
+    emit = pred.append
+    for start, stop in zip(bounds, bounds[1:]):
+        leader = recent = values[start]
+        counts = {leader: 1}
+        rank = {leader: 0}
+        best = 1
+        emit(0)
+        for actual in values[start + 1 : stop]:
+            emit(recent if counts[recent] == best else leader)
+            count = counts[actual] = counts.get(actual, 0) + 1
+            if count == 1:
+                rank[actual] = len(rank)
+            if count > best:
+                best, leader = count, actual
+            elif count == best and rank[actual] < rank[leader]:
+                leader = actual
+            recent = actual
+            if count >= counter_max:
+                for value, held in counts.items():
+                    counts[value] = max(1, held // 2)
+                best = max(counts.values())
+                leader = next(value for value, held in counts.items() if held == best)
     has_out = np.empty(m, dtype=bool)
     pred_out = np.empty(m, dtype=np.int64)
-    has_out[order] = has2
-    pred_out[order] = pred2
+    has_out[order] = ~new_group
+    pred_out[order] = pred
     return has_out, pred_out
-
-
-def _halve_and_rescan(
-    np,
-    counts,
-    groups,
-    group_base,
-    pairs_per_group,
-    rank_order,
-    rank_bound,
-    rank_of_pair,
-    max_count,
-    leader_rank,
-):
-    """Halve every live count of the saturated ``groups`` in place.
-
-    A halved count never drops below 1 and never-seen pairs stay at 0
-    (mirroring the scalar loop over the live dict only), then each
-    group's running max and leader are recomputed from scratch.
-    """
-    base = group_base[groups]
-    width = pairs_per_group[groups]
-    segment = np.repeat(base, width) + _ragged_arange(np, width)
-    pairs = rank_order[segment]
-    live = counts[pairs]
-    counts[pairs] = np.where(live > 0, np.maximum(np.int64(1), live // 2), 0)
-    keys = counts[pairs] * np.int64(rank_bound) + (
-        np.int64(rank_bound - 1) - rank_of_pair[pairs]
-    )
-    offsets = np.zeros(len(groups), dtype=np.int64)
-    offsets[1:] = np.cumsum(width)[:-1]
-    best = np.maximum.reduceat(keys, offsets)
-    max_count[groups] = best // rank_bound
-    leader_rank[groups] = np.int64(rank_bound - 1) - best % rank_bound
 
 
 # --------------------------------------------------------------------------- #
@@ -1012,26 +873,23 @@ def _category_totals(np, columns):
 def simulate_shard_vector(columns: "TraceColumns", predictor_name: str):
     """Vectorized :func:`~repro.simulation.simulator.simulate_shard`.
 
-    Returns ``None`` when the predictor has no vector plan or a size
-    guard trips — callers then run the scalar reference loop.
+    Returns ``None`` only when the predictor has no vector plan (a
+    predictor class registered from outside the package); the caller
+    then runs the scalar reference loop.
     """
+    import numpy as np
+
     from repro.simulation.simulator import (
         SIMULATION_COUNTER,
         PredictorResult,
         PredictorShard,
     )
 
-    np = numpy_or_none()
-    if np is None:
-        return None
     plan = vector_plan(predictor_name)
     if plan is None:
         return None
     group = _grouping(np, columns)
-    try:
-        has_sorted, pred_sorted = plan(np, columns, group)
-    except _VectorizationUnsupported:
-        return None
+    has_sorted, pred_sorted = plan(np, columns, group)
     SIMULATION_COUNTER.increment()
     n = group.n
     correct_sorted = has_sorted & (pred_sorted == group.vs)
@@ -1058,14 +916,15 @@ def merge_shards_vector(
     """Vectorized :func:`~repro.simulation.simulator.merge_shards`.
 
     The caller validates shard/record counts first; ``None`` means the
-    merge is outside the vector path (no numpy, or more than 62
-    predictors, whose joint outcomes no longer pack into one int64 key).
+    merge is outside the vector path: more than 62 predictors, whose
+    joint outcomes no longer pack into one int64 key.
     """
+    import numpy as np
+
     from repro.simulation.simulator import SimulationResult
 
-    np = numpy_or_none()
     names = tuple(shards)
-    if np is None or len(names) > 62:
+    if len(names) > 62:
         return None
     n = len(columns)
 

@@ -8,11 +8,12 @@ Other".)
 
 Collection reads the interpreter's own output: the static index of every
 retired instruction and the value of every register-writing one (see
-:class:`repro.isa.machine.Machine`).  With numpy, the trace's columns are
-selected from those by array indexing into
-:class:`~repro.trace.io.TraceColumns`, the form the writers, statistics
-and kernel read; without it, by C-level iterator pipelines into list
-columns.  No per-event object is built either way.
+:class:`repro.isa.machine.Machine`).  The trace's columns are selected
+from those by array indexing into :class:`~repro.trace.io.TraceColumns`,
+the form the writers, statistics and kernel read; no per-event object is
+built.  :func:`_list_columns` selects the same rows by C-level iterator
+pipelines into list columns, the oracle the differential tests compare
+the array path against.
 """
 
 from __future__ import annotations
@@ -38,15 +39,11 @@ def collect_trace(
     instruction among all retired ones, and its PC, opcode and category are
     those of the static instruction.
     """
+    import numpy as np
+
     kwargs = {} if max_instructions is None else {"max_instructions": max_instructions}
     machine = Machine(program, memory=memory, **kwargs)
     result = machine.run()
-    try:
-        import numpy as np
-    except ImportError:
-        columns = _list_columns(program, machine)
-        trace = ValueTrace.from_columns(program.name, columns, result.retired_instructions)
-        return trace, result
     return ValueTrace.from_arrays(_array_columns(np, program, machine, result)), result
 
 
@@ -69,7 +66,7 @@ def _array_columns(np, program: Program, machine: Machine, result: ExecutionResu
 
 
 def _list_columns(program: Program, machine: Machine) -> RecordColumns:
-    """The trace as list columns, for environments without numpy."""
+    """The trace as list columns, selected without numpy."""
     instructions = program.instructions
     predicted = [instruction.writes_register for instruction in instructions]
     retired = machine.retired

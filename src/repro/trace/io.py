@@ -18,15 +18,16 @@ Binary files and text files are distinguished by the leading magic bytes,
 so :func:`load_trace_file` reads either transparently.
 
 Each format has two writers and two decoders with byte-identical results.
-With numpy, :func:`dump_trace` and :func:`dumps_trace_binary` render a
-trace from its :class:`TraceColumns` in fixed-size chunks of array passes
-(see "Columnar writers" below), and :func:`decode_trace_columns` decodes v3
+:func:`dump_trace` and :func:`dumps_trace_binary` render a trace from its
+numpy :class:`TraceColumns` in fixed-size chunks of array passes (see
+"Columnar writers" below), and :func:`decode_trace_columns` decodes v3
 straight to arrays.  The Python loops over
 :meth:`~repro.trace.stream.ValueTrace.record_columns` —
 :func:`_write_text_records`, :func:`_binary_body_records` and
-:func:`loads_trace_binary` — are the fallback without numpy or for fields
-outside int64.  The canonical text, and so the digest, is the same
-whichever writer ran.
+:func:`loads_trace_binary` — take the fields outside int64, which the
+arrays cannot hold, and are the oracles the differential tests compare
+the array passes against.  The canonical text, and so the digest, is the
+same whichever writer ran.
 """
 
 from __future__ import annotations
@@ -70,15 +71,6 @@ _OPCODE_INDEX: dict[Opcode, int] = {opcode: index for index, opcode in enumerate
 
 #: Text-format mnemonic of each opcode (a dict lookup beats ``.value``).
 _MNEMONIC: dict[Opcode, str] = {opcode: opcode.value for opcode in Opcode}
-
-
-def _numpy():
-    """The numpy module, or ``None`` when it cannot be imported."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 # --------------------------------------------------------------------------- #
@@ -155,13 +147,14 @@ def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
     Records are rendered from the trace's numpy columns
     (:func:`trace_columns`) when it has them, else line by line.
     """
+    import numpy as np
+
     destination.write(
         f"{_HEADER_PREFIX} v{_FORMAT_VERSION} name={quote(trace.name, safe='')} "
         f"total={trace.total_dynamic_instructions} records={len(trace)}\n"
     )
     columns = trace_columns(trace)
-    np = None if columns is None else _numpy()
-    if np is None:
+    if columns is None:
         _write_text_records(trace.record_columns(), destination)
         return
     mnemonics = _mnemonic_words(np, columns.opcodes)
@@ -592,15 +585,13 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
     """Decode v3 binary bytes straight into columns, skipping records.
 
     This is the production decoder (see :func:`decode_trace`).  Returns
-    ``None`` when the fast path does not apply — numpy missing, or a
-    field outside the 64-bit domain the vectorized kernel computes in
-    (the scalar decoder handles those with arbitrary-precision ints).
-    Raises :class:`TraceError`, and only that, on corrupt data — exactly
-    where :func:`loads_trace_binary` does.
+    ``None`` for a field outside the 64-bit domain the vectorized kernel
+    computes in (the scalar decoder handles those with arbitrary-precision
+    ints).  Raises :class:`TraceError`, and only that, on corrupt data —
+    exactly where :func:`loads_trace_binary` does.
     """
-    np = _numpy()
-    if np is None:
-        return None
+    import numpy as np
+
     name, total, expected_records, table, body = _parse_binary_container(data)
     categories, op_to_cat = _category_mapping(table)
     if expected_records == 0:
@@ -678,15 +669,14 @@ def decode_trace(data: bytes) -> ValueTrace:
 def trace_columns(trace: ValueTrace) -> TraceColumns | None:
     """Columnar view of an in-memory :class:`ValueTrace`, memoised on it.
 
-    Returns ``None`` when numpy is unavailable or any field falls outside
-    int64 (the vectorized kernel then uses the scalar path).
+    Returns ``None`` when any field falls outside int64 (the vectorized
+    kernel then uses the scalar path).
     """
+    import numpy as np
+
     cached = getattr(trace, "_columns", False)
     if cached is not False:
         return cached
-    np = _numpy()
-    if np is None:
-        return None
     fields = trace.record_columns()
     count = len(fields.values)
     categories, op_to_cat = _category_mapping(_OPCODE_ORDER)
@@ -840,12 +830,10 @@ def _binary_body(columns: "TraceColumns") -> bytes | None:
 
     Byte for byte what :func:`_binary_body_records` writes.  Opcode codes
     are remapped to :data:`_OPCODE_ORDER`, the table every v3 file is
-    written with.  Declines when numpy is missing or a serial or pc delta
-    does not fit int64.
+    written with.  Declines when a serial or pc delta does not fit int64.
     """
-    np = _numpy()
-    if np is None:
-        return None
+    import numpy as np
+
     remap = np.array([_OPCODE_INDEX[opcode] for opcode in columns.opcodes], dtype=np.uint64)
     parts = []
     serial = pc = 0

@@ -65,10 +65,10 @@ class ValueTrace:
     """An ordered collection of predicted-instruction trace records.
 
     A trace is backed by :class:`TraceRecord` objects (traces built from
-    records), by :class:`RecordColumns` (the traces
-    :func:`repro.trace.collector.collect_trace` builds without numpy) or
-    by numpy array columns (:meth:`from_arrays`: the traces the collector
-    builds with numpy and the engine reads back from v3 bytes).  The
+    records), by :class:`RecordColumns` (list columns, built by
+    :meth:`from_columns`) or by numpy array columns (:meth:`from_arrays`: the
+    traces :func:`repro.trace.collector.collect_trace` builds and the
+    engine reads back from v3 bytes).  The
     writers, :meth:`statistics` and Figure 10's profile read an
     array-backed trace's arrays (:meth:`array_columns`); other readers
     that visit every record in order go through :meth:`record_columns`,
@@ -166,8 +166,8 @@ class ValueTrace:
     def array_columns(self):
         """The numpy :class:`~repro.trace.io.TraceColumns` behind this trace, or ``None``.
 
-        Present on traces built by :meth:`from_arrays` (collected with
-        numpy, or decoded) and once :func:`repro.trace.io.trace_columns`
+        Present on traces built by :meth:`from_arrays` (collected or
+        decoded) and once :func:`repro.trace.io.trace_columns`
         has memoised them; never built here.
         """
         columns = self._columns

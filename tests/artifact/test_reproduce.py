@@ -250,7 +250,7 @@ class TestReproduceRunner:
         assert report.stats.simulations_computed + report.stats.simulations_cached > 0
 
     def test_default_sink_restored_after_return(self, tmp_path):
-        prior_config = EngineConfig(kernel="scalar")
+        prior_config = EngineConfig(backend="serial")
         prior_sink = NullTelemetry()
         set_campaign_defaults(prior_config, telemetry=prior_sink)
         reproduce(micro_manifest(tmp_path), only=["table1"], out_dir=tmp_path / "results")

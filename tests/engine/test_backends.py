@@ -31,11 +31,18 @@ from repro.engine.backends import (
     SerialBackend,
     resolve_backend,
 )
+from repro.engine.codecs import (
+    decode_cache_entry,
+    encode_cache_entry,
+    payload_trace,
+    shard_to_dict,
+)
 from repro.engine.sweeps import SweepSpec
 from repro.engine.telemetry import RunTelemetry, read_metrics
 from repro.engine.worker import execute_simulate_task
 from repro.errors import DispatchError
 from repro.simulation.campaign import clear_campaign_cache, reset_campaign_defaults
+from repro.simulation.simulator import simulate_shard_scalar
 
 SCALE = 0.05
 BENCHMARKS = ("compress", "m88ksim")
@@ -193,56 +200,33 @@ class TestCampaignParity:
         assert engine.stats.simulations_computed == 0
 
 
-class TestKernelParity:
-    """Cross-kernel cache identity: the kernel never changes what is cached.
+class TestReferenceEntries:
+    """Engine-written simulate entries are the reference loop's entries.
 
-    Cache entries written under ``--kernel vector`` must be byte-identical
-    to the scalar ones (same digest-addressed filenames, same bytes), and
-    a warm rerun on the *other* kernel must serve everything from cache —
-    the kernel is not part of any cache key.
+    Whatever the backend, each ``(trace, predictor)`` entry the engine
+    writes is byte for byte the cache entry of the scalar reference
+    loop's shard under the same key: the vector kernel never changes
+    what is cached.
     """
 
-    @staticmethod
-    def _campaign(cache_dir, backend, kernel):
-        pytest.importorskip("numpy")
-        with ExecutionEngine(
-            EngineConfig(jobs=2, cache_dir=cache_dir, backend=backend, kernel=kernel),
-        ) as engine:
-            result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
-        return result, engine.stats
-
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_vector_cache_byte_identical_to_scalar(self, tmp_path, backend):
-        caches = {}
-        for kernel in ("scalar", "vector"):
-            caches[kernel] = tmp_path / f"cache-{backend}-{kernel}"
-            self._campaign(caches[kernel], backend, kernel)
-        names = _entry_names(caches["scalar"])
-        assert names == _entry_names(caches["vector"])
-        assert names  # non-vacuous: the campaign wrote entries
-        for name in names:
-            assert (caches["scalar"] / name).read_bytes() == (
-                caches["vector"] / name
-            ).read_bytes(), name
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize(
-        "cold_kernel,warm_kernel", (("scalar", "vector"), ("vector", "scalar"))
-    )
-    def test_cross_kernel_rerun_fully_cached(
-        self, tmp_path, backend, cold_kernel, warm_kernel
-    ):
+    def test_simulate_entries_equal_reference_shards(self, tmp_path, backend):
         cache_dir = tmp_path / "cache"
-        cold, _ = self._campaign(cache_dir, backend, cold_kernel)
-        warm, stats = self._campaign(cache_dir, backend, warm_kernel)
-        assert stats.simulations_computed == 0
-        assert stats.traces_computed == 0
-        for benchmark in BENCHMARKS:
-            assert warm.simulations[benchmark] == cold.simulations[benchmark]
-
-    def test_invalid_kernel_rejected_at_construction(self):
-        with pytest.raises(Exception, match="unknown simulation kernel"):
-            ExecutionEngine(EngineConfig(kernel="turbo"))
+        with ExecutionEngine(
+            EngineConfig(jobs=2, cache_dir=cache_dir, backend=backend)
+        ) as engine:
+            engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        traces = {}
+        for path in cache_dir.glob("trace/*/*"):
+            _, payload = decode_cache_entry(path.read_bytes())
+            traces[payload["digest"]] = payload_trace(payload)
+        entries = sorted(cache_dir.glob("simulate/*/*"))
+        assert len(entries) == len(BENCHMARKS) * len(PREDICTORS)
+        for path in entries:
+            blob = path.read_bytes()
+            key, _ = decode_cache_entry(blob)
+            shard = simulate_shard_scalar(traces[key["trace"]], key["predictor"])
+            assert blob == encode_cache_entry(key, {"shard": shard_to_dict(shard)}), path
 
 
 class TestSweepParity:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cli import _build_parser, _engine_config, main
 from repro.engine import EngineConfig, ExecutionEngine
-from repro.errors import SimulationError
 from repro.simulation.campaign import (
     campaign_defaults,
     clear_campaign_cache,
@@ -32,9 +31,12 @@ def _pristine_engine_defaults():
 
 
 class TestValidation:
-    def test_unknown_kernel_raises_simulation_error(self):
-        with pytest.raises(SimulationError, match="unknown simulation kernel"):
-            EngineConfig(kernel="turbo")
+    @pytest.mark.parametrize("kernel", ["scalar", "vector", "auto"])
+    def test_no_kernel_setting(self, kernel):
+        # The vector kernel is the only production simulate path; the
+        # values the removed setting once accepted are now unknown fields.
+        with pytest.raises(TypeError):
+            EngineConfig(kernel=kernel)
 
     @pytest.mark.parametrize("window", [0, 400, "auto"])
     def test_no_shard_window_setting(self, window):
@@ -59,13 +61,13 @@ class TestValueSemantics:
             config.jobs = 4
 
     def test_equal_configs_hash_equal(self):
-        first = EngineConfig(jobs=2, cache_dir="c", kernel="scalar", cache_max_bytes=64 * 1024)
-        second = EngineConfig(jobs=2, cache_dir="c", kernel="scalar", cache_max_bytes=65536)
+        first = EngineConfig(jobs=2, cache_dir="c", backend="pool", cache_max_bytes=64 * 1024)
+        second = EngineConfig(jobs=2, cache_dir="c", backend="pool", cache_max_bytes=65536)
         assert first == second
         assert hash(first) == hash(second)
         assert len({first, second, EngineConfig()}) == 2
 
-    def test_seven_settings(self):
+    def test_six_settings(self):
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "jobs",
             "cache_dir",
@@ -73,11 +75,10 @@ class TestValueSemantics:
             "cache_max_bytes",
             "cache_max_age",
             "backend",
-            "kernel",
         ]
 
     def test_engine_keeps_the_config(self):
-        config = EngineConfig(jobs=1, kernel="scalar", cache_max_bytes=65536)
+        config = EngineConfig(jobs=1, backend="serial", cache_max_bytes=65536)
         engine = ExecutionEngine(config)
         assert engine.config is config
         assert ExecutionEngine().config == EngineConfig()
@@ -95,7 +96,7 @@ ENGINE_FLAGS = [
     "--cache-max-age",
     "30m",
     "--kernel",
-    "scalar",
+    "vector",
 ]
 
 
@@ -112,12 +113,25 @@ class TestCliParity:
             cache_max_bytes=64 * 1024,
             cache_max_age=1800.0,
             backend="persistent",
-            kernel="scalar",
         )
 
     def test_no_cache_and_defaults(self):
         args = _build_parser().parse_args(["campaign", "--no-cache"])
-        assert _engine_config(args) == EngineConfig(use_cache=False, kernel="auto")
+        assert _engine_config(args) == EngineConfig(use_cache=False)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["campaign", "--kernel", "scalar"], "argument --kernel: invalid choice: 'scalar'"),
+            (["campaign", "--kernel", "auto"], "argument --kernel: invalid choice: 'auto'"),
+            (["simulate", "compress", "--kernel", "vector"], "unrecognized arguments: --kernel"),
+        ],
+    )
+    def test_kernel_flag_accepts_only_vector(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("backend", ["serial", "pool", "persistent"])
     def test_every_local_backend_is_accepted(self, backend):
@@ -164,5 +178,5 @@ class TestDefaultsReplacedWhole:
         after = sorted(first_cache.rglob("*")) if first_cache.exists() else []
         assert after == before
         config, telemetry = campaign_defaults()
-        assert config == EngineConfig(kernel="auto")
+        assert config == EngineConfig()
         assert telemetry is None

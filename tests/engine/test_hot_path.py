@@ -1,6 +1,7 @@
-"""Pins on the engine's hot path under the vector kernel.
+"""Pins on the engine's hot path.
 
-Traces live as columns from the interpreter to the kernel: a campaign,
+Library entry points with no kernel argument run the vector kernel and
+never the reference loop.  Traces live as columns from the interpreter to the kernel: a campaign,
 cold or warm, serial or on persistent worker processes, never decodes v3
 bytes into ``TraceRecord`` objects, encodes each computed trace exactly
 once (in its trace task), renders text and v3 bytes without the Python
@@ -18,12 +19,14 @@ import sys
 
 import pytest
 
+import repro.simulation.campaign as campaign
+from repro.core.base import ValuePredictor
+from repro.core.hybrid import HybridPredictor
+from repro.core.registry import available_predictors
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.codecs import decode_cache_entry
 from repro.trace import io as trace_io
 from repro.trace.record import TraceRecord
-
-pytest.importorskip("numpy")
 
 SCALE = 0.05
 BENCHMARKS = ("compress", "m88ksim")
@@ -76,6 +79,34 @@ def ledger(tmp_path, monkeypatch):
     return directory
 
 
+@pytest.fixture
+def observe_calls(monkeypatch):
+    """Counts ``observe`` calls, the reference loop's step, by predictor class."""
+    calls: dict[str, int] = {}
+    for cls in (ValuePredictor, HybridPredictor):
+        original = cls.observe
+
+        def spy(self, *args, _original=original, **kwargs):
+            calls[type(self).__name__] = calls.get(type(self).__name__, 0) + 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "observe", spy)
+    return calls
+
+
+def test_library_entry_points_run_no_reference_loop(monkeypatch, observe_calls):
+    names = tuple(available_predictors())
+    monkeypatch.setattr(campaign, "_DEFAULT_CONFIG", EngineConfig())
+    result = campaign.run_campaign(
+        scale=SCALE, predictors=names, benchmarks=BENCHMARKS, use_cache=False
+    )
+    engine = ExecutionEngine()
+    rerun = engine.run(scale=SCALE, predictors=names, benchmarks=BENCHMARKS)
+    assert engine.stats.simulations_computed == len(names) * len(BENCHMARKS)
+    assert observe_calls == {}
+    assert rerun.simulations == result.simulations
+
+
 def _trace_bytes_by_digest(cache) -> dict[str, bytes]:
     """Every cached trace entry's v3 bytes, by trace digest."""
     entries = {}
@@ -91,9 +122,7 @@ def test_campaign_builds_no_records_and_ships_trace_phase_bytes(
     tmp_path, ledger, dispatch_spy, backend
 ):
     cache_dir = tmp_path / "cache"
-    config = EngineConfig(
-        jobs=BACKENDS[backend], backend=backend, cache_dir=cache_dir, kernel="vector"
-    )
+    config = EngineConfig(jobs=BACKENDS[backend], backend=backend, cache_dir=cache_dir)
     results = []
     # Cold, then traces cached but simulations not, then fully warm.
     for temperature in ("cold", "traces-warm", "warm"):
@@ -125,9 +154,7 @@ def test_campaign_builds_no_records_and_ships_trace_phase_bytes(
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_campaign_runs_no_python_writer_loop(tmp_path, ledger, backend):
-    config = EngineConfig(
-        jobs=BACKENDS[backend], backend=backend, cache_dir=tmp_path / "cache", kernel="vector"
-    )
+    config = EngineConfig(jobs=BACKENDS[backend], backend=backend, cache_dir=tmp_path / "cache")
     with ExecutionEngine(config) as engine:
         engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert engine.stats.traces_computed == len(BENCHMARKS)
@@ -137,7 +164,7 @@ def test_campaign_runs_no_python_writer_loop(tmp_path, ledger, backend):
 
 
 def test_serial_cold_campaign_decodes_nothing(tmp_path, ledger):
-    config = EngineConfig(jobs=1, backend="serial", cache_dir=tmp_path / "cache", kernel="vector")
+    config = EngineConfig(jobs=1, backend="serial", cache_dir=tmp_path / "cache")
     with ExecutionEngine(config) as engine:
         result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
         assert engine.stats.traces_computed == len(BENCHMARKS)

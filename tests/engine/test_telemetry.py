@@ -366,8 +366,6 @@ class TestInspectCli:
                 "l",
                 "--benchmarks",
                 "compress",
-                "--kernel",
-                "scalar",
                 "--cache-max-bytes",
                 "10MB",
                 "--cache-dir",
@@ -390,8 +388,6 @@ class TestInspectCli:
                 "cache_max_bytes",
                 "cache_max_age",
                 "backend",
-                "kernel",
-                "resolved_kernel",
             )
         }
         assert recorded == {
@@ -401,8 +397,8 @@ class TestInspectCli:
             "cache_max_bytes": 10 * 1024**2,
             "cache_max_age": 7 * 86400.0,
             "backend": "serial",
-            "kernel": "scalar",
-            "resolved_kernel": "scalar",
         }
+        assert "kernel" not in manifest
+        assert "resolved_kernel" not in manifest
         assert "shard_window" not in manifest
         assert "workers" not in manifest

@@ -24,12 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "isa"))
 from random_programs import random_program  # noqa: E402
-from test_kernel_parity import requires_numpy, synthetic_trace  # noqa: E402
+from test_kernel_parity import synthetic_trace  # noqa: E402
 
 from repro.core.registry import available_predictors  # noqa: E402
 from repro.engine.codecs import shard_to_dict  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
-from repro.simulation.simulator import simulate_shard  # noqa: E402
+from repro.simulation.simulator import simulate_shard_scalar  # noqa: E402
 from repro.simulation.vectorized import simulate_shard_vector  # noqa: E402
 from repro.trace.collector import collect_trace  # noqa: E402
 from repro.trace.io import trace_columns  # noqa: E402
@@ -92,7 +92,6 @@ TRACES = st.one_of(
 ).filter(lambda trace: trace is not None)
 
 
-@requires_numpy
 @settings(deadline=None)
 @given(trace=TRACES, names=SEQUENCES)
 def test_vector_shard_matches_scalar(trace, names):
@@ -103,5 +102,5 @@ def test_vector_shard_matches_scalar(trace, names):
         shard = simulate_shard_vector(columns, name)
         assert shard is not None, name
         if name not in references:
-            references[name] = json.dumps(shard_to_dict(simulate_shard(trace, name, kernel="scalar")))
+            references[name] = json.dumps(shard_to_dict(simulate_shard_scalar(trace, name)))
         assert json.dumps(shard_to_dict(shard)) == references[name], name

@@ -9,19 +9,21 @@ produce byte-identical entries.  The harness drives every registered
 predictor configuration over seeded synthetic traces engineered to stress
 each plan: skewed PC reuse, stride runs with breaks, repeating FCM
 contexts, mixed instruction categories and occasional extreme values.
-The same harness pins the engine's simulate worker — every kernel and
-trace transport — and each shard's accounting to the scalar reference.
+The same harness pins the engine's simulate worker — on both trace
+transports — and each shard's accounting to the scalar reference.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import json
 import random
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.registry import PAPER_PREDICTORS, available_predictors, create_predictor
@@ -35,18 +37,17 @@ from repro.isa.opcodes import CATEGORY_OF, Opcode
 from repro.simulation import vectorized
 from repro.simulation.simulator import (
     SIMULATION_COUNTER,
+    PredictionSimulator,
     merge_shards,
+    merge_shards_scalar,
     pack_outcomes,
     simulate_shard,
+    simulate_shard_scalar,
     simulate_trace,
 )
 from repro.trace.io import decode_trace_columns, dumps_trace_binary, trace_columns
 from repro.trace.record import TraceRecord
 from repro.trace.stream import ValueTrace
-
-requires_numpy = pytest.mark.skipif(
-    vectorized.numpy_or_none() is None, reason="vector kernel requires numpy"
-)
 
 #: Register-writing opcodes spanning all predicted categories (Table 3).
 _OPCODES = (
@@ -141,8 +142,7 @@ SCENARIOS = (
     (8, 320, 64),
 )
 
-#: Every statically registered name plus dynamic-suffix names, covering
-#: both the vectorized plans and the scalar-fallback configurations.
+#: Every statically registered name plus dynamic-suffix names.
 ALL_NAMES = tuple(available_predictors()) + (
     "fcm0",
     "fcm4",
@@ -156,12 +156,13 @@ UNIQUE_NAMES = tuple(dict.fromkeys(ALL_NAMES))
 
 
 def assert_shard_parity(trace: ValueTrace, name: str) -> None:
-    scalar = simulate_shard(trace, name, kernel="scalar")
-    vector = simulate_shard(trace, name, kernel="vector")
+    """The vector plan itself (never a fallback) equals the reference loop."""
+    vector = vectorized.simulate_shard_vector(trace_columns(trace), name)
+    assert vector is not None
+    scalar = simulate_shard_scalar(trace, name)
     assert json.dumps(shard_to_dict(scalar)) == json.dumps(shard_to_dict(vector))
 
 
-@requires_numpy
 class TestShardParity:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: f"seed{s[0]}")
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -169,9 +170,8 @@ class TestShardParity:
         assert_shard_parity(synthetic_trace(*scenario), name)
 
     def test_every_name_has_a_vector_plan(self):
-        # Guard against the parity tests comparing scalar against a silent
-        # scalar fallback: every registered name — and every dynamic fcm
-        # spelling — must have a real plan.
+        # Every registered name — and every dynamic fcm spelling — has a
+        # real plan, so no registered name takes the reference loop.
         for name in ALL_NAMES + ("fcm5-single", "fcm6-small", "fcm1-full"):
             assert vectorized.vector_plan(name) is not None, name
 
@@ -204,31 +204,36 @@ class TestShardParity:
         assert vectorized.vector_plan("lv-counter") is not None
 
 
-@requires_numpy
+def reference_simulation(trace: ValueTrace, names):
+    """The lockstep reference loop's joint result."""
+    return PredictionSimulator.from_names(tuple(names)).run(trace)
+
+
 class TestMergeParity:
     @pytest.mark.parametrize("scenario", SCENARIOS[:4], ids=lambda s: f"seed{s[0]}")
     def test_simulate_trace_parity(self, scenario):
         trace = synthetic_trace(*scenario)
-        scalar = simulate_trace(trace, PAPER_PREDICTORS, kernel="scalar")
-        vector = simulate_trace(trace, PAPER_PREDICTORS, kernel="vector")
+        scalar = reference_simulation(trace, PAPER_PREDICTORS)
+        vector = simulate_trace(trace, PAPER_PREDICTORS)
         assert json.dumps(simulation_to_dict(scalar)) == json.dumps(simulation_to_dict(vector))
 
     def test_merge_parity_mixed_shards(self):
-        # Shards computed by either kernel merge identically on either kernel.
+        # Shards from the vector kernel and the reference loop merge
+        # identically on the vector merge and the reference merge loop.
         trace = synthetic_trace(*SCENARIOS[1])
         names = ("l", "s2", "fcm1", "fcm2-small")
         shards = {
-            name: simulate_shard(trace, name, kernel="vector" if index % 2 else "scalar")
+            name: (simulate_shard if index % 2 else simulate_shard_scalar)(trace, name)
             for index, name in enumerate(names)
         }
-        scalar = merge_shards(trace, shards, kernel="scalar")
-        vector = merge_shards(trace, shards, kernel="vector")
+        scalar = merge_shards_scalar(trace, shards)
+        vector = merge_shards(trace, shards)
         assert json.dumps(simulation_to_dict(scalar)) == json.dumps(simulation_to_dict(vector))
 
     def test_subset_excluding_fcm(self):
         trace = synthetic_trace(*SCENARIOS[2])
-        scalar = simulate_trace(trace, ("l", "s2"), kernel="scalar")
-        vector = simulate_trace(trace, ("l", "s2"), kernel="vector")
+        scalar = reference_simulation(trace, ("l", "s2"))
+        vector = simulate_trace(trace, ("l", "s2"))
         assert json.dumps(simulation_to_dict(scalar)) == json.dumps(simulation_to_dict(vector))
 
 
@@ -247,7 +252,6 @@ def _edge_trace(name: str, triples) -> ValueTrace:
     return ValueTrace(name, records)
 
 
-@requires_numpy
 class TestEdgeCases:
     @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_empty_trace(self, name):
@@ -289,7 +293,6 @@ class TestEdgeCases:
     def test_columnar_decode_matches_object_columns(self, compress):
         # The wire-bytes fast path and the record-object path must build
         # the same columns — boundary values and all.
-        np = vectorized.numpy_or_none()
         trace = synthetic_trace(9, 300, 12)
         decoded = decode_trace_columns(dumps_trace_binary(trace, compress=compress))
         reference = trace_columns(trace)
@@ -319,7 +322,6 @@ def temporary_predictor():
         vectorized._PLAN_CACHE.pop(name, None)
 
 
-@requires_numpy
 class TestCounterEdges:
     """Saturation-counter boundaries: counter_max=1 and threshold==counter_max."""
 
@@ -383,23 +385,37 @@ def deep_single_pc_trace(length: int = 5000) -> ValueTrace:
     return _edge_trace("deep", [(0x40, Opcode.ADD, value) for value in values[:length]])
 
 
-@requires_numpy
 class TestDeepStream:
     """A PC stream deeper than 4,096 records, on a single-PC trace."""
 
     @pytest.mark.parametrize("name", ("lv-counter", "lv-consecutive", "stride-counter"))
     def test_counter_plans_stay_vectorized(self, name):
         # The per-PC counter loops have no depth guard: the shard comes
-        # from the vector plan, never from the scalar fallback.
+        # from the vector plan, never from the reference loop.
         trace = deep_single_pc_trace()
         shard = vectorized.simulate_shard_vector(trace_columns(trace), name)
         assert shard is not None
-        reference = simulate_shard(trace, name, kernel="scalar")
+        reference = simulate_shard_scalar(trace, name)
         assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference))
 
     @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_deep_stream_parity(self, name):
         assert_shard_parity(deep_single_pc_trace(), name)
+
+    @pytest.mark.parametrize("name", ("fcm0-small", "fcm3-small"))
+    def test_saturating_fcm_stays_vectorized(self, name):
+        # Fresh 64-bit values between the hot ones leave about 4,400 of the
+        # PC's 5,000 records unmatched at order 1, so order 0 runs one
+        # context stream over 4,096 deep, where the hot value's count
+        # saturates and halves over and over.  The per-context loops take
+        # any depth.
+        rng = random.Random(5000)
+        values = [7 if index % 8 == 0 else rng.randrange(-(2**63), 2**63) for index in range(5000)]
+        trace = _edge_trace("deep-noise", [(0x40, Opcode.ADD, value) for value in values])
+        shard = vectorized.simulate_shard_vector(trace_columns(trace), name)
+        assert shard is not None
+        reference = simulate_shard_scalar(trace, name)
+        assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference))
 
 
 def _fresh_columns(trace: ValueTrace):
@@ -407,7 +423,6 @@ def _fresh_columns(trace: ValueTrace):
     return decode_trace_columns(dumps_trace_binary(trace))
 
 
-@requires_numpy
 class TestSharedTraceWork:
     """Work derived from one trace is done once for every plan over it."""
 
@@ -433,7 +448,7 @@ class TestSharedTraceWork:
         assert calls["stream"] <= depth
         assert calls["factorize"] <= depth + calls["stream"]
         assert shard is not None
-        reference = simulate_shard(compress_trace, "fcm500", kernel="scalar")
+        reference = simulate_shard_scalar(compress_trace, "fcm500")
         assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference))
 
     def test_orders_and_hybrid_components_computed_once(self, monkeypatch):
@@ -461,7 +476,7 @@ class TestSharedTraceWork:
         assert blended_orders == [*range(9), 3]
         assert calls["s2"] == 1
         for name, shard in shards.items():
-            reference = simulate_shard(trace, name, kernel="scalar")
+            reference = simulate_shard_scalar(trace, name)
             assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
 
     def test_blended_fcms_share_lower_orders(self, monkeypatch):
@@ -481,7 +496,7 @@ class TestSharedTraceWork:
         monkeypatch.undo()
         assert calls["stream"] <= 18
         for name, shard in shards.items():
-            reference = simulate_shard(trace, name, kernel="scalar")
+            reference = simulate_shard_scalar(trace, name)
             assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
 
     def test_shards_read_the_grouping(self, monkeypatch):
@@ -503,11 +518,10 @@ class TestSharedTraceWork:
         monkeypatch.undo()
         assert calls["first_occurrence"] <= 1
         for name, shard in shards.items():
-            reference = simulate_shard(trace, name, kernel="scalar")
+            reference = simulate_shard_scalar(trace, name)
             assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
 
 
-@requires_numpy
 class TestKernelStateLifetime:
     """The kernel keeps derived state for the current trace only."""
 
@@ -549,34 +563,30 @@ class TestKernelStateLifetime:
         assert vectorized._current_trace is None
 
 
-@requires_numpy
 class TestAccounting:
     def test_counter_counts_one_per_trace_predictor_pair(self):
         trace = synthetic_trace(10, 200, 6)
         SIMULATION_COUNTER.reset()
-        simulate_trace(trace, PAPER_PREDICTORS, kernel="vector")
+        simulate_trace(trace, PAPER_PREDICTORS)
         assert SIMULATION_COUNTER.count == len(PAPER_PREDICTORS)
         SIMULATION_COUNTER.reset()
-        simulate_shard(trace, "fcm1", kernel="vector")
+        simulate_shard(trace, "fcm1")
         assert SIMULATION_COUNTER.count == 1
 
 
-@requires_numpy
 class TestWorkerParity:
     """The simulate worker returns the scalar reference shard on every path.
 
     One simulate unit is one (trace, predictor) pair run by
     :func:`execute_simulate_task` from a fresh predictor over the whole
     trace.  Its payload carries the trace inline (in-process dispatch) or
-    as v3 bytes (the process backends' wire format), and each kernel
-    decodes it its own way; all four combinations must return the same
-    shard dict.
+    as v3 bytes (the process backends' wire format); both must return the
+    reference shard dict.
     """
 
     @pytest.mark.parametrize("transport", ("inline", "bytes"))
-    @pytest.mark.parametrize("kernel", ("scalar", "vector"))
     @pytest.mark.parametrize("name", UNIQUE_NAMES)
-    def test_worker_shard_matches_reference(self, name, kernel, transport):
+    def test_worker_shard_matches_reference(self, name, transport):
         trace = synthetic_trace(*SCENARIOS[6])
         task = SimulateTask(
             benchmark="synthetic",
@@ -585,21 +595,85 @@ class TestWorkerParity:
             predictor_signature=predictor_signature(name),
         )
         if transport == "inline":
-            payload = task.payload(trace=trace, kernel=kernel)
+            payload = task.payload(trace=trace)
         else:
-            payload = task.payload(
-                trace_bytes=dumps_trace_binary(trace, compress=True), kernel=kernel
-            )
+            payload = task.payload(trace_bytes=dumps_trace_binary(trace, compress=True))
         outcome = execute_simulate_task(payload)
-        reference = shard_to_dict(simulate_shard(trace, name, kernel="scalar"))
+        reference = shard_to_dict(simulate_shard_scalar(trace, name))
         assert json.dumps(outcome["shard"]) == json.dumps(reference)
-        sidecar = outcome[TELEMETRY_KEY]
-        assert sidecar["kernel"] == kernel
-        assert sidecar["kernel_fallback"] is False
-        assert sidecar["predictor"] == name
+        assert outcome[TELEMETRY_KEY]["function"] == "simulate"
 
 
-@requires_numpy
+@functools.lru_cache(maxsize=None)
+def wide_synthetic_trace() -> ValueTrace:
+    """A synthetic trace with values outside int64 sprinkled through it.
+
+    Such a trace has no numpy columns, on either transport, so the worker
+    simulates it on the reference loop.
+    """
+    base = synthetic_trace(*SCENARIOS[6])
+    records = [
+        TraceRecord(
+            serial=record.serial,
+            pc=record.pc,
+            opcode=record.opcode,
+            category=record.category,
+            value=(2**64 + index if index % 2 else -(2**70) - index)
+            if index % 37 == 0
+            else record.value,
+        )
+        for index, record in enumerate(base.records)
+    ]
+    trace = ValueTrace("wide-synthetic", records)
+    trace.set_total_dynamic_instructions(base.total_dynamic_instructions)
+    return trace
+
+
+def _worker_payload(trace: ValueTrace, name: str, transport: str) -> dict:
+    task = SimulateTask(
+        benchmark="synthetic",
+        predictor=name,
+        trace_digest="unused",
+        predictor_signature=predictor_signature(name),
+    )
+    if transport == "inline":
+        return task.payload(trace=trace)
+    return task.payload(trace_bytes=dumps_trace_binary(trace, compress=True))
+
+
+class TestWorkerReferenceInputs:
+    """The worker's reference-loop path, chosen by the input, on both transports."""
+
+    @pytest.mark.parametrize("transport", ("inline", "bytes"))
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
+    def test_wide_trace_shard_matches_reference(self, name, transport):
+        trace = wide_synthetic_trace()
+        assert trace_columns(trace) is None
+        assert decode_trace_columns(dumps_trace_binary(trace, compress=True)) is None
+        outcome = execute_simulate_task(_worker_payload(trace, name, transport))
+        reference = shard_to_dict(simulate_shard_scalar(trace, name))
+        assert json.dumps(outcome["shard"]) == json.dumps(reference)
+        assert outcome[TELEMETRY_KEY]["function"] == "simulate"
+
+    @pytest.mark.parametrize("transport", ("inline", "bytes"))
+    def test_predictor_class_without_a_plan(self, transport, temporary_predictor):
+        from repro.core.stride import CounterStridePredictor
+
+        class ExternalStride(CounterStridePredictor):
+            """A predictor class the kernel's planner does not know."""
+
+        name = temporary_predictor("external-stride", ExternalStride)
+        assert vectorized.vector_plan(name) is None
+        trace = synthetic_trace(*SCENARIOS[6])
+        outcome = execute_simulate_task(_worker_payload(trace, name, transport))
+        reference = shard_to_dict(simulate_shard_scalar(trace, name))
+        assert json.dumps(outcome["shard"]) == json.dumps(reference)
+
+
+#: The two shard loops, by the name of the kernel that runs them.
+SHARD_LOOPS = {"scalar": simulate_shard_scalar, "vector": simulate_shard}
+
+
 class TestFreshPredictor:
     @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_each_unit_starts_from_a_fresh_predictor(self, name):
@@ -607,18 +681,17 @@ class TestFreshPredictor:
         # from one simulated trace into the next.
         first = synthetic_trace(*SCENARIOS[0])
         second = synthetic_trace(*SCENARIOS[4])
-        for kernel in ("scalar", "vector"):
-            alone = shard_to_dict(simulate_shard(second, name, kernel=kernel))
-            simulate_shard(first, name, kernel=kernel)
-            after = shard_to_dict(simulate_shard(second, name, kernel=kernel))
+        for kernel, shard_loop in SHARD_LOOPS.items():
+            alone = shard_to_dict(shard_loop(second, name))
+            shard_loop(first, name)
+            after = shard_to_dict(shard_loop(second, name))
             assert json.dumps(after) == json.dumps(alone), kernel
 
 
-@requires_numpy
 class TestShardAccounting:
     """Each shard agrees with the predictor's own observe loop and stats."""
 
-    @pytest.mark.parametrize("kernel", ("scalar", "vector"))
+    @pytest.mark.parametrize("kernel", sorted(SHARD_LOOPS))
     @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_shard_agrees_with_predictor_statistics(self, name, kernel):
         trace = synthetic_trace(*SCENARIOS[2])
@@ -627,7 +700,7 @@ class TestShardAccounting:
             predictor.observe(record.pc, record.value, record.category)
             for record in trace.records
         ]
-        shard = simulate_shard(trace, name, kernel=kernel)
+        shard = SHARD_LOOPS[kernel](trace, name)
         result = shard.result
         stats = predictor.stats
         assert shard.record_count == len(trace)
@@ -640,40 +713,101 @@ class TestShardAccounting:
         assert sum(bin(byte).count("1") for byte in shard.correctness) == result.correct
 
 
-class TestKernelResolution:
-    def test_default_is_scalar(self, monkeypatch):
-        monkeypatch.delenv(vectorized.KERNEL_ENV, raising=False)
-        assert vectorized.resolve_kernel(None) == "scalar"
+class TestReferenceLoopInputs:
+    """The inputs production hands to the reference loops.
 
-    def test_empty_environment_is_scalar(self, monkeypatch):
-        monkeypatch.setenv(vectorized.KERNEL_ENV, "")
-        assert vectorized.resolve_kernel(None) == "scalar"
+    A trace with a field outside int64 has no numpy columns, a predictor
+    class from outside the package has no vector plan, and more than 62
+    predictors' joint outcomes do not pack into one merge key.
+    """
 
-    @requires_numpy
-    def test_environment_forces_vector(self, monkeypatch):
-        monkeypatch.setenv(vectorized.KERNEL_ENV, "vector")
-        assert vectorized.resolve_kernel(None) == "vector"
+    def test_value_outside_int64(self):
+        triples = [(0x10, Opcode.ADD, 2**64), (0x10, Opcode.ADD, 2**64), (0x14, Opcode.SUB, -(2**70))]
+        trace = _edge_trace("wide", triples)
+        assert trace_columns(trace) is None
+        for name in UNIQUE_NAMES:
+            reference = simulate_shard_scalar(trace, name)
+            assert json.dumps(shard_to_dict(simulate_shard(trace, name))) == json.dumps(
+                shard_to_dict(reference)
+            ), name
+        scalar = reference_simulation(trace, PAPER_PREDICTORS)
+        vector = simulate_trace(trace, PAPER_PREDICTORS)
+        assert json.dumps(simulation_to_dict(vector)) == json.dumps(simulation_to_dict(scalar))
 
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(vectorized.KERNEL_ENV, "vector")
-        assert vectorized.resolve_kernel("scalar") == "scalar"
+    def test_predictor_class_without_a_plan(self, temporary_predictor):
+        from repro.core.last_value import LastValuePredictor
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SimulationError, match="unknown simulation kernel"):
-            vectorized.resolve_kernel("turbo")
+        class ExternalLastValue(LastValuePredictor):
+            """A predictor class the kernel's planner does not know."""
 
-    def test_unknown_environment_kernel_names_source(self, monkeypatch):
-        monkeypatch.setenv(vectorized.KERNEL_ENV, "turbo")
-        with pytest.raises(SimulationError, match=vectorized.KERNEL_ENV):
-            vectorized.resolve_kernel(None)
+        name = temporary_predictor("external-last-value", ExternalLastValue)
+        assert vectorized.vector_plan(name) is None
+        trace = synthetic_trace(*SCENARIOS[0])
+        reference = simulate_shard_scalar(trace, name)
+        assert json.dumps(shard_to_dict(simulate_shard(trace, name))) == json.dumps(
+            shard_to_dict(reference)
+        )
 
-    def test_auto_without_numpy_is_scalar(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_numpy_module", None)
-        assert vectorized.resolve_kernel("auto") == "scalar"
+    def test_merge_of_more_than_62_predictors(self):
+        trace = synthetic_trace(*SCENARIOS[5])
+        names = tuple(f"fcm{order}-single" for order in range(63))
+        shards = {name: simulate_shard(trace, name) for name in names}
+        assert vectorized.merge_shards_vector(trace_columns(trace), shards) is None
+        merged = merge_shards(trace, shards)
+        assert merged.predictor_names == names
+        assert json.dumps(simulation_to_dict(merged)) == json.dumps(
+            simulation_to_dict(merge_shards_scalar(trace, shards))
+        )
 
-    def test_forced_vector_without_numpy_is_clean_error(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_numpy_module", None)
-        with pytest.raises(SimulationError, match="requires numpy"):
-            vectorized.resolve_kernel("vector")
-        with pytest.raises(SimulationError, match="requires numpy"):
-            simulate_shard(synthetic_trace(11, 20, 2), "l", kernel="vector")
+
+class TestSegmentedCummax:
+    """The offset packing restarts the running maximum at every group.
+
+    Keys fill each group's whole span ``[scale, (size + 1) * scale)``, at
+    a small scale and at the widest one the documented bound allows for
+    the stream (``2 * m * scale`` below 2**63).
+    """
+
+    @staticmethod
+    def _check(sizes, keys_of):
+        """``keys_of(size, scale)`` lists one group's keys; compare with itertools."""
+        m = sum(sizes)
+        gid = np.repeat(np.arange(len(sizes)), sizes)
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
+        for scale in (7, (2**63 - 1) // (2 * m)):
+            groups = [keys_of(size, scale) for size in sizes]
+            keys = np.array([key for group in groups for key in group], dtype=np.int64)
+            result = vectorized._segmented_cummax(np, gid, starts, keys, scale)
+            expected = [key for group in groups for key in itertools.accumulate(group, max)]
+            assert result.tolist() == expected, (sizes, scale)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_group_accumulate(self, seed):
+        rng = random.Random(seed)
+
+        def keys_of(size, scale):
+            low, high = scale, (size + 1) * scale
+            # The span's edges are drawn often.
+            return [rng.choice((low, high - 1, rng.randrange(low, high))) for _ in range(size)]
+
+        for sizes in (
+            [rng.randint(1, 300)],  # one group
+            [1] * rng.randint(1, 300),  # many one-record groups
+            [rng.randint(1, 40) for _ in range(rng.randint(1, 30))],
+        ):
+            self._check(sizes, keys_of)
+
+    def test_descending_groups_do_not_leak(self):
+        # Every group starts at its span's top key and descends, so a
+        # maximum leaking across any boundary would show.
+        self._check(
+            [5, 3, 4, 1, 2], lambda size, scale: [(size + 1) * scale - 1 - k for k in range(size)]
+        )
+
+
+class TestResolveKernel:
+    def test_vector_is_the_only_kernel(self):
+        assert vectorized.resolve_kernel("vector") == "vector"
+        for name in ("scalar", "auto", "turbo"):
+            with pytest.raises(SimulationError, match="unknown simulation kernel"):
+                vectorized.resolve_kernel(name)

@@ -26,7 +26,6 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 from test_kernel_fuzz import TRACES
-from test_kernel_parity import requires_numpy
 
 from repro.core.registry import available_predictors
 from repro.engine.codecs import (
@@ -34,7 +33,7 @@ from repro.engine.codecs import (
     _encode_outcome_key,
     simulation_to_dict,
 )
-from repro.simulation.simulator import merge_shards, simulate_shard
+from repro.simulation.simulator import merge_shards, merge_shards_scalar, simulate_shard
 
 #: Every registry name plus a few dynamic FCM spellings.
 NAMES = (*available_predictors(), "fcm4-small", "fcm2-full", "fcm3-single")
@@ -71,18 +70,17 @@ def assert_merge_identities(merged, names) -> None:
 @settings(deadline=None)
 @given(trace=TRACES, names=NAME_SUBSETS)
 def test_scalar_merge_identities(trace, names):
-    merged = merge_shards(trace, _shards(trace, names), kernel="scalar")
+    merged = merge_shards_scalar(trace, _shards(trace, names))
     assert_merge_identities(merged, names)
 
 
-@requires_numpy
 @settings(deadline=None)
 @given(trace=TRACES, names=NAME_SUBSETS)
 def test_vector_merge_matches_scalar(trace, names):
     shards = _shards(trace, names)
-    vector = merge_shards(trace, shards, kernel="vector")
+    vector = merge_shards(trace, shards)
     assert_merge_identities(vector, names)
-    scalar = merge_shards(trace, shards, kernel="scalar")
+    scalar = merge_shards_scalar(trace, shards)
     assert json.dumps(simulation_to_dict(vector)) == json.dumps(simulation_to_dict(scalar))
 
 

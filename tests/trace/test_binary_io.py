@@ -33,7 +33,6 @@ def _assert_same_trace(left, right):
 
 
 def _decode_columnar(blob, tmp_path):
-    pytest.importorskip("numpy")
     return decode_trace_columns(blob)
 
 

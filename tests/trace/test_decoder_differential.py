@@ -18,10 +18,7 @@ import random
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
-
-pytest.importorskip("numpy")
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "isa"))
 from random_programs import random_program  # noqa: E402
