@@ -92,9 +92,11 @@ class ExecutorBackend:
     def parallel_slots(self) -> int:
         """How many units this backend can run concurrently.
 
-        Purely advisory — it never affects results or how work is cut;
-        utilization accounting (``perfbench/layers.py``) divides busy time
-        by it.  In-process backends report 1.
+        It never affects results.  The phase executor cuts a dispatch of
+        fewer work units than this into this many payloads
+        (:func:`~repro.engine.phases.dispatch_chunks`), and utilization
+        accounting (``perfbench/layers.py``) divides busy time by it.
+        In-process backends report 1.
         """
         return 1
 

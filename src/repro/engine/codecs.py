@@ -216,8 +216,8 @@ def encode_cache_entry(key: dict, payload: dict, compress: bool = True) -> bytes
         trace_len trace_v3_bytes     -- 0 when the payload carries no trace
 
     A payload's ``trace_binary`` bytes — fresh off the worker wire
-    (:func:`repro.engine.worker.execute_trace_task` returns compressed v3
-    bytes) or carried over from a previously decoded entry — go into the
+    (:func:`repro.engine.worker.execute_trace_task`'s entry holds
+    compressed v3 bytes) or carried over from a previously decoded entry — go into the
     trace section as given, since the v3 framing is self-describing about
     its own compression; every other field stays JSON.
     """

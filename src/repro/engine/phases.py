@@ -3,15 +3,21 @@
 Both phases — the trace and simulate phases campaigns and sweeps share
 (:func:`~repro.engine.scheduler.trace_phase`,
 :func:`~repro.engine.scheduler.simulate_phase`) — execute the same
-three-step protocol per batch of work units:
+three-step protocol per batch of tasks, one task per cache entry:
 
-1. **probe** — look each unit up in the persistent cache and hand the
+1. **probe** — look each task up in the persistent cache and hand the
    stored payload to the caller's ``accept_cached`` callable; one that
    declines (corrupt or unusable entry) turns the hit back into a miss;
-2. **dispatch** — build payloads for the remaining units (lazily, so warm
-   runs never pay for them) and execute them on the engine's
-   :class:`~repro.engine.backends.ExecutorBackend`, in input order;
-3. **put** — decode each fresh outcome and write it back to the cache.
+2. **dispatch** — group the remaining tasks into work units by
+   :attr:`PhaseTask.unit` (a simulate unit is one trace plus its missing
+   predictors), build one payload per unit (lazily, so warm runs never
+   pay for them) and execute them on the engine's
+   :class:`~repro.engine.backends.ExecutorBackend`, in input order.  When
+   there are fewer units than the backend has parallel slots, each
+   unit's tasks are cut into contiguous chunks so that every slot gets a
+   payload (:func:`dispatch_chunks`);
+3. **put** — split each fresh outcome into its tasks' entries, decode
+   each and write it back to the cache.
 
 :func:`run_phase` is that protocol, once; :class:`PhaseSpec` carries
 everything that varies between phases — cache kind, cache-key builder
@@ -23,11 +29,11 @@ body is repaired when :class:`~repro.engine.scheduler.LazyTrace` first
 decodes it.  Protocol changes — a new backend, a new cache envelope —
 land here once.
 
-Progress accounting: ``phase_started`` reports ``total`` units (defaults
-to ``len(tasks)``) of which ``presatisfied_count + cache hits`` were warm;
-one ``task_finished`` event fires per presatisfied label, per cache hit
-and — from inside the backend dispatch — per computed unit, always in
-input order.
+Progress accounting stays per task: ``phase_started`` reports ``total``
+tasks (defaults to ``len(tasks)``) of which ``presatisfied_count + cache
+hits`` were warm; one ``task_finished`` event fires per presatisfied
+label, per cache hit and — from inside the backend dispatch, as each
+payload's outcome arrives — per computed task, always in input order.
 """
 
 from __future__ import annotations
@@ -42,20 +48,20 @@ from repro.errors import DispatchError
 
 @dataclass(frozen=True)
 class PhaseTask:
-    """One work unit of a phase.
+    """One cache entry a phase probes, and computes when it misses.
 
-    ``uid`` is the caller's identity for the unit (a trace cache-key
+    ``uid`` is the caller's identity for the task (a trace cache-key
     digest or a ``(trace digest, predictor)`` pair) and is
-    what ``accept_cached`` and ``accept_fresh`` receive.
-    ``build_payload`` is called only when the unit actually has to run,
-    with ``inline=True`` when the backend executes in-process (the payload
-    may then carry live objects and skip serialisation).
+    what ``accept_cached`` and ``accept_fresh`` receive.  Pending tasks
+    with equal ``unit`` are dispatched together, in one payload (the
+    simulate phase's unit is the trace digest; a trace task is a unit of
+    its own).
     """
 
     uid: Hashable
     label: str
     cache_key: Mapping
-    build_payload: Callable[[bool], dict]
+    unit: Hashable
 
 
 @dataclass
@@ -72,18 +78,24 @@ class PhaseSpec:
         Which :class:`~repro.engine.scheduler.EngineStats` counter pair
         the phase accounts to (``"traces"`` or ``"simulations"``).
     tasks:
-        The work units, in dispatch order.
+        The tasks, in dispatch order.
+    build_payload:
+        Given one chunk of pending tasks sharing a unit, and ``inline``
+        (true when the backend executes in-process, so the payload may
+        carry live objects and skip serialisation), build the payload.
+        Called only for tasks that actually have to run.
     worker:
-        Worker function executed per pending payload (module-level, so
-        every backend can pickle it by reference).
+        Worker function executed per payload (module-level, so every
+        backend can pickle it by reference).  Its outcome lists one entry
+        per task of the payload, in order, under ``"outcomes"``.
     accept_cached:
         Given ``(uid, stored payload)`` decide whether the entry is usable
         and record whatever the caller needs.  Returning ``False`` (or
         raising) turns the hit into a miss, so a corrupt cache degrades to
         recomputation, never failure.
     accept_fresh:
-        Result decoder: given ``(uid, worker outcome)`` record the result.
-        Runs before the outcome is written back to the cache; exceptions
+        Result decoder: given ``(uid, outcome entry)`` record the result.
+        Runs before the entry is written back to the cache; exceptions
         propagate (a fresh outcome that does not decode is a bug, not a
         cache problem).
     total / presatisfied_count / presatisfied_labels:
@@ -97,6 +109,7 @@ class PhaseSpec:
     kind: str
     counter: str
     tasks: Sequence[PhaseTask]
+    build_payload: Callable[[Sequence[PhaseTask], bool], dict]
     worker: Callable[[dict], dict]
     accept_cached: Callable[[Hashable, dict], bool]
     accept_fresh: Callable[[Hashable, dict], None]
@@ -105,20 +118,47 @@ class PhaseSpec:
     presatisfied_labels: Sequence[str] = field(default_factory=tuple)
 
 
+def dispatch_chunks(units: Sequence[Sequence[PhaseTask]], slots: int) -> list[Sequence[PhaseTask]]:
+    """Cut work units into payload chunks: one per unit, unless slots would idle.
+
+    With at least ``slots`` units each unit is one chunk.  With fewer,
+    units are cut into contiguous chunks — the extra chunks going, one at
+    a time, to the unit whose chunks are then largest — until there are
+    ``slots`` chunks or every chunk is a single task.  Chunks keep the
+    units' order and their tasks' order.
+    """
+    if len(units) >= slots:
+        return list(units)
+    counts = [1] * len(units)
+    for _ in range(min(slots, sum(map(len, units))) - len(units)):
+        widest = max(range(len(units)), key=lambda index: len(units[index]) / counts[index])
+        counts[widest] += 1
+    chunks: list[Sequence[PhaseTask]] = []
+    for unit, count in zip(units, counts):
+        size, extra = divmod(len(unit), count)
+        start = 0
+        for part in range(count):
+            end = start + size + (part < extra)
+            chunks.append(unit[start:end])
+            start = end
+    return chunks
+
+
 def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
     """Execute one phase on ``engine``; returns the tasks actually computed.
 
     ``engine`` supplies the shared machinery: ``cache`` (may be ``None``),
     ``progress``, ``stats``, ``telemetry`` and the
     ``backend`` the dispatch runs on (via ``ExecutionEngine._run_tasks``).
-    The whole phase runs under a ``phase`` telemetry span; each computed
-    unit's worker-side sidecar (:data:`~repro.engine.telemetry.TELEMETRY_KEY`)
+    The whole phase runs under a ``phase`` telemetry span; each dispatched
+    payload's worker-side sidecar (:data:`~repro.engine.telemetry.TELEMETRY_KEY`)
     is stripped from the outcome — before decoding and caching, so entries
     stay byte-identical whether telemetry is on or off — and re-emitted as
-    a ``task`` span carrying the worker's own execute time.  Results are
-    bit-identical for every backend and cache temperature: the protocol
-    only decides *where* each unit executes and *which* units execute at
-    all, never what they compute.
+    one ``task`` span carrying the worker's own execute time, labelled
+    with the payload's first task and counting its ``tasks``.  Results
+    are bit-identical for every backend and cache temperature: the
+    protocol only decides *where* each task executes, *with which others*
+    and *which* tasks execute at all, never what they compute.
     """
     cache = engine.cache
     telemetry = engine.telemetry
@@ -156,39 +196,46 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
         for task in hits:
             engine.progress.task_finished(spec.name, task.label, cached=True)
 
-        inline = engine.backend.inline_payloads(len(pending))
+        units: dict[Hashable, list[PhaseTask]] = {}
+        for task in pending:
+            units.setdefault(task.unit, []).append(task)
+        chunks = dispatch_chunks(list(units.values()), engine.backend.parallel_slots())
+        inline = engine.backend.inline_payloads(len(chunks))
         try:
             outcomes = engine._run_tasks(
                 spec.worker,
                 spec.name,
-                [task.label for task in pending],
-                [task.build_payload(inline) for task in pending],
+                [[task.label for task in chunk] for chunk in chunks],
+                [spec.build_payload(chunk, inline) for chunk in chunks],
             )
         except DispatchError as error:
             # Backend-infrastructure failures (a worker process died) get
             # the phase context stamped on before they reach
-            # the caller; the cache is untouched for the undispatched units,
+            # the caller; the cache is untouched for the undispatched tasks,
             # so a rerun resumes exactly where this phase stopped.
             raise DispatchError(
                 f"{spec.name} phase failed to dispatch {len(pending)} pending "
-                f"unit(s) on the {engine.backend.name!r} backend: {error}"
+                f"task(s) in {len(chunks)} unit(s) on the {engine.backend.name!r} "
+                f"backend: {error}"
             ) from error
-        for task, outcome in zip(pending, outcomes):
+        for chunk, outcome in zip(chunks, outcomes):
             # The observability sidecar never reaches the decoder or the
             # cache: entries stay byte-identical with telemetry on or off.
-            sidecar = outcome.pop(TELEMETRY_KEY, None) if isinstance(outcome, dict) else None
+            sidecar = outcome.pop(TELEMETRY_KEY, None)
             if sidecar:
                 telemetry.span_record(
                     "task",
                     sidecar.get("execute_seconds", 0.0),
                     phase=spec.name,
-                    label=task.label,
+                    label=chunk[0].label,
+                    tasks=len(chunk),
                     worker_pid=sidecar.get("pid"),
                     function=sidecar.get("function"),
                 )
-            spec.accept_fresh(task.uid, outcome)
-            engine.stats.record(spec.counter, cached=False)
-            if cache:
-                cache.put(spec.kind, task.cache_key, outcome)
+            for task, entry in zip(chunk, outcome["outcomes"], strict=True):
+                spec.accept_fresh(task.uid, entry)
+                engine.stats.record(spec.counter, cached=False)
+                if cache:
+                    cache.put(spec.kind, task.cache_key, entry)
     engine.stats.record_seconds(spec.counter, time.perf_counter() - phase_started_perf)
     return pending

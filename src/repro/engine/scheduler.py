@@ -9,9 +9,10 @@ run it through the two phase functions defined here, once each:
    *lazy-with-repair*: a cache hit is a cheap digest and statistics
    probe, the trace is decoded on first use (:class:`LazyTrace`), and a
    corrupt body found then is re-traced, re-accounted and overwritten;
-2. :func:`simulate_phase` — (trace digest, predictor) units, each
-   simulated over the whole trace into a :class:`PredictorShard` on the
-   phase executor.
+2. :func:`simulate_phase` — one (trace digest, predictor) task per
+   simulate cache entry, each simulated over the whole trace into a
+   :class:`PredictorShard`; the phase executor dispatches one unit per
+   trace, carrying the predictors whose entries missed.
 
 :meth:`ExecutionEngine.run` adds the campaign's **merge**: a probe of the
 merged per-benchmark entry first, and for the misses the shards are
@@ -41,7 +42,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.fingerprint import key_digest, predictor_signature
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
-from repro.engine.tasks import TASK_FORMAT_VERSION, SimulateTask, TraceTask
+from repro.engine.tasks import TASK_FORMAT_VERSION, SimulateTask, TraceTask, simulate_payload
 from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
 from repro.engine.worker import INLINE_TRACE_KEY, execute_simulate_task, execute_trace_task
 from repro.simulation.simulator import PredictorShard, merge_shards
@@ -392,23 +393,27 @@ class ExecutionEngine:
         self,
         function: Callable[[dict], dict],
         phase: str,
-        labels: Sequence[str],
+        labels: Sequence[Sequence[str]],
         payloads: Sequence[dict],
     ) -> list[dict]:
-        """Execute payloads on the configured backend, in input order."""
+        """Execute payloads on the configured backend, in input order.
+
+        ``labels[index]`` names the tasks payload ``index`` carries; each
+        gets its ``task_finished`` event when that payload's outcome
+        arrives.
+        """
         if not payloads:
             return []
         # Stamped per dispatch, not per engine: a shared backend instance
         # serves several engines, and dispatch spans must land in whichever
         # sink the engine currently driving it is wired to.
         self.backend.telemetry = self.telemetry
-        return self.backend.map(
-            function,
-            payloads,
-            on_result=lambda index: self.progress.task_finished(
-                phase, labels[index], cached=False
-            ),
-        )
+
+        def finished(index: int) -> None:
+            for label in labels[index]:
+                self.progress.task_finished(phase, label, cached=False)
+
+        return self.backend.map(function, payloads, on_result=finished)
 
 
 # --------------------------------------------------------------------------- #
@@ -420,7 +425,7 @@ class LazyTrace:
     A cached entry passes the trace phase on a cheap probe (digest and
     statistics readable), so a fully warm run never decodes the embedded
     trace.  A trace computed in-process (serial backend) is the trace
-    task's own object, handed over in the outcome, so :meth:`get` returns
+    task's own object, handed over in its outcome entry, so :meth:`get` returns
     it with no decode; otherwise :meth:`get` decodes the v3 bytes straight
     to array columns (:func:`~repro.engine.codecs.payload_trace`).  When
     it finds a cached body corrupt, the trace is repaired: re-traced in
@@ -463,25 +468,24 @@ class LazyTrace:
     def _repair(self) -> dict:
         engine = self._engine
         outcome = execute_trace_task(self.task.payload())
-        # Repairs bypass the phase executor, so strip the worker's
-        # observability sidecar here too — the overwritten cache entry
-        # must stay byte-identical with telemetry on or off.
-        sidecar = outcome.pop(TELEMETRY_KEY, None)
-        if sidecar:
-            engine.telemetry.span_record(
-                "task",
-                sidecar.get("execute_seconds", 0.0),
-                phase="trace",
-                label=self._label,
-                worker_pid=sidecar.get("pid"),
-                function=sidecar.get("function"),
-                repair=True,
-            )
+        # Repairs bypass the phase executor, so the worker's sidecar is
+        # re-emitted here; only the outcome's entry is cached, as there.
+        sidecar = outcome[TELEMETRY_KEY]
+        engine.telemetry.span_record(
+            "task",
+            sidecar["execute_seconds"],
+            phase="trace",
+            label=self._label,
+            worker_pid=sidecar["pid"],
+            function=sidecar["function"],
+            repair=True,
+        )
         engine.stats.traces_computed += 1
         engine.stats.traces_cached -= 1
+        (entry,) = outcome["outcomes"]
         if engine.cache:
-            engine.cache.put("trace", self.task.cache_key(), outcome)
-        return outcome
+            engine.cache.put("trace", self.task.cache_key(), entry)
+        return entry
 
 
 def trace_phase(
@@ -510,14 +514,10 @@ def trace_phase(
             kind="trace",
             counter="traces",
             tasks=[
-                PhaseTask(
-                    uid=key,
-                    label=label,
-                    cache_key=task.cache_key(),
-                    build_payload=lambda inline, task=task: task.payload(inline=inline),
-                )
+                PhaseTask(uid=key, label=label, cache_key=task.cache_key(), unit=key)
                 for key, (task, label) in first.items()
             ],
+            build_payload=lambda chunk, inline: first[chunk[0].uid][0].payload(inline=inline),
             worker=execute_trace_task,
             accept_cached=lambda key, payload: accept(key, payload, cached=True),
             accept_fresh=accept,
@@ -535,13 +535,16 @@ def simulate_phase(
     """Run the simulate phase; returns one shard per ``(digest, predictor)``.
 
     ``units`` maps each ``(trace digest, predictor)`` pair to its progress
-    label and trace; each runs as one unit through the shared phase
-    executor, from a fresh predictor over the whole trace.  In-process
-    backends get the decoded trace itself; process backends get the
-    trace phase's own compressed v3 bytes (:attr:`LazyTrace.trace_binary`),
-    never a re-encoding.  ``presatisfied_count`` and
-    ``presatisfied_labels`` report units the caller satisfied before the
-    phase (the campaign's merge-level hits) as warm progress.
+    label and trace.  Each pair is one task of the shared phase executor
+    — probed, accounted and cached on its own — and the pending pairs of
+    one trace are dispatched as one unit, in ``units`` order: the worker
+    gets the trace once and simulates each predictor over the whole
+    trace from a fresh predictor.  In-process backends get the decoded
+    trace itself; process backends get the trace phase's own compressed
+    v3 bytes (:attr:`LazyTrace.trace_binary`), never a re-encoding.
+    ``presatisfied_count`` and ``presatisfied_labels`` report units the
+    caller satisfied before the phase (the campaign's merge-level hits)
+    as warm progress.
     """
     signatures = {
         predictor: predictor_signature(predictor)
@@ -557,13 +560,14 @@ def simulate_phase(
         for (digest, predictor), (_, trace) in units.items()
     }
 
-    def build_payload(uid: tuple[str, str], inline: bool) -> dict:
+    def build_payload(chunk: Sequence[PhaseTask], inline: bool) -> dict:
         # Both branches decode the trace in the parent first, so a corrupt
         # cached body is repaired before any worker sees its bytes.
-        trace = units[uid][1]
+        trace = units[chunk[0].uid][1]
+        chunk_tasks = [tasks[task.uid] for task in chunk]
         if inline:
-            return tasks[uid].payload(trace=trace.get())
-        return tasks[uid].payload(trace_bytes=trace.trace_binary)
+            return simulate_payload(chunk_tasks, trace=trace.get())
+        return simulate_payload(chunk_tasks, trace_bytes=trace.trace_binary)
 
     shards: dict[tuple[str, str], PredictorShard] = {}
 
@@ -572,12 +576,7 @@ def simulate_phase(
         return True
 
     phase_tasks = [
-        PhaseTask(
-            uid=uid,
-            label=label,
-            cache_key=tasks[uid].cache_key(),
-            build_payload=lambda inline, uid=uid: build_payload(uid, inline),
-        )
+        PhaseTask(uid=uid, label=label, cache_key=tasks[uid].cache_key(), unit=uid[0])
         for uid, (label, _) in units.items()
     ]
     run_phase(
@@ -587,6 +586,7 @@ def simulate_phase(
             kind="simulate",
             counter="simulations",
             tasks=phase_tasks,
+            build_payload=build_payload,
             worker=execute_simulate_task,
             accept_cached=accept_shard,
             accept_fresh=accept_shard,

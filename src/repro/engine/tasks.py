@@ -1,20 +1,24 @@
 """Work-unit definitions for the campaign and sweep task graphs.
 
-A campaign decomposes into :class:`TraceTask` units (one per benchmark) and
-:class:`SimulateTask` units (one per (benchmark, predictor) pair); the
-merge of simulate shards back into joint results is cheap and always runs
-in the parent.  A parameter sweep (:mod:`repro.engine.sweeps`) reuses the
-same two task kinds, with trace tasks spanning the sweep's *benchmark*,
-*input* and *flags* axes.  Each task knows its cache key — the full set of
-inputs its output depends on — and how to render itself into a picklable
-payload for the worker protocol (:mod:`repro.engine.worker`); the shared
-phase executor (:mod:`repro.engine.phases`) schedules both kinds over the
-engine's executor backend.
+A campaign decomposes into trace tasks (:class:`TraceTask`, one per
+benchmark) and simulate tasks (:class:`SimulateTask`, one per (trace,
+predictor) pair, the grain of the simulate cache); the merge of simulate
+shards back into joint results is cheap and always runs in the parent.
+A parameter sweep (:mod:`repro.engine.sweeps`) reuses the same two task
+kinds, with trace tasks spanning the sweep's *benchmark*, *input* and
+*flags* axes.  Each task knows its cache key — the full set of inputs
+its output depends on.  A trace task renders itself into a picklable
+payload for the worker protocol (:mod:`repro.engine.worker`); simulate
+tasks are dispatched per trace, so :func:`simulate_payload` renders one
+trace plus the predictors of several tasks.  The shared phase executor
+(:mod:`repro.engine.phases`) schedules both kinds over the engine's
+executor backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.trace.stream import ValueTrace
 
@@ -104,7 +108,7 @@ class TraceTask:
 
 @dataclass(frozen=True)
 class SimulateTask:
-    """Simulate one predictor (by configuration) over one trace."""
+    """Simulate one predictor (by configuration) over one trace: one cache entry."""
 
     benchmark: str
     predictor: str
@@ -120,33 +124,32 @@ class SimulateTask:
             "signature": self.predictor_signature,
         }
 
-    def payload(
-        self,
-        *,
-        trace: ValueTrace | None = None,
-        trace_bytes: bytes | None = None,
-    ) -> dict:
-        """Build the worker payload; pass exactly one of ``trace`` and ``trace_bytes``.
 
-        ``trace`` is the trace object itself, for in-process dispatch (no
-        serialisation cost).  ``trace_bytes`` are the compressed v3 bytes
-        the trace phase produced (its ``trace_binary``, off the worker
-        wire or out of the cache), shipped to process backends as they
-        are: nothing re-encodes a trace for the wire.  They travel with
-        the trace digest, which a worker process keys its decoded-trace
-        memo by, so it decodes each trace once rather than once per
-        predictor.  The expected predictor signature rides along so a
-        worker whose registry disagrees (e.g. a ``spawn``-start process
-        that re-imported a registry without a dynamic re-binding) fails
-        loudly instead of simulating the wrong configuration.
-        """
-        payload: dict = {
-            "predictor": self.predictor,
-            "signature": self.predictor_signature,
-        }
-        if trace is not None:
-            payload["trace"] = trace
-        else:
-            payload["trace_bytes"] = trace_bytes
-            payload["trace_digest"] = self.trace_digest
-        return payload
+def simulate_payload(
+    tasks: Sequence[SimulateTask],
+    *,
+    trace: ValueTrace | None = None,
+    trace_bytes: bytes | None = None,
+) -> dict:
+    """Build one simulate unit's worker payload: one trace, several predictors.
+
+    ``tasks`` all simulate the trace given by exactly one of ``trace`` and
+    ``trace_bytes``; their predictors travel in order, each with its
+    expected configuration signature, so a worker whose registry
+    disagrees (e.g. a ``spawn``-start process that re-imported a registry
+    without a dynamic re-binding) fails loudly instead of simulating the
+    wrong configuration.  ``trace`` is the trace object itself, for
+    in-process dispatch (no serialisation cost).  ``trace_bytes`` are the
+    compressed v3 bytes the trace phase produced (its ``trace_binary``,
+    off the worker wire or out of the cache), shipped to process backends
+    as they are: nothing re-encodes a trace for the wire, and the worker
+    decodes them once for all of the unit's predictors.
+    """
+    payload: dict = {
+        "predictors": [[task.predictor, task.predictor_signature] for task in tasks],
+    }
+    if trace is not None:
+        payload["trace"] = trace
+    else:
+        payload["trace_bytes"] = trace_bytes
+    return payload

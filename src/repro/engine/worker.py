@@ -2,16 +2,17 @@
 
 These module-level functions are the only code that runs inside pool
 workers, so they must stay importable (picklable by reference) and accept
-plain-dict payloads built by :mod:`repro.engine.tasks`.  Results are
-returned as JSON-compatible dicts — the exact representation the cache
-stores — so the parent handles pool output and cache hits identically.
+plain-dict payloads built by :mod:`repro.engine.tasks`.  A payload carries
+one work unit and its outcome lists one entry per task, under
+``"outcomes"``, next to one telemetry sidecar.  Each entry is a
+JSON-compatible dict — the exact representation the cache stores — so
+the parent handles pool output and cache hits identically.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from hashlib import sha256
 
 from repro.core.registry import create_predictor
@@ -20,12 +21,11 @@ from repro.engine.telemetry import TELEMETRY_KEY
 from repro.errors import SimulationError
 from repro.trace.io import decode_trace, dumps_trace, dumps_trace_binary
 from repro.simulation.simulator import simulate_shard
-from repro.trace.stream import ValueTrace
 from repro.workloads.suite import get_workload
 
 
 def _telemetry_sidecar(function: str, started_perf: float) -> dict:
-    """The observability sidecar every worker outcome carries.
+    """The observability sidecar every worker outcome carries, once.
 
     Worker-side execute time is measured here — on the worker's own
     monotonic clock, whichever process that is — and travels back
@@ -40,13 +40,13 @@ def _telemetry_sidecar(function: str, started_perf: float) -> dict:
     }
 
 
-#: Outcome key of the trace object an in-process trace task hands back
-#: (see :func:`execute_trace_task`); never cached, never pickled.
+#: Outcome-entry key of the trace object an in-process trace task hands
+#: back (see :func:`execute_trace_task`); never cached, never pickled.
 INLINE_TRACE_KEY = "__trace__"
 
 
 def execute_trace_task(payload: dict) -> dict:
-    """Run one benchmark into a trace; returns v3 bytes plus statistics.
+    """Run one benchmark into a trace; its one entry holds v3 bytes and statistics.
 
     ``input``/``flags`` select the workload configuration (absent means the
     workload's default, as resolved by :meth:`TraceTask.for_workload`).
@@ -65,8 +65,8 @@ def execute_trace_task(payload: dict) -> dict:
 
     A payload with ``return_trace`` (in-process dispatch only, see
     :meth:`~repro.engine.tasks.TraceTask.payload`) also gets the trace
-    object back under :data:`INLINE_TRACE_KEY`; the scheduler takes it out
-    of the outcome before the outcome is cached.
+    object back in its entry under :data:`INLINE_TRACE_KEY`; the scheduler
+    takes it out of the entry before the entry is cached.
     """
     started = time.perf_counter()
     workload = get_workload(payload["benchmark"])
@@ -76,46 +76,47 @@ def execute_trace_task(payload: dict) -> dict:
         flags=payload.get("flags"),
     )
     text = dumps_trace(trace)
-    outcome = {
+    entry = {
         "trace_binary": dumps_trace_binary(trace, compress=True),
         "digest": sha256(text.encode("utf-8")).hexdigest(),
         "statistics": statistics_to_dict(trace.statistics()),
-        TELEMETRY_KEY: _telemetry_sidecar("trace", started),
     }
     if payload.get("return_trace"):
-        outcome[INLINE_TRACE_KEY] = trace
-    return outcome
+        entry[INLINE_TRACE_KEY] = trace
+    return {"outcomes": [entry], TELEMETRY_KEY: _telemetry_sidecar("trace", started)}
 
 
 def execute_simulate_task(payload: dict) -> dict:
-    """Simulate one predictor over one whole trace; returns the encoded shard.
+    """Simulate one trace's predictors back to back; one shard entry each.
 
+    ``predictors`` lists ``[name, signature]`` pairs in dispatch order.
     The trace arrives either inline (``trace``, in-process dispatch) or as
-    the trace phase's compressed v3 bytes (``trace_bytes`` plus
-    ``trace_digest``, the process backends' wire format).  Bytes decode
-    straight to array columns (:func:`repro.trace.io.decode_trace`), once
-    per trace per worker process (see :func:`_payload_trace`), so neither
-    transport builds a ``TraceRecord``.  The predictor starts empty.
+    the trace phase's compressed v3 bytes (``trace_bytes``, the process
+    backends' wire format), which decode once, straight to array columns
+    (:func:`repro.trace.io.decode_trace`), so neither transport builds a
+    ``TraceRecord``.  Every predictor starts empty and runs over that one
+    trace object, so the kernel's per-trace state (grouping, context
+    tables, the lower-order FCM memo) is built once for the whole unit.
     """
     started = time.perf_counter()
-    name = _check_signature(payload)
-    shard = simulate_shard(_payload_trace(payload), name)
+    names = [_check_signature(name, signature) for name, signature in payload["predictors"]]
+    trace = payload.get("trace")
+    if trace is None:
+        trace = decode_trace(payload["trace_bytes"])
     return {
-        "shard": shard_to_dict(shard),
+        "outcomes": [{"shard": shard_to_dict(simulate_shard(trace, name))} for name in names],
         TELEMETRY_KEY: _telemetry_sidecar("simulate", started),
     }
 
 
-def _check_signature(payload: dict) -> str:
-    """Validate the payload's expected predictor signature; returns the name.
+def _check_signature(name: str, expected_signature: str | None) -> str:
+    """Validate a predictor's expected signature; returns the name.
 
     A worker whose registry binds the name differently than the
     scheduler's (possible under the spawn start method, where dynamic
     re-bindings are not inherited) must not produce a shard that would be
-    cached under the scheduler's signature.
+    cached under the scheduler's signature.  ``None`` skips the check.
     """
-    name = payload["predictor"]
-    expected_signature = payload.get("signature")
     if expected_signature is not None:
         local_signature = create_predictor(name).config_signature()
         if local_signature != expected_signature:
@@ -124,35 +125,3 @@ def _check_signature(payload: dict) -> str:
                 f"expected signature {expected_signature!r}, got {local_signature!r}"
             )
     return name
-
-
-#: This process's decoded traces, by digest, most recently used last.
-#: The simulate phase dispatches its units trace by trace, so a worker
-#: needs only the trace it is on and the one before it.
-_DECODED: OrderedDict[str, tuple[bytes, ValueTrace]] = OrderedDict()
-_DECODED_LIMIT = 2
-
-
-def _payload_trace(payload: dict) -> ValueTrace:
-    """The payload's trace: inline, memoised by digest, or decoded now.
-
-    A memo hit also needs the bytes to match, so a digest that names
-    different bytes (payloads built by hand) decodes afresh rather than
-    returning another trace.
-    """
-    trace = payload.get("trace")
-    if trace is not None:
-        return trace
-    data = payload["trace_bytes"]
-    digest = payload.get("trace_digest")
-    entry = _DECODED.get(digest)
-    if entry is not None and entry[0] == data:
-        _DECODED.move_to_end(digest)
-        return entry[1]
-    trace = decode_trace(data)
-    if digest is not None:
-        _DECODED[digest] = (data, trace)
-        _DECODED.move_to_end(digest)
-        while len(_DECODED) > _DECODED_LIMIT:
-            _DECODED.popitem(last=False)
-    return trace

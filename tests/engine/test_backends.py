@@ -97,7 +97,7 @@ def _raising_or_sleeping_worker(payload: dict) -> dict:
 
 
 def _simulate_dying_on_s2(payload: dict) -> dict:
-    if payload["predictor"] == "s2":
+    if any(name == "s2" for name, _ in payload["predictors"]):
         os.kill(os.getpid(), signal.SIGKILL)
     return execute_simulate_task(payload)
 
@@ -376,7 +376,7 @@ class TestWorkerFailure:
             with pytest.raises(DispatchError) as error:
                 engine.run(scale=SCALE, predictors=("l", "s2"), benchmarks=("compress",))
         message = str(error.value)
-        assert message.startswith("simulate phase failed to dispatch 2 pending unit(s)")
+        assert message.startswith("simulate phase failed to dispatch 2 pending task(s) in 2 unit(s)")
         assert f"on the {name!r} backend" in message
         assert "worker process died" in message
 

@@ -463,8 +463,9 @@ class TestEngineBinaryCachePath:
         assert warm.stats.traces_cached == 0
         for benchmark in BENCHMARKS:
             assert result.simulations[benchmark] == cold_result.simulations[benchmark]
-        simulate_payloads = [payload for payload in dispatched if "predictor" in payload]
-        assert len(simulate_payloads) == len(BENCHMARKS) * len(PREDICTORS)
+        simulate_payloads = [payload for payload in dispatched if "predictors" in payload]
+        carried = sum(len(payload["predictors"]) for payload in simulate_payloads)
+        assert carried == len(BENCHMARKS) * len(PREDICTORS)
         for payload in simulate_payloads:
             if "trace_bytes" in payload:
                 assert payload_trace({"trace_binary": payload["trace_bytes"]})

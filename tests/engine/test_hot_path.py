@@ -107,13 +107,13 @@ def test_library_entry_points_run_no_reference_loop(monkeypatch, observe_calls):
     assert rerun.simulations == result.simulations
 
 
-def _trace_bytes_by_digest(cache) -> dict[str, bytes]:
-    """Every cached trace entry's v3 bytes, by trace digest."""
+def _trace_bytes_by_benchmark(cache) -> dict[str, bytes]:
+    """Every cached trace entry's v3 bytes, by benchmark."""
     entries = {}
     for path in cache.entry_paths():
         if path.parent.parent.name == "trace":
-            _, payload = decode_cache_entry(path.read_bytes())
-            entries[payload["digest"]] = payload["trace_binary"]
+            key, payload = decode_cache_entry(path.read_bytes())
+            entries[key["workload"]] = payload["trace_binary"]
     return entries
 
 
@@ -134,21 +134,23 @@ def test_campaign_builds_no_records_and_ships_trace_phase_bytes(
             dispatched = dispatch_spy(engine)
             result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
             stats = engine.stats
-            trace_bytes = _trace_bytes_by_digest(engine.cache)
+            trace_bytes = _trace_bytes_by_benchmark(engine.cache)
         results.append(result.simulations)
 
         assert _calls(ledger, "loads_trace_binary") == 0, temperature
         assert _calls(ledger, "TraceRecord") == 0, temperature
         encodes = _calls(ledger, "dumps_trace_binary") - encodes_before
         assert encodes == stats.traces_computed, temperature
-        simulate_payloads = [payload for payload in dispatched if "predictor" in payload]
-        expected_units = 0 if temperature == "warm" else len(BENCHMARKS) * len(PREDICTORS)
+        # One simulate payload per trace, carrying every predictor.
+        simulate_payloads = [payload for payload in dispatched if "predictors" in payload]
+        expected_units = 0 if temperature == "warm" else len(BENCHMARKS)
         assert len(simulate_payloads) == expected_units, temperature
-        for payload in simulate_payloads:
+        for benchmark, payload in zip(BENCHMARKS, simulate_payloads):
+            assert [name for name, _ in payload["predictors"]] == list(PREDICTORS)
             if backend == "serial":
                 assert "trace_bytes" not in payload
             else:
-                assert payload["trace_bytes"] == trace_bytes[payload["trace_digest"]]
+                assert payload["trace_bytes"] == trace_bytes[benchmark]
     assert results[0] == results[1] == results[2]
 
 

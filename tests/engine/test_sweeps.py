@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.sweeps import SweepSpec, clear_sweep_cache, run_sweep
-from repro.engine.tasks import SimulateTask
+from repro.engine.tasks import SimulateTask, simulate_payload
 from repro.engine.worker import execute_simulate_task
 from repro.errors import SweepError, WorkloadError
 from repro.simulation.sensitivity import (
@@ -251,8 +251,9 @@ class TestPersistentCache:
         assert engine.stats.traces_computed == 1
         assert engine.stats.traces_cached == 0
         assert cold.cache.verify().ok  # the bad entry was overwritten
-        simulate_payloads = [payload for payload in dispatched if "predictor" in payload]
-        assert len(simulate_payloads) == (len(predictors) if run == "sweep" else 0)
+        simulate_payloads = [payload for payload in dispatched if "predictors" in payload]
+        carried = sum(len(payload["predictors"]) for payload in simulate_payloads)
+        assert carried == (len(predictors) if run == "sweep" else 0)
         for payload in simulate_payloads:
             if "trace_bytes" in payload:
                 assert payload["trace_bytes"] != b"\x00garbage"
@@ -380,7 +381,7 @@ class TestTraceWireFormat:
         from repro.engine.worker import execute_trace_task
         from repro.trace.io import dumps_trace
 
-        outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
+        (outcome,) = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())["outcomes"]
         assert isinstance(outcome["trace_binary"], bytes)
         trace = payload_trace(outcome)
         text = dumps_trace(trace)
@@ -393,50 +394,51 @@ class TestTraceWireFormat:
         from repro.engine.worker import execute_trace_task
         from repro.trace.io import dumps_trace
 
-        outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
+        (outcome,) = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())["outcomes"]
         reference = get_workload("compress").trace(scale=SCALE)
         assert len(outcome["trace_binary"]) < len(dumps_trace(reference).encode("utf-8")) // 5
 
 
 class TestBinaryWireFormat:
     def test_pool_payload_carries_v3_bytes(self, compress_trace):
-        task = SimulateTask(
-            benchmark="compress",
-            predictor="l",
-            trace_digest="d",
-            predictor_signature="sig",
-        )
+        tasks = [
+            SimulateTask(
+                benchmark="compress",
+                predictor=name,
+                trace_digest="d",
+                predictor_signature=f"sig-{name}",
+            )
+            for name in ("l", "s2")
+        ]
         blob = dumps_trace_binary(compress_trace, compress=True)
-        payload = task.payload(trace_bytes=blob)
-        # The trace phase's bytes ship as they are, keyed by the digest.
+        payload = simulate_payload(tasks, trace_bytes=blob)
+        # The trace phase's bytes ship as they are, once for the unit.
+        assert payload == {"predictors": [["l", "sig-l"], ["s2", "sig-s2"]], "trace_bytes": blob}
         assert payload["trace_bytes"] is blob
-        assert payload["trace_digest"] == "d"
-        assert "trace" not in payload
 
     def test_worker_decodes_binary_and_inline_identically(self, compress_trace):
         from repro.engine.codecs import shard_from_dict
         from repro.engine.fingerprint import predictor_signature
 
-        signature = predictor_signature("s2")
-        base = {"predictor": "s2", "signature": signature}
-        inline = execute_simulate_task({**base, "trace": compress_trace})
-        binary = execute_simulate_task(
-            {**base, "trace_bytes": dumps_trace_binary(compress_trace)}
-        )
-        assert shard_from_dict(inline["shard"]) == shard_from_dict(binary["shard"])
+        base = {"predictors": [[name, predictor_signature(name)] for name in ("s2", "fcm2")]}
+        inline = execute_simulate_task({**base, "trace": compress_trace})["outcomes"]
+        binary = execute_simulate_task({**base, "trace_bytes": dumps_trace_binary(compress_trace)})["outcomes"]
+        assert len(inline) == len(binary) == 2
+        for inline_entry, binary_entry in zip(inline, binary):
+            assert shard_from_dict(inline_entry["shard"]) == shard_from_dict(binary_entry["shard"])
 
     def test_binary_payload_smaller_than_text(self, compress_trace):
         from repro.engine.tasks import TraceTask
         from repro.engine.worker import execute_trace_task
         from repro.trace.io import dumps_trace
 
-        outcome = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())
+        (outcome,) = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())["outcomes"]
         task = SimulateTask(
             benchmark="compress",
             predictor="l",
             trace_digest=outcome["digest"],
             predictor_signature="s",
         )
-        payload = task.payload(trace_bytes=outcome["trace_binary"])
+        payload = simulate_payload([task], trace_bytes=outcome["trace_binary"])
         text = dumps_trace(compress_trace)
         assert len(payload["trace_bytes"]) < len(text.encode("utf-8")) // 10

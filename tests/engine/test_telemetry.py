@@ -196,10 +196,15 @@ class TestSidecar:
         assert sidecar["function"] == "trace"
         assert sidecar["execute_seconds"] > 0
         assert isinstance(sidecar["pid"], int)
+        (entry,) = outcome["outcomes"]
+        assert TELEMETRY_KEY not in entry
         simulate = execute_simulate_task(
-            {"trace_bytes": outcome["trace_binary"], "predictor": "l"}
+            {"trace_bytes": entry["trace_binary"], "predictors": [["l", None], ["s2", None]]}
         )
+        # One sidecar per unit, none in its entries.
         assert simulate[TELEMETRY_KEY]["function"] == "simulate"
+        assert len(simulate["outcomes"]) == 2
+        assert not any(TELEMETRY_KEY in entry for entry in simulate["outcomes"])
 
     def test_sidecar_never_reaches_cache_entries(self, tmp_path):
         _, cache_dir, _ = _campaign(tmp_path, "probe")
@@ -268,9 +273,13 @@ class TestInstrumentedRun:
         for phase in summary["phases"]:
             assert phase["seconds"] > 0
         computed = len(BENCHMARKS) * (1 + len(PREDICTORS))
-        assert len(summary["tasks"]) == computed
+        # One task span per dispatched unit: a trace, or a trace's predictors.
+        assert len(summary["tasks"]) == 2 * len(BENCHMARKS)
         for task in summary["tasks"]:
             assert task["seconds"] > 0 and isinstance(task["worker_pid"], int)
+        assert sorted(task["tasks"] for task in summary["tasks"]) == sorted(
+            [1] * len(BENCHMARKS) + [len(PREDICTORS)] * len(BENCHMARKS)
+        )
         # slowest-first ordering
         seconds = [task["seconds"] for task in summary["tasks"]]
         assert seconds == sorted(seconds, reverse=True)

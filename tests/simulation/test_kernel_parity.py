@@ -29,7 +29,7 @@ import pytest
 from repro.core.registry import PAPER_PREDICTORS, available_predictors, create_predictor
 from repro.engine.codecs import shard_to_dict, simulation_to_dict
 from repro.engine.fingerprint import predictor_signature
-from repro.engine.tasks import SimulateTask
+from repro.engine.tasks import SimulateTask, simulate_payload
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.engine.worker import execute_simulate_task
 from repro.errors import SimulationError
@@ -577,31 +577,38 @@ class TestAccounting:
 class TestWorkerParity:
     """The simulate worker returns the scalar reference shard on every path.
 
-    One simulate unit is one (trace, predictor) pair run by
-    :func:`execute_simulate_task` from a fresh predictor over the whole
-    trace.  Its payload carries the trace inline (in-process dispatch) or
-    as v3 bytes (the process backends' wire format); both must return the
-    reference shard dict.
+    One simulate unit is one trace plus some predictors, run by
+    :func:`execute_simulate_task` back to back, each from a fresh
+    predictor over the whole trace.  Its payload carries the trace inline
+    (in-process dispatch) or as v3 bytes (the process backends' wire
+    format); both must return each predictor's reference shard dict.
     """
 
     @pytest.mark.parametrize("transport", ("inline", "bytes"))
     @pytest.mark.parametrize("name", UNIQUE_NAMES)
     def test_worker_shard_matches_reference(self, name, transport):
         trace = synthetic_trace(*SCENARIOS[6])
-        task = SimulateTask(
-            benchmark="synthetic",
-            predictor=name,
-            trace_digest="unused",
-            predictor_signature=predictor_signature(name),
-        )
-        if transport == "inline":
-            payload = task.payload(trace=trace)
-        else:
-            payload = task.payload(trace_bytes=dumps_trace_binary(trace, compress=True))
-        outcome = execute_simulate_task(payload)
+        (entry,) = _worker_outcomes(trace, (name,), transport)
         reference = shard_to_dict(simulate_shard_scalar(trace, name))
-        assert json.dumps(outcome["shard"]) == json.dumps(reference)
-        assert outcome[TELEMETRY_KEY]["function"] == "simulate"
+        assert json.dumps(entry["shard"]) == json.dumps(reference)
+
+    @pytest.mark.parametrize("transport", ("inline", "bytes"))
+    def test_one_unit_of_every_predictor_matches_reference(self, transport):
+        # The unit's predictors share one trace object and so the kernel's
+        # per-trace state; none may see another's predictor state.
+        trace = synthetic_trace(*SCENARIOS[6])
+        names = UNIQUE_NAMES + UNIQUE_NAMES[::-1]
+        entries = _worker_outcomes(trace, names, transport)
+        assert len(entries) == len(names)
+        for name, entry in zip(names, entries):
+            reference = shard_to_dict(simulate_shard_scalar(trace, name))
+            assert json.dumps(entry["shard"]) == json.dumps(reference), name
+
+    def test_mismatched_signature_fails_the_unit(self):
+        trace = synthetic_trace(*SCENARIOS[6])
+        payload = {"predictors": [["l", predictor_signature("l")], ["s2", "stale"]], "trace": trace}
+        with pytest.raises(SimulationError, match="configured differently"):
+            execute_simulate_task(payload)
 
 
 @functools.lru_cache(maxsize=None)
@@ -629,16 +636,24 @@ def wide_synthetic_trace() -> ValueTrace:
     return trace
 
 
-def _worker_payload(trace: ValueTrace, name: str, transport: str) -> dict:
-    task = SimulateTask(
-        benchmark="synthetic",
-        predictor=name,
-        trace_digest="unused",
-        predictor_signature=predictor_signature(name),
-    )
+def _worker_outcomes(trace: ValueTrace, names, transport: str) -> list[dict]:
+    """The worker's entries for one unit of ``names`` over ``trace``."""
+    tasks = [
+        SimulateTask(
+            benchmark="synthetic",
+            predictor=name,
+            trace_digest="unused",
+            predictor_signature=predictor_signature(name),
+        )
+        for name in names
+    ]
     if transport == "inline":
-        return task.payload(trace=trace)
-    return task.payload(trace_bytes=dumps_trace_binary(trace, compress=True))
+        payload = simulate_payload(tasks, trace=trace)
+    else:
+        payload = simulate_payload(tasks, trace_bytes=dumps_trace_binary(trace, compress=True))
+    outcome = execute_simulate_task(payload)
+    assert outcome[TELEMETRY_KEY]["function"] == "simulate"
+    return outcome["outcomes"]
 
 
 class TestWorkerReferenceInputs:
@@ -650,10 +665,9 @@ class TestWorkerReferenceInputs:
         trace = wide_synthetic_trace()
         assert trace_columns(trace) is None
         assert decode_trace_columns(dumps_trace_binary(trace, compress=True)) is None
-        outcome = execute_simulate_task(_worker_payload(trace, name, transport))
+        (entry,) = _worker_outcomes(trace, (name,), transport)
         reference = shard_to_dict(simulate_shard_scalar(trace, name))
-        assert json.dumps(outcome["shard"]) == json.dumps(reference)
-        assert outcome[TELEMETRY_KEY]["function"] == "simulate"
+        assert json.dumps(entry["shard"]) == json.dumps(reference)
 
     @pytest.mark.parametrize("transport", ("inline", "bytes"))
     def test_predictor_class_without_a_plan(self, transport, temporary_predictor):
@@ -665,9 +679,9 @@ class TestWorkerReferenceInputs:
         name = temporary_predictor("external-stride", ExternalStride)
         assert vectorized.vector_plan(name) is None
         trace = synthetic_trace(*SCENARIOS[6])
-        outcome = execute_simulate_task(_worker_payload(trace, name, transport))
+        (entry,) = _worker_outcomes(trace, (name,), transport)
         reference = shard_to_dict(simulate_shard_scalar(trace, name))
-        assert json.dumps(outcome["shard"]) == json.dumps(reference)
+        assert json.dumps(entry["shard"]) == json.dumps(reference)
 
 
 #: The two shard loops, by the name of the kernel that runs them.
