@@ -156,12 +156,9 @@ class ResultCache:
         """Store ``payload`` under ``key`` and return the entry's path."""
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        replace_file(path, encode_cache_entry(dict(key), payload))
-        size = 0
-        try:
-            size = path.stat().st_size
-        except OSError:
-            pass
+        blob = encode_cache_entry(dict(key), payload)
+        replace_file(path, blob)
+        size = len(blob)
         self.write_bytes += size
         self.telemetry.count("cache.write")
         self.telemetry.count("cache.write_bytes", size)

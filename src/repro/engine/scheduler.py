@@ -552,12 +552,11 @@ def simulate_phase(
     }
     tasks = {
         (digest, predictor): SimulateTask(
-            benchmark=trace.task.benchmark,
             predictor=predictor,
             trace_digest=digest,
             predictor_signature=signatures[predictor],
         )
-        for (digest, predictor), (_, trace) in units.items()
+        for digest, predictor in units
     }
 
     def build_payload(chunk: Sequence[PhaseTask], inline: bool) -> dict:

@@ -110,7 +110,6 @@ class TraceTask:
 class SimulateTask:
     """Simulate one predictor (by configuration) over one trace: one cache entry."""
 
-    benchmark: str
     predictor: str
     trace_digest: str
     predictor_signature: str

@@ -16,15 +16,21 @@ whole-trace array passes over the columnar form of a trace
   sorted values.  A trace has a few dozen PCs, each hundreds to thousands
   of records deep, so stepping all PCs in lockstep with numpy calls on
   arrays of a few dozen elements costs far more than the loop itself;
-* **FCM** becomes a hash-then-scatter pass: records are grouped by their
-  exact (PC, context) key, occurrence counts come from a running count of
-  (group, value) pairs, and the scalar tie-break of
-  :func:`repro.core.fcm.select_maximum_count` — most-recent wins a tie,
-  otherwise the first-inserted of the maximal set — is reproduced with a
-  segmented cumulative maximum over packed ``count * R + (R - 1 - rank)``
-  keys, where ``rank`` is the value's insertion rank within its group.
-  The ``counter_max`` halve-on-saturation variant runs one plain loop
-  per context, like the counter plans;
+* **FCM** runs over each context order's sort: the grouping sorts the
+  positions by their exact (PC, context) key once per order, so a
+  table's feed is that order filtered, with each context's elements
+  contiguous and in time order, and no stream sorts.  While a context
+  has seen one value it predicts its previous value; only the contexts
+  whose value changes run the count machinery.  There, the running
+  count of a (context, value) pair comes from the next order's sort,
+  whose context at ``p + 1`` is exactly that pair at ``p``; insertion
+  ranks are a running count of first occurrences; and the scalar
+  tie-break of :func:`repro.core.fcm.select_maximum_count` — most-recent
+  wins a tie, otherwise the first-inserted of the maximal set — is
+  reproduced with a segmented cumulative maximum over packed
+  ``count * R + (R - 1 - rank)`` keys.  The ``counter_max``
+  halve-on-saturation variant runs one plain loop per context, like the
+  counter plans;
 * **blended FCM** predicts each record from the deepest order whose
   context occurred earlier in the record's PC stream (its *match
   order*, capped at the top order).  A context's first occurrence is
@@ -33,10 +39,10 @@ whole-trace array passes over the columnar form of a trace
   is at most ``o`` under lazy exclusion, and always under full update.
   Neither depends on the top order, so ``fcmN`` runs one stream at its
   own top order and takes the rest from lower-order predictions shared
-  by every blended FCM of its configuration.  Context ids and match
-  orders come from one per-trace table that grows one order at a time,
-  so ``fcm0``…``fcm8`` and the hybrids' ``fcm3`` share each order's
-  single factorize pass;
+  by every blended FCM of its configuration.  Each order's sort is
+  built from the one below with one stable sort of packed keys, and
+  raises the match orders where its contexts repeat, so ``fcm0``…``fcm8``
+  and the hybrids' ``fcm3`` share each order's single pass;
 * **hybrids** compose their components' plans and vectorize the chooser:
   ``PcChooser`` scores are per-PC saturating counters run as plain loops
   (like the counter plans) followed by an ``argmax``,
@@ -47,10 +53,11 @@ Every registered configuration (and every dynamic ``fcmN`` /
 ``fcmN-single`` / ``fcmN-small`` / ``fcmN-full`` spelling) has a plan,
 and every plan starts from a fresh predictor, covers the whole trace and
 runs on any trace the columns hold: no plan declines at runtime.
-What plans derive from a trace — the per-PC grouping, the context table
-and match orders, the value ranks, the lower-order FCM predictions and
-the hybrids' component results — is kept for the current trace only and
-released when the kernel moves to another trace or the trace dies.
+What plans derive from a trace — the per-PC grouping, each context
+order's sort and the match orders, the value ranks, the lower-order FCM
+predictions and the hybrids' component results — is kept for the
+current trace only and released when the kernel moves to another trace
+or the trace dies.
 Shards tally their per-PC counts from the same grouping.  A shard is
 byte-identical to the scalar loop's, down to the dict insertion orders
 the cache serialises; the parity harness
@@ -93,10 +100,10 @@ class _Grouping:
     ``t`` is the occurrence index of the record within its PC's stream,
     ``vs`` the values in the sorted domain.  ``starts``/``sizes``
     describe the groups and ``depth`` is the deepest PC stream.
-    :meth:`context` holds the FCM context table, ``matched`` each
-    record's match order and :meth:`ranks` the value ranks.  ``lower``
-    and ``components`` memoise, by configuration, the blended FCMs'
-    lower-order predictions and the hybrids' component results.
+    :meth:`by_context` keeps each FCM context order's sort, ``matched``
+    each record's match order and :meth:`ranks` the value ranks.
+    ``lower`` and ``components`` memoise, by configuration, the blended
+    FCMs' lower-order predictions and the hybrids' component results.
     """
 
     def __init__(self, np, columns) -> None:
@@ -122,41 +129,52 @@ class _Grouping:
         self.lower: dict = {}
         self.components: dict = {}
         self._np = np
-        self._contexts = [gid.astype(np.int32)]
+        # Order 0 sorts by PC then position: the sorted domain itself.
+        self._sorted = [np.arange(n, dtype=np.int32)]
+        self._ids = [gid.astype(np.int32)]
         self._ranks = None
 
-    def context(self, order: int):
-        """Dense ids of each position's (PC, last ``order`` values) context.
+    def by_context(self, order: int):
+        """``(positions, ids)`` of the order-``order`` contexts, in sort order.
 
-        Only positions with ``t >= order`` hold an id; the rest hold -1.
-        Order ``k`` is built from order ``k - 1`` with one factorize pass
-        and kept (four bytes per record), so every plan over the trace
-        shares each order's pass.  The pass also raises ``matched`` to
-        ``k`` where the context is a repeat, so ``matched`` is exact below
-        the deepest order built.  No stream reaches an order at or past
-        ``depth``, so none is built.
+        ``positions`` lists the positions with ``t >= order``, sorted by
+        their (PC, last ``order`` values) context and then by position,
+        and ``ids`` numbers their contexts densely in that order.  So each
+        context's elements form one contiguous run in time order.  Order
+        ``k`` is built from order ``k - 1`` with one sort
+        (:func:`_sort_pairs`) and kept (eight bytes per record), so every
+        plan over the trace shares each order's pass.  The pass also
+        raises ``matched`` to ``k`` where the context is a repeat, so
+        ``matched`` is exact below the deepest order built.  No position
+        reaches an order at or past ``depth``, so none is built.
         """
         np = self._np
         if order >= self.depth:
-            return np.full(self.n, -1, dtype=np.int32)
-        contexts = self._contexts
-        while len(contexts) <= order:
-            back = len(contexts)
-            positions = np.flatnonzero(self.t >= back)
-            ids = np.full(self.n, -1, dtype=np.int32)
-            pair_ids, repeats = _factorize_pairs(
-                np, contexts[-1][positions], self.vs[positions - back]
+            return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+        while len(self._sorted) <= order:
+            back = len(self._sorted)
+            # The parent order's sort already groups the parents, so the
+            # stable sort only orders each context's positions by the
+            # rank of the value ``back`` records earlier.
+            ranks = self.ranks()
+            parents, parent_ids = self._sorted[-1], self._ids[-1]
+            kept = self.t[parents] >= back
+            positions = parents[kept]
+            runs, start = _sort_pairs(
+                np, parent_ids[kept], ranks[positions - back], self._rank_bound
             )
-            ids[positions] = pair_ids
-            self.matched[positions[repeats]] = back
-            contexts.append(ids)
-        return contexts[order]
+            positions = positions[runs]
+            self.matched[positions[~start]] = back
+            self._sorted.append(positions)
+            self._ids.append((np.cumsum(start) - 1).astype(np.int32))
+        return self._sorted[order], self._ids[order]
 
     def ranks(self):
         """Each sorted position's value rank among the trace's distinct values."""
         if self._ranks is None:
-            _, inverse = self._np.unique(self.vs, return_inverse=True)
+            unique, inverse = self._np.unique(self.vs, return_inverse=True)
             self._ranks = inverse.astype(self._np.int32)
+            self._rank_bound = len(unique)
         return self._ranks
 
 
@@ -185,23 +203,18 @@ def _grouping(np, columns) -> _Grouping:
     return group
 
 
-def _factorize_pairs(np, a, b):
-    """Dense ids (order-arbitrary) for the distinct ``(a[i], b[i])`` pairs.
+def _sort_pairs(np, a, b, bound: int):
+    """Stable order of the ``(a[i], b[i])`` pairs, and where each pair's run starts.
 
-    Also returns the indices of the pairs' repeats: the sort is stable,
-    so each pair's run starts at its first occurrence.
+    ``b`` holds small non-negative ints below ``bound``, so the pair
+    packs into one int64 key and one stable sort orders it.
     """
-    if len(a) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order = np.lexsort((b, a))
-    a_sorted = a[order]
-    b_sorted = b[order]
-    boundary = np.empty(len(a), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (a_sorted[1:] != a_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
-    ids = np.empty(len(a), dtype=np.int64)
-    ids[order] = np.cumsum(boundary) - 1
-    return ids, order[~boundary]
+    key = a.astype(np.int64) * np.int64(bound) + b
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.ones(len(key), dtype=bool)
+    start[1:] = key[1:] != key[:-1]
+    return order, start
 
 
 def _segmented_cummax(np, gid, starts, keys, scale: int):
@@ -227,120 +240,98 @@ def _segmented_cummax(np, gid, starts, keys, scale: int):
 # --------------------------------------------------------------------------- #
 # The FCM count/argmax machinery (shared by single-order and blended plans)
 # --------------------------------------------------------------------------- #
-def _pair_runs(np, gid, y_rank):
-    """Positions of a stream sorted by ``(gid, value)`` pair, stably.
+def _fcm_exact(np, group, order, positions, ids):
+    """(has, pred) of an exact-count order-``order`` FCM table.
 
-    ``y_rank`` maps values one-to-one onto small non-negative ints, so
-    the group id and the rank pack into one int64 key, and one stable
-    sort lists each pair's occurrences in time order.  Returns that order
-    and a mask of where each pair's run starts in it.
-    """
-    key = gid * np.int64(int(y_rank.max()) + 1) + y_rank
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.empty(len(key), dtype=bool)
-    start[0] = True
-    start[1:] = key[1:] != key[:-1]
-    return order, start
-
-
-def _insertion_ranks(np, pair_gid, first_pos):
-    """Each pair's insertion rank within its group, by first occurrence.
-
-    Returns the pairs ordered by (group, rank), each group's offset in
-    that order and each pair's rank.  Group ids are dense and every group
-    holds a pair, so the group-change positions double as the offsets.
-    """
-    pair_count = len(first_pos)
-    rank_order = np.lexsort((first_pos, pair_gid))
-    ranked_gid = pair_gid[rank_order]
-    rank_start = np.empty(pair_count, dtype=bool)
-    rank_start[0] = True
-    rank_start[1:] = ranked_gid[1:] != ranked_gid[:-1]
-    group_base = np.flatnonzero(rank_start)
-    rank_sorted = np.arange(pair_count) - group_base[np.cumsum(rank_start) - 1]
-    rank_of_pair = np.empty(pair_count, dtype=np.int64)
-    rank_of_pair[rank_order] = rank_sorted
-    return rank_order, group_base, rank_of_pair
-
-
-def _fcm_stream(np, group_ids, y, y_rank):
-    """Predict each element of a (group, value) stream from its group's past.
-
-    The stream must list observations in time order; ``y_rank`` maps its
-    values one-to-one onto small non-negative ints.  For each element
-    returns ``has`` (a previous same-group element exists, i.e. the
-    context has non-empty counts) and ``pred`` (the value
+    ``positions`` and ``ids`` are the table's feed in group order: a
+    subset of :meth:`_Grouping.by_context` for ``order``, so each
+    context's elements are contiguous and in time order.  For each
+    element returns ``has`` (a previous same-context element exists,
+    i.e. the context has non-empty counts) and ``pred`` (the value
     :func:`~repro.core.fcm.select_maximum_count` would pick from the
-    counts of the previous same-group elements, with the immediately
+    counts of the previous same-context elements, with the immediately
     preceding one as the recency tie-breaker).
+
+    Nothing is sorted.  While a context has seen one value, it predicts
+    its previous value; the count machinery runs only over the contexts
+    whose value changes somewhere in the feed.
+    """
+    m = len(positions)
+    y = group.vs[positions]
+    new_context = np.ones(m, dtype=bool)
+    new_context[1:] = ids[1:] != ids[:-1]
+    pred = np.zeros(m, dtype=np.int64)
+    pred[1:] = y[:-1]
+    change = np.zeros(m, dtype=bool)
+    change[1:] = (y[1:] != y[:-1]) & ~new_context[1:]
+    if change.any():
+        varied = np.zeros(int(ids[-1]) + 1, dtype=bool)
+        varied[ids[change]] = True
+        inside = np.flatnonzero(varied[ids])
+        pred[inside[1:]] = _leader_predictions(
+            np, group, order, positions[inside], y[inside], new_context[inside]
+        )
+    return ~new_context, pred
+
+
+def _leader_predictions(np, group, order, positions, y, new_context):
+    """Predictions from the counts, for whole contexts in group order.
+
+    Returns the prediction of every element but the first, read from the
+    state after the element before it (a context's first element gets
+    the previous context's state; it has no prediction to make).
     """
     m = len(y)
-    if m == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-    order = np.argsort(group_ids, kind="stable")
-    y2 = y[order]
-    g_sorted = group_ids[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = g_sorted[1:] != g_sorted[:-1]
-    gid = np.cumsum(new_group) - 1
-    starts = np.flatnonzero(new_group)
+    starts = np.flatnonzero(new_context)
+    context_of = np.cumsum(new_context) - 1
 
-    # Running count c of each (group, value) pair at each occurrence.
-    pair_order, pair_start = _pair_runs(np, gid, y_rank[order])
-    pid_sorted = np.cumsum(pair_start) - 1
-    pid = np.empty(m, dtype=np.int64)
-    pid[pair_order] = pid_sorted
-    counts = np.empty(m, dtype=np.int64)
-    counts[pair_order] = np.arange(m) - np.flatnonzero(pair_start)[pid_sorted] + 1
+    # Running count of each (context, value) pair.  That pair is the
+    # order + 1 context of the next position, so the deeper order's sort,
+    # shifted back one position, lists each pair's occurrences in time
+    # order.  A PC's last record has no next position and keeps count 1:
+    # it is the last of its context, so no prediction reads its count.
+    slot = np.full(group.n, -1, dtype=np.int32)
+    slot[positions] = np.arange(m, dtype=np.int32)
+    successors, pairs = group.by_context(order + 1)
+    occurrences = slot[successors - 1]
+    fed = occurrences >= 0
+    occurrences = occurrences[fed]
+    pairs = pairs[fed]
+    del slot, fed
+    run_start = np.ones(len(pairs), dtype=bool)
+    run_start[1:] = pairs[1:] != pairs[:-1]
+    first_of_run = np.flatnonzero(run_start)
+    run_of = np.cumsum(run_start) - 1
+    counts = np.ones(m, dtype=np.int64)
+    counts[occurrences] = np.arange(len(pairs)) - first_of_run[run_of] + 1
 
-    # Running maximum count per group.
-    running_max = _segmented_cummax(np, gid, starts, counts, 1)
+    # Insertion rank of each pair within its context: a running count of
+    # first occurrences along the group order.  The first occurrences'
+    # values, in that order, decode (context, rank) back to the value.
+    first = counts == 1
+    seen = np.cumsum(first)
+    base = seen[starts] - 1
+    rank = seen - 1 - base[context_of]
+    rank[occurrences] = rank[occurrences[first_of_run]][run_of]
+    value_by_rank = y[first]
 
-    # Insertion rank of each pair within its group, plus the group-local
-    # table decoding (group, rank) back to the pair's value.
-    first_pos = pair_order[pair_start]
-    pair_gid = gid[first_pos]
-    rank_order, group_base, rank_of_pair = _insertion_ranks(np, pair_gid, first_pos)
-    value_by_rank = y2[first_pos][rank_order]
+    # Running maximum count per context.
+    running_max = _segmented_cummax(np, context_of, starts, counts, 1)
 
     # Leader = first-inserted value among the current maximal-count set.
     # Packing count (major) against inverted insertion rank (minor) makes
     # the running key-max decode to exactly that value: a value's latest
     # occurrence carries its full count, so the maximal key belongs to the
-    # max-count value with the smallest rank.  The packed keys live only
-    # for the call, so they are freed before the prediction arrays exist.
-    rank_bound = int(rank_of_pair.max()) + 2
+    # max-count value with the smallest rank.
+    rank_bound = np.int64(int(rank.max()) + 2)
     key_max = _segmented_cummax(
-        np,
-        gid,
-        starts,
-        counts * np.int64(rank_bound) + (np.int64(rank_bound - 1) - rank_of_pair[pid]),
-        rank_bound,
+        np, context_of, starts, counts * rank_bound + (rank_bound - 1 - rank), int(rank_bound)
     )
-    leader_rank = np.int64(rank_bound - 1) - (key_max % np.int64(rank_bound))
-    leader = value_by_rank[group_base[gid] + leader_rank]
+    leader_rank = rank_bound - 1 - key_max % rank_bound
+    leader = value_by_rank[base[context_of] + leader_rank]
 
-    # The prediction for element p reads the state after element p-1 of
-    # its group: recent value, its count, the running max and the leader.
-    has = ~new_group
-    recent = np.zeros(m, dtype=np.int64)
-    prev_count = np.zeros(m, dtype=np.int64)
-    prev_max = np.full(m, -1, dtype=np.int64)
-    prev_leader = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        recent[1:] = y2[:-1]
-        prev_count[1:] = counts[:-1]
-        prev_max[1:] = running_max[:-1]
-        prev_leader[1:] = leader[:-1]
-    pred = np.where(prev_count == prev_max, recent, prev_leader)
-
-    has_out = np.empty(m, dtype=bool)
-    pred_out = np.empty(m, dtype=np.int64)
-    has_out[order] = has
-    pred_out[order] = pred
-    return has_out, pred_out
+    # The recent value wins a count tie, otherwise the leader.
+    return np.where(counts[:-1] == running_max[:-1], y[:-1], leader[:-1])
 
 
 # --------------------------------------------------------------------------- #
@@ -501,20 +492,6 @@ def _plan_stride_counter(np, group, counter_max, threshold):
 # --------------------------------------------------------------------------- #
 # FCM with saturating counters
 # --------------------------------------------------------------------------- #
-def _fcm_eval(np, group, order, stream, counter_max):
-    """(has, pred) of the order-``order`` FCM table fed by ``stream``.
-
-    ``stream`` lists sorted positions with ``t >= order`` in time order;
-    the passes re-densify its context ids.  Exact counts run the pure
-    scan, halve-on-saturation counters one loop per context.
-    """
-    keys = group.context(order)[stream]
-    values = group.vs[stream]
-    if counter_max is None:
-        return _fcm_stream(np, keys, values, group.ranks()[stream])
-    return _fcm_counters(np, keys, values, counter_max)
-
-
 def _fcm_counters(np, group_ids, y, counter_max):
     """The FCM count/argmax pass with halve-on-saturation counters.
 
@@ -570,14 +547,33 @@ def _fcm_counters(np, group_ids, y, counter_max):
 # --------------------------------------------------------------------------- #
 # FCM plans: single and blended orders
 # --------------------------------------------------------------------------- #
+def _fcm_eval(np, group, order, lazy, counter_max):
+    """``(positions, has, pred)`` of the order-``order`` FCM table.
+
+    The table is fed by every position with ``t >= order`` or, under
+    lazy exclusion, by those of them with ``matched <= order``; ``positions``
+    lists them in group order, straight from the order's sort.  Exact
+    counts run the sort-free scan, halve-on-saturation counters one loop
+    per context.
+    """
+    positions, ids = group.by_context(order)
+    if lazy:
+        fed = group.matched[positions] <= order
+        positions, ids = positions[fed], ids[fed]
+    if counter_max is None:
+        has, pred = _fcm_exact(np, group, order, positions, ids)
+    else:
+        has, pred = _fcm_counters(np, ids, group.vs[positions], counter_max)
+    return positions, has, pred
+
+
 def _plan_fcm(np, group, order, counter_max):
     """Single fixed-order FCM, with optional saturating counters."""
-    stream = np.flatnonzero(group.t >= order)
-    stream_has, stream_pred = _fcm_eval(np, group, order, stream, counter_max)
+    positions, stream_has, stream_pred = _fcm_eval(np, group, order, False, counter_max)
     has = np.zeros(group.n, dtype=bool)
     pred = np.zeros(group.n, dtype=np.int64)
-    has[stream] = stream_has
-    pred[stream] = stream_pred
+    has[positions] = stream_has
+    pred[positions] = stream_pred
     return has, pred
 
 
@@ -594,11 +590,10 @@ def _plan_blended_fcm(np, group, order, counter_max, update_policy):
     has = group.t >= 1
     if top < 0:
         return has, np.zeros(group.n, dtype=np.int64)
-    stream = np.flatnonzero(group.t >= top)
-    _, stream_pred = _fcm_eval(np, group, top, stream, counter_max)
+    positions, _, stream_pred = _fcm_eval(np, group, top, False, counter_max)
     pred = _lower_order_predictions(np, group, top, counter_max, update_policy).copy()
-    deepest = group.matched[stream] >= top
-    pred[stream[deepest]] = stream_pred[deepest]
+    deepest = group.matched[positions] >= top
+    pred[positions[deepest]] = stream_pred[deepest]
     return has, pred
 
 
@@ -610,17 +605,15 @@ def _lower_order_predictions(np, group, top, counter_max, update_policy):
     the top order.  So each order's stream runs once per trace and
     configuration, memoised for every deeper blended FCM to extend.
     """
-    group.context(top)  # makes ``matched`` exact below ``top``
+    group.by_context(top)  # makes ``matched`` exact below ``top``
     key = (counter_max, update_policy)
     done, pred = group.lower.get(key) or (0, np.zeros(group.n, dtype=np.int64))
     lazy = update_policy == "lazy-exclusion"
     matched = group.matched
     for model_order in range(done, top):
-        gated = group.t >= model_order
-        stream = np.flatnonzero((gated & (matched <= model_order)) if lazy else gated)
-        _, stream_pred = _fcm_eval(np, group, model_order, stream, counter_max)
-        hits = matched[stream] == model_order
-        pred[stream[hits]] = stream_pred[hits]
+        positions, _, stream_pred = _fcm_eval(np, group, model_order, lazy, counter_max)
+        hits = matched[positions] == model_order
+        pred[positions[hits]] = stream_pred[hits]
     group.lower[key] = (max(done, top), pred)
     return pred
 

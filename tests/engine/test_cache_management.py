@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +183,27 @@ class TestCacheStorage:
         with pytest.raises(OSError, match="disk full"):
             cache.put("trace", self.KEY, self._trace_payload())
         assert list(path.parent.iterdir()) == []
+
+    def test_put_counts_the_bytes_it_wrote(self, tmp_path, monkeypatch):
+        # The entry's size is the length of the encoded blob put wrote, so
+        # it never stats the entry (and never reads another writer's file).
+        cache = ResultCache(tmp_path)
+        stats = []
+        original = Path.stat
+
+        def stat(path, *args, **kwargs):
+            if path.suffix == ".rvpc":
+                stats.append(path)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", stat)
+        paths = [
+            cache.put("trace", self.KEY, self._trace_payload()),
+            cache.put("simulate", {"kind": "simulate", "predictor": "l"}, {"x": 1}),
+        ]
+        monkeypatch.undo()
+        assert stats == []
+        assert cache.write_bytes == sum(path.stat().st_size for path in paths)
 
     def test_tmp_files_not_counted(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -52,7 +52,7 @@ def _delete_simulate_entries(engine, result, deleted: dict[str, tuple[str, ...]]
     for benchmark, predictors in deleted.items():
         digest = trace_digest(result.traces[benchmark])
         for predictor in predictors:
-            task = SimulateTask(benchmark, predictor, digest, predictor_signature(predictor))
+            task = SimulateTask(predictor, digest, predictor_signature(predictor))
             engine.cache.path_for("simulate", task.cache_key()).unlink()
     for path in list(engine.cache.entry_paths()):
         if path.parent.parent.name == "merge":

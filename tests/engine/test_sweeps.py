@@ -403,7 +403,6 @@ class TestBinaryWireFormat:
     def test_pool_payload_carries_v3_bytes(self, compress_trace):
         tasks = [
             SimulateTask(
-                benchmark="compress",
                 predictor=name,
                 trace_digest="d",
                 predictor_signature=f"sig-{name}",
@@ -434,7 +433,6 @@ class TestBinaryWireFormat:
 
         (outcome,) = execute_trace_task(TraceTask.for_workload("compress", SCALE).payload())["outcomes"]
         task = SimulateTask(
-            benchmark="compress",
             predictor="l",
             trace_digest=outcome["digest"],
             predictor_signature="s",

@@ -322,6 +322,75 @@ def temporary_predictor():
         vectorized._PLAN_CACHE.pop(name, None)
 
 
+#: Exact-count FCM spellings at shallow and deep orders, plus a hybrid
+#: whose ``fcm3`` component runs the same streams.
+FCM_NAMES = tuple(
+    f"fcm{order}{suffix}" for order in (0, 1, 2, 3, 8) for suffix in ("", "-single", "-full")
+) + ("hybrid-s2-fcm3",)
+
+
+class TestExactFcmStreams:
+    """Hand-built traces for the exact-count FCM streams' corner cases.
+
+    A stream reads each context's elements from its order's sort and runs
+    the count machinery only on contexts whose value changes, with pair
+    counts read from the next order's sort; each case pins one edge of
+    that to the reference loop.
+    """
+
+    @pytest.mark.parametrize("name", FCM_NAMES)
+    def test_context_turns_multi_valued_after_a_long_run(self, name):
+        values = [5] * 30 + [6, 5, 6, 6, 7] + [6] * 31 + [5] * 3
+        triples = [(0x10, Opcode.ADD, value) for value in values]
+        triples += [(0x20, Opcode.LW, value) for value in [9] * 12 + [8, 9]]
+        assert_shard_parity(_edge_trace("run-then-change", triples), name)
+
+    @pytest.mark.parametrize("name", FCM_NAMES)
+    def test_recent_value_against_leader_ties(self, name):
+        # Order 0 walks through a recent value tying the maximum (it wins),
+        # a tie among older values (the first inserted wins) and a recent
+        # value below the maximum (the leader wins).
+        values = [1, 2, 2, 1, 3, 2, 1, 1, 3, 3, 3, 2, 2, 1, 3, 2, 1]
+        triples = [(0x10, Opcode.ADD, value) for value in values]
+        triples += [(0x20, Opcode.XOR, value) for value in values[::-1]]
+        assert_shard_parity(_edge_trace("ties", triples), name)
+
+    @pytest.mark.parametrize("name", FCM_NAMES)
+    def test_lazy_feed_single_valued_where_full_feed_is_not(self, name):
+        values = [1, 1, 2, 1, 2, 2, 2, 2, 3, 1]
+        trace = _edge_trace("lazy", [(0x10, Opcode.ADD, value) for value in values])
+        # Under lazy exclusion order 0 sees only the records whose order-1
+        # context is new: all 1s, where the full feed is mostly 2s.  So the
+        # last record, the first after a 3, predicts 1 from the lazy feed
+        # and 2 from the full one.
+        group = vectorized._Grouping(np, trace_columns(trace))
+        group.by_context(1)
+        full, _ = group.by_context(0)
+        lazy = full[group.matched[full] <= 0]
+        assert set(group.vs[lazy].tolist()) == {1}
+        assert set(group.vs[full].tolist()) == {1, 2, 3}
+        assert_shard_parity(trace, name)
+
+    @pytest.mark.parametrize("name", FCM_NAMES)
+    def test_pc_last_record_repeats_a_pair(self, name):
+        # Each PC's last record repeats an earlier (context, value) pair of
+        # its context at orders 0 and 1, and has no next record to list it.
+        triples = [(0x10, Opcode.ADD, value) for value in (1, 2, 1, 3, 1, 2)]
+        triples += [(0x20, Opcode.SLL, value) for value in (4, 4, 5, 4, 6, 4, 5)]
+        assert_shard_parity(_edge_trace("last-repeats", triples), name)
+
+    @pytest.mark.parametrize("name", FCM_NAMES)
+    def test_streams_deeper_than_every_pc(self, name):
+        # No PC has more than three records, so every stream at order 2 or
+        # deeper holds PC-last records only.
+        triples = []
+        for round_values in ((1, 1, 2, 2, 3), (1, 2, 2, 3, 3), (1, 1, 1, 2, 3)):
+            for pc, value in zip((0x10, 0x20, 0x30, 0x40, 0x50), round_values):
+                triples.append((pc, Opcode.ADD, value))
+        triples += [(0x60, Opcode.LW, 7), (0x60, Opcode.LW, 7)]
+        assert_shard_parity(_edge_trace("shallow", triples), name)
+
+
 class TestCounterEdges:
     """Saturation-counter boundaries: counter_max=1 and threshold==counter_max."""
 
@@ -436,20 +505,35 @@ class TestSharedTraceWork:
 
         monkeypatch.setattr(vectorized, name, spy)
 
-    def test_deep_fcm_factorize_passes_grow_linearly(self, compress_trace, monkeypatch):
+    def test_deep_fcm_context_sorts_grow_linearly(self, compress_trace, monkeypatch):
         calls = Counter()
-        self._spy(monkeypatch, "_factorize_pairs", lambda *args: calls.update(["factorize"]))
-        self._spy(monkeypatch, "_fcm_stream", lambda *args: calls.update(["stream"]))
+        self._spy(monkeypatch, "_sort_pairs", lambda *args: calls.update(["sort"]))
+        self._spy(monkeypatch, "_fcm_exact", lambda *args: calls.update(["stream"]))
         shard = vectorized.simulate_shard_vector(_fresh_columns(compress_trace), "fcm500")
         monkeypatch.undo()
         depth = max(Counter(compress_trace.record_columns().pcs).values())
-        # One pass per context order the deepest stream reaches, plus one
-        # per FCM stream — not one per order per order.
-        assert calls["stream"] <= depth
-        assert calls["factorize"] <= depth + calls["stream"]
+        # One sort per context order the deepest stream reaches, shared by
+        # every FCM stream — not one per order per order, nor one per stream.
+        assert 0 < calls["stream"] <= depth
+        assert 0 < calls["sort"] <= depth
         assert shard is not None
         reference = simulate_shard_scalar(compress_trace, "fcm500")
         assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference))
+
+    def test_exact_fcm_streams_sort_nothing(self):
+        # Once the context orders are built, an exact-count stream reads its
+        # group order and its pair counts from them: any sort raises here.
+        class NoSorts:
+            def __getattr__(self, name):
+                if name in ("argsort", "lexsort", "sort", "unique"):
+                    raise AssertionError(f"np.{name} called inside an FCM stream")
+                return getattr(np, name)
+
+        group = vectorized._Grouping(np, trace_columns(synthetic_trace(*SCENARIOS[4])))
+        group.by_context(9)
+        for order in range(9):
+            for lazy in (False, True):
+                vectorized._fcm_eval(NoSorts(), group, order, lazy, None)
 
     def test_orders_and_hybrid_components_computed_once(self, monkeypatch):
         trace = synthetic_trace(*SCENARIOS[4])
@@ -460,7 +544,7 @@ class TestSharedTraceWork:
         )
         calls = Counter()
         blended_orders: list[int] = []
-        self._spy(monkeypatch, "_factorize_pairs", lambda *args: calls.update(["factorize"]))
+        self._spy(monkeypatch, "_sort_pairs", lambda *args: calls.update(["sort"]))
         self._spy(monkeypatch, "_plan_two_delta", lambda *args: calls.update(["s2"]))
         self._spy(
             monkeypatch,
@@ -470,8 +554,9 @@ class TestSharedTraceWork:
         columns = _fresh_columns(trace)
         shards = {name: vectorized.simulate_shard_vector(columns, name) for name in names}
         monkeypatch.undo()
-        # Context orders 1..8 are each factorized once, for all 12 plans.
-        assert calls["factorize"] == 8
+        # Context orders 1..9 are each sorted once, for all 12 plans: order
+        # 9 lists fcm8's (context, value) pairs for its running counts.
+        assert calls["sort"] == 9
         # fcm0..fcm8 once each, then one fcm3 and one s2 for all three hybrids.
         assert blended_orders == [*range(9), 3]
         assert calls["s2"] == 1
@@ -490,11 +575,11 @@ class TestSharedTraceWork:
             "hybrid-oracle",
         )
         calls = Counter()
-        self._spy(monkeypatch, "_fcm_stream", lambda *args: calls.update(["stream"]))
+        self._spy(monkeypatch, "_fcm_exact", lambda *args: calls.update(["stream"]))
         columns = _fresh_columns(trace)
         shards = {name: vectorized.simulate_shard_vector(columns, name) for name in names}
         monkeypatch.undo()
-        assert calls["stream"] <= 18
+        assert 0 < calls["stream"] <= 18
         for name, shard in shards.items():
             reference = simulate_shard_scalar(trace, name)
             assert json.dumps(shard_to_dict(shard)) == json.dumps(shard_to_dict(reference)), name
@@ -640,7 +725,6 @@ def _worker_outcomes(trace: ValueTrace, names, transport: str) -> list[dict]:
     """The worker's entries for one unit of ``names`` over ``trace``."""
     tasks = [
         SimulateTask(
-            benchmark="synthetic",
             predictor=name,
             trace_digest="unused",
             predictor_signature=predictor_signature(name),
