@@ -595,7 +595,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
     for benchmark in result.benchmarks():
         simulation = result.simulations[benchmark]
         rows.append(
-            [benchmark, len(result.traces[benchmark])]
+            [benchmark, result.statistics[benchmark].predicted_instructions]
             + [simulation.results[name].accuracy for name in result.predictor_names]
         )
     print(

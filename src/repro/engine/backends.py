@@ -44,7 +44,6 @@ loudly rather than simulating a stale configuration.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import weakref
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -137,7 +136,9 @@ def _map_serial(
 
 
 def _new_executor(workers: int) -> ProcessPoolExecutor:
-    # Imported here so that serial runs never load the executor's modules.
+    # Imported here so that serial runs never load multiprocessing or the
+    # executor's modules.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context())

@@ -2,14 +2,16 @@
 
 Everything the engine moves between processes or persists in the result
 cache goes through these functions: :class:`TraceStatistics`,
-:class:`PredictorResult`, :class:`PredictorShard` and the joint
-:class:`SimulationResult`.  All encodings are plain JSON-compatible dicts
-(string keys, no custom types), so cache files stay greppable and a future
-distributed backend can reuse the same wire format.
+:class:`PredictorResult`, :class:`PredictorShard`, the joint
+:class:`SimulationResult` and Figure 10's :class:`PcTallies`.  All
+encodings are plain JSON-compatible dicts (string keys, no custom types),
+so cache files stay greppable and a future distributed backend can reuse
+the same wire format.
 
 Conventions: ``Category`` values are encoded by their string value, PC maps
-by decimal string keys, subset-outcome tuples as ``"10010"``-style bit
-strings, and packed correctness bits as hex.
+by decimal string keys (per-PC tallies as parallel lists in pc order),
+subset-outcome tuples as ``"10010"``-style bit strings, and packed
+correctness bits as hex.
 
 On top of the dict codecs, :func:`encode_cache_entry` /
 :func:`decode_cache_entry` define the *binary cache-entry envelope*
@@ -34,6 +36,7 @@ from repro.simulation.simulator import (
     PredictorShard,
     SimulationResult,
 )
+from repro.simulation.value_profile import PcTallies
 from repro.trace.io import decode_trace, decode_uvarint, encode_uvarint
 from repro.trace.stream import TraceStatistics, ValueTrace
 
@@ -184,6 +187,34 @@ def simulation_from_dict(data: dict) -> SimulationResult:
             }
             for value, counts in data["subset_counts_by_category"].items()
         },
+    )
+
+
+# --------------------------------------------------------------------------- #
+# PcTallies (Figure 10's per-PC tallies)
+# --------------------------------------------------------------------------- #
+def tallies_to_dict(tallies: PcTallies) -> dict:
+    """Parallel per-PC lists, in ascending pc order."""
+    pcs = sorted(tallies.unique)
+    return {
+        "pcs": pcs,
+        "unique": [tallies.unique[pc] for pc in pcs],
+        "dynamic": [tallies.dynamic[pc] for pc in pcs],
+        "categories": [tallies.category[pc].value for pc in pcs],
+    }
+
+
+def tallies_from_dict(data: dict) -> PcTallies:
+    """Inverse of :func:`tallies_to_dict`; raises on a malformed payload."""
+    pcs = data["pcs"]
+    columns = (data["unique"], data["dynamic"], data["categories"])
+    if any(len(column) != len(pcs) for column in columns):
+        raise ValueError("profile tallies: columns of different lengths")
+    unique, dynamic, categories = columns
+    return PcTallies(
+        unique=dict(zip(pcs, unique)),
+        dynamic=dict(zip(pcs, dynamic)),
+        category=dict(zip(pcs, map(Category, categories))),
     )
 
 

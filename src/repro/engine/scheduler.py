@@ -17,8 +17,12 @@ run it through the two phase functions defined here, once each:
 :meth:`ExecutionEngine.run` adds the campaign's **merge**: a probe of the
 merged per-benchmark entry first, and for the misses the shards are
 recombined into the joint :class:`SimulationResult`, bit-identical to the
-lockstep loop.  :func:`repro.engine.sweeps.execute_sweep` fans the shards
-out to its sweep points instead.  Work runs on a pluggable
+lockstep loop.  The campaign's result keeps its traces lazy
+(:class:`CampaignTraces`): a trace is decoded when a caller first reads
+it, and Figure 10's per-PC tallies come from ``profile`` cache entries
+(:meth:`LazyTrace.pc_tallies`), so a fully warm run decodes no trace.
+:func:`repro.engine.sweeps.execute_sweep` fans the shards out to its
+sweep points instead.  Work runs on a pluggable
 :class:`~repro.engine.backends.ExecutorBackend`; the merge is a cheap
 single pass in the parent.
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from repro.engine.backends import ExecutorBackend, resolve_backend
 from repro.engine.cache import ResultCache
@@ -37,15 +41,24 @@ from repro.engine.codecs import (
     simulation_from_dict,
     simulation_to_dict,
     statistics_from_dict,
+    tallies_from_dict,
+    tallies_to_dict,
 )
 from repro.engine.config import EngineConfig
 from repro.engine.fingerprint import key_digest, predictor_signature
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
-from repro.engine.tasks import TASK_FORMAT_VERSION, SimulateTask, TraceTask, simulate_payload
+from repro.engine.tasks import (
+    TASK_FORMAT_VERSION,
+    SimulateTask,
+    TraceTask,
+    profile_cache_key,
+    simulate_payload,
+)
 from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
 from repro.engine.worker import INLINE_TRACE_KEY, execute_simulate_task, execute_trace_task
 from repro.simulation.simulator import PredictorShard, merge_shards
+from repro.simulation.value_profile import PcTallies, pc_tallies
 from repro.trace.stream import TraceStatistics, ValueTrace
 
 
@@ -239,7 +252,7 @@ class ExecutionEngine:
         return CampaignResult(
             scale=scale,
             predictor_names=predictors,
-            traces={name: traces[name].get() for name in benchmarks},
+            traces=CampaignTraces({name: traces[name] for name in benchmarks}),
             statistics={name: traces[name].statistics for name in benchmarks},
             simulations=simulations,
         )
@@ -433,7 +446,9 @@ class LazyTrace:
     entry overwritten so the repair sticks.  A fresh outcome that does not
     decode is a bug and raises.  :attr:`trace_binary` is the bytes
     :meth:`get` accepted, so process backends are shipped exactly what
-    the trace phase produced, and never a corrupt body.
+    the trace phase produced, and never a corrupt body.  :meth:`pc_tallies`
+    serves Figure 10's per-PC tallies from the cache when it can, so a
+    warm run reads them without decoding the trace.
     """
 
     def __init__(self, engine, task: TraceTask, label: str, payload: dict, cached: bool):
@@ -447,6 +462,7 @@ class LazyTrace:
         # An in-process trace task hands its trace over; taken out here,
         # before the phase caches the outcome.
         self._trace: ValueTrace | None = payload.pop(INLINE_TRACE_KEY, None)
+        self._tallies: PcTallies | None = None
 
     def get(self) -> ValueTrace:
         if self._trace is None:
@@ -458,6 +474,30 @@ class LazyTrace:
                 self._payload = self._repair()
                 self._trace = payload_trace(self._payload)
         return self._trace
+
+    def pc_tallies(self) -> PcTallies:
+        """Figure 10's per-PC tallies of the trace, cached as a ``profile`` entry.
+
+        A hit returns the entry's tallies without decoding the trace; a
+        miss (absent, corrupt or malformed entry) tallies :meth:`get` and
+        writes the entry.  Only this lookup reads or writes ``profile``
+        entries, and it stays outside the run's stats: no trace or
+        simulate counter moves.
+        """
+        if self._tallies is None:
+            cache = self._engine.cache
+            key = profile_cache_key(self.digest)
+            cached = cache.get("profile", key) if cache else None
+            if cached is not None:
+                try:
+                    self._tallies = tallies_from_dict(cached)
+                except (KeyError, TypeError, ValueError):
+                    pass
+            if self._tallies is None:
+                self._tallies = pc_tallies(self.get())
+                if cache:
+                    cache.put("profile", key, tallies_to_dict(self._tallies))
+        return self._tallies
 
     @property
     def trace_binary(self) -> bytes:
@@ -486,6 +526,34 @@ class LazyTrace:
         if engine.cache:
             engine.cache.put("trace", self.task.cache_key(), entry)
         return entry
+
+
+class CampaignTraces(Mapping):
+    """A campaign's traces by benchmark, read-only, over the run's lazy traces.
+
+    ``traces[name]`` decodes that trace on first read (memoised in its
+    :class:`LazyTrace`, which repairs a corrupt cached body); iterating,
+    ``len`` and ``in`` decode nothing.
+    """
+
+    def __init__(self, traces: Mapping[str, LazyTrace]) -> None:
+        self._traces = dict(traces)
+
+    def __getitem__(self, name: str) -> ValueTrace:
+        return self._traces[name].get()
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._traces
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._traces)
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def pc_tallies(self, name: str) -> PcTallies:
+        """Figure 10's per-PC tallies of one trace (:meth:`LazyTrace.pc_tallies`)."""
+        return self._traces[name].pc_tallies()
 
 
 def trace_phase(

@@ -37,6 +37,15 @@ from repro.trace.stream import ValueTrace
 #: it) and CI's persisted-cache key, so a bump starts both cold.
 TASK_FORMAT_VERSION = 4
 
+#: Format of ``profile`` entries, Figure 10's per-PC tallies of one trace
+#: (:func:`profile_cache_key`); bump it when their payload changes meaning.
+PROFILE_FORMAT_VERSION = 1
+
+
+def profile_cache_key(trace_digest: str) -> dict:
+    """Cache key of the per-PC tallies of the trace with ``trace_digest``."""
+    return {"kind": "profile", "format": PROFILE_FORMAT_VERSION, "trace": trace_digest}
+
 
 def _canonical_scale(scale: float) -> str:
     """Render a scale factor stably for use inside cache keys."""

@@ -38,7 +38,11 @@ from repro.simulation.correlation import SUBSET_LABELS, average_correlation, cor
 from repro.simulation.improvement import combined_improvement_curves_by_category
 from repro.simulation.metrics import build_accuracy_report
 from repro.simulation.sensitivity import flag_sensitivity, input_sensitivity, order_sensitivity
-from repro.simulation.value_profile import average_value_profiles, bucket_labels, value_profile
+from repro.simulation.value_profile import (
+    average_value_profiles,
+    bucket_labels,
+    profile_from_tallies,
+)
 
 
 @dataclass
@@ -339,7 +343,7 @@ def figure9(scale: float | None = None) -> ExperimentArtifact:
 def figure10(scale: float | None = None) -> ExperimentArtifact:
     """Figure 10: unique-value profiles of static and dynamic instructions."""
     campaign = _campaign(scale)
-    profiles = [value_profile(trace) for trace in campaign.traces.values()]
+    profiles = [profile_from_tallies(campaign.pc_tallies(name)) for name in campaign.benchmarks()]
     averaged = average_value_profiles(profiles)
     groups = ["All"] + [category.value for category in REPORTED_CATEGORIES]
     figure = FigureSeries(

@@ -24,13 +24,14 @@ from typing import TYPE_CHECKING, Callable, Hashable
 from repro.core.registry import PAPER_PREDICTORS
 from repro.engine.config import EngineConfig
 from repro.simulation.simulator import SimulationResult
-from repro.trace.stream import TraceStatistics, ValueTrace
+from repro.simulation.value_profile import PcTallies
+from repro.trace.stream import TraceStatistics
 from repro.workloads.suite import BENCHMARK_ORDER
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.engine imports this
     # module's CampaignResult, so a top-level import would be circular.
     from repro.engine.backends import ExecutorBackend
-    from repro.engine.scheduler import EngineStats, ExecutionEngine
+    from repro.engine.scheduler import CampaignTraces, EngineStats, ExecutionEngine
     from repro.engine.telemetry import Telemetry
 
 #: Default scale used by experiments when none is specified.  Chosen so a
@@ -47,16 +48,32 @@ QUICK_SCALE = 0.3
 
 @dataclass
 class CampaignResult:
-    """Everything produced by one suite-wide run."""
+    """Everything produced by one suite-wide run.
+
+    ``traces`` is lazy: a read-only mapping
+    (:class:`~repro.engine.scheduler.CampaignTraces`) that decodes a
+    benchmark's trace on its first ``traces[name]`` and keeps it.  Nothing
+    else here needs a decoded trace — ``statistics`` come with the cache
+    probe and :meth:`pc_tallies` from the result cache — so a warm run
+    that reads only those decodes no trace.
+    """
 
     scale: float
     predictor_names: tuple[str, ...]
-    traces: dict[str, ValueTrace]
+    traces: CampaignTraces
     statistics: dict[str, TraceStatistics]
     simulations: dict[str, SimulationResult]
 
     def benchmarks(self) -> tuple[str, ...]:
         return tuple(self.traces)
+
+    def pc_tallies(self, benchmark: str) -> PcTallies:
+        """Figure 10's per-PC tallies of one benchmark's trace.
+
+        Read from the run's result cache (a ``profile`` entry) when it
+        holds them; otherwise tallied from the trace and cached.
+        """
+        return self.traces.pc_tallies(benchmark)
 
 
 _CACHE: dict[tuple, CampaignResult] = {}

@@ -6,6 +6,12 @@ Two views are reported: the fraction of *static* instructions falling in each
 bucket, and the fraction of *dynamic* instructions issued by static
 instructions in each bucket.  The paper uses this to argue that modest table
 capacities suffice for context-based prediction.
+
+A profile is built in two steps: :func:`pc_tallies` tallies a trace per
+static instruction, and :func:`profile_from_tallies` buckets the tallies.
+Campaigns cache each trace's tallies (``profile`` cache entries, see
+:meth:`repro.simulation.campaign.CampaignResult.pc_tallies`), so Figure 10
+on a warm cache decodes no trace.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.isa.opcodes import Category, REPORTED_CATEGORIES
 from repro.simulation.metrics import arithmetic_mean
@@ -73,37 +79,64 @@ def _empty_distribution() -> dict[str, float]:
     return {label: 0.0 for label in bucket_labels()}
 
 
-def value_profile(
-    trace: ValueTrace, categories: tuple[Category, ...] = REPORTED_CATEGORIES
-) -> ValueProfile:
-    """Profile unique-value counts for one benchmark's trace.
+class PcTallies(NamedTuple):
+    """Per-PC tallies of one trace, each a dict keyed by pc.
 
-    The per-PC tallies are numpy passes over an array-backed trace's
-    arrays (:func:`_array_pc_tallies`) and C-level passes over any other
-    trace's list columns; the bucket sums below are integer counts, so
-    their order does not matter.
+    Everything Figure 10 needs of a trace: the number of distinct values
+    each static instruction produced, its dynamic record count, and the
+    category of its first record.
+    """
+
+    unique: dict[int, int]
+    dynamic: dict[int, int]
+    category: dict[int, Category]
+
+
+def pc_tallies(trace: ValueTrace) -> PcTallies:
+    """Tally one trace per PC (:class:`PcTallies`).
+
+    An array-backed trace is tallied with numpy passes over its arrays
+    (:func:`_array_pc_tallies`), any other trace with C-level passes over
+    its list columns.
     """
     arrays = trace.array_columns()
     if arrays is not None:
-        unique_count, dynamic_count, pc_category = _array_pc_tallies(arrays)
-    else:
-        columns = trace.record_columns()
-        dynamic_count = Counter(columns.pcs)
-        unique_count = Counter(map(itemgetter(0), dict.fromkeys(zip(columns.pcs, columns.values))))
+        return _array_pc_tallies(arrays)
+    columns = trace.record_columns()
+    return PcTallies(
+        unique=Counter(map(itemgetter(0), dict.fromkeys(zip(columns.pcs, columns.values)))),
+        dynamic=Counter(columns.pcs),
         # Reversed, so the first record of each PC writes its category last.
-        pc_category = dict(zip(reversed(columns.pcs), reversed(columns.categories)))
+        category=dict(zip(reversed(columns.pcs), reversed(columns.categories))),
+    )
 
+
+def value_profile(
+    trace: ValueTrace, categories: tuple[Category, ...] = REPORTED_CATEGORIES
+) -> ValueProfile:
+    """Profile unique-value counts for one benchmark's trace."""
+    return profile_from_tallies(pc_tallies(trace), categories)
+
+
+def profile_from_tallies(
+    tallies: PcTallies, categories: tuple[Category, ...] = REPORTED_CATEGORIES
+) -> ValueProfile:
+    """Bucket one trace's per-PC tallies into its :class:`ValueProfile`.
+
+    The bucket sums are integer counts, so the order of the tallies does
+    not matter.
+    """
     groups = ["All"] + [category.value for category in categories]
     static_counts = {group: _empty_distribution() for group in groups}
     dynamic_counts = {group: _empty_distribution() for group in groups}
     static_totals = {group: 0 for group in groups}
     dynamic_totals = {group: 0 for group in groups}
 
-    for pc, unique in unique_count.items():
+    for pc, unique in tallies.unique.items():
         label = bucket_for(unique)
-        weight = dynamic_count[pc]
+        weight = tallies.dynamic[pc]
         group_names = ["All"]
-        category = pc_category[pc]
+        category = tallies.category[pc]
         if category in categories:
             group_names.append(category.value)
         for group in group_names:
@@ -129,13 +162,8 @@ def value_profile(
     return ValueProfile(static_percent=static_percent, dynamic_percent=dynamic_percent)
 
 
-def _array_pc_tallies(columns) -> tuple[dict, dict, dict]:
-    """Per-PC distinct values, records and first category of numpy ``columns``.
-
-    Returns three dicts keyed by pc, as :func:`value_profile` tallies list
-    columns: distinct ``(pc, value)`` pairs, records, and the category of
-    the pc's first record.
-    """
+def _array_pc_tallies(columns) -> PcTallies:
+    """:func:`pc_tallies` of numpy ``columns``, with the same dicts."""
     import numpy as np
 
     pcs, first, pc_ids = np.unique(columns.pcs, return_index=True, return_inverse=True)
@@ -148,7 +176,7 @@ def _array_pc_tallies(columns) -> tuple[dict, dict, dict]:
     dynamic = np.bincount(pc_ids, minlength=len(pcs))
     keys = pcs.tolist()
     categories = columns.categories
-    return (
+    return PcTallies(
         dict(zip(keys, unique.tolist())),
         dict(zip(keys, dynamic.tolist())),
         dict(zip(keys, map(categories.__getitem__, columns.category_codes[first].tolist()))),

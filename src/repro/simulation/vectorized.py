@@ -504,16 +504,16 @@ def _fcm_counters(np, group_ids, y, counter_max):
     tie, takes the lead with a lower insertion rank.  Only a halving
     rescans the context.  Predictions mirror
     :func:`~repro.core.fcm.select_maximum_count`: the recent value wins
-    a count tie, otherwise the leader.
+    a count tie, otherwise the leader.  ``group_ids`` comes in group
+    order, as :meth:`_Grouping.by_context` numbers it: each context is one
+    contiguous run, in time order.
     """
     m = len(y)
-    order = np.argsort(group_ids, kind="stable")
-    g_sorted = group_ids[order]
     new_group = np.ones(m, dtype=bool)
-    new_group[1:] = g_sorted[1:] != g_sorted[:-1]
+    new_group[1:] = group_ids[1:] != group_ids[:-1]
     bounds = np.flatnonzero(new_group).tolist()
     bounds.append(m)
-    values = y[order].tolist()
+    values = y.tolist()
     pred = []
     emit = pred.append
     for start, stop in zip(bounds, bounds[1:]):
@@ -537,11 +537,7 @@ def _fcm_counters(np, group_ids, y, counter_max):
                     counts[value] = max(1, held // 2)
                 best = max(counts.values())
                 leader = next(value for value, held in counts.items() if held == best)
-    has_out = np.empty(m, dtype=bool)
-    pred_out = np.empty(m, dtype=np.int64)
-    has_out[order] = ~new_group
-    pred_out[order] = pred
-    return has_out, pred_out
+    return ~new_group, np.array(pred, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #
