@@ -811,7 +811,7 @@ def _cache_verify(cache: ResultCache, args: argparse.Namespace) -> int:
 
 
 def _command_inspect(args: argparse.Namespace) -> int:
-    from repro.engine.telemetry import summarize_run
+    from repro.engine.telemetry import STAGE_KEYS, summarize_run
 
     try:
         summary = summarize_run(args.run_dir)
@@ -868,13 +868,14 @@ def _command_inspect(args: argparse.Namespace) -> int:
                 task.get("label", "?"),
                 task.get("worker_pid", ""),
                 task.get("seconds", 0.0),
+                *(task.get(stage, "") for stage in STAGE_KEYS),
             ]
             for task in slowest
         ]
         print()
         print(
             format_table(
-                ["phase", "task", "worker pid", "execute seconds"],
+                ["phase", "task", "worker pid", "execute seconds", "trace s", "simulate s", "merge s"],
                 rows,
                 title=f"Slowest tasks (top {len(slowest)} of {len(summary['tasks'])})",
             )

@@ -3,7 +3,7 @@
 The phase executor (:mod:`repro.engine.phases`) is backend-agnostic: it
 hands an :class:`ExecutorBackend` a worker function plus a list of
 JSON-compatible payloads and expects the outcomes back **in input order**,
-with a completion callback per unit for live progress.  Three
+each also handed to a completion callback as it arrives.  Three
 implementations cover one machine:
 
 * :class:`SerialBackend` — everything in-process, no pickling.  Payloads
@@ -103,12 +103,14 @@ class ExecutorBackend:
         self,
         function: Callable[[dict], dict],
         payloads: Sequence[dict],
-        on_result: Callable[[int], None] | None = None,
+        on_result: Callable[[int, dict], None] | None = None,
     ) -> list[dict]:
         """Run ``function`` over ``payloads``; return outcomes in order.
 
-        ``on_result`` is invoked with the payload index as each outcome
-        arrives (always in input order), for live progress reporting.
+        ``on_result`` is invoked with the payload index and its outcome as
+        each outcome arrives (always in input order), so the caller can
+        settle every unit before the dispatch ends: a dispatch that fails
+        later has already handed over the units that finished.
         """
         raise NotImplementedError
 
@@ -125,13 +127,13 @@ class ExecutorBackend:
 def _map_serial(
     function: Callable[[dict], dict],
     payloads: Sequence[dict],
-    on_result: Callable[[int], None] | None,
+    on_result: Callable[[int, dict], None] | None,
 ) -> list[dict]:
     results: list[dict] = []
     for index, payload in enumerate(payloads):
         results.append(function(payload))
         if on_result is not None:
-            on_result(index)
+            on_result(index, results[index])
     return results
 
 
@@ -148,7 +150,7 @@ def _map_executor(
     executor: ProcessPoolExecutor,
     function: Callable[[dict], dict],
     payloads: Sequence[dict],
-    on_result: Callable[[int], None] | None,
+    on_result: Callable[[int, dict], None] | None,
 ) -> list[dict]:
     """Submit every unit, then collect the outcomes in input order.
 
@@ -166,7 +168,7 @@ def _map_executor(
         for index, future in enumerate(futures):
             results.append(future.result())
             if on_result is not None:
-                on_result(index)
+                on_result(index, results[index])
     except BrokenProcessPool as error:
         raise DispatchError(
             f"a worker process died after {len(results)} of {len(payloads)} "
@@ -320,9 +322,12 @@ def resolve_backend(backend: "str | ExecutorBackend | None", jobs: int) -> Execu
     if backend == "serial":
         return SerialBackend()
     # The process backends fork their workers from this process and every
-    # task runs on numpy arrays: importing numpy before anything forks
-    # spares each worker its own import (about 0.13 s of CPU apiece).
+    # task runs on numpy arrays: importing numpy and the kernel before
+    # anything forks spares each worker its own import (about 0.13 s of
+    # CPU apiece for numpy).
     import numpy  # noqa: F401
+
+    import repro.simulation.vectorized  # noqa: F401
 
     if backend == "pool":
         return PoolBackend(jobs)

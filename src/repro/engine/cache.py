@@ -129,7 +129,12 @@ class ResultCache:
         eviction least-recently-used.
         """
         path = self.path_for(kind, key)
-        entry = self._read_entry(path)
+        try:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            entry = decode_cache_entry(blob)
+        except Exception:
+            entry = None
         if entry is not None and key_digest(entry[0]) != path.stem:
             self.telemetry.count("cache.key_mismatch")
             entry = None
@@ -138,11 +143,9 @@ class ResultCache:
             self.telemetry.count("cache.miss")
             return None
         self.hits += 1
-        size = 0
-        try:
-            size = path.stat().st_size
-        except OSError:
-            pass
+        # The bytes this hit read, not a later stat: a concurrent replace
+        # between the two could report another file's size.
+        size = len(blob)
         self.hit_bytes += size
         self.telemetry.count("cache.hit")
         self.telemetry.count("cache.hit_bytes", size)
@@ -163,14 +166,6 @@ class ResultCache:
         self.telemetry.count("cache.write")
         self.telemetry.count("cache.write_bytes", size)
         return path
-
-    def _read_entry(self, path: Path) -> tuple[dict, dict] | None:
-        """``(key, payload)`` of one entry file, or ``None`` if absent or corrupt."""
-        try:
-            with open(path, "rb") as handle:
-                return decode_cache_entry(handle.read())
-        except Exception:
-            return None
 
     # ------------------------------------------------------------------ #
     # Enumeration and accounting

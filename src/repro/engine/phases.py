@@ -15,9 +15,12 @@ three-step protocol per batch of tasks, one task per cache entry:
    :class:`~repro.engine.backends.ExecutorBackend`, in input order.  When
    there are fewer units than the backend has parallel slots, each
    unit's tasks are cut into contiguous chunks so that every slot gets a
-   payload (:func:`dispatch_chunks`);
-3. **put** — split each fresh outcome into its tasks' entries, decode
-   each and write it back to the cache.
+   payload (:func:`dispatch_chunks`).  A phase may instead *defer* its
+   units to a later phase (:attr:`PhaseSpec.defer`): the trace phase
+   hands each cold trace to the simulate phase, whose unit collects it;
+3. **put** — as each unit's outcome arrives, split it into its tasks'
+   entries, decode each and write it back to the cache, so a dispatch
+   that fails part-way keeps every unit that finished before it.
 
 :func:`run_phase` is that protocol, once; :class:`PhaseSpec` carries
 everything that varies between phases — cache kind, cache-key builder
@@ -42,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
-from repro.engine.telemetry import TELEMETRY_KEY
+from repro.engine.telemetry import STAGE_KEYS, TELEMETRY_KEY
 from repro.errors import DispatchError
 
 
@@ -55,12 +58,15 @@ class PhaseTask:
     what ``accept_cached`` and ``accept_fresh`` receive.  Pending tasks
     with equal ``unit`` are dispatched together, in one payload (the
     simulate phase's unit is the trace digest; a trace task is a unit of
-    its own).
+    its own).  A task whose ``cache_key`` is ``None`` is not probed: its
+    key depends on its unit's outcome (a cold trace's simulate entries
+    are keyed by the digest the unit computes), and
+    :attr:`PhaseSpec.accept_unit` supplies it.
     """
 
     uid: Hashable
     label: str
-    cache_key: Mapping
+    cache_key: Mapping | None
     unit: Hashable
 
 
@@ -103,6 +109,16 @@ class PhaseSpec:
         satisfied before the phase began (the campaign's merge-level hits
         cover whole benchmarks): ``total`` defaults to ``len(tasks)``,
         the presatisfied units are reported warm with the given labels.
+    defer:
+        Leave the pending units undispatched when there are at least as
+        many as the backend has parallel slots (with fewer, slots would
+        idle, so they are dispatched here): the caller hands them to a
+        later phase, which computes (and accounts) them.
+    accept_unit:
+        Given one chunk and its outcome, settle whatever the outcome
+        carries beside its task entries and return the chunk's tasks,
+        each with its cache key.  Runs before the task entries are
+        accepted; ``None`` keeps the chunk as it is.
     """
 
     name: str
@@ -116,6 +132,8 @@ class PhaseSpec:
     total: int | None = None
     presatisfied_count: int = 0
     presatisfied_labels: Sequence[str] = field(default_factory=tuple)
+    defer: bool = False
+    accept_unit: Callable[[Sequence[PhaseTask], dict], Sequence[PhaseTask]] | None = None
 
 
 def dispatch_chunks(units: Sequence[Sequence[PhaseTask]], slots: int) -> list[Sequence[PhaseTask]]:
@@ -152,24 +170,36 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
     ``backend`` the dispatch runs on (via ``ExecutionEngine._run_tasks``).
     The whole phase runs under a ``phase`` telemetry span; each dispatched
     payload's worker-side sidecar (:data:`~repro.engine.telemetry.TELEMETRY_KEY`)
-    is stripped from the outcome — before decoding and caching, so entries
-    stay byte-identical whether telemetry is on or off — and re-emitted as
-    one ``task`` span carrying the worker's own execute time, labelled
-    with the payload's first task and counting its ``tasks``.  Results
+    rides beside the outcome's entries — never decoded or cached, so
+    entries stay byte-identical whether telemetry is on or off — and is
+    re-emitted as one ``task`` span carrying the worker's own execute
+    time and stage split (:data:`~repro.engine.telemetry.STAGE_KEYS`),
+    labelled with the payload's first task and counting its ``tasks``.  Each
+    outcome is settled — accepted, accounted, cached and reported — as
+    it arrives.  The phase's wall time goes to its counter, except the
+    share its units spent collecting traces (their ``trace_s`` over their
+    execute seconds), which goes to the trace counter.  Results
     are bit-identical for every backend and cache temperature: the
     protocol only decides *where* each task executes, *with which others*
-    and *which* tasks execute at all, never what they compute.
+    and *which* tasks execute at all, never what they compute.  Deferred
+    tasks (:attr:`PhaseSpec.defer`) count as computed: the later phase
+    computes them.
     """
     cache = engine.cache
     telemetry = engine.telemetry
     phase_started_perf = time.perf_counter()
+    worker_seconds = {"execute": 0.0, "trace": 0.0}
     with telemetry.span(
         "phase", phase=spec.name, backend=engine.backend.name
     ) as phase_span:
         pending: list[PhaseTask] = []
         hits: list[PhaseTask] = []
         for task in spec.tasks:
-            cached = cache.get(spec.kind, task.cache_key) if cache else None
+            cached = (
+                cache.get(spec.kind, task.cache_key)
+                if cache and task.cache_key is not None
+                else None
+            )
             usable = False
             if cached is not None:
                 try:
@@ -182,11 +212,17 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
             else:
                 pending.append(task)
 
+        units: dict[Hashable, list[PhaseTask]] = {}
+        for task in pending:
+            units.setdefault(task.unit, []).append(task)
+        slots = engine.backend.parallel_slots()
+        deferred = spec.defer and bool(units) and len(units) >= slots
         total = len(spec.tasks) if spec.total is None else spec.total
         phase_span.set(
             total=total,
             cached=spec.presatisfied_count + len(hits),
             computed=len(pending),
+            **({"deferred": len(pending)} if deferred else {}),
         )
         engine.progress.phase_started(
             spec.name, total, spec.presatisfied_count + len(hits)
@@ -196,46 +232,68 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
         for task in hits:
             engine.progress.task_finished(spec.name, task.label, cached=True)
 
-        units: dict[Hashable, list[PhaseTask]] = {}
-        for task in pending:
-            units.setdefault(task.unit, []).append(task)
-        chunks = dispatch_chunks(list(units.values()), engine.backend.parallel_slots())
-        inline = engine.backend.inline_payloads(len(chunks))
-        try:
-            outcomes = engine._run_tasks(
-                spec.worker,
-                spec.name,
-                [[task.label for task in chunk] for chunk in chunks],
-                [spec.build_payload(chunk, inline) for chunk in chunks],
-            )
-        except DispatchError as error:
-            # Backend-infrastructure failures (a worker process died) get
-            # the phase context stamped on before they reach
-            # the caller; the cache is untouched for the undispatched tasks,
-            # so a rerun resumes exactly where this phase stopped.
-            raise DispatchError(
-                f"{spec.name} phase failed to dispatch {len(pending)} pending "
-                f"task(s) in {len(chunks)} unit(s) on the {engine.backend.name!r} "
-                f"backend: {error}"
-            ) from error
-        for chunk, outcome in zip(chunks, outcomes):
-            # The observability sidecar never reaches the decoder or the
-            # cache: entries stay byte-identical with telemetry on or off.
-            sidecar = outcome.pop(TELEMETRY_KEY, None)
+        settled = {task.uid for task in hits}
+        chunks = [] if deferred else dispatch_chunks(list(units.values()), slots)
+
+        def settle(index: int, outcome: dict) -> None:
+            chunk = chunks[index]
+            # The observability sidecar rides beside the entries, never in
+            # one: they stay byte-identical with telemetry on or off.
+            sidecar = outcome.get(TELEMETRY_KEY)
             if sidecar:
+                execute_seconds = sidecar.get("execute_seconds", 0.0)
+                worker_seconds["execute"] += execute_seconds
+                worker_seconds["trace"] += sidecar.get("trace_s", 0.0)
                 telemetry.span_record(
                     "task",
-                    sidecar.get("execute_seconds", 0.0),
+                    execute_seconds,
                     phase=spec.name,
                     label=chunk[0].label,
                     tasks=len(chunk),
                     worker_pid=sidecar.get("pid"),
                     function=sidecar.get("function"),
+                    **{key: sidecar[key] for key in STAGE_KEYS if key in sidecar},
                 )
-            for task, entry in zip(chunk, outcome["outcomes"], strict=True):
-                spec.accept_fresh(task.uid, entry)
-                engine.stats.record(spec.counter, cached=False)
-                if cache:
-                    cache.put(spec.kind, task.cache_key, entry)
-    engine.stats.record_seconds(spec.counter, time.perf_counter() - phase_started_perf)
+            if spec.accept_unit is not None:
+                chunk = spec.accept_unit(chunk, outcome)
+            # Entries leave the outcome as they are settled: the backend
+            # keeps every outcome until its dispatch ends, and a settled
+            # unit's entries need not stay alive that long.
+            for task, entry in zip(chunk, outcome.pop("outcomes"), strict=True):
+                # A task keyed by its unit's outcome can turn out to be one
+                # this phase already settled (two traces of equal content):
+                # the entry is the same, so it is accepted and counted once.
+                if task.uid not in settled:
+                    settled.add(task.uid)
+                    spec.accept_fresh(task.uid, entry)
+                    engine.stats.record(spec.counter, cached=False)
+                    if cache:
+                        cache.put(spec.kind, task.cache_key, entry)
+                engine.progress.task_finished(spec.name, task.label, cached=False)
+
+        inline = engine.backend.inline_payloads(len(chunks))
+        try:
+            engine._run_tasks(
+                spec.worker,
+                [spec.build_payload(chunk, inline) for chunk in chunks],
+                settle,
+            )
+        except DispatchError as error:
+            # Backend-infrastructure failures (a worker process died) get
+            # the phase context stamped on before they reach the caller.
+            # Every unit that returned before the failure is already
+            # cached, so a rerun resumes exactly where this phase stopped.
+            raise DispatchError(
+                f"{spec.name} phase failed to dispatch {len(pending)} pending "
+                f"task(s) in {len(chunks)} unit(s) on the {engine.backend.name!r} "
+                f"backend: {error}"
+            ) from error
+    seconds = time.perf_counter() - phase_started_perf
+    traced = 0.0
+    if worker_seconds["trace"] and worker_seconds["execute"]:
+        # Units that collected their own trace did the trace phase's work
+        # here: credit it with their share of this phase's wall time.
+        traced = seconds * min(1.0, worker_seconds["trace"] / worker_seconds["execute"])
+        engine.stats.record_seconds("traces", traced)
+    engine.stats.record_seconds(spec.counter, seconds - traced)
     return pending

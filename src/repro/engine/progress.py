@@ -30,28 +30,34 @@ class NullProgress(ProgressListener):
 
 
 class ConsoleProgress(ProgressListener):
-    """Line-per-event progress log, suitable for interactive CLI runs."""
+    """Line-per-event progress log, suitable for interactive CLI runs.
+
+    Counts are kept per phase: a cold trace deferred to the simulate
+    phase finishes its trace task while that phase runs.
+    """
 
     def __init__(self, stream: TextIO | None = None) -> None:
         self.stream = stream if stream is not None else sys.stderr
-        self._done = 0
-        self._total = 0
+        self._done: dict[str, int] = {}
+        self._total: dict[str, int] = {}
 
     def _emit(self, message: str) -> None:
         print(message, file=self.stream, flush=True)
 
     def phase_started(self, phase: str, total_tasks: int, cached_tasks: int) -> None:
-        self._done = 0
-        self._total = total_tasks
+        self._done[phase] = 0
+        self._total[phase] = total_tasks
         self._emit(
             f"[{phase}] {total_tasks} task(s), {cached_tasks} cached, "
             f"{total_tasks - cached_tasks} to run"
         )
 
     def task_finished(self, phase: str, label: str, cached: bool) -> None:
-        self._done += 1
+        self._done[phase] = self._done.get(phase, 0) + 1
         source = "cache" if cached else "computed"
-        self._emit(f"[{phase}] {self._done}/{self._total} {label} ({source})")
+        self._emit(
+            f"[{phase}] {self._done[phase]}/{self._total.get(phase, 0)} {label} ({source})"
+        )
 
     def campaign_finished(self, stats) -> None:
         line = (

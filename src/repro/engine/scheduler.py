@@ -14,6 +14,12 @@ run it through the two phase functions defined here, once each:
    :class:`PredictorShard`; the phase executor dispatches one unit per
    trace, carrying the predictors whose entries missed.
 
+When at least as many traces miss as the backend has parallel slots, the
+trace phase defers them, and the simulate phase's unit for such a trace
+collects it, simulates every predictor over the collected columns and,
+for a campaign, merges them in the same worker: no process decodes a
+cold trace, and the parent caches each entry as its unit returns.
+
 :meth:`ExecutionEngine.run` adds the campaign's **merge**: a probe of the
 merged per-benchmark entry first, and for the misses the shards are
 recombined into the joint :class:`SimulationResult`, bit-identical to the
@@ -23,14 +29,14 @@ it, and Figure 10's per-PC tallies come from ``profile`` cache entries
 (:meth:`LazyTrace.pc_tallies`), so a fully warm run decodes no trace.
 :func:`repro.engine.sweeps.execute_sweep` fans the shards out to its
 sweep points instead.  Work runs on a pluggable
-:class:`~repro.engine.backends.ExecutorBackend`; the merge is a cheap
-single pass in the parent.
+:class:`~repro.engine.backends.ExecutorBackend`; the merge of a cached
+trace's shards is a cheap single pass in the parent.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from repro.engine.backends import ExecutorBackend, resolve_backend
@@ -49,15 +55,15 @@ from repro.engine.fingerprint import key_digest, predictor_signature
 from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
 from repro.engine.tasks import (
-    TASK_FORMAT_VERSION,
     SimulateTask,
     TraceTask,
+    merge_cache_key,
     profile_cache_key,
     simulate_payload,
 )
 from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
 from repro.engine.worker import INLINE_TRACE_KEY, execute_simulate_task, execute_trace_task
-from repro.simulation.simulator import PredictorShard, merge_shards
+from repro.simulation.simulator import PredictorShard, SimulationResult, merge_shards
 from repro.simulation.value_profile import PcTallies, pc_tallies
 from repro.trace.stream import TraceStatistics, ValueTrace
 
@@ -330,41 +336,34 @@ class ExecutionEngine:
 
         A merged result is fully determined by the trace content and the
         ordered predictor configurations, so fully-warm benchmarks skip
-        both the shard fetches and the per-record merge pass.
+        both the shard fetches and the per-record merge pass.  A cold
+        trace has no digest to probe with yet; its simulate unit collects
+        it, simulates every predictor and merges in the worker.
         """
         signatures = [[name, predictor_signature(name)] for name in predictors]
-        merge_keys = {
-            benchmark: {
-                "kind": "merge",
-                "format": TASK_FORMAT_VERSION,
-                "trace": traces[benchmark].digest,
-                "predictors": signatures,
-            }
-            for benchmark in benchmarks
-        }
         simulations: dict = {}
         for benchmark in benchmarks:
-            cached = self.cache.get("merge", merge_keys[benchmark]) if self.cache else None
+            trace = traces[benchmark]
+            if trace.pending or not self.cache:
+                continue
+            cached = self.cache.get("merge", merge_cache_key(trace.digest, signatures))
             if cached is not None:
                 simulations[benchmark] = simulation_from_dict(cached["simulation"])
                 self.stats.record("simulations", cached=True, count=len(predictors))
 
         missing = [benchmark for benchmark in benchmarks if benchmark not in simulations]
-        units: dict = {}
-        for benchmark in missing:
-            for predictor in predictors:
-                units.setdefault(
-                    (traces[benchmark].digest, predictor),
-                    (f"{benchmark}:{predictor}", traces[benchmark]),
-                )
-        shards = simulate_phase(
+        shards, merged = simulate_phase(
             self,
-            units,
+            [(benchmark, traces[benchmark], predictors) for benchmark in missing],
+            merge=True,
             presatisfied_count=len(simulations) * len(predictors),
             presatisfied_labels=[f"{benchmark}:*" for benchmark in simulations],
         )
         for benchmark in missing:
             trace = traces[benchmark]
+            if trace.digest in merged:
+                simulations[benchmark] = merged[trace.digest]
+                continue
             simulations[benchmark] = merge_shards(
                 trace.get(),
                 {predictor: shards[(trace.digest, predictor)] for predictor in predictors},
@@ -372,7 +371,7 @@ class ExecutionEngine:
             if self.cache:
                 self.cache.put(
                     "merge",
-                    merge_keys[benchmark],
+                    merge_cache_key(trace.digest, signatures),
                     {"simulation": simulation_to_dict(simulations[benchmark])},
                 )
         return {benchmark: simulations[benchmark] for benchmark in benchmarks}
@@ -405,14 +404,12 @@ class ExecutionEngine:
     def _run_tasks(
         self,
         function: Callable[[dict], dict],
-        phase: str,
-        labels: Sequence[Sequence[str]],
         payloads: Sequence[dict],
+        on_result: Callable[[int, dict], None],
     ) -> list[dict]:
         """Execute payloads on the configured backend, in input order.
 
-        ``labels[index]`` names the tasks payload ``index`` carries; each
-        gets its ``task_finished`` event when that payload's outcome
+        ``on_result(index, outcome)`` settles each payload's outcome as it
         arrives.
         """
         if not payloads:
@@ -421,12 +418,7 @@ class ExecutionEngine:
         # serves several engines, and dispatch spans must land in whichever
         # sink the engine currently driving it is wired to.
         self.backend.telemetry = self.telemetry
-
-        def finished(index: int) -> None:
-            for label in labels[index]:
-                self.progress.task_finished(phase, label, cached=False)
-
-        return self.backend.map(function, payloads, on_result=finished)
+        return self.backend.map(function, payloads, on_result=on_result)
 
 
 # --------------------------------------------------------------------------- #
@@ -437,8 +429,8 @@ class LazyTrace:
 
     A cached entry passes the trace phase on a cheap probe (digest and
     statistics readable), so a fully warm run never decodes the embedded
-    trace.  A trace computed in-process (serial backend) is the trace
-    task's own object, handed over in its outcome entry, so :meth:`get` returns
+    trace.  A trace computed in-process (serial backend) is the unit's
+    own object, handed over in its outcome entry, so :meth:`get` returns
     it with no decode; otherwise :meth:`get` decodes the v3 bytes straight
     to array columns (:func:`~repro.engine.codecs.payload_trace`).  When
     it finds a cached body corrupt, the trace is repaired: re-traced in
@@ -449,20 +441,46 @@ class LazyTrace:
     the trace phase produced, and never a corrupt body.  :meth:`pc_tallies`
     serves Figure 10's per-PC tallies from the cache when it can, so a
     warm run reads them without decoding the trace.
+
+    A trace whose entry missed may be *pending* (:attr:`pending`): the
+    trace phase deferred it, and the simulate unit that collects it hands
+    its entry to :meth:`accept`.  Until then it has no digest and no
+    statistics.
     """
 
-    def __init__(self, engine, task: TraceTask, label: str, payload: dict, cached: bool):
-        self.digest: str = payload["digest"]
-        self.statistics: TraceStatistics = statistics_from_dict(payload["statistics"])
+    def __init__(
+        self,
+        engine,
+        task: TraceTask,
+        label: str,
+        payload: dict | None = None,
+        cached: bool = False,
+    ):
         self.task = task
+        self.label = label
+        self.digest: str | None = None
+        self.statistics: TraceStatistics | None = None
         self._engine = engine
-        self._label = label
-        self._payload = payload
+        self._payload: dict | None = None
         self._cached = cached
-        # An in-process trace task hands its trace over; taken out here,
-        # before the phase caches the outcome.
-        self._trace: ValueTrace | None = payload.pop(INLINE_TRACE_KEY, None)
+        self._trace: ValueTrace | None = None
         self._tallies: PcTallies | None = None
+        if payload is not None:
+            self.accept(payload)
+
+    @property
+    def pending(self) -> bool:
+        """Whether the trace still waits for the simulate unit collecting it."""
+        return self._payload is None
+
+    def accept(self, payload: dict) -> None:
+        """Take the trace's entry: a cache hit or a unit's fresh outcome."""
+        self.digest = payload["digest"]
+        self.statistics = statistics_from_dict(payload["statistics"])
+        # An in-process unit hands its trace over; taken out here, before
+        # the entry is cached.
+        self._trace = payload.pop(INLINE_TRACE_KEY, None)
+        self._payload = payload
 
     def get(self) -> ValueTrace:
         if self._trace is None:
@@ -515,7 +533,7 @@ class LazyTrace:
             "task",
             sidecar["execute_seconds"],
             phase="trace",
-            label=self._label,
+            label=self.label,
             worker_pid=sidecar["pid"],
             function=sidecar["function"],
             repair=True,
@@ -564,6 +582,14 @@ def trace_phase(
     ``tasks`` maps the caller's uid to a ``(task, progress label)`` pair.
     Tasks sharing a cache key run (and count) once, under the label of
     their first appearance, and their uids share one :class:`LazyTrace`.
+
+    Every caller simulates the traces next, so the traces whose entries
+    miss are not dispatched here when there are at least as many of them
+    as the backend has parallel slots: they come back pending, and
+    :func:`simulate_phase` runs one unit per trace that collects it,
+    simulates it and, for a campaign, merges it in one worker, with no
+    decode.  With fewer, slots would idle, so they are traced here and
+    the simulate phase cuts their units into chunks.
     """
     keys = {uid: key_digest(task.cache_key()) for uid, (task, _) in tasks.items()}
     first: dict[str, tuple[TraceTask, str]] = {}
@@ -589,63 +615,117 @@ def trace_phase(
             worker=execute_trace_task,
             accept_cached=lambda key, payload: accept(key, payload, cached=True),
             accept_fresh=accept,
+            defer=True,
         ),
     )
+    for key in first:
+        if key not in traces:
+            traces[key] = LazyTrace(engine, *first[key])
     return {uid: traces[key] for uid, key in keys.items()}
 
 
 def simulate_phase(
     engine: ExecutionEngine,
-    units: Mapping[tuple[str, str], tuple[str, LazyTrace]],
+    requests: Sequence[tuple[str, LazyTrace, Sequence[str]]],
+    merge: bool = False,
     presatisfied_count: int = 0,
     presatisfied_labels: Sequence[str] = (),
-) -> dict[tuple[str, str], PredictorShard]:
-    """Run the simulate phase; returns one shard per ``(digest, predictor)``.
+) -> tuple[dict[tuple[str, str], PredictorShard], dict[str, SimulationResult]]:
+    """Run the simulate phase over ``(label, trace, predictors)`` requests.
 
-    ``units`` maps each ``(trace digest, predictor)`` pair to its progress
-    label and trace.  Each pair is one task of the shared phase executor
-    — probed, accounted and cached on its own — and the pending pairs of
-    one trace are dispatched as one unit, in ``units`` order: the worker
-    gets the trace once and simulates each predictor over the whole
-    trace from a fresh predictor.  In-process backends get the decoded
-    trace itself; process backends get the trace phase's own compressed
-    v3 bytes (:attr:`LazyTrace.trace_binary`), never a re-encoding.
-    ``presatisfied_count`` and ``presatisfied_labels`` report units the
-    caller satisfied before the phase (the campaign's merge-level hits)
-    as warm progress.
+    Returns one shard per ``(trace digest, predictor)`` and, with
+    ``merge``, the merged results of the pending traces by digest.
+    Each ``(trace digest, predictor)`` pair is one task of the shared
+    phase executor — probed, accounted and cached on its own, and
+    labelled ``label:predictor`` — so traces of equal content share their
+    simulations.  The pending pairs of one trace are dispatched as one
+    unit, in request order: the worker gets the trace once and simulates
+    each predictor over the whole trace from a fresh predictor.
+    In-process backends get the decoded trace itself; process backends
+    get the trace phase's own compressed v3 bytes
+    (:attr:`LazyTrace.trace_binary`), never a re-encoding.
+
+    A pending trace's unit carries the trace task instead: the worker
+    collects the trace, simulates all of the request's predictors and,
+    with ``merge``, merges them; the parent caches the trace, shard and
+    merge entries as the outcome arrives.  Its simulate entries cannot be
+    probed first (their key needs the digest), so a unit computes, and
+    counts as computed, every predictor even when some entries survive
+    in the cache; their bytes are the same.  An entry another trace of
+    equal content already settled in this phase is counted once.
+    ``presatisfied_count`` and
+    ``presatisfied_labels`` report units the caller satisfied before the
+    phase (the campaign's merge-level hits) as warm progress.
     """
     signatures = {
         predictor: predictor_signature(predictor)
-        for predictor in dict.fromkeys(predictor for _, predictor in units)
+        for _, _, predictors in requests
+        for predictor in predictors
     }
-    tasks = {
-        (digest, predictor): SimulateTask(
-            predictor=predictor,
-            trace_digest=digest,
-            predictor_signature=signatures[predictor],
-        )
-        for digest, predictor in units
-    }
+    tasks: dict[Hashable, tuple[SimulateTask, LazyTrace]] = {}
+    phase_tasks: list[PhaseTask] = []
+    for label, trace, predictors in requests:
+        for predictor in predictors:
+            # A pending trace has no digest yet: its own object keys it.
+            uid = (trace if trace.pending else trace.digest, predictor)
+            if uid in tasks:
+                continue
+            task = SimulateTask(predictor, trace.digest, signatures[predictor])
+            tasks[uid] = (task, trace)
+            phase_tasks.append(
+                PhaseTask(
+                    uid=uid,
+                    label=f"{label}:{predictor}",
+                    cache_key=None if trace.pending else task.cache_key(),
+                    unit=uid[0],
+                )
+            )
 
     def build_payload(chunk: Sequence[PhaseTask], inline: bool) -> dict:
+        trace = tasks[chunk[0].uid][1]
+        chunk_tasks = [tasks[task.uid][0] for task in chunk]
+        if trace.pending:
+            return simulate_payload(
+                chunk_tasks, trace_task=trace.task, inline=inline, merge=merge
+            )
         # Both branches decode the trace in the parent first, so a corrupt
         # cached body is repaired before any worker sees its bytes.
-        trace = units[chunk[0].uid][1]
-        chunk_tasks = [tasks[task.uid] for task in chunk]
         if inline:
             return simulate_payload(chunk_tasks, trace=trace.get())
         return simulate_payload(chunk_tasks, trace_bytes=trace.trace_binary)
 
     shards: dict[tuple[str, str], PredictorShard] = {}
+    merged: dict[str, SimulationResult] = {}
 
     def accept_shard(uid: tuple[str, str], payload: dict) -> bool:
         shards[uid] = shard_from_dict(payload["shard"])
         return True
 
-    phase_tasks = [
-        PhaseTask(uid=uid, label=label, cache_key=tasks[uid].cache_key(), unit=uid[0])
-        for uid, (label, _) in units.items()
-    ]
+    def accept_unit(chunk: Sequence[PhaseTask], outcome: dict) -> Sequence[PhaseTask]:
+        """Settle a pending trace's entries and key its simulate tasks."""
+        if "trace" not in outcome:
+            return chunk
+        trace = tasks[chunk[0].uid][1]
+        entry = outcome.pop("trace")
+        trace.accept(entry)
+        engine.stats.record("traces", cached=False)
+        if engine.cache:
+            engine.cache.put("trace", trace.task.cache_key(), entry)
+        engine.progress.task_finished("trace", trace.label, cached=False)
+        unit_tasks = [
+            replace(tasks[phase_task.uid][0], trace_digest=trace.digest) for phase_task in chunk
+        ]
+        merge_entry = outcome.pop("merge", None)
+        if merge_entry is not None:
+            merged[trace.digest] = simulation_from_dict(merge_entry["simulation"])
+            if engine.cache:
+                pairs = [[task.predictor, task.predictor_signature] for task in unit_tasks]
+                engine.cache.put("merge", merge_cache_key(trace.digest, pairs), merge_entry)
+        return [
+            replace(phase_task, uid=(trace.digest, task.predictor), cache_key=task.cache_key())
+            for phase_task, task in zip(chunk, unit_tasks)
+        ]
+
     run_phase(
         engine,
         PhaseSpec(
@@ -660,6 +740,7 @@ def simulate_phase(
             total=presatisfied_count + len(phase_tasks),
             presatisfied_count=presatisfied_count,
             presatisfied_labels=presatisfied_labels,
+            accept_unit=accept_unit,
         ),
     )
-    return shards
+    return shards, merged

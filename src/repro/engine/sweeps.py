@@ -282,14 +282,10 @@ def execute_sweep(engine: "ExecutionEngine", spec: SweepSpec) -> SweepResult:
     engine.stats = stats
 
     traces = trace_phase(engine, trace_tasks)
-    units: dict = {}
-    for point in points:
-        trace = traces[point.trace_config]
-        units.setdefault(
-            (trace.digest, point.predictor),
-            (f"{_trace_label(point.trace_config)}:{point.predictor}", trace),
-        )
-    shards = simulate_phase(engine, units)
+    shards, _ = simulate_phase(
+        engine,
+        [(label, traces[config], spec.predictors) for config, (_, label) in trace_tasks.items()],
+    )
 
     # One result per sweep point, shared units fanned back out.
     results = []

@@ -10,7 +10,8 @@ kinds, with trace tasks spanning the sweep's *benchmark*, *input* and
 its output depends on.  A trace task renders itself into a picklable
 payload for the worker protocol (:mod:`repro.engine.worker`); simulate
 tasks are dispatched per trace, so :func:`simulate_payload` renders one
-trace plus the predictors of several tasks.  The shared phase executor
+trace (or, for a trace whose entry missed, its trace task) plus the
+predictors of several tasks.  The shared phase executor
 (:mod:`repro.engine.phases`) schedules both kinds over the engine's
 executor backend.
 """
@@ -29,7 +30,7 @@ from repro.trace.stream import ValueTrace
 #: address the same entries.
 #: Version 3: worker outcomes may carry the reserved ``__telemetry__``
 #: sidecar (worker-side execute time; see :mod:`repro.engine.telemetry`),
-#: which the phase executor strips before caching.
+#: which the phase executor never caches.
 #: Version 4: the (since removed) intra-trace window cache kind and its
 #: worker functions.  No surviving key changed meaning when they went, so
 #: the version stays.
@@ -117,10 +118,15 @@ class TraceTask:
 
 @dataclass(frozen=True)
 class SimulateTask:
-    """Simulate one predictor (by configuration) over one trace: one cache entry."""
+    """Simulate one predictor (by configuration) over one trace: one cache entry.
+
+    ``trace_digest`` is ``None`` while the trace is still to be collected
+    by the task's own unit; such a task has no cache key until the unit
+    reports the digest.
+    """
 
     predictor: str
-    trace_digest: str
+    trace_digest: str | None
     predictor_signature: str
 
     def cache_key(self) -> dict:
@@ -133,30 +139,60 @@ class SimulateTask:
         }
 
 
+def merge_cache_key(trace_digest: str, signatures: Sequence[Sequence[str]]) -> dict:
+    """Cache key of a campaign's merged result for one trace.
+
+    ``signatures`` lists the campaign's ``[name, signature]`` predictor
+    pairs in campaign order, which fixes each predictor's position in the
+    joint outcome tuples.
+    """
+    return {
+        "kind": "merge",
+        "format": TASK_FORMAT_VERSION,
+        "trace": trace_digest,
+        "predictors": [list(pair) for pair in signatures],
+    }
+
+
 def simulate_payload(
     tasks: Sequence[SimulateTask],
     *,
     trace: ValueTrace | None = None,
     trace_bytes: bytes | None = None,
+    trace_task: TraceTask | None = None,
+    inline: bool = False,
+    merge: bool = False,
 ) -> dict:
     """Build one simulate unit's worker payload: one trace, several predictors.
 
-    ``tasks`` all simulate the trace given by exactly one of ``trace`` and
-    ``trace_bytes``; their predictors travel in order, each with its
-    expected configuration signature, so a worker whose registry
-    disagrees (e.g. a ``spawn``-start process that re-imported a registry
-    without a dynamic re-binding) fails loudly instead of simulating the
-    wrong configuration.  ``trace`` is the trace object itself, for
-    in-process dispatch (no serialisation cost).  ``trace_bytes`` are the
-    compressed v3 bytes the trace phase produced (its ``trace_binary``,
-    off the worker wire or out of the cache), shipped to process backends
-    as they are: nothing re-encodes a trace for the wire, and the worker
-    decodes them once for all of the unit's predictors.
+    ``tasks`` all simulate one trace; their predictors travel in order,
+    each with its expected configuration signature, so a worker whose
+    registry disagrees (e.g. a ``spawn``-start process that re-imported a
+    registry without a dynamic re-binding) fails loudly instead of
+    simulating the wrong configuration.  The trace is given by exactly
+    one of:
+
+    * ``trace`` — the trace object itself, for in-process dispatch (no
+      serialisation cost);
+    * ``trace_bytes`` — the compressed v3 bytes the trace phase produced
+      (its ``trace_binary``, off the worker wire or out of the cache),
+      shipped to process backends as they are: nothing re-encodes a trace
+      for the wire, and the worker decodes them once for all of the
+      unit's predictors;
+    * ``trace_task`` — the task of a trace whose entry missed (its
+      ``tasks`` carry no digest yet): the worker collects the trace itself
+      and simulates the collected columns.  ``inline`` asks it to hand the
+      trace object back, as :meth:`TraceTask.payload` does; ``merge``
+      also has it merge the shards into the campaign's joint result.
     """
     payload: dict = {
         "predictors": [[task.predictor, task.predictor_signature] for task in tasks],
     }
-    if trace is not None:
+    if trace_task is not None:
+        payload["trace_task"] = trace_task.payload(inline=inline)
+        if merge:
+            payload["merge"] = True
+    elif trace is not None:
         payload["trace"] = trace
     else:
         payload["trace_bytes"] = trace_bytes

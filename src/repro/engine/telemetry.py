@@ -19,8 +19,8 @@ Design constraints, in order:
    may call it unconditionally.  Results and cache entries are
    bit-identical with telemetry on or off — telemetry only *observes*
    (worker-side timings ride back in a reserved sidecar key,
-   :data:`TELEMETRY_KEY`, that the phase executor strips before results
-   are decoded or cached).
+   :data:`TELEMETRY_KEY`, beside an outcome's entries, never inside one,
+   so no result or cache entry carries it).
 2. **One run, one directory.**  Constructing a :class:`RunTelemetry`
    truncates ``metrics.jsonl`` and rewrites ``manifest.json`` in its
    directory, so a run directory always describes exactly one run.
@@ -62,10 +62,16 @@ import repro
 TELEMETRY_VERSION = 1
 
 #: Reserved top-level key of a worker outcome carrying observability
-#: sidecar data (worker-side execute seconds, worker pid).  The phase
-#: executor pops it before the outcome is decoded or cached, so cache
-#: entries and results are byte-identical with telemetry on or off.
+#: sidecar data (worker-side execute seconds, worker pid).  It sits
+#: beside the outcome's entries, and the phase executor decodes and
+#: caches only the entries, so cache entries and results are
+#: byte-identical with telemetry on or off.
 TELEMETRY_KEY = "__telemetry__"
+
+#: Sidecar keys splitting a simulate unit's worker time by stage (a unit
+#: that collected its own trace reports all three); the phase executor
+#: copies them onto the unit's ``task`` span.
+STAGE_KEYS = ("trace_s", "simulate_s", "merge_s")
 
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.jsonl"

@@ -4,7 +4,9 @@ These module-level functions are the only code that runs inside pool
 workers, so they must stay importable (picklable by reference) and accept
 plain-dict payloads built by :mod:`repro.engine.tasks`.  A payload carries
 one work unit and its outcome lists one entry per task, under
-``"outcomes"``, next to one telemetry sidecar.  Each entry is a
+``"outcomes"``, next to one telemetry sidecar; a simulate unit that
+collected its own trace also returns that trace's entry (``"trace"``) and,
+for a campaign, the merged entry (``"merge"``).  Each entry is a
 JSON-compatible dict — the exact representation the cache stores — so
 the parent handles pool output and cache hits identically.
 """
@@ -16,27 +18,31 @@ import time
 from hashlib import sha256
 
 from repro.core.registry import create_predictor
-from repro.engine.codecs import shard_to_dict, statistics_to_dict
+from repro.engine.codecs import shard_to_dict, simulation_to_dict, statistics_to_dict
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.errors import SimulationError
+from repro.simulation.simulator import merge_shards, simulate_shard
 from repro.trace.io import decode_trace, dumps_trace, dumps_trace_binary
-from repro.simulation.simulator import simulate_shard
+from repro.trace.stream import ValueTrace
 from repro.workloads.suite import get_workload
 
 
-def _telemetry_sidecar(function: str, started_perf: float) -> dict:
+def _telemetry_sidecar(function: str, started_perf: float, **stages: float) -> dict:
     """The observability sidecar every worker outcome carries, once.
 
     Worker-side execute time is measured here — on the worker's own
     monotonic clock, whichever process that is — and travels back
-    inside the outcome under the reserved :data:`TELEMETRY_KEY`.  The
-    phase executor strips the key before the outcome is decoded or
-    cached, so cache entries and results never contain it.
+    inside the outcome under the reserved :data:`TELEMETRY_KEY`, beside
+    the outcome's entries: the phase executor decodes and caches only
+    the entries, so cache entries and results never contain it.  ``stages``
+    (``trace_s``, ``simulate_s``, ``merge_s``) split a unit's time by the
+    stages it ran.
     """
     return {
         "function": function,
         "execute_seconds": time.perf_counter() - started_perf,
         "pid": os.getpid(),
+        **stages,
     }
 
 
@@ -69,6 +75,12 @@ def execute_trace_task(payload: dict) -> dict:
     takes it out of the entry before the entry is cached.
     """
     started = time.perf_counter()
+    entry, _ = _trace_entry(payload)
+    return {"outcomes": [entry], TELEMETRY_KEY: _telemetry_sidecar("trace", started)}
+
+
+def _trace_entry(payload: dict) -> tuple[dict, ValueTrace]:
+    """Trace one benchmark; returns its trace-cache entry and the trace itself."""
     workload = get_workload(payload["benchmark"])
     trace = workload.trace(
         scale=payload["scale"],
@@ -83,30 +95,60 @@ def execute_trace_task(payload: dict) -> dict:
     }
     if payload.get("return_trace"):
         entry[INLINE_TRACE_KEY] = trace
-    return {"outcomes": [entry], TELEMETRY_KEY: _telemetry_sidecar("trace", started)}
+    return entry, trace
 
 
 def execute_simulate_task(payload: dict) -> dict:
     """Simulate one trace's predictors back to back; one shard entry each.
 
     ``predictors`` lists ``[name, signature]`` pairs in dispatch order.
-    The trace arrives either inline (``trace``, in-process dispatch) or as
-    the trace phase's compressed v3 bytes (``trace_bytes``, the process
-    backends' wire format), which decode once, straight to array columns
-    (:func:`repro.trace.io.decode_trace`), so neither transport builds a
-    ``TraceRecord``.  Every predictor starts empty and runs over that one
-    trace object, so the kernel's per-trace state (grouping, context
-    tables, the lower-order FCM memo) is built once for the whole unit.
+    The trace arrives in one of three forms, none of which builds a
+    ``TraceRecord``:
+
+    * ``trace`` — the trace object itself (in-process dispatch);
+    * ``trace_bytes`` — the trace phase's compressed v3 bytes (the process
+      backends' wire format), decoded once, straight to array columns
+      (:func:`repro.trace.io.decode_trace`);
+    * ``trace_task`` — a trace task's payload, for a benchmark whose trace
+      entry missed: the unit collects the trace itself (as
+      :func:`execute_trace_task` does, text dropped before simulating),
+      returns the trace entry under ``"trace"`` and simulates the
+      collected columns, so nothing decodes the trace.  With ``merge``
+      it also merges the shards into the joint result and returns that
+      entry under ``"merge"``.
+
+    Every predictor starts empty and runs over that one trace object, so
+    the kernel's per-trace state (grouping, context tables, the
+    lower-order FCM memo) is built once for the whole unit and released
+    when the unit ends.  The sidecar splits the unit's time into
+    ``trace_s``, ``simulate_s`` and (when merging) ``merge_s``.
     """
+    # Imported here, like the kernel itself, so that a run that simulates
+    # nothing (a warm one) never loads the kernel module.
+    from repro.simulation.vectorized import release_kernel_state
+
     started = time.perf_counter()
     names = [_check_signature(name, signature) for name, signature in payload["predictors"]]
+    outcome: dict = {}
+    stages: dict = {}
     trace = payload.get("trace")
-    if trace is None:
+    if "trace_task" in payload:
+        outcome["trace"], trace = _trace_entry(payload["trace_task"])
+        stages["trace_s"] = time.perf_counter() - started
+    elif trace is None:
         trace = decode_trace(payload["trace_bytes"])
-    return {
-        "outcomes": [{"shard": shard_to_dict(simulate_shard(trace, name))} for name in names],
-        TELEMETRY_KEY: _telemetry_sidecar("simulate", started),
-    }
+    simulating = time.perf_counter()
+    shards = [simulate_shard(trace, name) for name in names]
+    stages["simulate_s"] = time.perf_counter() - simulating
+    outcome["outcomes"] = [{"shard": shard_to_dict(shard)} for shard in shards]
+    if payload.get("merge"):
+        merging = time.perf_counter()
+        merged = merge_shards(trace, dict(zip(names, shards)))
+        outcome["merge"] = {"simulation": simulation_to_dict(merged)}
+        stages["merge_s"] = time.perf_counter() - merging
+    release_kernel_state()
+    outcome[TELEMETRY_KEY] = _telemetry_sidecar("simulate", started, **stages)
+    return outcome
 
 
 def _check_signature(name: str, expected_signature: str | None) -> str:

@@ -191,6 +191,17 @@ def _release_trace(reference) -> None:
         _current_trace = None
 
 
+def release_kernel_state() -> None:
+    """Drop the current trace's derived state now, not when the trace dies.
+
+    A simulate unit calls this when it ends: an in-process trace outlives
+    its unit (the campaign keeps it for its callers), and its grouping
+    would otherwise stay alive until the next unit's trace replaced it.
+    """
+    global _current_trace
+    _current_trace = None
+
+
 def _grouping(np, columns) -> _Grouping:
     """The grouping of ``columns``, built once while it is the current trace."""
     global _current_trace

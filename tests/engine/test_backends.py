@@ -102,6 +102,13 @@ def _simulate_dying_on_s2(payload: dict) -> dict:
     return execute_simulate_task(payload)
 
 
+def _simulate_dying_late_on_s2(payload: dict) -> dict:
+    """Like :func:`_simulate_dying_on_s2`, but let the other units return first."""
+    if any(name == "s2" for name, _ in payload["predictors"]):
+        time.sleep(1.0)
+    return _simulate_dying_on_s2(payload)
+
+
 @contextlib.contextmanager
 def _deadline(seconds: int):
     """Fail the test instead of hanging it when a dispatch never returns."""
@@ -316,10 +323,15 @@ class TestDispatchContract:
     def test_outcomes_and_progress_in_input_order(self, name):
         seen = []
         payloads = [{"value": i, "delay": 0.02 * (5 - i)} for i in range(6)]
+
+        def arrived(index, outcome):
+            seen.append((index, outcome["echo"]))
+
         with ALL_BACKENDS[name](3) as backend:
-            outcomes = backend.map(_staggered_worker, payloads, on_result=seen.append)
+            outcomes = backend.map(_staggered_worker, payloads, on_result=arrived)
         assert [outcome["echo"] for outcome in outcomes] == list(range(6))
-        assert seen == list(range(6))
+        # Each outcome reaches the callback with its index, in input order.
+        assert seen == [(index, index) for index in range(6)]
 
     def test_empty_dispatch_returns_empty_list(self, name):
         seen = []
@@ -421,7 +433,7 @@ class TestWorkerFailure:
         assert time.monotonic() - started < 10
 
     def test_raising_progress_callback_propagates(self, name):
-        def explode(index):
+        def explode(index, outcome):
             raise RuntimeError("listener bug")
 
         with PROCESS_BACKENDS[name](2) as backend, _deadline(30):
@@ -464,15 +476,17 @@ class TestCliWorkerDeath:
         self, name, tmp_path, monkeypatch, capsys
     ):
         argv = self._argv("campaign", name, tmp_path)
-        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_s2)
+        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_late_on_s2)
         with _deadline(60):
             assert main(argv) == 1
         self._assert_one_line_failure(name, capsys)
         monkeypatch.undo()
-        # The trace phase finished before the worker died, so its entry is
-        # cached and the rerun only computes the simulations.
+        # The trace phase finished before the worker died, and so did the
+        # unit simulating ``l``: both entries are cached as they arrive,
+        # and the rerun only computes the simulation that was lost.
         assert main(argv) == 0
-        assert "traces: 0 computed, 1 cached; simulations: 2 computed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "traces: 0 computed, 1 cached; simulations: 1 computed, 1 cached" in out
 
     def test_sweep_cli_exits_1_on_worker_death(self, name, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_s2)

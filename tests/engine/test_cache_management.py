@@ -118,6 +118,21 @@ class TestCacheStorage:
         assert cache.verify(remove=True).corrupt == [legacy]
         assert list(cache.entry_paths()) == [rvpc]
 
+    def test_hit_counts_the_bytes_it_read(self, tmp_path, monkeypatch):
+        # The count is the length of what the read returned; no stat
+        # follows it, so a concurrent replace cannot change the figure.
+        cache = ResultCache(tmp_path)
+        path = cache.put("trace", self.KEY, self._trace_payload())
+        size = len(path.read_bytes())
+
+        def no_stat(self, *args, **kwargs):
+            raise AssertionError("a hit must not stat its entry")
+
+        monkeypatch.setattr(Path, "stat", no_stat)
+        assert cache.get("trace", self.KEY) is not None
+        assert cache.get("trace", self.KEY) is not None
+        assert cache.hit_bytes == 2 * size
+
     def test_corrupt_binary_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         path = cache.put("trace", self.KEY, self._trace_payload())

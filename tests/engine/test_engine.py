@@ -29,6 +29,15 @@ BENCHMARKS = ("compress", "m88ksim")
 PREDICTORS = ("l", "s2", "fcm2")
 
 
+def _entry_bytes(directory) -> dict:
+    """Every entry file under ``directory``, by relative path."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in directory.rglob("*")
+        if path.is_file()
+    }
+
+
 def _assert_identical_campaigns(first, second):
     assert first.benchmarks() == second.benchmarks()
     assert first.predictor_names == second.predictor_names
@@ -132,16 +141,26 @@ class TestPersistentCache:
 
     def test_identical_traces_share_simulations_across_scales(self, tmp_path):
         # Simulations are keyed by trace *content*: two scales that clamp
-        # to the same loop counts produce the same trace, so the shard is
-        # reused even though the trace task itself reruns.
+        # to the same loop counts produce the same trace, so both runs
+        # address one shard entry and one merge entry.  The second trace
+        # misses, and its unit cannot probe the shard before it knows the
+        # digest: it simulates again and rewrites the same bytes.
         cache_dir = tmp_path / "cache"
         ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir)).run(
             scale=0.05, predictors=("l",), benchmarks=("compress",)
         )
+        before = {
+            kind: _entry_bytes(cache_dir / kind) for kind in ("simulate", "merge")
+        }
         other = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         other.run(scale=0.1, predictors=("l",), benchmarks=("compress",))
         assert other.stats.traces_computed == 1
-        assert other.stats.simulations_cached == 1
+        assert other.stats.simulations_computed == 1
+        assert other.stats.simulations_cached == 0
+        assert len(list((cache_dir / "trace").rglob("*.rvpc"))) == 2
+        for kind, entries in before.items():
+            assert len(entries) == 1
+            assert _entry_bytes(cache_dir / kind) == entries
 
 
 class TestPredictorConfigurationKeys:

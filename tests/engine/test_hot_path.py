@@ -141,13 +141,18 @@ def test_campaign_builds_no_records_and_ships_trace_phase_bytes(
         assert _calls(ledger, "TraceRecord") == 0, temperature
         encodes = _calls(ledger, "dumps_trace_binary") - encodes_before
         assert encodes == stats.traces_computed, temperature
-        # One simulate payload per trace, carrying every predictor.
+        # One simulate payload per trace, carrying every predictor.  A
+        # cold trace's unit collects the trace itself; a cached one gets
+        # the trace phase's bytes, or in-process the trace object.
         simulate_payloads = [payload for payload in dispatched if "predictors" in payload]
         expected_units = 0 if temperature == "warm" else len(BENCHMARKS)
         assert len(simulate_payloads) == expected_units, temperature
         for benchmark, payload in zip(BENCHMARKS, simulate_payloads):
             assert [name for name, _ in payload["predictors"]] == list(PREDICTORS)
-            if backend == "serial":
+            if temperature == "cold":
+                assert payload["trace_task"]["benchmark"] == benchmark
+                assert "trace_bytes" not in payload and "trace" not in payload
+            elif backend == "serial":
                 assert "trace_bytes" not in payload
             else:
                 assert payload["trace_bytes"] == trace_bytes[benchmark]

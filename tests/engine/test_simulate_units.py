@@ -64,15 +64,21 @@ class TestOnePayloadPerTrace:
     def test_cold_campaign_dispatches_one_payload_per_trace(self, tmp_path, dispatch_spy, backend):
         with ExecutionEngine(_config(backend, tmp_path / "cache")) as engine:
             dispatched = dispatch_spy(engine)
-            result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+            engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+        # As many cold traces as slots: each benchmark is one unit that
+        # traces, simulates and merges it, and nothing else is dispatched.
         payloads = _simulate_payloads(dispatched)
+        assert payloads == dispatched
         assert [_names(payload) for payload in payloads] == [list(PREDICTORS)] * len(BENCHMARKS)
-        assert [_payload_digest(payload) for payload in payloads] == [
-            trace_digest(result.traces[benchmark]) for benchmark in BENCHMARKS
-        ]
-        assert all(("trace" in payload) == (backend == "serial") for payload in payloads)
+        assert [payload["trace_task"]["benchmark"] for payload in payloads] == list(BENCHMARKS)
+        for payload in payloads:
+            assert payload["merge"] is True
+            assert "trace" not in payload and "trace_bytes" not in payload
+            # Only an in-process unit hands its trace object back.
+            assert payload["trace_task"].get("return_trace", False) == (backend == "serial")
         # Accounting stays per cache entry.
         entries = len(BENCHMARKS) * len(PREDICTORS)
+        assert engine.stats.traces_computed == len(BENCHMARKS)
         assert engine.stats.simulations_computed == entries
         assert len(list((tmp_path / "cache" / "simulate").rglob("*.rvpc"))) == entries
 
@@ -125,6 +131,7 @@ class TestOneTraceOnTwoWorkers:
 def test_workers_decode_each_trace_once(tmp_path, monkeypatch):
     # Forked workers inherit the spy, which logs to a file per call.
     log = tmp_path / "decodes"
+    log.write_text("")
     original = worker_module.decode_trace
 
     def spy(data):
@@ -133,7 +140,13 @@ def test_workers_decode_each_trace_once(tmp_path, monkeypatch):
         return original(data)
 
     monkeypatch.setattr(worker_module, "decode_trace", spy)
-    with ExecutionEngine(_config("persistent", tmp_path / "cache")) as engine:
+    config = _config("persistent", tmp_path / "cache")
+    with ExecutionEngine(config) as engine:
+        cold = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+    # A cold unit simulates the columns it collected.
+    assert log.read_text() == ""
+    _delete_simulate_entries(engine, cold, {benchmark: PREDICTORS for benchmark in BENCHMARKS})
+    with ExecutionEngine(config) as engine:
         engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
     assert len(log.read_text()) == len(BENCHMARKS)
 

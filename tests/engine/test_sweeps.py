@@ -133,16 +133,22 @@ class TestDeduplication:
 
     def test_identical_trace_content_shares_simulations(self, tmp_path):
         # Two scales that clamp to the same loop counts produce the same
-        # trace bytes; simulations are keyed by content, so the second
-        # sweep re-traces but never re-simulates.
+        # trace bytes; simulations are keyed by content, so both sweeps
+        # address one shard entry.  The second sweep's trace misses, and
+        # its unit cannot probe the shard before it knows the digest: it
+        # re-simulates and rewrites the same bytes.
         cache_dir = tmp_path / "cache"
         first = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         first.run_sweep(SweepSpec(benchmark="compress", scale=0.05, predictors=("l",)))
+        (shard,) = (cache_dir / "simulate").rglob("*.rvpc")
+        shard_bytes = shard.read_bytes()
         second = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
         second.run_sweep(SweepSpec(benchmark="compress", scale=0.1, predictors=("l",)))
         assert second.stats.traces_computed == 1
-        assert second.stats.simulations_cached == 1
-        assert second.stats.simulations_computed == 0
+        assert second.stats.simulations_cached == 0
+        assert second.stats.simulations_computed == 1
+        assert list((cache_dir / "simulate").rglob("*.rvpc")) == [shard]
+        assert shard.read_bytes() == shard_bytes
 
 
 class TestPersistentCache:

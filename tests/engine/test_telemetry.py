@@ -273,13 +273,16 @@ class TestInstrumentedRun:
         for phase in summary["phases"]:
             assert phase["seconds"] > 0
         computed = len(BENCHMARKS) * (1 + len(PREDICTORS))
-        # One task span per dispatched unit: a trace, or a trace's predictors.
-        assert len(summary["tasks"]) == 2 * len(BENCHMARKS)
+        # The cold traces are deferred to the simulate phase: one task span
+        # per benchmark, whose unit traced, simulated and merged it and
+        # splits its worker time by stage.
+        assert summary["phases"][0]["deferred"] == len(BENCHMARKS)
+        assert len(summary["tasks"]) == len(BENCHMARKS)
         for task in summary["tasks"]:
             assert task["seconds"] > 0 and isinstance(task["worker_pid"], int)
-        assert sorted(task["tasks"] for task in summary["tasks"]) == sorted(
-            [1] * len(BENCHMARKS) + [len(PREDICTORS)] * len(BENCHMARKS)
-        )
+            assert task["phase"] == "simulate" and task["tasks"] == len(PREDICTORS)
+            stages = [task["trace_s"], task["simulate_s"], task["merge_s"]]
+            assert min(stages) > 0 and sum(stages) <= task["seconds"]
         # slowest-first ordering
         seconds = [task["seconds"] for task in summary["tasks"]]
         assert seconds == sorted(seconds, reverse=True)
