@@ -13,7 +13,7 @@ isolated results directory per run::
     │                     PR-6 telemetry layer's manifest
     ├── metrics.jsonl     telemetry spans/counters for the whole run
     ├── summary.json      per-deliverable digests, timings, check results,
-    │                     aggregated engine stats
+    │                     aggregated engine stats, the process's peak RSS
     └── tables/
         ├── <id>.json     canonical payload + digest (golden format)
         ├── <id>.csv      machine-readable cells, full precision
@@ -232,7 +232,7 @@ def reproduce(
     ``update_expected`` (goldens pin the manifest's own parameters).
     """
     import repro.simulation.campaign as campaign
-    from repro.engine.telemetry import RunTelemetry
+    from repro.engine.telemetry import RunTelemetry, peak_rss_mb
 
     if scale is not None and (check or update_expected):
         raise ArtifactError("--scale overrides the manifest; it cannot combine with --check or --update-expected")
@@ -306,6 +306,7 @@ def reproduce(
             "ok": check_report.ok if check_report is not None else True,
             "deliverables": [run.to_payload() for run in runs],
             "engine_stats": _stats_payload(stats),
+            "peak_rss_mb": peak_rss_mb(),
         }
         (run_dir / SUMMARY_NAME).write_text(
             json.dumps(summary, indent=2) + "\n", encoding="utf-8"

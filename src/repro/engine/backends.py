@@ -1,9 +1,10 @@
 """Pluggable executor backends for the engine's dispatch step.
 
 The phase executor (:mod:`repro.engine.phases`) is backend-agnostic: it
-hands an :class:`ExecutorBackend` a worker function plus a list of
-JSON-compatible payloads and expects the outcomes back **in input order**,
-each also handed to a completion callback as it arrives.  Three
+hands an :class:`ExecutorBackend` a worker function plus a sequence of
+JSON-compatible payloads, each built when the backend reads it, and
+expects the outcomes back **in input order**, each also handed to a
+completion callback as it arrives.  Three
 implementations cover one machine:
 
 * :class:`SerialBackend` — everything in-process, no pickling.  Payloads
@@ -107,10 +108,14 @@ class ExecutorBackend:
     ) -> list[dict]:
         """Run ``function`` over ``payloads``; return outcomes in order.
 
-        ``on_result`` is invoked with the payload index and its outcome as
-        each outcome arrives (always in input order), so the caller can
-        settle every unit before the dispatch ends: a dispatch that fails
-        later has already handed over the units that finished.
+        ``payloads`` may build each payload when it is read
+        (:class:`~repro.engine.phases.UnitPayloads`): a backend reads each
+        one once, in order, when it dispatches that unit, and keeps it no
+        longer than the unit needs it.  ``on_result`` is invoked with the
+        payload index and its outcome as each outcome arrives (always in
+        input order), so the caller can settle every unit before the
+        dispatch ends: a dispatch that fails later has already handed over
+        the units that finished.
         """
         raise NotImplementedError
 
@@ -130,8 +135,10 @@ def _map_serial(
     on_result: Callable[[int, dict], None] | None,
 ) -> list[dict]:
     results: list[dict] = []
-    for index, payload in enumerate(payloads):
-        results.append(function(payload))
+    # Indexed, not iterated: no loop variable keeps a unit's payload (and
+    # the trace in it) alive while the next one is built.
+    for index in range(len(payloads)):
+        results.append(function(payloads[index]))
         if on_result is not None:
             on_result(index, results[index])
     return results

@@ -10,9 +10,11 @@ three-step protocol per batch of tasks, one task per cache entry:
    declines (corrupt or unusable entry) turns the hit back into a miss;
 2. **dispatch** — group the remaining tasks into work units by
    :attr:`PhaseTask.unit` (a simulate unit is one trace plus its missing
-   predictors), build one payload per unit (lazily, so warm runs never
-   pay for them) and execute them on the engine's
-   :class:`~repro.engine.backends.ExecutorBackend`, in input order.  When
+   predictors) and execute them on the engine's
+   :class:`~repro.engine.backends.ExecutorBackend`, in input order.  Each
+   unit's payload is built as the backend reaches it
+   (:class:`UnitPayloads`), so warm runs never pay for one and an
+   in-process dispatch holds one unit's trace at a time.  When
    there are fewer units than the backend has parallel slots, each
    unit's tasks are cut into contiguous chunks so that every slot gets a
    payload (:func:`dispatch_chunks`).  A phase may instead *defer* its
@@ -89,7 +91,9 @@ class PhaseSpec:
         Given one chunk of pending tasks sharing a unit, and ``inline``
         (true when the backend executes in-process, so the payload may
         carry live objects and skip serialisation), build the payload.
-        Called only for tasks that actually have to run.
+        Called only for tasks that actually have to run, just before the
+        backend dispatches them, after every earlier chunk's outcome in
+        an in-process dispatch has been settled.
     worker:
         Worker function executed per payload (module-level, so every
         backend can pickle it by reference).  Its outcome lists one entry
@@ -134,6 +138,32 @@ class PhaseSpec:
     presatisfied_labels: Sequence[str] = field(default_factory=tuple)
     defer: bool = False
     accept_unit: Callable[[Sequence[PhaseTask], dict], Sequence[PhaseTask]] | None = None
+
+
+class UnitPayloads(Sequence):
+    """A dispatch's payloads, each built when the backend reads it.
+
+    ``payloads[index]`` builds chunk ``index``'s payload on every read and
+    keeps nothing, so a payload lives only as long as its reader holds
+    it: an in-process backend drops each unit's payload (and the trace it
+    carries) before it builds the next one.
+    """
+
+    def __init__(
+        self,
+        build: Callable[[Sequence[PhaseTask], bool], dict],
+        chunks: Sequence[Sequence[PhaseTask]],
+        inline: bool,
+    ) -> None:
+        self._build = build
+        self._chunks = chunks
+        self._inline = inline
+
+    def __len__(self) -> int:
+        return len(self._chunks)
+
+    def __getitem__(self, index: int) -> dict:
+        return self._build(self._chunks[index], self._inline)
 
 
 def dispatch_chunks(units: Sequence[Sequence[PhaseTask]], slots: int) -> list[Sequence[PhaseTask]]:
@@ -273,11 +303,7 @@ def run_phase(engine, spec: PhaseSpec) -> list[PhaseTask]:
 
         inline = engine.backend.inline_payloads(len(chunks))
         try:
-            engine._run_tasks(
-                spec.worker,
-                [spec.build_payload(chunk, inline) for chunk in chunks],
-                settle,
-            )
+            engine._run_tasks(spec.worker, UnitPayloads(spec.build_payload, chunks, inline), settle)
         except DispatchError as error:
             # Backend-infrastructure failures (a worker process died) get
             # the phase context stamped on before they reach the caller.

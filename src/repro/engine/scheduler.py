@@ -23,14 +23,19 @@ cold trace, and the parent caches each entry as its unit returns.
 :meth:`ExecutionEngine.run` adds the campaign's **merge**: a probe of the
 merged per-benchmark entry first, and for the misses the shards are
 recombined into the joint :class:`SimulationResult`, bit-identical to the
-lockstep loop.  The campaign's result keeps its traces lazy
-(:class:`CampaignTraces`): a trace is decoded when a caller first reads
-it, and Figure 10's per-PC tallies come from ``profile`` cache entries
-(:meth:`LazyTrace.pc_tallies`), so a fully warm run decodes no trace.
-:func:`repro.engine.sweeps.execute_sweep` fans the shards out to its
-sweep points instead.  Work runs on a pluggable
-:class:`~repro.engine.backends.ExecutorBackend`; the merge of a cached
-trace's shards is a cheap single pass in the parent.
+lockstep loop — inside the unit that simulates the trace when one unit
+covers all of its predictors (the parent ships it the shards that were
+cache hits), otherwise in the parent.  The engine holds at most one
+decoded trace at a time: payloads are built as their units are
+dispatched, and every read of a trace the engine makes for itself
+decodes it for that one use (:meth:`LazyTrace.load`).  The campaign's
+result keeps its traces lazy (:class:`CampaignTraces`): a trace is
+decoded, and kept, when a caller first reads it, and Figure 10's per-PC
+tallies come from the unit that collected the trace or from ``profile``
+cache entries (:meth:`LazyTrace.pc_tallies`), so a fully warm run
+decodes no trace.  :func:`repro.engine.sweeps.execute_sweep` fans the
+shards out to its sweep points instead.  Work runs on a pluggable
+:class:`~repro.engine.backends.ExecutorBackend`.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.codecs import (
     payload_trace,
     shard_from_dict,
+    shard_to_dict,
     simulation_from_dict,
     simulation_to_dict,
     statistics_from_dict,
@@ -62,7 +68,7 @@ from repro.engine.tasks import (
     simulate_payload,
 )
 from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
-from repro.engine.worker import INLINE_TRACE_KEY, execute_simulate_task, execute_trace_task
+from repro.engine.worker import execute_simulate_task, execute_trace_task
 from repro.simulation.simulator import PredictorShard, SimulationResult, merge_shards
 from repro.simulation.value_profile import PcTallies, pc_tallies
 from repro.trace.stream import TraceStatistics, ValueTrace
@@ -338,7 +344,12 @@ class ExecutionEngine:
         ordered predictor configurations, so fully-warm benchmarks skip
         both the shard fetches and the per-record merge pass.  A cold
         trace has no digest to probe with yet; its simulate unit collects
-        it, simulates every predictor and merges in the worker.
+        it, simulates every predictor and merges in the worker.  The
+        simulate phase merges a cached trace in its unit too, when one
+        unit covers all of its predictors; the rest — a trace whose
+        predictors were split across units, or one with no unit because
+        every shard was a cache hit — are merged here, each from a decode
+        that lasts only for its merge.
         """
         signatures = [[name, predictor_signature(name)] for name in predictors]
         simulations: dict = {}
@@ -365,7 +376,7 @@ class ExecutionEngine:
                 simulations[benchmark] = merged[trace.digest]
                 continue
             simulations[benchmark] = merge_shards(
-                trace.get(),
+                trace.load(),
                 {predictor: shards[(trace.digest, predictor)] for predictor in predictors},
             )
             if self.cache:
@@ -425,27 +436,29 @@ class ExecutionEngine:
 # The two phases — one copy each, shared by campaigns and sweeps
 # --------------------------------------------------------------------------- #
 class LazyTrace:
-    """One trace-phase result: digest and statistics now, the trace on first use.
+    """One trace-phase result: digest and statistics now, the trace on demand.
 
     A cached entry passes the trace phase on a cheap probe (digest and
     statistics readable), so a fully warm run never decodes the embedded
-    trace.  A trace computed in-process (serial backend) is the unit's
-    own object, handed over in its outcome entry, so :meth:`get` returns
-    it with no decode; otherwise :meth:`get` decodes the v3 bytes straight
-    to array columns (:func:`~repro.engine.codecs.payload_trace`).  When
-    it finds a cached body corrupt, the trace is repaired: re-traced in
-    the parent, accounted as computed rather than cached, and its cache
-    entry overwritten so the repair sticks.  A fresh outcome that does not
-    decode is a bug and raises.  :attr:`trace_binary` is the bytes
-    :meth:`get` accepted, so process backends are shipped exactly what
-    the trace phase produced, and never a corrupt body.  :meth:`pc_tallies`
-    serves Figure 10's per-PC tallies from the cache when it can, so a
-    warm run reads them without decoding the trace.
+    trace.  The object keeps the entry's v3 bytes, never the engine's
+    own decodes: :meth:`load` decodes the bytes straight to array columns
+    (:func:`~repro.engine.codecs.payload_trace`) for one use, so the engine
+    holds at most one decoded trace at a time.  Only :meth:`get`, the
+    public read behind ``CampaignResult.traces[name]``, keeps the trace it
+    decodes.  When a decode finds a cached body corrupt, the trace is
+    repaired: re-traced in the parent, accounted as computed rather than
+    cached, and its cache entry overwritten so the repair sticks.  A fresh
+    outcome that does not decode is a bug and raises.  :attr:`trace_binary`
+    is the bytes once a decode has accepted them, so process backends are
+    shipped exactly what the trace phase produced, and never a corrupt
+    body.  :meth:`pc_tallies` serves Figure 10's per-PC tallies from the
+    unit that collected the trace or from the cache when it can, so a
+    serial cold run and a warm run read them without decoding the trace.
 
     A trace whose entry missed may be *pending* (:attr:`pending`): the
     trace phase deferred it, and the simulate unit that collects it hands
-    its entry to :meth:`accept`.  Until then it has no digest and no
-    statistics.
+    its entry (and, in-process, its tallies) to :meth:`accept`.  Until
+    then it has no digest and no statistics.
     """
 
     def __init__(
@@ -462,9 +475,11 @@ class LazyTrace:
         self.statistics: TraceStatistics | None = None
         self._engine = engine
         self._payload: dict | None = None
-        self._cached = cached
+        # A cache hit's body may be corrupt until a decode has accepted it.
+        self._unchecked = cached
         self._trace: ValueTrace | None = None
         self._tallies: PcTallies | None = None
+        self._profiled = False
         if payload is not None:
             self.accept(payload)
 
@@ -473,54 +488,69 @@ class LazyTrace:
         """Whether the trace still waits for the simulate unit collecting it."""
         return self._payload is None
 
-    def accept(self, payload: dict) -> None:
-        """Take the trace's entry: a cache hit or a unit's fresh outcome."""
+    def accept(self, payload: dict, tallies: PcTallies | None = None) -> None:
+        """Take the trace's entry: a cache hit or a unit's fresh outcome.
+
+        ``tallies`` are the trace's per-PC tallies when the unit that
+        collected it ran in-process and handed them back.
+        """
         self.digest = payload["digest"]
         self.statistics = statistics_from_dict(payload["statistics"])
-        # An in-process unit hands its trace over; taken out here, before
-        # the entry is cached.
-        self._trace = payload.pop(INLINE_TRACE_KEY, None)
         self._payload = payload
+        self._tallies = tallies
 
     def get(self) -> ValueTrace:
+        """The decoded trace, kept for every later read."""
         if self._trace is None:
-            try:
-                self._trace = payload_trace(self._payload)
-            except Exception:
-                if not self._cached:
-                    raise
-                self._payload = self._repair()
-                self._trace = payload_trace(self._payload)
+            self._trace = self.load()
         return self._trace
+
+    def load(self) -> ValueTrace:
+        """The decoded trace for one use: decoded again next time, unless :meth:`get` kept it."""
+        if self._trace is not None:
+            return self._trace
+        try:
+            trace = payload_trace(self._payload)
+        except Exception:
+            if not self._unchecked:
+                raise
+            self._payload = self._repair()
+            trace = payload_trace(self._payload)
+        self._unchecked = False
+        return trace
 
     def pc_tallies(self) -> PcTallies:
         """Figure 10's per-PC tallies of the trace, cached as a ``profile`` entry.
 
         A hit returns the entry's tallies without decoding the trace; a
-        miss (absent, corrupt or malformed entry) tallies :meth:`get` and
-        writes the entry.  Only this lookup reads or writes ``profile``
-        entries, and it stays outside the run's stats: no trace or
-        simulate counter moves.
+        miss (absent, corrupt or malformed entry) writes the entry from the
+        tallies the collecting unit handed back or, failing those, from a
+        decode.  Only this lookup reads or writes ``profile`` entries, and
+        it stays outside the run's stats: no trace or simulate counter
+        moves.
         """
-        if self._tallies is None:
+        if not self._profiled:
             cache = self._engine.cache
             key = profile_cache_key(self.digest)
             cached = cache.get("profile", key) if cache else None
+            tallies = None
             if cached is not None:
                 try:
-                    self._tallies = tallies_from_dict(cached)
+                    tallies = tallies_from_dict(cached)
                 except (KeyError, TypeError, ValueError):
                     pass
-            if self._tallies is None:
-                self._tallies = pc_tallies(self.get())
+            if tallies is None:
+                tallies = self._tallies if self._tallies is not None else pc_tallies(self.load())
                 if cache:
-                    cache.put("profile", key, tallies_to_dict(self._tallies))
+                    cache.put("profile", key, tallies_to_dict(tallies))
+            self._tallies, self._profiled = tallies, True
         return self._tallies
 
     @property
     def trace_binary(self) -> bytes:
-        """The trace's compressed v3 bytes, once :meth:`get` has accepted them."""
-        self.get()
+        """The trace's compressed v3 bytes, once a decode has accepted them."""
+        if self._unchecked:
+            self.load()
         return self._payload["trace_binary"]
 
     def _repair(self) -> dict:
@@ -611,7 +641,7 @@ def trace_phase(
                 PhaseTask(uid=key, label=label, cache_key=task.cache_key(), unit=key)
                 for key, (task, label) in first.items()
             ],
-            build_payload=lambda chunk, inline: first[chunk[0].uid][0].payload(inline=inline),
+            build_payload=lambda chunk, inline: first[chunk[0].uid][0].payload(),
             worker=execute_trace_task,
             accept_cached=lambda key, payload: accept(key, payload, cached=True),
             accept_fresh=accept,
@@ -634,21 +664,28 @@ def simulate_phase(
     """Run the simulate phase over ``(label, trace, predictors)`` requests.
 
     Returns one shard per ``(trace digest, predictor)`` and, with
-    ``merge``, the merged results of the pending traces by digest.
+    ``merge``, the results merged inside units by digest.
     Each ``(trace digest, predictor)`` pair is one task of the shared
     phase executor — probed, accounted and cached on its own, and
     labelled ``label:predictor`` — so traces of equal content share their
     simulations.  The pending pairs of one trace are dispatched as one
     unit, in request order: the worker gets the trace once and simulates
     each predictor over the whole trace from a fresh predictor.
-    In-process backends get the decoded trace itself; process backends
-    get the trace phase's own compressed v3 bytes
-    (:attr:`LazyTrace.trace_binary`), never a re-encoding.
+    In-process backends get the decoded trace itself, decoded as the
+    unit's payload is built and dropped with it; process backends get the
+    trace phase's own compressed v3 bytes (:attr:`LazyTrace.trace_binary`),
+    never a re-encoding.  With ``merge``, a unit that covers every
+    predictor its trace still needs also merges the request's predictors,
+    in request order: its payload carries the shards that were cache
+    hits, and the parent caches the merge entry it returns.  A trace
+    whose predictors were cut into several units is left to the caller.
 
     A pending trace's unit carries the trace task instead: the worker
     collects the trace, simulates all of the request's predictors and,
-    with ``merge``, merges them; the parent caches the trace, shard and
-    merge entries as the outcome arrives.  Its simulate entries cannot be
+    with ``merge``, merges them and (in-process) hands back the trace's
+    per-PC tallies; the parent caches the trace, shard and merge entries
+    as the outcome arrives.  An in-process unit hands its merged result
+    back as it is, so only results from process workers are decoded.  Its simulate entries cannot be
     probed first (their key needs the digest), so a unit computes, and
     counts as computed, every predictor even when some entries survive
     in the cache; their bytes are the same.  An entry another trace of
@@ -664,67 +701,91 @@ def simulate_phase(
     }
     tasks: dict[Hashable, tuple[SimulateTask, LazyTrace]] = {}
     phase_tasks: list[PhaseTask] = []
+    # Per unit: its tasks' uids and, with ``merge``, the predictors whose
+    # shards it merges (those of the unit's first request).
+    unit_uids: dict[Hashable, list[Hashable]] = {}
+    orders: dict[Hashable, Sequence[str]] = {}
     for label, trace, predictors in requests:
+        # A pending trace has no digest yet: its own object keys it.
+        unit = trace if trace.pending else trace.digest
+        if merge:
+            orders.setdefault(unit, predictors)
         for predictor in predictors:
-            # A pending trace has no digest yet: its own object keys it.
-            uid = (trace if trace.pending else trace.digest, predictor)
+            uid = (unit, predictor)
             if uid in tasks:
                 continue
             task = SimulateTask(predictor, trace.digest, signatures[predictor])
             tasks[uid] = (task, trace)
+            unit_uids.setdefault(unit, []).append(uid)
             phase_tasks.append(
                 PhaseTask(
                     uid=uid,
                     label=f"{label}:{predictor}",
                     cache_key=None if trace.pending else task.cache_key(),
-                    unit=uid[0],
+                    unit=unit,
                 )
             )
 
-    def build_payload(chunk: Sequence[PhaseTask], inline: bool) -> dict:
-        trace = tasks[chunk[0].uid][1]
-        chunk_tasks = [tasks[task.uid][0] for task in chunk]
-        if trace.pending:
-            return simulate_payload(
-                chunk_tasks, trace_task=trace.task, inline=inline, merge=merge
-            )
-        # Both branches decode the trace in the parent first, so a corrupt
-        # cached body is repaired before any worker sees its bytes.
-        if inline:
-            return simulate_payload(chunk_tasks, trace=trace.get())
-        return simulate_payload(chunk_tasks, trace_bytes=trace.trace_binary)
-
     shards: dict[tuple[str, str], PredictorShard] = {}
     merged: dict[str, SimulationResult] = {}
+
+    def build_payload(chunk: Sequence[PhaseTask], inline: bool) -> dict:
+        unit = chunk[0].unit
+        trace = tasks[chunk[0].uid][1]
+        chunk_tasks = [tasks[task.uid][0] for task in chunk]
+        # The unit's other shards this phase already holds (its cache
+        # hits): a chunk that needs only those besides its own merges the
+        # trace; a unit cut into several chunks leaves that to the caller.
+        own = {task.uid for task in chunk}
+        held = [uid for uid in unit_uids[unit] if uid not in own and uid in shards]
+        covered = len(own) + len(held) == len(unit_uids[unit])
+        order = orders.get(unit) if covered else None
+        if trace.pending:
+            return simulate_payload(chunk_tasks, trace_task=trace.task, inline=inline, merge=order)
+        form = {"trace": trace.load()} if inline else {"trace_bytes": trace.trace_binary}
+        return simulate_payload(
+            chunk_tasks,
+            **form,
+            inline=inline,
+            merge=order,
+            shards={uid[1]: shard_to_dict(shards[uid]) for uid in held} if order else None,
+        )
 
     def accept_shard(uid: tuple[str, str], payload: dict) -> bool:
         shards[uid] = shard_from_dict(payload["shard"])
         return True
 
     def accept_unit(chunk: Sequence[PhaseTask], outcome: dict) -> Sequence[PhaseTask]:
-        """Settle a pending trace's entries and key its simulate tasks."""
-        if "trace" not in outcome:
-            return chunk
+        """Settle the trace and merge entries a unit returned beside its shards."""
+        unit = chunk[0].unit
         trace = tasks[chunk[0].uid][1]
-        entry = outcome.pop("trace")
-        trace.accept(entry)
-        engine.stats.record("traces", cached=False)
-        if engine.cache:
-            engine.cache.put("trace", trace.task.cache_key(), entry)
-        engine.progress.task_finished("trace", trace.label, cached=False)
-        unit_tasks = [
-            replace(tasks[phase_task.uid][0], trace_digest=trace.digest) for phase_task in chunk
-        ]
+        entry = outcome.pop("trace", None)
+        if entry is not None:
+            # A pending trace's unit: take its entry and key its tasks.
+            trace.accept(entry, tallies=outcome.pop("tallies", None))
+            engine.stats.record("traces", cached=False)
+            if engine.cache:
+                engine.cache.put("trace", trace.task.cache_key(), entry)
+            engine.progress.task_finished("trace", trace.label, cached=False)
+            chunk = [
+                replace(
+                    phase_task,
+                    uid=(trace.digest, phase_task.uid[1]),
+                    cache_key=replace(tasks[phase_task.uid][0], trace_digest=trace.digest).cache_key(),
+                )
+                for phase_task in chunk
+            ]
         merge_entry = outcome.pop("merge", None)
         if merge_entry is not None:
-            merged[trace.digest] = simulation_from_dict(merge_entry["simulation"])
+            # An in-process unit hands the merged result over as it is.
+            result = outcome.pop("merged", None)
+            if result is None:
+                result = simulation_from_dict(merge_entry["simulation"])
+            merged[trace.digest] = result
             if engine.cache:
-                pairs = [[task.predictor, task.predictor_signature] for task in unit_tasks]
+                pairs = [[predictor, signatures[predictor]] for predictor in orders[unit]]
                 engine.cache.put("merge", merge_cache_key(trace.digest, pairs), merge_entry)
-        return [
-            replace(phase_task, uid=(trace.digest, task.predictor), cache_key=task.cache_key())
-            for phase_task, task in zip(chunk, unit_tasks)
-        ]
+        return chunk
 
     run_phase(
         engine,

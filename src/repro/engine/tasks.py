@@ -2,8 +2,9 @@
 
 A campaign decomposes into trace tasks (:class:`TraceTask`, one per
 benchmark) and simulate tasks (:class:`SimulateTask`, one per (trace,
-predictor) pair, the grain of the simulate cache); the merge of simulate
-shards back into joint results is cheap and always runs in the parent.
+predictor) pair, the grain of the simulate cache); a campaign merges
+each trace's shards into its joint result in the unit that simulates
+them, or in the parent when no one unit holds them all.
 A parameter sweep (:mod:`repro.engine.sweeps`) reuses the same two task
 kinds, with trace tasks spanning the sweep's *benchmark*, *input* and
 *flags* axes.  Each task knows its cache key — the full set of inputs
@@ -19,7 +20,7 @@ executor backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.trace.stream import ValueTrace
 
@@ -98,22 +99,14 @@ class TraceTask:
             "flags": self.flags,
         }
 
-    def payload(self, *, inline: bool = False) -> dict:
-        """Build the worker payload.
-
-        ``inline`` (in-process dispatch) asks the worker to hand back the
-        trace object it collected next to its bytes, so the parent need not
-        decode them; a payload bound for another process never asks.
-        """
-        payload: dict = {
+    def payload(self) -> dict:
+        """Build the worker payload."""
+        return {
             "benchmark": self.benchmark,
             "scale": self.scale,
             "input": self.input_name,
             "flags": self.flags,
         }
-        if inline:
-            payload["return_trace"] = True
-        return payload
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,8 @@ def simulate_payload(
     trace_bytes: bytes | None = None,
     trace_task: TraceTask | None = None,
     inline: bool = False,
-    merge: bool = False,
+    merge: Sequence[str] | None = None,
+    shards: Mapping[str, dict] | None = None,
 ) -> dict:
     """Build one simulate unit's worker payload: one trace, several predictors.
 
@@ -181,19 +175,28 @@ def simulate_payload(
       unit's predictors;
     * ``trace_task`` — the task of a trace whose entry missed (its
       ``tasks`` carry no digest yet): the worker collects the trace itself
-      and simulates the collected columns.  ``inline`` asks it to hand the
-      trace object back, as :meth:`TraceTask.payload` does; ``merge``
-      also has it merge the shards into the campaign's joint result.
+      and simulates the collected columns.
+
+    ``merge`` — a campaign's predictor names, in campaign order — has the
+    worker merge those predictors' shards into the joint result: the ones
+    it simulates, plus ``shards``, the shard entries (``shard_to_dict``
+    form) of the rest by name.  ``inline`` (in-process dispatch only)
+    asks the worker to hand back live objects beside the entries: the
+    merged result and a collected trace's Figure 10 tallies.
     """
     payload: dict = {
         "predictors": [[task.predictor, task.predictor_signature] for task in tasks],
     }
     if trace_task is not None:
-        payload["trace_task"] = trace_task.payload(inline=inline)
-        if merge:
-            payload["merge"] = True
+        payload["trace_task"] = trace_task.payload()
     elif trace is not None:
         payload["trace"] = trace
     else:
         payload["trace_bytes"] = trace_bytes
+    if merge is not None:
+        payload["merge"] = list(merge)
+        if shards:
+            payload["shards"] = dict(shards)
+    if inline:
+        payload["inline"] = True
     return payload

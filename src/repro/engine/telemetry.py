@@ -8,7 +8,8 @@ run id, wall-clock start, monotonic duration, parent span and structured
 attributes), **events** (point-in-time records) and **counters**
 (aggregated totals, flushed on close) as JSON Lines, plus a
 ``manifest.json`` describing the run itself (argv, package and schema
-versions, backend, jobs).  ``repro-vp inspect RUN_DIR`` renders the
+versions, backend, jobs and, once the run closes, the process's peak
+resident set).  ``repro-vp inspect RUN_DIR`` renders the
 pair back into a human summary; every layer of the engine — phases,
 backends, the result cache — emits into it.
 
@@ -75,6 +76,21 @@ STAGE_KEYS = ("trace_s", "simulate_s", "merge_s")
 
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.jsonl"
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set so far, in MiB (``None`` where unknown).
+
+    Read from :func:`resource.getrusage`, whose ``ru_maxrss`` is in KiB
+    on Linux and in bytes on macOS; platforms without :mod:`resource`
+    report ``None``.
+    """
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1024 * 1024 if sys.platform == "darwin" else 1024), 2)
 
 
 def replace_file(path: Path, data: bytes) -> None:
@@ -418,6 +434,7 @@ class RunTelemetry(Telemetry):
             self._stream.flush()
             self._stream.close()
             self._manifest["finished_wall"] = time.time()
+            self._manifest["peak_rss_mb"] = peak_rss_mb()
             self._closed = True
         self._write_manifest()
 

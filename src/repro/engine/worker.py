@@ -5,10 +5,11 @@ workers, so they must stay importable (picklable by reference) and accept
 plain-dict payloads built by :mod:`repro.engine.tasks`.  A payload carries
 one work unit and its outcome lists one entry per task, under
 ``"outcomes"``, next to one telemetry sidecar; a simulate unit that
-collected its own trace also returns that trace's entry (``"trace"``) and,
-for a campaign, the merged entry (``"merge"``).  Each entry is a
-JSON-compatible dict — the exact representation the cache stores — so
-the parent handles pool output and cache hits identically.
+collected its own trace also returns that trace's entry (``"trace"``),
+and a campaign's unit that covers every predictor of its trace returns
+the merged entry (``"merge"``).  Each entry is a JSON-compatible dict —
+the exact representation the cache stores — so the parent handles pool
+output and cache hits identically.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import time
 from hashlib import sha256
 
 from repro.core.registry import create_predictor
-from repro.engine.codecs import shard_to_dict, simulation_to_dict, statistics_to_dict
+from repro.engine.codecs import shard_from_dict, shard_to_dict, simulation_to_dict, statistics_to_dict
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.errors import SimulationError
 from repro.simulation.simulator import merge_shards, simulate_shard
+from repro.simulation.value_profile import pc_tallies
 from repro.trace.io import decode_trace, dumps_trace, dumps_trace_binary
 from repro.trace.stream import ValueTrace
 from repro.workloads.suite import get_workload
@@ -46,11 +48,6 @@ def _telemetry_sidecar(function: str, started_perf: float, **stages: float) -> d
     }
 
 
-#: Outcome-entry key of the trace object an in-process trace task hands
-#: back (see :func:`execute_trace_task`); never cached, never pickled.
-INLINE_TRACE_KEY = "__trace__"
-
-
 def execute_trace_task(payload: dict) -> dict:
     """Run one benchmark into a trace; its one entry holds v3 bytes and statistics.
 
@@ -67,12 +64,8 @@ def execute_trace_task(payload: dict) -> dict:
     (:func:`repro.trace.collector.collect_trace`), and the text, the v3
     bytes and the statistics are all rendered from those arrays in chunked
     numpy passes: the worker builds no ``TraceRecord`` and no per-record
-    Python object.
-
-    A payload with ``return_trace`` (in-process dispatch only, see
-    :meth:`~repro.engine.tasks.TraceTask.payload`) also gets the trace
-    object back in its entry under :data:`INLINE_TRACE_KEY`; the scheduler
-    takes it out of the entry before the entry is cached.
+    Python object.  Only the entry leaves the unit: the trace is dropped
+    with it.
     """
     started = time.perf_counter()
     entry, _ = _trace_entry(payload)
@@ -93,8 +86,6 @@ def _trace_entry(payload: dict) -> tuple[dict, ValueTrace]:
         "digest": sha256(text.encode("utf-8")).hexdigest(),
         "statistics": statistics_to_dict(trace.statistics()),
     }
-    if payload.get("return_trace"):
-        entry[INLINE_TRACE_KEY] = trace
     return entry, trace
 
 
@@ -113,9 +104,18 @@ def execute_simulate_task(payload: dict) -> dict:
       entry missed: the unit collects the trace itself (as
       :func:`execute_trace_task` does, text dropped before simulating),
       returns the trace entry under ``"trace"`` and simulates the
-      collected columns, so nothing decodes the trace.  With ``merge``
-      it also merges the shards into the joint result and returns that
-      entry under ``"merge"``.
+      collected columns, so nothing decodes the trace.
+
+    ``merge``, when present, lists a campaign's predictor names in
+    campaign order: the unit merges the shards of those predictors — its
+    own, plus the cache hits the parent ships under ``shards`` as shard
+    entries by name — into the joint result and returns that entry under
+    ``"merge"``.  A unit run in the parent's own process (``inline``)
+    also hands back live objects the parent would otherwise rebuild: the
+    merged :class:`~repro.simulation.simulator.SimulationResult` under
+    ``"merged"`` and, for a campaign unit that collected its trace, the
+    trace's Figure 10 per-PC tallies under ``"tallies"`` — the one thing
+    of the trace the parent may still need once the unit ends.
 
     Every predictor starts empty and runs over that one trace object, so
     the kernel's per-trace state (grouping, context tables, the
@@ -129,22 +129,29 @@ def execute_simulate_task(payload: dict) -> dict:
 
     started = time.perf_counter()
     names = [_check_signature(name, signature) for name, signature in payload["predictors"]]
+    inline = payload.get("inline", False)
     outcome: dict = {}
     stages: dict = {}
     trace = payload.get("trace")
     if "trace_task" in payload:
         outcome["trace"], trace = _trace_entry(payload["trace_task"])
+        if inline and "merge" in payload:
+            outcome["tallies"] = pc_tallies(trace)
         stages["trace_s"] = time.perf_counter() - started
     elif trace is None:
         trace = decode_trace(payload["trace_bytes"])
     simulating = time.perf_counter()
-    shards = [simulate_shard(trace, name) for name in names]
+    shards = {name: simulate_shard(trace, name) for name in names}
     stages["simulate_s"] = time.perf_counter() - simulating
-    outcome["outcomes"] = [{"shard": shard_to_dict(shard)} for shard in shards]
-    if payload.get("merge"):
+    outcome["outcomes"] = [{"shard": shard_to_dict(shards[name])} for name in names]
+    if "merge" in payload:
         merging = time.perf_counter()
-        merged = merge_shards(trace, dict(zip(names, shards)))
+        for name, entry in payload.get("shards", {}).items():
+            shards[name] = shard_from_dict(entry)
+        merged = merge_shards(trace, {name: shards[name] for name in payload["merge"]})
         outcome["merge"] = {"simulation": simulation_to_dict(merged)}
+        if inline:
+            outcome["merged"] = merged
         stages["merge_s"] = time.perf_counter() - merging
     release_kernel_state()
     outcome[TELEMETRY_KEY] = _telemetry_sidecar("simulate", started, **stages)

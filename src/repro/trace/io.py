@@ -492,6 +492,11 @@ def load_trace_binary(source: BinaryIO) -> ValueTrace:
 # --------------------------------------------------------------------------- #
 # Columnar decode (the vectorized kernel's input representation)
 # --------------------------------------------------------------------------- #
+#: Records decoded or rendered per numpy pass, so the decoder's and the
+#: writers' scratch arrays stay the same size however long the trace is.
+_CHUNK_RECORDS = 8192
+
+
 class TraceColumns:
     """A trace as parallel numpy columns instead of ``TraceRecord`` objects.
 
@@ -567,28 +572,68 @@ def _unzigzag_array(np, raw):
     return ((raw >> np.uint64(1)) ^ mask).view(np.int64)
 
 
-def _prefix_sum_int64(np, deltas):
-    """Cumulative sum of ``int64`` deltas, or ``None`` if it could overflow.
+def _prefix_sum_int64(np, deltas, previous: int, out) -> bool:
+    """Write ``previous`` plus the running sum of ``deltas`` into ``out``.
 
-    The scalar decoder accumulates in arbitrary-precision Python ints; the
+    Returns ``False``, writing nothing, if a sum could overflow int64.  The
+    scalar decoder accumulates in arbitrary-precision Python ints; the
     columnar path must refuse (and fall back) rather than silently wrap.
     A float64 shadow sum bounds the true magnitude closely enough to gate
-    on half the int64 range.
+    on half the int64 range.  ``deltas`` is consumed.
     """
     shadow = np.cumsum(deltas.astype(np.float64))
-    if shadow.size and np.abs(shadow).max() >= float(2**62):
+    shadow += previous
+    if np.abs(shadow).max() >= float(2**62):
+        return False
+    deltas[0] += previous
+    np.cumsum(deltas, out=out)
+    return True
+
+
+def _varint_ends(np, buf, count: int, guess: int):
+    """Offsets of the last bytes of the first ``count`` varints in ``buf``.
+
+    The span searched starts at ``guess`` bytes; a valid 64-bit varint is
+    at most 10 bytes long, so when ``10 * count`` bytes do not hold
+    ``count`` of them, one is longer and ``None`` is returned.
+    """
+    for span in (guess, 10 * count):
+        ends = np.flatnonzero(buf[:span] < 0x80)
+        if len(ends) >= count:
+            return ends[:count]
+    return None
+
+
+def _varint_values(np, buf, ends):
+    """The varints of ``buf`` ending at ``ends``, as ``uint64``.
+
+    ``None`` for a varint wider than a 64-bit zigzag value needs.
+    """
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    extra = ends - starts
+    longest = int(extra.max())
+    if longest > 9 or (longest == 9 and bool(np.any(buf[ends[extra == 9]] > 0x01))):
         return None
-    return np.cumsum(deltas)
+    values = (buf[starts] & np.uint8(0x7F)).astype(np.uint64)
+    for byte in range(1, longest + 1):
+        rows = np.flatnonzero(extra >= byte)
+        bits = (buf[starts[rows] + byte] & np.uint8(0x7F)).astype(np.uint64)
+        values[rows] |= bits << np.uint64(7 * byte)
+    return values
 
 
 def decode_trace_columns(data: bytes) -> TraceColumns | None:
     """Decode v3 binary bytes straight into columns, skipping records.
 
-    This is the production decoder (see :func:`decode_trace`).  Returns
-    ``None`` for a field outside the 64-bit domain the vectorized kernel
-    computes in (the scalar decoder handles those with arbitrary-precision
-    ints).  Raises :class:`TraceError`, and only that, on corrupt data —
-    exactly where :func:`loads_trace_binary` does.
+    This is the production decoder (see :func:`decode_trace`).  The body
+    is parsed :data:`_CHUNK_RECORDS` records at a time into preallocated
+    columns, so its scratch arrays stay the same size however long the
+    trace is.  Returns ``None`` for a field outside the 64-bit domain the
+    vectorized kernel computes in (the scalar decoder handles those with
+    arbitrary-precision ints).  Raises :class:`TraceError`, and only
+    that, on corrupt data — exactly where :func:`loads_trace_binary` does.
     """
     import numpy as np
 
@@ -611,38 +656,44 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
         raise TraceError(
             f"corrupt binary trace: body ends after 0 of {expected_records} records"
         )
-    is_term = (buf & 0x80) == 0
-    if not is_term[-1]:
+    if buf[-1] & 0x80:
         raise TraceError("truncated varint")
-    n_varints = int(is_term.sum())
+    n_varints = int(np.count_nonzero(buf < 0x80))
     if n_varints != 4 * expected_records:
         raise TraceError(
             f"corrupt binary trace: body holds {n_varints} varints, "
             f"{4 * expected_records} expected"
         )
-    starts_mask = np.empty(buf.size, dtype=bool)
-    starts_mask[0] = True
-    starts_mask[1:] = is_term[:-1]
-    varint_id = np.cumsum(starts_mask) - 1
-    starts = np.flatnonzero(starts_mask)
-    pos = np.arange(buf.size) - starts[varint_id]
-    if int(pos.max()) > 9 or bool(np.any(buf[pos == 9] > 0x01)):
-        # A varint longer than a 64-bit zigzag value needs: fall back to
-        # the arbitrary-precision scalar decoder.
-        return None
-    terms = (buf & np.uint8(0x7F)).astype(np.uint64) << (7 * pos).astype(np.uint64)
-    raw = np.add.reduceat(terms, starts).reshape(expected_records, 4)
-
-    opcode_codes = raw[:, 2]
-    if int(opcode_codes.max()) >= len(table):
-        bad = int(np.argmax(opcode_codes >= np.uint64(len(table))))
-        raise TraceError(f"corrupt binary trace: invalid opcode index in record {bad + 1}")
-    opcode_codes = opcode_codes.astype(np.int64)
-    serials = _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 0].copy()))
-    pcs = _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 1].copy()))
-    if serials is None or pcs is None:
-        return None
-    values = _unzigzag_array(np, raw[:, 3].copy())
+    # With the count right and the last byte ending a varint, the body
+    # splits into exactly the expected varints: each chunk below finds its
+    # own, from the bytes per varint of the whole body plus a margin.
+    bytes_per_varint = buf.size / n_varints
+    serials, pcs, values, opcode_codes = (np.empty(expected_records, dtype=np.int64) for _ in range(4))
+    offset = serial = pc = 0
+    for start in range(0, expected_records, _CHUNK_RECORDS):
+        count = min(_CHUNK_RECORDS, expected_records - start)
+        window = buf[offset:]
+        ends = _varint_ends(np, window, 4 * count, int(4 * count * bytes_per_varint * 1.25) + 16)
+        raw = None if ends is None else _varint_values(np, window, ends)
+        if raw is None:
+            # A varint longer than a 64-bit zigzag value needs: fall back
+            # to the arbitrary-precision scalar decoder.
+            return None
+        offset += int(ends[-1]) + 1
+        raw = raw.reshape(count, 4)
+        rows = slice(start, start + count)
+        codes = raw[:, 2]
+        if int(codes.max()) >= len(table):
+            bad = start + int(np.argmax(codes >= np.uint64(len(table))))
+            raise TraceError(f"corrupt binary trace: invalid opcode index in record {bad + 1}")
+        opcode_codes[rows] = codes
+        values[rows] = _unzigzag_array(np, raw[:, 3].copy())
+        if not (
+            _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 0].copy()), serial, serials[rows])
+            and _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 1].copy()), pc, pcs[rows])
+        ):
+            return None
+        serial, pc = int(serials[start + count - 1]), int(pcs[start + count - 1])
     category_codes = np.asarray(op_to_cat, dtype=np.int64)[opcode_codes]
     return TraceColumns(
         name, total, serials, pcs, values, opcode_codes, tuple(table),
@@ -702,11 +753,6 @@ def trace_columns(trace: ValueTrace) -> TraceColumns | None:
 # --------------------------------------------------------------------------- #
 # Columnar writers (the production path of dump_trace / dumps_trace_binary)
 # --------------------------------------------------------------------------- #
-#: Records rendered per numpy pass, so the writers' scratch arrays stay the
-#: same size however long the trace is.
-_CHUNK_RECORDS = 8192
-
-
 def _word(np, text: bytes) -> int:
     """The ``uint32`` whose bytes in memory are ``text``, zero-padded."""
     return int(np.frombuffer(text.ljust(4, b"\0"), dtype=np.uint32)[0])

@@ -10,6 +10,7 @@ it against the committed goldens, which is the acceptance path CI runs.
 from __future__ import annotations
 
 import json
+import resource
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,14 @@ class TestReproduceRunner:
         run_manifest = json.loads((report.run_dir / "manifest.json").read_text())
         assert run_manifest["command"] == "reproduce"
         assert run_manifest["artifact_deliverables"] == list(manifest.identifiers())
+
+    def test_summary_and_run_manifest_record_peak_rss(self, tmp_path):
+        report = reproduce(micro_manifest(tmp_path), only=["table1"], out_dir=tmp_path / "results")
+        summary = json.loads((report.run_dir / "summary.json").read_text())
+        run_manifest = json.loads((report.run_dir / "manifest.json").read_text())
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        # A peak only grows: the summary is written before the manifest closes.
+        assert 0 < summary["peak_rss_mb"] <= run_manifest["peak_rss_mb"] <= round(now, 2)
 
     def test_written_payloads_carry_matching_digest(self, tmp_path):
         manifest = micro_manifest(tmp_path)

@@ -72,10 +72,12 @@ class TestOnePayloadPerTrace:
         assert [_names(payload) for payload in payloads] == [list(PREDICTORS)] * len(BENCHMARKS)
         assert [payload["trace_task"]["benchmark"] for payload in payloads] == list(BENCHMARKS)
         for payload in payloads:
-            assert payload["merge"] is True
+            assert payload["merge"] == list(PREDICTORS)
             assert "trace" not in payload and "trace_bytes" not in payload
-            # Only an in-process unit hands its trace object back.
-            assert payload["trace_task"].get("return_trace", False) == (backend == "serial")
+            assert "shards" not in payload
+            # Only an in-process unit hands live objects (the trace's
+            # tallies, the merged result) back.
+            assert payload.get("inline", False) == (backend == "serial")
         # Accounting stays per cache entry.
         entries = len(BENCHMARKS) * len(PREDICTORS)
         assert engine.stats.traces_computed == len(BENCHMARKS)

@@ -7,7 +7,11 @@ never disagree.  Each Hypothesis example is one seed of
 v2 ↔ v3 ↔ columns identically through both decoders, and seeded byte
 mutations of its v3 bytes must make both decoders raise
 :class:`~repro.errors.TraceError` (and nothing else) or return the same
-content — unless the columnar decoder declines with ``None``.
+content — unless the columnar decoder declines with ``None``.  The
+columnar decoder parses the body ``_CHUNK_RECORDS`` records at a time, so
+both properties also run with three-record chunks, where every example
+spans several chunks, and with mutants whose fault lies past the first
+chunk; and a scale-1.0 trace decodes in bounded scratch memory.
 ``pytest tests/trace/test_decoder_differential.py --hypothesis-profile=nightly``
 runs many more seeds than the default profile.
 """
@@ -16,8 +20,10 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "isa"))
@@ -25,11 +31,15 @@ from random_programs import random_program  # noqa: E402
 
 from repro.errors import ReproError, TraceError  # noqa: E402
 from repro.trace.collector import collect_trace  # noqa: E402
+from repro.trace import io as trace_io  # noqa: E402
 from repro.trace.io import (  # noqa: E402
+    BINARY_FORMAT_VERSION,
+    BINARY_MAGIC,
     decode_trace,
     decode_trace_columns,
     dumps_trace,
     dumps_trace_binary,
+    encode_uvarint,
     loads_trace,
     loads_trace_binary,
     trace_columns,
@@ -39,6 +49,9 @@ from repro.trace.io import (  # noqa: E402
 MUTANTS_PER_SEED = 20
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+#: Records per decoder chunk in the small-chunk runs.
+SMALL_CHUNK = 3
 
 
 def _collected(seed):
@@ -139,3 +152,123 @@ def test_mutated_v3_bytes_fail_alike_or_decode_alike(seed, mutation_seed):
             assert scalar is columns, mutant
         else:
             assert _columns_content(columns) == _content(scalar), mutant
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """The columnar decoder (and the writers) at :data:`SMALL_CHUNK` records per chunk."""
+    monkeypatch.setattr(trace_io, "_CHUNK_RECORDS", SMALL_CHUNK)
+
+
+def test_round_trip_in_small_chunks(small_chunks):
+    test_round_trip_text_v3_columns_on_both_decoders()
+
+
+def test_mutated_v3_bytes_in_small_chunks(small_chunks):
+    test_mutated_v3_bytes_fail_alike_or_decode_alike()
+
+
+def _first_chunk_end(blob: bytes) -> int:
+    """Offset in uncompressed v3 ``blob`` just past its first small chunk's varints."""
+    body = trace_io._parse_binary_container(blob)[4]
+    ends = [index for index, byte in enumerate(body) if not byte & 0x80]
+    return len(blob) - len(body) + ends[4 * SMALL_CHUNK - 1] + 1
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, mutation_seed=SEEDS)
+def test_mutants_past_the_first_chunk_fail_alike_or_decode_alike(seed, mutation_seed):
+    trace = _collected(seed)
+    if trace is None or len(trace) <= 2 * SMALL_CHUNK:
+        return
+    rng = random.Random(mutation_seed)
+    blob = dumps_trace_binary(trace)
+    start = _first_chunk_end(blob)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_io, "_CHUNK_RECORDS", SMALL_CHUNK)
+        for _ in range(MUTANTS_PER_SEED):
+            data = bytearray(blob)
+            position = rng.randrange(start, len(data))
+            operation = rng.randrange(4)
+            if operation == 0:
+                data[position] ^= 1 << rng.randrange(8)
+            elif operation == 1:
+                del data[position:]
+            elif operation == 2:
+                data.insert(position, rng.randrange(256))
+            else:
+                del data[position]
+            mutant = bytes(data)
+            scalar = _decode(loads_trace_binary, mutant)
+            columns = _decode(decode_trace_columns, mutant)
+            if columns is None:
+                continue
+            if scalar is TraceError or columns is TraceError:
+                assert scalar is columns, mutant
+            else:
+                assert _columns_content(columns) == _content(scalar), mutant
+
+
+def _hand_blob(records) -> bytes:
+    """Uncompressed v3 bytes of raw ``(serial_delta, pc_delta, opcode, value)`` varints."""
+    body = b"".join(encode_uvarint(field) for record in records for field in record)
+    out = bytearray(BINARY_MAGIC)
+    for field in (BINARY_FORMAT_VERSION, 0, 1):
+        out += encode_uvarint(field)
+    out += b"x" + encode_uvarint(len(records)) + encode_uvarint(len(records))
+    out += encode_uvarint(1) + encode_uvarint(3) + b"add"
+    return bytes(out + encode_uvarint(len(body)) + body)
+
+
+#: Seven well-formed records: serial and pc deltas 2 (zigzag of 1), opcode 0.
+SEVEN = [(2, 2, 0, 2 * index) for index in range(7)]
+
+
+def test_bad_opcode_in_a_later_chunk_is_reported_at_its_record(small_chunks):
+    blob = _hand_blob([*SEVEN[:5], (2, 2, 1, 0), SEVEN[6]])
+    for decoder in (loads_trace_binary, decode_trace_columns):
+        with pytest.raises(TraceError, match="invalid opcode index in record 6"):
+            decoder(blob)
+
+
+def test_chunks_carry_serials_and_pcs_across_boundaries(small_chunks):
+    columns = decode_trace_columns(_hand_blob(SEVEN))
+    assert columns.serials.tolist() == columns.pcs.tolist() == [1, 2, 3, 4, 5, 6, 7]
+    assert columns.values.tolist() == list(range(7))
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [*SEVEN[:5], (2, 2, 0, 2**70), SEVEN[6]],
+        # The first serial is 2**62 - 10 and no delta of the second chunk
+        # reaches 2**62: only the sum carried into it does.
+        [(2**63 - 20, 2, 0, 0), *SEVEN[1:5], (40, 2, 0, 0), SEVEN[6]],
+    ],
+    ids=["value-wider-than-64-bits", "serial-sum-carried-past-2**62"],
+)
+def test_field_outside_int64_in_a_later_chunk_declines(small_chunks, records):
+    blob = _hand_blob(records)
+    assert decode_trace_columns(blob) is None
+    assert len(loads_trace_binary(blob)) == 7
+
+
+#: What the whole-body decoder allocated at its peak to decode the
+#: scale-1.0 ``go`` trace (49,591 records, 1.9 MB of columns).
+WHOLE_BODY_PEAK_BYTES = 11.1e6
+
+
+def test_scale_one_go_trace_decodes_in_half_the_whole_body_peak():
+    from repro.engine.tasks import TraceTask
+    from repro.engine.worker import execute_trace_task
+
+    (entry,) = execute_trace_task(TraceTask.for_workload("go", 1.0).payload())["outcomes"]
+    data = entry["trace_binary"]
+    tracemalloc.start()
+    try:
+        columns = decode_trace_columns(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns) == 49_591
+    assert peak <= WHOLE_BODY_PEAK_BYTES / 2, peak

@@ -15,7 +15,9 @@ empty trace, a single record, names that need percent-encoding, a pc
 with two categories, a decoded v3 file with a permuted opcode table and a
 value outside int64.
 ``pytest tests/trace/test_writer_differential.py --hypothesis-profile=nightly``
-runs many more seeds than the default profile.
+runs many more seeds than the default profile.  Writers and decoder work
+in ``_CHUNK_RECORDS``-record chunks, so the seeded and hand-built cases
+also run with three-record chunks, where every example spans several.
 """
 
 from __future__ import annotations
@@ -162,42 +164,40 @@ def test_numpy_collector_matches_list_collector(seed):
 EXTREMES = [0, -1, 1, INT64_MAX, INT64_MIN, INT64_MIN + 1, 9, 10, 9999, 10_000, -10_000, 10**18]
 
 
-@pytest.mark.parametrize(
-    "trace",
-    [
-        pytest.param(
-            _trace([(2 * i, 4 * (i % 3), Opcode.ADDI, v) for i, v in enumerate(EXTREMES)]),
-            id="int64-extreme-values",
+HAND_BUILT = [
+    pytest.param(
+        _trace([(2 * i, 4 * (i % 3), Opcode.ADDI, v) for i, v in enumerate(EXTREMES)]),
+        id="int64-extreme-values",
+    ),
+    pytest.param(
+        _trace([(INT64_MAX, INT64_MIN, Opcode.LW, -1), (INT64_MAX, INT64_MAX, Opcode.LW, 0)]),
+        id="int64-extreme-serials-and-pcs",
+    ),
+    pytest.param(_trace([]), id="empty"),
+    pytest.param(_trace([], total=7), id="empty-with-total"),
+    pytest.param(_trace([(0, 0, Opcode.LI, 42)]), id="single-record"),
+    pytest.param(_trace([(3, 8, Opcode.SUB, 5)], name="a b%c=d/é\n"), id="percent-encoded-name"),
+    pytest.param(
+        _trace(
+            [
+                (0, 4, Opcode.ADD, 1),
+                (1, 8, Opcode.LW, 2),
+                (2, 4, Opcode.LW, 1),
+                (3, 4, Opcode.JAL, 3),
+                (5, 12, Opcode.SLL, 3),
+                (6, 8, Opcode.ADD, 2),
+            ]
         ),
-        pytest.param(
-            _trace([(INT64_MAX, INT64_MIN, Opcode.LW, -1), (INT64_MAX, INT64_MAX, Opcode.LW, 0)]),
-            id="int64-extreme-serials-and-pcs",
-        ),
-        pytest.param(_trace([]), id="empty"),
-        pytest.param(_trace([], total=7), id="empty-with-total"),
-        pytest.param(_trace([(0, 0, Opcode.LI, 42)]), id="single-record"),
-        pytest.param(
-            _trace([(3, 8, Opcode.SUB, 5)], name="a b%c=d/é\n"), id="percent-encoded-name"
-        ),
-        pytest.param(
-            _trace(
-                [
-                    (0, 4, Opcode.ADD, 1),
-                    (1, 8, Opcode.LW, 2),
-                    (2, 4, Opcode.LW, 1),
-                    (3, 4, Opcode.JAL, 3),
-                    (5, 12, Opcode.SLL, 3),
-                    (6, 8, Opcode.ADD, 2),
-                ]
-            ),
-            id="pcs-with-several-categories",
-        ),
-        pytest.param(
-            _trace([(i, -4 * i, Opcode.MOV, -i) for i in range(20_000)]),
-            id="several-chunks-negative-pcs",
-        ),
-    ],
-)
+        id="pcs-with-several-categories",
+    ),
+    pytest.param(
+        _trace([(i, -4 * i, Opcode.MOV, -i) for i in range(20_000)]),
+        id="several-chunks-negative-pcs",
+    ),
+]
+
+
+@pytest.mark.parametrize("trace", HAND_BUILT)
 def test_hand_built_traces_write_and_tally_alike(trace):
     _assert_writers_agree(trace)
     text = dumps_trace(trace)
@@ -289,3 +289,25 @@ def test_decoded_trace_with_a_permuted_opcode_table_is_remapped():
         assert dumps_trace_binary(decoded, compress=compress) == dumps_trace_binary(
             trace, compress=compress
         )
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Writers and decoder at three records per chunk."""
+    monkeypatch.setattr(trace_io, "_CHUNK_RECORDS", 3)
+
+
+def test_random_program_traces_in_small_chunks(small_chunks):
+    test_random_program_traces_write_and_tally_alike()
+
+
+def test_hand_built_traces_in_small_chunks(small_chunks):
+    for param in HAND_BUILT:
+        (trace,) = param.values
+        # The 20,000-record case spans several default-size chunks already.
+        if len(trace) < 1000:
+            test_hand_built_traces_write_and_tally_alike(trace)
+
+
+def test_permuted_opcode_table_in_small_chunks(small_chunks):
+    test_decoded_trace_with_a_permuted_opcode_table_is_remapped()
