@@ -579,8 +579,12 @@ def _command_campaign(args: argparse.Namespace) -> int:
             progress=ConsoleProgress() if args.progress else None,
         ) as engine:
             try:
+                # The table below reads accuracies only: no Figure 10 tallies.
                 result = engine.run(
-                    scale=scale, predictors=tuple(args.predictors), benchmarks=tuple(args.benchmarks)
+                    scale=scale,
+                    predictors=tuple(args.predictors),
+                    benchmarks=tuple(args.benchmarks),
+                    tallies=False,
                 )
             except DispatchError as error:
                 # Backend infrastructure failed (a worker process died);

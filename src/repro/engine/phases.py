@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from repro.engine.telemetry import STAGE_KEYS, TELEMETRY_KEY
 from repro.errors import DispatchError
@@ -164,6 +164,11 @@ class UnitPayloads(Sequence):
 
     def __getitem__(self, index: int) -> dict:
         return self._build(self._chunks[index], self._inline)
+
+    def __iter__(self) -> Iterator[dict]:
+        # Not the Sequence mixin's, which ends at the first IndexError: one
+        # raised while building a payload must fail the dispatch.
+        return (self._build(chunk, self._inline) for chunk in self._chunks)
 
 
 def dispatch_chunks(units: Sequence[Sequence[PhaseTask]], slots: int) -> list[Sequence[PhaseTask]]:

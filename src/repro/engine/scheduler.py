@@ -31,10 +31,14 @@ dispatched, and every read of a trace the engine makes for itself
 decodes it for that one use (:meth:`LazyTrace.load`).  The campaign's
 result keeps its traces lazy (:class:`CampaignTraces`): a trace is
 decoded, and kept, when a caller first reads it, and Figure 10's per-PC
-tallies come from the unit that collected the trace or from ``profile``
-cache entries (:meth:`LazyTrace.pc_tallies`), so a fully warm run
-decodes no trace.  :func:`repro.engine.sweeps.execute_sweep` fans the
-shards out to its sweep points instead.  Work runs on a pluggable
+tallies come from ``profile`` cache entries or, when the run asks for
+them (``tallies``, on by default), from the in-process unit that
+collected the trace (:meth:`LazyTrace.pc_tallies`), so neither a fully
+warm run nor a serial cold one decodes a trace for them.  The tally pass
+costs a unit 1-5 ms per scale-1.0 trace, so a run whose caller never
+reads the tallies (the ``campaign`` command) does not ask for it.
+:func:`repro.engine.sweeps.execute_sweep` fans the shards out to its
+sweep points instead.  Work runs on a pluggable
 :class:`~repro.engine.backends.ExecutorBackend`.
 """
 
@@ -218,12 +222,17 @@ class ExecutionEngine:
         scale: float,
         predictors: Sequence[str],
         benchmarks: Sequence[str],
+        tallies: bool = True,
     ):
         """Run one full campaign; returns a ``CampaignResult``.
 
         Results are bit-identical for every ``jobs`` value and every
         backend: parallelism only changes *where* each work unit executes,
         and the merge phase reassembles the exact lockstep accounting.
+        ``tallies`` has an in-process unit that collects a trace also
+        tally it for Figure 10 (:meth:`LazyTrace.pc_tallies`), so the
+        result serves those tallies without decoding the trace; a caller
+        that never reads them passes ``False`` and saves the tally pass.
         """
         # Imported lazily: campaign.py is the public façade over this
         # engine and importing it at module level would be circular.
@@ -256,7 +265,7 @@ class ExecutionEngine:
                     for name in benchmarks
                 },
             )
-            simulations = self._merge(predictors, benchmarks, traces)
+            simulations = self._merge(predictors, benchmarks, traces, tallies)
             stats.total_seconds = time.perf_counter() - started
             self._finish_run_stats(stats, cache_base, run_span)
         self.progress.campaign_finished(stats)
@@ -337,7 +346,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
     # The campaign's merge
     # ------------------------------------------------------------------ #
-    def _merge(self, predictors, benchmarks, traces) -> dict:
+    def _merge(self, predictors, benchmarks, traces, tallies: bool) -> dict:
         """Merge probe → simulate phase for the misses → merge and put.
 
         A merged result is fully determined by the trace content and the
@@ -367,6 +376,7 @@ class ExecutionEngine:
             self,
             [(benchmark, traces[benchmark], predictors) for benchmark in missing],
             merge=True,
+            tallies=tallies,
             presatisfied_count=len(simulations) * len(predictors),
             presatisfied_labels=[f"{benchmark}:*" for benchmark in simulations],
         )
@@ -457,8 +467,8 @@ class LazyTrace:
 
     A trace whose entry missed may be *pending* (:attr:`pending`): the
     trace phase deferred it, and the simulate unit that collects it hands
-    its entry (and, in-process, its tallies) to :meth:`accept`.  Until
-    then it has no digest and no statistics.
+    its entry (and, in-process when the run asked, its tallies) to
+    :meth:`accept`.  Until then it has no digest and no statistics.
     """
 
     def __init__(
@@ -658,6 +668,7 @@ def simulate_phase(
     engine: ExecutionEngine,
     requests: Sequence[tuple[str, LazyTrace, Sequence[str]]],
     merge: bool = False,
+    tallies: bool = False,
     presatisfied_count: int = 0,
     presatisfied_labels: Sequence[str] = (),
 ) -> tuple[dict[tuple[str, str], PredictorShard], dict[str, SimulationResult]]:
@@ -682,9 +693,9 @@ def simulate_phase(
 
     A pending trace's unit carries the trace task instead: the worker
     collects the trace, simulates all of the request's predictors and,
-    with ``merge``, merges them and (in-process) hands back the trace's
-    per-PC tallies; the parent caches the trace, shard and merge entries
-    as the outcome arrives.  An in-process unit hands its merged result
+    with ``merge``, merges them and, in-process with ``tallies``, hands
+    back the trace's Figure 10 per-PC tallies; the parent caches the
+    trace, shard and merge entries as the outcome arrives.  An in-process unit hands its merged result
     back as it is, so only results from process workers are decoded.  Its simulate entries cannot be
     probed first (their key needs the digest), so a unit computes, and
     counts as computed, every predictor even when some entries survive
@@ -741,7 +752,13 @@ def simulate_phase(
         covered = len(own) + len(held) == len(unit_uids[unit])
         order = orders.get(unit) if covered else None
         if trace.pending:
-            return simulate_payload(chunk_tasks, trace_task=trace.task, inline=inline, merge=order)
+            return simulate_payload(
+                chunk_tasks,
+                trace_task=trace.task,
+                inline=inline,
+                merge=order,
+                tallies=inline and tallies and order is not None,
+            )
         form = {"trace": trace.load()} if inline else {"trace_bytes": trace.trace_binary}
         return simulate_payload(
             chunk_tasks,

@@ -156,6 +156,7 @@ def simulate_payload(
     inline: bool = False,
     merge: Sequence[str] | None = None,
     shards: Mapping[str, dict] | None = None,
+    tallies: bool = False,
 ) -> dict:
     """Build one simulate unit's worker payload: one trace, several predictors.
 
@@ -181,8 +182,9 @@ def simulate_payload(
     worker merge those predictors' shards into the joint result: the ones
     it simulates, plus ``shards``, the shard entries (``shard_to_dict``
     form) of the rest by name.  ``inline`` (in-process dispatch only)
-    asks the worker to hand back live objects beside the entries: the
-    merged result and a collected trace's Figure 10 tallies.
+    asks the worker to hand back the merged result as a live object
+    beside the entries, and ``tallies`` (likewise) the collected trace's
+    Figure 10 per-PC tallies.
     """
     payload: dict = {
         "predictors": [[task.predictor, task.predictor_signature] for task in tasks],
@@ -199,4 +201,6 @@ def simulate_payload(
             payload["shards"] = dict(shards)
     if inline:
         payload["inline"] = True
+    if tallies:
+        payload["tallies"] = True
     return payload

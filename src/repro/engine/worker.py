@@ -111,11 +111,15 @@ def execute_simulate_task(payload: dict) -> dict:
     own, plus the cache hits the parent ships under ``shards`` as shard
     entries by name — into the joint result and returns that entry under
     ``"merge"``.  A unit run in the parent's own process (``inline``)
-    also hands back live objects the parent would otherwise rebuild: the
-    merged :class:`~repro.simulation.simulator.SimulationResult` under
-    ``"merged"`` and, for a campaign unit that collected its trace, the
-    trace's Figure 10 per-PC tallies under ``"tallies"`` — the one thing
-    of the trace the parent may still need once the unit ends.
+    also hands back the merged
+    :class:`~repro.simulation.simulator.SimulationResult` as it is, under
+    ``"merged"``, so the parent does not rebuild it.  ``tallies`` (set
+    only on in-process campaign units that collect their trace) hands
+    back the collected trace's Figure 10 per-PC tallies under
+    ``"tallies"`` — the one thing of the trace the parent may still need
+    once the unit ends.  The tally pass costs 1-5 ms per scale-1.0
+    trace, so a campaign whose caller never reads the tallies does not
+    ask for it.
 
     Every predictor starts empty and runs over that one trace object, so
     the kernel's per-trace state (grouping, context tables, the
@@ -135,7 +139,7 @@ def execute_simulate_task(payload: dict) -> dict:
     trace = payload.get("trace")
     if "trace_task" in payload:
         outcome["trace"], trace = _trace_entry(payload["trace_task"])
-        if inline and "merge" in payload:
+        if payload.get("tallies"):
             outcome["tallies"] = pc_tallies(trace)
         stages["trace_s"] = time.perf_counter() - started
     elif trace is None:

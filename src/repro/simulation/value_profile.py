@@ -163,18 +163,32 @@ def profile_from_tallies(
 
 
 def _array_pc_tallies(columns) -> PcTallies:
-    """:func:`pc_tallies` of numpy ``columns``, with the same dicts."""
+    """:func:`pc_tallies` of numpy ``columns``, with the same dicts.
+
+    One pass groups the records by (pc, value): an argsort of the values,
+    then a stable argsort of the pcs in that order.  Each pc's run of the
+    grouped records gives its dynamic count, its distinct values and,
+    by the smallest record index in it, its first record's category.
+    """
     import numpy as np
 
-    pcs, first, pc_ids = np.unique(columns.pcs, return_index=True, return_inverse=True)
-    order = np.lexsort((columns.values, pc_ids))
-    sorted_ids = pc_ids[order]
+    pcs = columns.pcs
+    if not len(pcs):
+        return PcTallies({}, {}, {})
+    by_value = np.argsort(columns.values)
+    order = by_value[np.argsort(pcs[by_value], kind="stable")]
+    sorted_pcs = pcs[order]
     sorted_values = columns.values[order]
-    new_pair = np.ones(len(order), dtype=bool)
-    new_pair[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (sorted_values[1:] != sorted_values[:-1])
-    unique = np.bincount(sorted_ids[new_pair], minlength=len(pcs))
-    dynamic = np.bincount(pc_ids, minlength=len(pcs))
-    keys = pcs.tolist()
+    new_pc = np.empty(len(order), dtype=bool)
+    new_pc[0] = True
+    np.not_equal(sorted_pcs[1:], sorted_pcs[:-1], out=new_pc[1:])
+    new_pair = new_pc.copy()
+    new_pair[1:] |= sorted_values[1:] != sorted_values[:-1]
+    starts = np.flatnonzero(new_pc)
+    unique = np.add.reduceat(new_pair, starts)
+    dynamic = np.diff(starts, append=len(order))
+    first = np.minimum.reduceat(order, starts)
+    keys = sorted_pcs[starts].tolist()
     categories = columns.categories
     return PcTallies(
         dict(zip(keys, unique.tolist())),

@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.codecs import decode_cache_entry
-from repro.engine.phases import PhaseSpec, PhaseTask, dispatch_chunks, run_phase
+from repro.engine.phases import PhaseSpec, PhaseTask, UnitPayloads, dispatch_chunks, run_phase
 from repro.engine.sweeps import SweepSpec
 from repro.engine.telemetry import TELEMETRY_KEY, RunTelemetry, summarize_run
 from repro.simulation.simulator import simulate_trace
@@ -279,6 +279,28 @@ class TestDispatchChunks:
 
     def test_no_units_no_chunks(self):
         assert dispatch_chunks([], 2) == []
+
+
+class TestUnitPayloads:
+    """Payloads built one unit at a time fail loudly, whatever the error."""
+
+    @staticmethod
+    def _build(chunk, inline):
+        if chunk[0].uid == "b":
+            raise IndexError("raised while building b")
+        return {"values": [task.value for task in chunk]}
+
+    def test_iterating_propagates_an_index_error_from_a_build(self):
+        payloads = UnitPayloads(self._build, [[_task("a", 1)], [_task("b", 2)]], inline=False)
+        with pytest.raises(IndexError, match="building b"):
+            list(payloads)
+
+    @pytest.mark.parametrize("backend, jobs", [("serial", 1), ("pool", 2)])
+    def test_an_index_error_from_a_build_fails_the_dispatch(self, backend, jobs):
+        tasks = [_task("a", 1), _task("b", 2), _task("c", 3)]
+        with ExecutionEngine(EngineConfig(jobs=jobs, backend=backend)) as engine:
+            with pytest.raises(IndexError, match="building b"):
+                run_phase(engine, _spec(tasks, {}, build_payload=self._build))
 
 
 class TestPreRefactorGoldens:

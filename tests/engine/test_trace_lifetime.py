@@ -4,7 +4,7 @@ Each benchmark's trace feeds its predictors once, so the engine holds at
 most one decoded trace at a time: payloads are built as their units are
 dispatched, the engine's own reads of a trace decode it for that one use,
 and an in-process unit that collects a trace hands back its Figure 10
-tallies, not the trace.  A campaign whose trace-hit units cover all of
+tallies, not the trace, when its campaign serves them.  A campaign whose trace-hit units cover all of
 their trace's predictors merges inside those units, so the parent runs no
 merge, and it decodes each trace-hit trace at most once per run.
 """
@@ -19,9 +19,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.core.registry import available_predictors
 from repro.engine import EngineConfig, ExecutionEngine
-from repro.engine import scheduler
+from repro.engine import scheduler, worker
 from repro.engine.fingerprint import predictor_signature, trace_digest
 from repro.engine.sweeps import SweepSpec
 from repro.engine.tasks import SimulateTask
@@ -193,3 +194,37 @@ def test_split_trace_is_merged_in_the_parent(tmp_path, parent_merges):
     # One trace on two workers: its predictors went to two units.
     assert parent_merges == [cold_result.traces["compress"].name]
     assert result.simulations["compress"].predictor_names == PREDICTORS
+
+
+@pytest.fixture
+def unit_tallies(monkeypatch):
+    """The traces a simulate unit tallied for Figure 10, by name."""
+    calls: list[str] = []
+    original = worker.pc_tallies
+
+    def spy(trace):
+        calls.append(trace.name)
+        return original(trace)
+
+    monkeypatch.setattr(worker, "pc_tallies", spy)
+    return calls
+
+
+def test_only_campaigns_that_serve_tallies_tally_in_their_units(tmp_path, unit_tallies, capsys):
+    # The campaign command prints accuracies only: its units tally nothing.
+    args = ["--scale", str(SCALE), "--benchmarks", *BENCHMARKS, "--predictors", *PREDICTORS]
+    assert main(["campaign", *args, "--cache-dir", str(tmp_path / "cli")]) == 0
+    assert unit_tallies == []
+    capsys.readouterr()
+
+    # An API campaign serves Figure 10's tallies from the units that
+    # collected its traces, each tallied once; a campaign run without
+    # them tallies a trace only when its tallies are read.
+    with ExecutionEngine(_serial(tmp_path / "api")) as engine:
+        served = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS)
+    assert len(unit_tallies) == len(BENCHMARKS)
+    with ExecutionEngine(_serial(tmp_path / "bare")) as engine:
+        bare = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=BENCHMARKS, tallies=False)
+    assert len(unit_tallies) == len(BENCHMARKS)
+    for benchmark in BENCHMARKS:
+        assert bare.pc_tallies(benchmark) == served.pc_tallies(benchmark)

@@ -35,7 +35,7 @@ from random_programs import random_program  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.isa.machine import Machine  # noqa: E402
 from repro.isa.opcodes import Opcode, category_of  # noqa: E402
-from repro.simulation.value_profile import value_profile  # noqa: E402
+from repro.simulation.value_profile import pc_tallies, value_profile  # noqa: E402
 from repro.trace import io as trace_io  # noqa: E402
 from repro.trace.collector import _list_columns, collect_trace  # noqa: E402
 from repro.trace.io import (  # noqa: E402
@@ -97,13 +97,14 @@ def _ordered(statistics):
 
 
 def _assert_writers_agree(trace):
-    """Text, v3, statistics and profile: numpy path equals Python path."""
+    """Text, v3, statistics, tallies and profile: numpy path equals Python path."""
     assert trace_columns(trace) is not None
     assert _text_records(dumps_trace(trace)) == _python_text_records(trace)
     for compress in (False, True):
         assert _body(dumps_trace_binary(trace, compress=compress)) == _python_body(trace)
     reference = _list_backed(trace)
     assert _ordered(trace.statistics()) == _ordered(reference.statistics())
+    assert pc_tallies(trace) == pc_tallies(reference)
     assert value_profile(trace) == value_profile(reference)
 
 
