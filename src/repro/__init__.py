@@ -23,79 +23,36 @@ Quickstart::
     print(result.results["fcm3"].accuracy)
 """
 
-from repro.core import (
-    BlendedFcmPredictor,
-    FcmPredictor,
-    HybridPredictor,
-    LastValuePredictor,
-    PAPER_PREDICTORS,
-    Prediction,
-    SimpleStridePredictor,
-    CounterStridePredictor,
-    TwoDeltaStridePredictor,
-    ValuePredictor,
-    available_predictors,
-    create_predictor,
-    register_predictor,
-)
-from repro.isa import Category, Opcode
-from repro.sequences import (
-    SequenceClass,
-    classify_sequence,
-    generate_sequence,
-    measure_learning,
-)
-from repro.simulation import (
-    PredictionSimulator,
-    SimulationResult,
-    run_campaign,
-    simulate_trace,
-)
-from repro.engine.sweeps import SweepSpec, run_sweep
-from repro.trace import TraceRecord, ValueTrace, trace_from_values
-from repro.workloads import available_workloads, get_workload, run_suite
-from repro.reporting import ALL_EXPERIMENTS, run_experiment
+from repro._lazy import lazy_exports
 
+# Eager: telemetry stamps it on every run manifest.
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # Predictors
-    "ValuePredictor",
-    "Prediction",
-    "LastValuePredictor",
-    "SimpleStridePredictor",
-    "CounterStridePredictor",
-    "TwoDeltaStridePredictor",
-    "FcmPredictor",
-    "BlendedFcmPredictor",
-    "HybridPredictor",
-    "PAPER_PREDICTORS",
-    "available_predictors",
-    "create_predictor",
-    "register_predictor",
-    # ISA / traces / workloads
-    "Category",
-    "Opcode",
-    "TraceRecord",
-    "ValueTrace",
-    "trace_from_values",
-    "available_workloads",
-    "get_workload",
-    "run_suite",
-    # Sequences
-    "SequenceClass",
-    "classify_sequence",
-    "generate_sequence",
-    "measure_learning",
-    # Simulation
-    "PredictionSimulator",
-    "SimulationResult",
-    "simulate_trace",
-    "SweepSpec",
-    "run_campaign",
-    "run_sweep",
-    # Experiments
-    "ALL_EXPERIMENTS",
-    "run_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "ValuePredictor",
+            "Prediction",
+            "LastValuePredictor",
+            "SimpleStridePredictor",
+            "CounterStridePredictor",
+            "TwoDeltaStridePredictor",
+            "FcmPredictor",
+            "BlendedFcmPredictor",
+            "HybridPredictor",
+            "PAPER_PREDICTORS",
+            "available_predictors",
+            "create_predictor",
+            "register_predictor",
+        ),
+        "isa": ("Category", "Opcode"),
+        "trace": ("TraceRecord", "ValueTrace", "trace_from_values"),
+        "workloads": ("available_workloads", "get_workload", "run_suite"),
+        "sequences": ("SequenceClass", "classify_sequence", "generate_sequence", "measure_learning"),
+        "simulation": ("PredictionSimulator", "SimulationResult", "simulate_trace", "run_campaign"),
+        "engine.sweeps": ("SweepSpec", "run_sweep"),
+        "reporting": ("ALL_EXPERIMENTS", "run_experiment"),
+    },
+)
+__all__.insert(0, "__version__")

@@ -20,46 +20,17 @@ and are updated immediately with the true value after each prediction,
 matching the paper's idealised methodology.
 """
 
-from repro.core.base import ValuePredictor, Prediction, PredictorStats
-from repro.core.last_value import LastValuePredictor
-from repro.core.stride import (
-    SimpleStridePredictor,
-    CounterStridePredictor,
-    TwoDeltaStridePredictor,
-)
-from repro.core.fcm import FcmPredictor
-from repro.core.blending import BlendedFcmPredictor
-from repro.core.hybrid import (
-    HybridPredictor,
-    ChooserPolicy,
-    PcChooser,
-    CategoryChooser,
-    OracleChooser,
-)
-from repro.core.registry import (
-    available_predictors,
-    create_predictor,
-    register_predictor,
-    PAPER_PREDICTORS,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ValuePredictor",
-    "Prediction",
-    "PredictorStats",
-    "LastValuePredictor",
-    "SimpleStridePredictor",
-    "CounterStridePredictor",
-    "TwoDeltaStridePredictor",
-    "FcmPredictor",
-    "BlendedFcmPredictor",
-    "HybridPredictor",
-    "ChooserPolicy",
-    "PcChooser",
-    "CategoryChooser",
-    "OracleChooser",
-    "available_predictors",
-    "create_predictor",
-    "register_predictor",
-    "PAPER_PREDICTORS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("ValuePredictor", "Prediction", "PredictorStats"),
+        "last_value": ("LastValuePredictor",),
+        "stride": ("SimpleStridePredictor", "CounterStridePredictor", "TwoDeltaStridePredictor"),
+        "fcm": ("FcmPredictor",),
+        "blending": ("BlendedFcmPredictor",),
+        "hybrid": ("HybridPredictor", "ChooserPolicy", "PcChooser", "CategoryChooser", "OracleChooser"),
+        "registry": ("available_predictors", "create_predictor", "register_predictor", "PAPER_PREDICTORS"),
+    },
+)

@@ -27,95 +27,45 @@ line as ``repro-vp cache``.  Every engine setting lives in one frozen
 ``repro.simulation.campaign.run_campaign`` is a thin façade over it.
 """
 
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    ExecutorBackend,
-    PersistentWorkerBackend,
-    PoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro.engine.cache import (
-    CacheStats,
-    GCReport,
-    KindStats,
-    ResultCache,
-    VerifyReport,
-)
-from repro.engine.codecs import decode_cache_entry, encode_cache_entry
-from repro.engine.config import EngineConfig
-from repro.engine.fingerprint import (
-    key_digest,
-    predictor_signature,
-    predictors_fingerprint,
-    trace_digest,
-)
-from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
-from repro.engine.progress import ConsoleProgress, NullProgress, ProgressListener
-from repro.engine.scheduler import EngineStats, ExecutionEngine
-from repro.engine.sweeps import (
-    SweepPoint,
-    SweepPointResult,
-    SweepResult,
-    SweepSpec,
-    clear_sweep_cache,
-    execute_sweep,
-    run_sweep,
-)
-from repro.engine.tasks import SimulateTask, TraceTask
-from repro.engine.telemetry import (
-    NULL_TELEMETRY,
-    TELEMETRY_KEY,
-    NullTelemetry,
-    RunTelemetry,
-    Telemetry,
-    read_manifest,
-    read_metrics,
-    summarize_run,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_NAMES",
-    "CacheStats",
-    "ConsoleProgress",
-    "EngineConfig",
-    "EngineStats",
-    "ExecutionEngine",
-    "ExecutorBackend",
-    "GCReport",
-    "KindStats",
-    "NULL_TELEMETRY",
-    "NullProgress",
-    "NullTelemetry",
-    "PersistentWorkerBackend",
-    "PhaseSpec",
-    "PhaseTask",
-    "PoolBackend",
-    "ProgressListener",
-    "ResultCache",
-    "SerialBackend",
-    "SimulateTask",
-    "SweepPoint",
-    "SweepPointResult",
-    "SweepResult",
-    "SweepSpec",
-    "TELEMETRY_KEY",
-    "Telemetry",
-    "RunTelemetry",
-    "TraceTask",
-    "VerifyReport",
-    "clear_sweep_cache",
-    "execute_sweep",
-    "read_manifest",
-    "read_metrics",
-    "resolve_backend",
-    "run_phase",
-    "run_sweep",
-    "summarize_run",
-    "decode_cache_entry",
-    "encode_cache_entry",
-    "key_digest",
-    "predictor_signature",
-    "predictors_fingerprint",
-    "trace_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "backends": (
+            "BACKEND_NAMES",
+            "ExecutorBackend",
+            "PersistentWorkerBackend",
+            "PoolBackend",
+            "SerialBackend",
+            "resolve_backend",
+        ),
+        "cache": ("CacheStats", "GCReport", "KindStats", "ResultCache", "VerifyReport"),
+        "codecs": ("decode_cache_entry", "encode_cache_entry"),
+        "config": ("EngineConfig",),
+        "fingerprint": ("key_digest", "predictor_signature", "predictors_fingerprint", "trace_digest"),
+        "phases": ("PhaseSpec", "PhaseTask", "run_phase"),
+        "progress": ("ConsoleProgress", "NullProgress", "ProgressListener"),
+        "scheduler": ("EngineStats", "ExecutionEngine"),
+        "sweeps": (
+            "SweepPoint",
+            "SweepPointResult",
+            "SweepResult",
+            "SweepSpec",
+            "clear_sweep_cache",
+            "execute_sweep",
+            "run_sweep",
+        ),
+        "tasks": ("SimulateTask", "TraceTask"),
+        "telemetry": (
+            "NULL_TELEMETRY",
+            "TELEMETRY_KEY",
+            "NullTelemetry",
+            "RunTelemetry",
+            "Telemetry",
+            "read_manifest",
+            "read_metrics",
+            "summarize_run",
+        ),
+    },
+)

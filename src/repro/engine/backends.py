@@ -331,10 +331,14 @@ def resolve_backend(backend: "str | ExecutorBackend | None", jobs: int) -> Execu
     # The process backends fork their workers from this process and every
     # task runs on numpy arrays: importing numpy and the kernel before
     # anything forks spares each worker its own import (about 0.13 s of
-    # CPU apiece for numpy).
+    # CPU apiece for numpy).  The worker and the trace path (collector,
+    # interpreter, trace codecs) load only where a unit runs, so they are
+    # imported here too, once, instead of in every worker.
     import numpy  # noqa: F401
 
+    import repro.engine.worker  # noqa: F401
     import repro.simulation.vectorized  # noqa: F401
+    import repro.trace.collector  # noqa: F401
 
     if backend == "pool":
         return PoolBackend(jobs)

@@ -37,8 +37,8 @@ from repro.simulation.simulator import (
     SimulationResult,
 )
 from repro.simulation.value_profile import PcTallies
-from repro.trace.io import decode_trace, decode_uvarint, encode_uvarint
 from repro.trace.stream import TraceStatistics, ValueTrace
+from repro.trace.varint import decode_uvarint, encode_uvarint
 
 
 def _encode_pc_map(mapping: dict[int, int]) -> dict[str, int]:
@@ -348,6 +348,9 @@ def payload_trace(payload: dict) -> ValueTrace:
     next to it under ``digest``, stamped by the trace task.  The bytes
     decode straight to array columns (:func:`repro.trace.io.decode_trace`),
     so the trace's columns are free and no ``TraceRecord`` is built unless
-    a caller asks for ``records``.
+    a caller asks for ``records``.  The trace codecs are imported here, so
+    reading an entry whose trace nobody asks for never loads them.
     """
+    from repro.trace.io import decode_trace
+
     return decode_trace(payload["trace_binary"])

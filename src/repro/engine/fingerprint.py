@@ -14,7 +14,6 @@ import json
 from typing import Mapping
 
 from repro.core.registry import create_predictor
-from repro.trace.io import dumps_trace
 from repro.trace.stream import ValueTrace
 
 
@@ -35,6 +34,8 @@ def predictors_fingerprint(names: tuple[str, ...] | list[str]) -> tuple[tuple[st
 
 def trace_digest(trace: ValueTrace) -> str:
     """Content digest of a trace's canonical serialised form."""
+    from repro.trace.io import dumps_trace
+
     return hashlib.sha256(dumps_trace(trace).encode("utf-8")).hexdigest()
 
 

@@ -72,10 +72,27 @@ from repro.engine.tasks import (
     simulate_payload,
 )
 from repro.engine.telemetry import NULL_TELEMETRY, TELEMETRY_KEY, Telemetry
-from repro.engine.worker import execute_simulate_task, execute_trace_task
 from repro.simulation.simulator import PredictorShard, SimulationResult, merge_shards
 from repro.simulation.value_profile import PcTallies, pc_tallies
 from repro.trace.stream import TraceStatistics, ValueTrace
+
+
+# The worker module (and through it the trace codecs) loads on a unit's
+# first run, so a fully cached run never imports it; the process
+# backends import it before they fork (``resolve_backend``).  Phases
+# dispatch these module attributes, which tests may replace.
+def execute_trace_task(payload: dict) -> dict:
+    """Run one trace unit (:func:`repro.engine.worker.execute_trace_task`)."""
+    from repro.engine.worker import execute_trace_task as run
+
+    return run(payload)
+
+
+def execute_simulate_task(payload: dict) -> dict:
+    """Run one simulate unit (:func:`repro.engine.worker.execute_simulate_task`)."""
+    from repro.engine.worker import execute_simulate_task as run
+
+    return run(payload)
 
 
 @dataclass

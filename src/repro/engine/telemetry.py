@@ -127,6 +127,30 @@ def default_run_id() -> str:
     return time.strftime("%Y%m%d-%H%M%S") + f"-{os.getpid()}"
 
 
+
+def platform_name() -> str:
+    """``platform.platform()``'s string, without its ``uname -p`` subprocess.
+
+    On Linux that call forks ``uname -p`` (several ms) for a processor
+    field it then drops: GNU ``uname -p`` prints ``unknown`` or the
+    machine name, and ``platform.platform()`` omits both.  The same
+    string is built from the system, release, machine and libc fields;
+    other systems take ``platform.platform()`` itself.
+    """
+    uname = platform.uname()
+    if uname.system != "Linux":
+        return platform.platform()
+    libc_name, libc_version = platform.libc_ver()
+    fields = (uname.system, uname.release, uname.machine, "with", libc_name + libc_version)
+    name = "-".join(field.strip() for field in fields if field)
+    for character in '/\\:;"()':
+        name = name.replace(character, "-")
+    name = name.replace(" ", "_").replace("unknown", "")
+    while "--" in name:
+        name = name.replace("--", "-")
+    return name.rstrip("-")
+
+
 class _NullSpan:
     """Shared inert span; every operation is a no-op."""
 
@@ -302,7 +326,7 @@ class RunTelemetry(Telemetry):
             "command": command,
             "argv": list(sys.argv if argv is None else argv),
             "python": platform.python_version(),
-            "platform": platform.platform(),
+            "platform": platform_name(),
             "package_version": repro.__version__,
             **_engine_versions(),
         }

@@ -13,24 +13,16 @@ The instruction categories exactly mirror Table 3 of the paper
 non-predicted control/store instructions.
 """
 
-from repro.isa.opcodes import Opcode, Category, category_of, is_predicted_opcode
-from repro.isa.instructions import Instruction
-from repro.isa.registers import RegisterFile, NUM_REGISTERS
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
-from repro.isa.machine import Machine, ExecutionResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Opcode",
-    "Category",
-    "category_of",
-    "is_predicted_opcode",
-    "Instruction",
-    "RegisterFile",
-    "NUM_REGISTERS",
-    "SparseMemory",
-    "Program",
-    "ProgramBuilder",
-    "Machine",
-    "ExecutionResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "opcodes": ("Opcode", "Category", "category_of", "is_predicted_opcode"),
+        "instructions": ("Instruction",),
+        "registers": ("RegisterFile", "NUM_REGISTERS"),
+        "memory": ("SparseMemory",),
+        "program": ("Program", "ProgramBuilder"),
+        "machine": ("Machine", "ExecutionResult"),
+    },
+)

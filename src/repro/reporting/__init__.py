@@ -6,48 +6,32 @@ artefact (``table1`` ... ``figure11``); each returns an
 paper reports, regenerated from this repository's synthetic substrate.
 """
 
-from repro.reporting.tables import format_table
-from repro.reporting.figures import FigureSeries
-from repro.reporting.experiments import (
-    ExperimentArtifact,
-    ALL_EXPERIMENTS,
-    run_experiment,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    figure1,
-    figure2,
-    figure3,
-    figure4_7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_table",
-    "FigureSeries",
-    "ExperimentArtifact",
-    "ALL_EXPERIMENTS",
-    "run_experiment",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4_7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tables": ("format_table",),
+        "figures": ("FigureSeries",),
+        "experiments": (
+            "ExperimentArtifact",
+            "ALL_EXPERIMENTS",
+            "run_experiment",
+            "table1",
+            "table2",
+            "table3",
+            "table4",
+            "table5",
+            "table6",
+            "table7",
+            "figure1",
+            "figure2",
+            "figure3",
+            "figure4_7",
+            "figure8",
+            "figure9",
+            "figure10",
+            "figure11",
+        ),
+    },
+)

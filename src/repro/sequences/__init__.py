@@ -10,28 +10,21 @@ classifier, and the LT/LD measurement used to regenerate Table 1 and
 Figure 2.
 """
 
-from repro.sequences.generators import (
-    SequenceClass,
-    constant_sequence,
-    stride_sequence,
-    non_stride_sequence,
-    repeated_stride_sequence,
-    repeated_non_stride_sequence,
-    generate_sequence,
-)
-from repro.sequences.classify import classify_sequence
-from repro.sequences.analysis import LearningProfile, measure_learning, predictor_behaviour_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SequenceClass",
-    "constant_sequence",
-    "stride_sequence",
-    "non_stride_sequence",
-    "repeated_stride_sequence",
-    "repeated_non_stride_sequence",
-    "generate_sequence",
-    "classify_sequence",
-    "LearningProfile",
-    "measure_learning",
-    "predictor_behaviour_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "generators": (
+            "SequenceClass",
+            "constant_sequence",
+            "stride_sequence",
+            "non_stride_sequence",
+            "repeated_stride_sequence",
+            "repeated_non_stride_sequence",
+            "generate_sequence",
+        ),
+        "classify": ("classify_sequence",),
+        "analysis": ("LearningProfile", "measure_learning", "predictor_behaviour_table"),
+    },
+)

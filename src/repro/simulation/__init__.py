@@ -9,57 +9,30 @@ cumulative FCM-over-stride improvement (Figure 9), unique-value profiles
 (Figure 10) and the sensitivity studies (Tables 6-7, Figure 11).
 """
 
-from repro.simulation.simulator import (
-    SIMULATION_COUNTER,
-    PredictionSimulator,
-    PredictorResult,
-    PredictorShard,
-    SimulationResult,
-    merge_shards,
-    simulate_shard,
-    simulate_trace,
-)
-from repro.simulation.metrics import AccuracyReport, build_accuracy_report, arithmetic_mean
-from repro.simulation.correlation import CorrelationBreakdown, correlation_breakdown, SUBSET_LABELS
-from repro.simulation.improvement import ImprovementCurve, improvement_curve
-from repro.simulation.value_profile import ValueProfile, value_profile, VALUE_BUCKETS
-from repro.simulation.sensitivity import (
-    order_sensitivity,
-    input_sensitivity,
-    flag_sensitivity,
-)
-from repro.simulation.campaign import (
-    campaign_defaults,
-    campaign_scale_for,
-    run_campaign,
-    set_campaign_defaults,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SIMULATION_COUNTER",
-    "PredictionSimulator",
-    "PredictorResult",
-    "PredictorShard",
-    "SimulationResult",
-    "merge_shards",
-    "simulate_shard",
-    "simulate_trace",
-    "AccuracyReport",
-    "build_accuracy_report",
-    "arithmetic_mean",
-    "CorrelationBreakdown",
-    "correlation_breakdown",
-    "SUBSET_LABELS",
-    "ImprovementCurve",
-    "improvement_curve",
-    "ValueProfile",
-    "value_profile",
-    "VALUE_BUCKETS",
-    "order_sensitivity",
-    "input_sensitivity",
-    "flag_sensitivity",
-    "run_campaign",
-    "campaign_scale_for",
-    "campaign_defaults",
-    "set_campaign_defaults",
-]
+# Eager: the function shares its submodule's name, and importing the
+# submodule first would leave the module bound to the name instead.
+from repro.simulation.value_profile import value_profile  # noqa: F401
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "simulator": (
+            "SIMULATION_COUNTER",
+            "PredictionSimulator",
+            "PredictorResult",
+            "PredictorShard",
+            "SimulationResult",
+            "merge_shards",
+            "simulate_shard",
+            "simulate_trace",
+        ),
+        "metrics": ("AccuracyReport", "build_accuracy_report", "arithmetic_mean"),
+        "correlation": ("CorrelationBreakdown", "correlation_breakdown", "SUBSET_LABELS"),
+        "improvement": ("ImprovementCurve", "improvement_curve"),
+        "value_profile": ("ValueProfile", "value_profile", "VALUE_BUCKETS"),
+        "sensitivity": ("order_sensitivity", "input_sensitivity", "flag_sensitivity"),
+        "campaign": ("campaign_defaults", "campaign_scale_for", "run_campaign", "set_campaign_defaults"),
+    },
+)

@@ -8,43 +8,26 @@ can come from executing a synthetic workload on the ISA substrate
 micro-experiments (:mod:`repro.trace.synthetic`).
 """
 
-from repro.trace.record import TraceRecord
-from repro.trace.stream import RecordColumns, ValueTrace
-from repro.trace.collector import collect_trace
-from repro.trace.io import (
-    dump_trace,
-    dump_trace_binary,
-    dumps_trace,
-    dumps_trace_binary,
-    load_trace,
-    load_trace_binary,
-    load_trace_file,
-    loads_trace,
-    loads_trace_binary,
-    save_trace_file,
-)
-from repro.trace.synthetic import (
-    trace_from_values,
-    trace_from_streams,
-    interleave_traces,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TraceRecord",
-    "RecordColumns",
-    "ValueTrace",
-    "collect_trace",
-    "dump_trace",
-    "dump_trace_binary",
-    "load_trace",
-    "load_trace_binary",
-    "load_trace_file",
-    "dumps_trace",
-    "dumps_trace_binary",
-    "loads_trace",
-    "loads_trace_binary",
-    "save_trace_file",
-    "trace_from_values",
-    "trace_from_streams",
-    "interleave_traces",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "record": ("TraceRecord",),
+        "stream": ("RecordColumns", "ValueTrace"),
+        "collector": ("collect_trace",),
+        "io": (
+            "dump_trace",
+            "dump_trace_binary",
+            "dumps_trace",
+            "dumps_trace_binary",
+            "load_trace",
+            "load_trace_binary",
+            "load_trace_file",
+            "loads_trace",
+            "loads_trace_binary",
+            "save_trace_file",
+        ),
+        "synthetic": ("trace_from_values", "trace_from_streams", "interleave_traces"),
+    },
+)

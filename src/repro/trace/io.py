@@ -45,6 +45,7 @@ from repro.errors import TraceError
 from repro.isa.opcodes import Opcode, category_of
 from repro.trace.record import TraceRecord
 from repro.trace.stream import RecordColumns, ValueTrace
+from repro.trace.varint import decode_uvarint, encode_uvarint
 
 #: v1 wrote the name verbatim (corrupting it if it contained spaces);
 #: v2 percent-encodes it.  The loader keys decoding off the header version
@@ -74,38 +75,8 @@ _MNEMONIC: dict[Opcode, str] = {opcode: opcode.value for opcode in Opcode}
 
 
 # --------------------------------------------------------------------------- #
-# Varint primitives (shared with the engine's cache-entry envelope)
+# Varint primitives (the unsigned ones live in repro.trace.varint)
 # --------------------------------------------------------------------------- #
-def encode_uvarint(value: int) -> bytes:
-    """LEB128-encode a non-negative integer."""
-    if value < 0:
-        raise TraceError(f"cannot uvarint-encode negative value {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def decode_uvarint(data: bytes | memoryview, offset: int) -> tuple[int, int]:
-    """Decode a LEB128 varint at ``offset``; returns ``(value, next_offset)``."""
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise TraceError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-
-
 def _zigzag(value: int) -> int:
     """Map a signed integer to an unsigned one (0, -1, 1, -2 → 0, 1, 2, 3)."""
     return (value << 1) if value >= 0 else ((-value << 1) - 1)

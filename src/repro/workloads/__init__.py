@@ -12,35 +12,19 @@ per-category instruction mixes and the classes of value sequences the
 predictors see match the behaviour the paper reports.
 """
 
-from repro.workloads.base import Workload, WorkloadRun
-from repro.workloads.compress import CompressWorkload
-from repro.workloads.gcc import GccWorkload
-from repro.workloads.go import GoWorkload
-from repro.workloads.ijpeg import IjpegWorkload
-from repro.workloads.m88ksim import M88ksimWorkload
-from repro.workloads.perl import PerlWorkload
-from repro.workloads.xlisp import XlispWorkload
-from repro.workloads.suite import (
-    SUITE,
-    BENCHMARK_ORDER,
-    get_workload,
-    available_workloads,
-    run_suite,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Workload",
-    "WorkloadRun",
-    "CompressWorkload",
-    "GccWorkload",
-    "GoWorkload",
-    "IjpegWorkload",
-    "M88ksimWorkload",
-    "PerlWorkload",
-    "XlispWorkload",
-    "SUITE",
-    "BENCHMARK_ORDER",
-    "get_workload",
-    "available_workloads",
-    "run_suite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("Workload", "WorkloadRun"),
+        "compress": ("CompressWorkload",),
+        "gcc": ("GccWorkload",),
+        "go": ("GoWorkload",),
+        "ijpeg": ("IjpegWorkload",),
+        "m88ksim": ("M88ksimWorkload",),
+        "perl": ("PerlWorkload",),
+        "xlisp": ("XlispWorkload",),
+        "suite": ("SUITE", "BENCHMARK_ORDER", "get_workload", "available_workloads", "run_suite"),
+    },
+)

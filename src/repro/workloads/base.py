@@ -14,13 +14,15 @@ import abc
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
-from repro.isa.machine import ExecutionResult
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program
-from repro.trace.collector import collect_trace
-from repro.trace.stream import ValueTrace
+
+if TYPE_CHECKING:  # the interpreter and collector load when a workload runs
+    from repro.isa.machine import ExecutionResult
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
+    from repro.trace.stream import ValueTrace
 
 
 @dataclass
@@ -82,6 +84,8 @@ class Workload(abc.ABC):
         flags = self.validate_flags(flags)
         if not (math.isfinite(scale) and scale > 0):
             raise WorkloadError(f"{self.name}: scale must be positive and finite, got {scale}")
+        from repro.trace.collector import collect_trace
+
         program, memory = self.build(scale, input_name, flags)
         trace, execution = collect_trace(program, memory=memory, max_instructions=max_instructions)
         return WorkloadRun(

@@ -14,9 +14,13 @@ those three kernels:
 
 from __future__ import annotations
 
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the ISA loads when the workload is built
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
 
 # Memory layout (byte addresses; words are 8 bytes apart).
 INPUT_BASE = 0x1_0000
@@ -60,6 +64,8 @@ class CompressWorkload(Workload):
     # Input data
     # ------------------------------------------------------------------ #
     def _build_memory(self, length: int, input_name: str) -> SparseMemory:
+        from repro.isa.memory import SparseMemory
+
         memory = SparseMemory()
         rng = self.rng(seed=0xC0 + len(input_name))
         alphabet = self._ALPHABET[input_name]
@@ -79,6 +85,8 @@ class CompressWorkload(Workload):
     # Program
     # ------------------------------------------------------------------ #
     def _build_program(self, length: int, passes: int) -> Program:
+        from repro.isa.program import ProgramBuilder
+
         b = ProgramBuilder(self.name)
         # Register conventions for this workload.
         r_index, r_limit, r_addr = 1, 2, 3

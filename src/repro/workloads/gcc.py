@@ -21,11 +21,14 @@ optimisation passes run over the IR.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 from zlib import crc32
 
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the ISA loads when the workload is built
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
 
 TOKEN_BASE = 0x1_0000
 IR_BASE = 0x10_0000
@@ -84,6 +87,8 @@ class GccWorkload(Workload):
     def _build_memory(
         self, token_count: int, node_count: int, symbol_count: int, input_name: str
     ) -> SparseMemory:
+        from repro.isa.memory import SparseMemory
+
         memory = SparseMemory()
         # crc32, not hash(): str hashing is randomized per process
         # (PYTHONHASHSEED), and the trace must be bit-identical across
@@ -138,6 +143,8 @@ class GccWorkload(Workload):
     def _build_program(
         self, token_count: int, node_count: int, symbol_count: int, passes: int, peephole: bool
     ) -> Program:
+        from repro.isa.program import ProgramBuilder
+
         b = ProgramBuilder(self.name)
         r_i, r_limit, r_addr, r_tok = 1, 2, 3, 4
         r_kind, r_payload, r_cond, r_acc = 5, 6, 7, 8

@@ -10,9 +10,13 @@ between scans.
 
 from __future__ import annotations
 
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the ISA loads when the workload is built
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
 
 BOARD_BASE = 0x1_0000
 SCORE_BASE = 0x8_0000
@@ -46,6 +50,8 @@ class GoWorkload(Workload):
         return program, memory
 
     def _build_memory(self, input_name: str) -> SparseMemory:
+        from repro.isa.memory import SparseMemory
+
         memory = SparseMemory()
         rng = self.rng(seed=0x60 + len(input_name))
         # Board cells: 0 empty, 1 black, 2 white with realistic density.
@@ -64,6 +70,8 @@ class GoWorkload(Workload):
         return memory
 
     def _build_program(self, positions: int) -> Program:
+        from repro.isa.program import ProgramBuilder
+
         b = ProgramBuilder(self.name)
         r_pos, r_positions, r_cell, r_cells = 1, 2, 3, 4
         r_addr, r_stone, r_cond, r_tmp = 5, 6, 7, 8

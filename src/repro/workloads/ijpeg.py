@@ -11,9 +11,13 @@ accumulation pass per block.
 
 from __future__ import annotations
 
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the ISA loads when the workload is built
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
 
 IMAGE_BASE = 0x1_0000
 COEFF_BASE = 0x20_0000
@@ -49,6 +53,8 @@ class IjpegWorkload(Workload):
         return program, memory
 
     def _build_memory(self, total_blocks: int, input_name: str) -> SparseMemory:
+        from repro.isa.memory import SparseMemory
+
         memory = SparseMemory()
         rng = self.rng(seed=0x1D + len(input_name))
         # Pixel data: smooth gradients plus noise, as in natural images.
@@ -66,6 +72,8 @@ class IjpegWorkload(Workload):
         return memory
 
     def _build_program(self, total_blocks: int, quality_passes: int) -> Program:
+        from repro.isa.program import ProgramBuilder
+
         b = ProgramBuilder(self.name)
         r_block, r_blocks, r_pixel, r_addr = 1, 2, 3, 4
         r_value, r_pair, r_sum, r_diff = 5, 6, 7, 8

@@ -13,9 +13,13 @@ words in memory) and interprets it for a configurable number of steps.
 
 from __future__ import annotations
 
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the ISA loads when the workload is built
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
 
 TARGET_TEXT_BASE = 0x1_0000
 TARGET_REGS_BASE = 0x2_0000
@@ -72,6 +76,8 @@ class M88ksimWorkload(Workload):
         return program, memory
 
     def _build_memory(self, input_name: str) -> SparseMemory:
+        from repro.isa.memory import SparseMemory
+
         memory = SparseMemory()
         rng = self.rng(seed=0x88 + len(input_name))
         for index, word in enumerate(TARGET_PROGRAM):
@@ -82,6 +88,8 @@ class M88ksimWorkload(Workload):
         return memory
 
     def _build_program(self, steps: int) -> Program:
+        from repro.isa.program import ProgramBuilder
+
         b = ProgramBuilder(self.name)
         r_step, r_steps, r_simpc, r_insn = 1, 2, 3, 4
         r_op, r_rd, r_rs, r_imm = 5, 6, 7, 8

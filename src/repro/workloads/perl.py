@@ -9,9 +9,13 @@ bucket table, mirroring the ``scrabbl.in`` run used by the paper.
 
 from __future__ import annotations
 
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the ISA loads when the workload is built
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
 
 OPS_BASE = 0x1_0000
 STACK_BASE = 0x2_0000
@@ -47,6 +51,8 @@ class PerlWorkload(Workload):
         return program, memory
 
     def _build_memory(self, program_length: int, words: int, input_name: str) -> SparseMemory:
+        from repro.isa.memory import SparseMemory
+
         memory = SparseMemory()
         rng = self.rng(seed=0x9E + len(input_name))
         # Op program: opcode in low byte, operand above.  Weighted towards
@@ -66,6 +72,8 @@ class PerlWorkload(Workload):
         return memory
 
     def _build_program(self, program_length: int, loops: int, words: int) -> Program:
+        from repro.isa.program import ProgramBuilder
+
         b = ProgramBuilder(self.name)
         r_loop, r_loops, r_ip, r_oplen = 1, 2, 3, 4
         r_word, r_opcode, r_operand, r_sp = 5, 6, 7, 8

@@ -13,9 +13,13 @@ version reproduces those kernels:
 
 from __future__ import annotations
 
-from repro.isa.memory import SparseMemory
-from repro.isa.program import Program, ProgramBuilder
+from typing import TYPE_CHECKING
+
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the ISA loads when the workload is built
+    from repro.isa.memory import SparseMemory
+    from repro.isa.program import Program
 
 HEAP_BASE = 0x10_0000
 STACK_BASE = 0x1_0000
@@ -42,11 +46,15 @@ class XlispWorkload(Workload):
         board, gc_trigger, budget = self._SHAPE[input_name]
         # Scale controls how deep into the solution space the search runs.
         budget = self.scaled(budget, scale, minimum=1)
+        from repro.isa.memory import SparseMemory
+
         memory = SparseMemory()
         program = self._build_program(board, gc_trigger, budget)
         return program, memory
 
     def _build_program(self, board: int, gc_trigger: int, solution_budget: int) -> Program:
+        from repro.isa.program import ProgramBuilder
+
         b = ProgramBuilder(self.name)
         r_row, r_board, r_col, r_addr = 1, 2, 3, 4
         r_cond, r_tmp, r_qcol, r_diff = 5, 6, 7, 8

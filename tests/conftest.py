@@ -10,13 +10,26 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.core.registry import PAPER_PREDICTORS
+from repro.core.registry import _REGISTRY, PAPER_PREDICTORS
 from repro.simulation.campaign import QUICK_SCALE, run_campaign
 from repro.workloads.suite import get_workload
 
 #: ``pytest --hypothesis-profile=nightly``: the scheduled CI run's long search
 #: (tests that pin ``max_examples`` in their own ``@settings`` keep it).
 settings.register_profile("nightly", max_examples=10_000, deadline=None)
+
+
+@pytest.fixture(autouse=True)
+def registry_guard():
+    """Fail a test that leaves the predictor registry changed: later tests
+    iterating ``available_predictors()`` would see its names."""
+    before = dict(_REGISTRY)
+    yield
+    changed = sorted(name for name in before.keys() | _REGISTRY if before.get(name) is not _REGISTRY.get(name))
+    if changed:
+        _REGISTRY.clear()
+        _REGISTRY.update(before)
+        pytest.fail(f"test left the predictor registry changed: {changed}")
 
 
 @pytest.fixture(scope="session")

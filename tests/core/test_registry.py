@@ -9,6 +9,7 @@ from repro.core.fcm import FcmPredictor
 from repro.core.hybrid import HybridPredictor
 from repro.core.last_value import LastValuePredictor
 from repro.core.registry import (
+    _REGISTRY,
     PAPER_PREDICTORS,
     available_predictors,
     create_predictor,
@@ -97,3 +98,4 @@ class TestRegistryMechanics:
             with pytest.raises(PredictorConfigError):
                 register_predictor("custom-lv-test", LastValuePredictor)
             register_predictor("custom-lv-test", LastValuePredictor, overwrite=True)
+            _REGISTRY.pop("custom-lv-test")

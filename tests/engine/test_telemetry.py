@@ -169,6 +169,37 @@ class TestRunTelemetry:
         )
         assert read_manifest(tmp_path)["package_version"] == "1.0.0"
 
+    def test_manifest_platform_spawns_no_subprocess(self, tmp_path):
+        # platform.platform() forks `uname -p` on Linux for a field it then
+        # drops; the manifest records the same string without the fork.
+        source = Path(repro.__file__).resolve().parents[1]
+        script = (
+            "import json, platform, subprocess, sys\n"
+            "spawned = []\n"
+            "class Spy(subprocess.Popen):\n"
+            "    def __init__(self, args, *rest, **kwargs):\n"
+            "        spawned.append(args)\n"
+            "        super().__init__(args, *rest, **kwargs)\n"
+            "subprocess.Popen = Spy\n"
+            "from repro.engine.telemetry import RunTelemetry\n"
+            "RunTelemetry(sys.argv[1], argv=[]).close()\n"
+            "manifest_spawns = len(spawned)\n"
+            "print(json.dumps([manifest_spawns, platform.platform(), len(spawned)]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        manifest_spawns, expected, all_spawns = json.loads(run.stdout)
+        assert manifest_spawns == 0
+        assert read_manifest(tmp_path)["platform"] == expected
+        if sys.platform == "linux":
+            assert all_spawns > 0  # the spy sees the fork platform.platform() makes
+
     def test_error_escaping_span_is_stamped(self, tmp_path):
         sink = RunTelemetry(tmp_path, run_id="run-err", argv=[])
         with pytest.raises(ValueError):
