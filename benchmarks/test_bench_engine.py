@@ -170,9 +170,9 @@ def _cold_simulate(blobs: dict, names: tuple, kernel: str) -> int:
     """The simulate phase's cold path from wire bytes, on one kernel.
 
     Mirrors what a pool worker does per benchmark: decode the v3 bytes
-    (into records for the scalar reference loop, straight into numpy
-    columns for the vector kernel — no ``TraceRecord`` objects), then
-    compute one shard per configuration.
+    (into a trace, whose list columns the scalar reference loop builds
+    and reads, or straight into numpy columns for the vector kernel),
+    then compute one shard per configuration.
     """
     from repro.simulation.simulator import SIMULATION_COUNTER, simulate_shard_scalar
     from repro.simulation.vectorized import simulate_shard_vector

@@ -226,20 +226,14 @@ def simulate_shard(trace: ValueTrace, predictor_name: str) -> PredictorShard:
     in the lockstep loop: predictor tables are private, so no other
     predictor can influence them.  The columnar kernel
     (:func:`~repro.simulation.vectorized.simulate_shard_vector`) computes
-    the shard.  Only two inputs take the reference loop
-    (:func:`simulate_shard_scalar`) instead: a trace with a field outside
-    int64, which has no numpy columns, and a predictor class registered
-    from outside the package, which has no vector plan.
+    the shard over the trace's int64 columns.  Only a predictor class
+    registered from outside the package, which has no vector plan, takes
+    the reference loop (:func:`simulate_shard_scalar`) instead.
     """
     from repro.simulation.vectorized import simulate_shard_vector
-    from repro.trace.io import trace_columns
 
-    columns = trace_columns(trace)
-    if columns is not None:
-        shard = simulate_shard_vector(columns, predictor_name)
-        if shard is not None:
-            return shard
-    return simulate_shard_scalar(trace, predictor_name)
+    shard = simulate_shard_vector(trace.columns, predictor_name)
+    return shard if shard is not None else simulate_shard_scalar(trace, predictor_name)
 
 
 def simulate_shard_scalar(trace: ValueTrace, predictor_name: str) -> PredictorShard:
@@ -268,13 +262,12 @@ def merge_shards(trace: ValueTrace, shards: Mapping[str, PredictorShard]) -> Sim
 
     The shard mapping's order fixes ``predictor_names`` and therefore the
     position of each predictor in the ``subset_counts`` outcome tuples.
-    The tally runs as array passes
-    (:func:`~repro.simulation.vectorized.merge_shards_vector`); the
-    reference loop (:func:`merge_shards_scalar`) takes the traces
-    without numpy columns and merges of more than 62 predictors.
+    The tally runs as array passes over the trace's columns
+    (:func:`~repro.simulation.vectorized.merge_shards_vector`); only a
+    merge of more than 62 predictors, whose joint outcomes do not pack
+    into one key, takes the reference loop (:func:`merge_shards_scalar`).
     """
     from repro.simulation.vectorized import merge_shards_vector
-    from repro.trace.io import trace_columns
 
     if not shards:
         raise SimulationError("at least one shard is required to merge")
@@ -284,12 +277,8 @@ def merge_shards(trace: ValueTrace, shards: Mapping[str, PredictorShard]) -> Sim
                 f"shard for {name!r} covers {shard.record_count} records, "
                 f"trace {trace.name!r} has {len(trace)}"
             )
-    columns = trace_columns(trace)
-    if columns is not None:
-        merged = merge_shards_vector(columns, shards)
-        if merged is not None:
-            return merged
-    return merge_shards_scalar(trace, shards)
+    merged = merge_shards_vector(trace.columns, shards)
+    return merged if merged is not None else merge_shards_scalar(trace, shards)
 
 
 def merge_shards_scalar(

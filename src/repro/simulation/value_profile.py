@@ -16,9 +16,7 @@ on a warm cache decodes no trace.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from repro.isa.opcodes import Category, REPORTED_CATEGORIES
@@ -92,25 +90,6 @@ class PcTallies(NamedTuple):
     category: dict[int, Category]
 
 
-def pc_tallies(trace: ValueTrace) -> PcTallies:
-    """Tally one trace per PC (:class:`PcTallies`).
-
-    An array-backed trace is tallied with numpy passes over its arrays
-    (:func:`_array_pc_tallies`), any other trace with C-level passes over
-    its list columns.
-    """
-    arrays = trace.array_columns()
-    if arrays is not None:
-        return _array_pc_tallies(arrays)
-    columns = trace.record_columns()
-    return PcTallies(
-        unique=Counter(map(itemgetter(0), dict.fromkeys(zip(columns.pcs, columns.values)))),
-        dynamic=Counter(columns.pcs),
-        # Reversed, so the first record of each PC writes its category last.
-        category=dict(zip(reversed(columns.pcs), reversed(columns.categories))),
-    )
-
-
 def value_profile(
     trace: ValueTrace, categories: tuple[Category, ...] = REPORTED_CATEGORIES
 ) -> ValueProfile:
@@ -162,8 +141,8 @@ def profile_from_tallies(
     return ValueProfile(static_percent=static_percent, dynamic_percent=dynamic_percent)
 
 
-def _array_pc_tallies(columns) -> PcTallies:
-    """:func:`pc_tallies` of numpy ``columns``, with the same dicts.
+def pc_tallies(trace: ValueTrace) -> PcTallies:
+    """Tally one trace per PC (:class:`PcTallies`), in numpy passes over its arrays.
 
     One pass groups the records by (pc, value): an argsort of the values,
     then a stable argsort of the pcs in that order.  Each pc's run of the
@@ -172,6 +151,7 @@ def _array_pc_tallies(columns) -> PcTallies:
     """
     import numpy as np
 
+    columns = trace.columns
     pcs = columns.pcs
     if not len(pcs):
         return PcTallies({}, {}, {})

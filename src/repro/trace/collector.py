@@ -10,22 +10,17 @@ Collection reads the interpreter's own output: the static index of every
 retired instruction and the value of every register-writing one (see
 :class:`repro.isa.machine.Machine`).  The trace's columns are selected
 from those by array indexing into :class:`~repro.trace.io.TraceColumns`,
-the form the writers, statistics and kernel read; no per-event object is
-built.  :func:`_list_columns` selects the same rows by C-level iterator
-pipelines into list columns, the oracle the differential tests compare
-the array path against.
+the one form of a trace, which the writers, statistics and kernel read;
+no per-event object is built.
 """
 
 from __future__ import annotations
-
-from array import array
-from itertools import compress, count
 
 from repro.isa.machine import ExecutionResult, Machine
 from repro.isa.memory import SparseMemory
 from repro.isa.program import Program
 from repro.trace.io import TraceColumns
-from repro.trace.stream import RecordColumns, ValueTrace
+from repro.trace.stream import ValueTrace
 
 
 def collect_trace(
@@ -35,7 +30,7 @@ def collect_trace(
 ) -> tuple[ValueTrace, ExecutionResult]:
     """Run ``program`` and return its value trace plus the execution summary.
 
-    The trace is column-backed: a record's serial is the position of its
+    A record's serial is the position of its
     instruction among all retired ones, and its PC, opcode and category are
     those of the static instruction.
     """
@@ -64,21 +59,3 @@ def _array_columns(np, program: Program, machine: Machine, result: ExecutionResu
         np.frombuffer(machine.values, dtype=np.int64),
     )
 
-
-def _list_columns(program: Program, machine: Machine) -> RecordColumns:
-    """The trace as list columns, selected without numpy."""
-    instructions = program.instructions
-    predicted = [instruction.writes_register for instruction in instructions]
-    retired = machine.retired
-    serials = array("q", compress(count(), map(predicted.__getitem__, retired)))
-    static = list(map(retired.__getitem__, serials))
-    pcs = [program.pc_of_index(index) for index in range(len(instructions))]
-    opcodes = [instruction.opcode for instruction in instructions]
-    categories = [instruction.category for instruction in instructions]
-    return RecordColumns(
-        serials=serials,
-        pcs=array("q", map(pcs.__getitem__, static)),
-        opcodes=list(map(opcodes.__getitem__, static)),
-        categories=list(map(categories.__getitem__, static)),
-        values=machine.values,
-    )

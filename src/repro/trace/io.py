@@ -17,17 +17,15 @@ remains the single source of truth):
 Binary files and text files are distinguished by the leading magic bytes,
 so :func:`load_trace_file` reads either transparently.
 
-Each format has two writers and two decoders with byte-identical results.
-:func:`dump_trace` and :func:`dumps_trace_binary` render a trace from its
-numpy :class:`TraceColumns` in fixed-size chunks of array passes (see
-"Columnar writers" below), and :func:`decode_trace_columns` decodes v3
-straight to arrays.  The Python loops over
-:meth:`~repro.trace.stream.ValueTrace.record_columns` —
-:func:`_write_text_records`, :func:`_binary_body_records` and
-:func:`loads_trace_binary` — take the fields outside int64, which the
-arrays cannot hold, and are the oracles the differential tests compare
-the array passes against.  The canonical text, and so the digest, is the
-same whichever writer ran.
+Every trace is held as int64 numpy :class:`TraceColumns`: each serial, pc
+and value, and each serial and pc step between consecutive records, fits
+int64.  That domain is checked where a trace enters the program — by
+:func:`columns_of_records` (the :class:`~repro.trace.stream.ValueTrace`
+constructor, and so the text loader) and by :func:`decode_trace_columns`
+(v3) — and a violation raises :class:`TraceError`.  Each format then has
+one writer and one decoder, all array passes over the columns in
+fixed-size chunks (see "Columnar writers" below).  The Python record
+loops they were checked against live in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -35,10 +33,8 @@ from __future__ import annotations
 import functools
 import io
 import zlib
-from itertools import chain
-from operator import sub
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, Iterable, TextIO
 from urllib.parse import quote, unquote
 
 from repro.errors import TraceError
@@ -70,41 +66,8 @@ _OPCODE_ORDER: tuple[Opcode, ...] = tuple(Opcode)
 #: Each opcode's index in :data:`_OPCODE_ORDER`.
 _OPCODE_INDEX: dict[Opcode, int] = {opcode: index for index, opcode in enumerate(_OPCODE_ORDER)}
 
-#: Text-format mnemonic of each opcode (a dict lookup beats ``.value``).
-_MNEMONIC: dict[Opcode, str] = {opcode: opcode.value for opcode in Opcode}
-
-
-# --------------------------------------------------------------------------- #
-# Varint primitives (the unsigned ones live in repro.trace.varint)
-# --------------------------------------------------------------------------- #
-def _zigzag(value: int) -> int:
-    """Map a signed integer to an unsigned one (0, -1, 1, -2 → 0, 1, 2, 3)."""
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
-
-
-def _encode_svarint(value: int) -> bytes:
-    return encode_uvarint(_zigzag(value))
-
-
-class _SvarintTable(dict):
-    """Memo of :func:`_encode_svarint`: ``table[value]`` is its encoding.
-
-    Trace fields repeat heavily (deltas, opcodes, predictable values), so
-    the encoder looks each field up here, at C speed on a hit.
-    """
-
-    def __missing__(self, value: int) -> bytes:
-        encoded = self[value] = _encode_svarint(value)
-        return encoded
-
-
-def _decode_svarint(data: bytes | memoryview, offset: int) -> tuple[int, int]:
-    raw, offset = decode_uvarint(data, offset)
-    return _unzigzag(raw), offset
+#: The domain of every trace field and step.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 # --------------------------------------------------------------------------- #
@@ -115,8 +78,8 @@ def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
 
     The name is percent-encoded so that whitespace (or ``=``) in a trace
     name cannot corrupt the space-separated ``key=value`` header fields.
-    Records are rendered from the trace's numpy columns
-    (:func:`trace_columns`) when it has them, else line by line.
+    Records are rendered from the trace's columns in chunks of array
+    passes.
     """
     import numpy as np
 
@@ -124,10 +87,7 @@ def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
         f"{_HEADER_PREFIX} v{_FORMAT_VERSION} name={quote(trace.name, safe='')} "
         f"total={trace.total_dynamic_instructions} records={len(trace)}\n"
     )
-    columns = trace_columns(trace)
-    if columns is None:
-        _write_text_records(trace.record_columns(), destination)
-        return
+    columns = trace.columns
     mnemonics = _mnemonic_words(np, columns.opcodes)
     for start in range(0, len(columns), _CHUNK_RECORDS):
         rows = slice(start, start + _CHUNK_RECORDS)
@@ -137,17 +97,6 @@ def dump_trace(trace: ValueTrace, destination: TextIO) -> None:
                 mnemonics[columns.opcode_codes[rows]], columns.values[rows],
             ).decode("ascii")
         )
-
-
-def _write_text_records(columns: RecordColumns, destination: TextIO) -> None:
-    """The text writer's Python loop: one formatted line per record."""
-    mnemonics = map(_MNEMONIC.__getitem__, columns.opcodes)
-    destination.writelines(
-        f"{serial} {pc} {mnemonic} {value}\n"
-        for serial, pc, mnemonic, value in zip(
-            columns.serials, columns.pcs, mnemonics, columns.values
-        )
-    )
 
 
 def dumps_trace(trace: ValueTrace) -> str:
@@ -204,9 +153,7 @@ def load_trace(source: TextIO) -> ValueTrace:
         raise TraceError(
             f"trace record count mismatch: header says {expected_records}, found {len(records)}"
         )
-    trace = ValueTrace(name, records)
-    trace.set_total_dynamic_instructions(total)
-    return trace
+    return ValueTrace(name, records, total)
 
 
 def loads_trace(text: str) -> ValueTrace:
@@ -234,11 +181,7 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     the body — not the header — through zlib and sets flag bit 0, so the
     record count and name stay inspectable without inflating anything.
     """
-    columns = trace_columns(trace)
-    body_bytes = None if columns is None else _binary_body(columns)
-    if body_bytes is None:
-        body_bytes = _binary_body_records(trace.record_columns())
-
+    body_bytes = _binary_body(trace.columns)
     flags = 0
     if compress:
         flags |= _FLAG_ZLIB_BODY
@@ -262,25 +205,6 @@ def dumps_trace_binary(trace: ValueTrace, compress: bool = False) -> bytes:
     return bytes(out)
 
 
-def _binary_body_records(columns: RecordColumns) -> bytes:
-    """The v3 writer's Python loop: each record's four varints, in order."""
-    svarint = _SvarintTable()
-    opcode_index = {opcode: encode_uvarint(index) for index, opcode in enumerate(_OPCODE_ORDER)}
-    body = io.BytesIO()
-    # writelines, not b"".join: join holds a buffer descriptor per part.
-    body.writelines(
-        chain.from_iterable(
-            zip(
-                map(svarint.__getitem__, map(sub, columns.serials, chain((0,), columns.serials))),
-                map(svarint.__getitem__, map(sub, columns.pcs, chain((0,), columns.pcs))),
-                map(opcode_index.__getitem__, columns.opcodes),
-                map(svarint.__getitem__, columns.values),
-            )
-        )
-    )
-    return body.getvalue()
-
-
 def dump_trace_binary(trace: ValueTrace, destination: BinaryIO, compress: bool = False) -> None:
     """Write the v3 binary serialisation of ``trace`` to an open byte stream."""
     destination.write(dumps_trace_binary(trace, compress=compress))
@@ -297,11 +221,10 @@ def _ascii(field: memoryview, what: str) -> str:
 def _parse_binary_container(data: bytes) -> tuple[str, int, int, list[Opcode], bytes]:
     """Parse the v3 header and return ``(name, total, records, table, body)``.
 
-    The body comes back decompressed; record decoding — scalar
-    (:func:`loads_trace_binary`) or columnar
-    (:func:`decode_trace_columns`) — is the caller's half of the work.
-    Every header invariant both decoders share is checked here, and any
-    violation raises :class:`TraceError`.
+    The body comes back decompressed; record decoding is
+    :func:`decode_trace_columns`' half of the work.  Every header
+    invariant is checked here, and any violation raises
+    :class:`TraceError`.
     """
     view = memoryview(data)
     if bytes(view[: len(BINARY_MAGIC)]) != BINARY_MAGIC:
@@ -350,118 +273,13 @@ def _parse_binary_container(data: bytes) -> tuple[str, int, int, list[Opcode], b
     return name, total, expected_records, table, bytes(body)
 
 
-def loads_trace_binary(data: bytes) -> ValueTrace:
-    """Parse a trace from bytes produced by :func:`dumps_trace_binary`.
-
-    Raises :class:`TraceError` on a bad magic, an unsupported version, a
-    truncated body or a record-count mismatch — the cache treats any of
-    those as a miss rather than a failure.
-    """
-    name, total, expected_records, table, body = _parse_binary_container(data)
-
-    # One record is four varints; the decode loop is the hot path of every
-    # warm cache read, so the varint reader is inlined rather than calling
-    # _decode_svarint twelve-million times on a long trace.
-    pairs = [(opcode, category_of(opcode)) for opcode in table]
-    records: list[TraceRecord] = []
-    append = records.append
-    data = body
-    position = 0
-    serial = 0
-    pc = 0
-    try:
-        for _ in range(expected_records):
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            serial += (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
-
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            pc += (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
-
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            opcode, category = pairs[raw]
-
-            raw = data[position]
-            position += 1
-            if raw & 0x80:
-                raw &= 0x7F
-                shift = 7
-                while True:
-                    byte = data[position]
-                    position += 1
-                    raw |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-            append(
-                TraceRecord(
-                    serial=serial,
-                    pc=pc,
-                    opcode=opcode,
-                    category=category,
-                    value=(raw >> 1) if not raw & 1 else -((raw + 1) >> 1),
-                )
-            )
-    except IndexError as exc:
-        # data[position] fails only once position has reached the end of
-        # the body; a pairs[raw] failure mid-body is a bad opcode index.
-        if position < len(data):
-            raise TraceError(
-                f"corrupt binary trace: invalid opcode index in record {len(records) + 1}"
-            ) from exc
-        raise TraceError(
-            f"corrupt binary trace: body ends after {len(records)} of "
-            f"{expected_records} records"
-        ) from exc
-    if position != len(data):
-        raise TraceError(
-            f"corrupt binary trace: {len(body) - position} trailing bytes after "
-            f"{expected_records} records"
-        )
-    trace = ValueTrace(name, records)
-    trace.set_total_dynamic_instructions(total)
-    return trace
-
-
 def load_trace_binary(source: BinaryIO) -> ValueTrace:
     """Read a trace previously written by :func:`dump_trace_binary`."""
     return loads_trace_binary(source.read())
 
 
 # --------------------------------------------------------------------------- #
-# Columnar decode (the vectorized kernel's input representation)
+# Columns: the one in-memory form of a trace, and the v3 decoder
 # --------------------------------------------------------------------------- #
 #: Records decoded or rendered per numpy pass, so the decoder's and the
 #: writers' scratch arrays stay the same size however long the trace is.
@@ -474,7 +292,8 @@ class TraceColumns:
     ``pcs``/``values``/``serials`` are ``int64`` arrays in program order;
     ``opcode_codes`` indexes ``opcodes`` (the file's embedded table) and
     ``category_codes`` indexes ``categories`` (the distinct categories of
-    that table, in table order).  ``scratch`` is a plain dict where the
+    that table, in table order).  Every serial and pc step between
+    consecutive records fits int64 too.  ``scratch`` is a plain dict where the
     vectorized kernel memoises small per-trace results (the per-category
     record totals) so they are computed once per trace, not once per
     predictor; its large derived structures live only while the trace is
@@ -515,7 +334,7 @@ class TraceColumns:
         return len(self.values)
 
     def record_columns(self) -> RecordColumns:
-        """The same rows as the list columns a :class:`ValueTrace` reads."""
+        """The same rows as list columns (:meth:`ValueTrace.record_columns`)."""
         return RecordColumns(
             serials=self.serials.tolist(),
             pcs=self.pcs.tolist(),
@@ -537,28 +356,93 @@ def _category_mapping(table: list[Opcode] | tuple[Opcode, ...]):
     return tuple(categories), op_to_cat
 
 
+def columns_of_records(
+    name: str, records: Iterable[TraceRecord], total_dynamic_instructions: int | None
+) -> TraceColumns:
+    """The checked columns of hand-built ``records``: the trace constructor's boundary.
+
+    Raises :class:`TraceError` naming the record and field when a serial,
+    pc or value, or a serial or pc step from the previous record, falls
+    outside int64, when a record's category is not its opcode's, or when
+    ``total_dynamic_instructions`` is below the record count (``None``
+    means the record count).
+    """
+    import numpy as np
+
+    rows = list(records)
+    total = len(rows) if total_dynamic_instructions is None else total_dynamic_instructions
+    if total < len(rows):
+        raise TraceError(
+            "total dynamic instructions cannot be smaller than the number of "
+            f"predicted records ({total} < {len(rows)})"
+        )
+    fields = {}
+    for field in ("serial", "pc", "value"):
+        column = [getattr(record, field) for record in rows]
+        try:
+            fields[field] = np.array(column, dtype=np.int64)
+        except OverflowError:
+            index = next(
+                index for index, item in enumerate(column) if not _INT64_MIN <= item <= _INT64_MAX
+            )
+            raise TraceError(
+                f"record {index + 1}: {field} {column[index]} is outside int64"
+            ) from None
+    for field in ("serial", "pc"):
+        _check_steps(np, fields[field], field)
+    for index, record in enumerate(rows):
+        if record.opcode not in _OPCODE_INDEX or record.category is not category_of(record.opcode):
+            raise TraceError(
+                f"record {index + 1}: opcode {record.opcode!r} with category {record.category!r}"
+            )
+    categories, op_to_cat = _category_mapping(_OPCODE_ORDER)
+    opcode_codes = np.array([_OPCODE_INDEX[record.opcode] for record in rows], dtype=np.int64)
+    return TraceColumns(
+        name, total, fields["serial"], fields["pc"], fields["value"], opcode_codes,
+        _OPCODE_ORDER, np.asarray(op_to_cat, dtype=np.int64)[opcode_codes], categories,
+    )
+
+
+def _overflowed(before, after, steps):
+    """Where ``after = before + steps`` wrapped: the exact int64 sign test."""
+    return ((before ^ after) & (steps ^ after)) < 0
+
+
+def _check_steps(np, column, field: str) -> None:
+    """Raise :class:`TraceError` if a step between neighbours of ``column`` leaves int64."""
+    before, after = column[:-1], column[1:]
+    overflow = _overflowed(before, after, after - before)
+    if overflow.any():
+        index = int(np.argmax(overflow)) + 1
+        raise TraceError(
+            f"record {index + 1}: {field} step {int(column[index]) - int(column[index - 1])} "
+            "from the previous record is outside int64"
+        )
+
+
 def _unzigzag_array(np, raw):
-    """Vectorised :func:`_unzigzag` over a ``uint64`` array, as ``int64``."""
+    """Zigzag-decode a ``uint64`` array (0, 1, 2, 3 → 0, -1, 1, -2), as ``int64``."""
     mask = (raw & np.uint64(1)) * np.uint64(0xFFFFFFFFFFFFFFFF)
     return ((raw >> np.uint64(1)) ^ mask).view(np.int64)
 
 
-def _prefix_sum_int64(np, deltas, previous: int, out) -> bool:
+def _prefix_sum_int64(np, deltas, previous: int, out, field: str, start: int) -> None:
     """Write ``previous`` plus the running sum of ``deltas`` into ``out``.
 
-    Returns ``False``, writing nothing, if a sum could overflow int64.  The
-    scalar decoder accumulates in arbitrary-precision Python ints; the
-    columnar path must refuse (and fall back) rather than silently wrap.
-    A float64 shadow sum bounds the true magnitude closely enough to gate
-    on half the int64 range.  ``deltas`` is consumed.
+    The sum wraps in int64 and the exact sign test of each step then finds
+    the first record whose true sum left int64 (all earlier sums are
+    exact); that record raises :class:`TraceError`.  ``start`` is the
+    index of ``out``'s first record in the trace.
     """
-    shadow = np.cumsum(deltas.astype(np.float64))
-    shadow += previous
-    if np.abs(shadow).max() >= float(2**62):
-        return False
-    deltas[0] += previous
     np.cumsum(deltas, out=out)
-    return True
+    out += previous
+    before = np.empty_like(out)
+    before[0] = previous
+    before[1:] = out[:-1]
+    overflow = _overflowed(before, out, deltas)
+    if overflow.any():
+        index = start + int(np.argmax(overflow))
+        raise TraceError(f"corrupt binary trace: {field} of record {index + 1} is outside int64")
 
 
 def _varint_ends(np, buf, count: int, guess: int):
@@ -566,19 +450,19 @@ def _varint_ends(np, buf, count: int, guess: int):
 
     The span searched starts at ``guess`` bytes; a valid 64-bit varint is
     at most 10 bytes long, so when ``10 * count`` bytes do not hold
-    ``count`` of them, one is longer and ``None`` is returned.
+    ``count`` of them, one is longer and :class:`TraceError` is raised.
     """
     for span in (guess, 10 * count):
         ends = np.flatnonzero(buf[:span] < 0x80)
         if len(ends) >= count:
             return ends[:count]
-    return None
+    raise TraceError("corrupt binary trace: a varint is wider than 64 bits")
 
 
 def _varint_values(np, buf, ends):
     """The varints of ``buf`` ending at ``ends``, as ``uint64``.
 
-    ``None`` for a varint wider than a 64-bit zigzag value needs.
+    Raises :class:`TraceError` for a varint wider than 64 bits.
     """
     starts = np.empty_like(ends)
     starts[0] = 0
@@ -586,7 +470,7 @@ def _varint_values(np, buf, ends):
     extra = ends - starts
     longest = int(extra.max())
     if longest > 9 or (longest == 9 and bool(np.any(buf[ends[extra == 9]] > 0x01))):
-        return None
+        raise TraceError("corrupt binary trace: a varint is wider than 64 bits")
     values = (buf[starts] & np.uint8(0x7F)).astype(np.uint64)
     for byte in range(1, longest + 1):
         rows = np.flatnonzero(extra >= byte)
@@ -595,16 +479,14 @@ def _varint_values(np, buf, ends):
     return values
 
 
-def decode_trace_columns(data: bytes) -> TraceColumns | None:
-    """Decode v3 binary bytes straight into columns, skipping records.
+def decode_trace_columns(data: bytes) -> TraceColumns:
+    """Decode v3 binary bytes straight into columns, building no record.
 
-    This is the production decoder (see :func:`decode_trace`).  The body
-    is parsed :data:`_CHUNK_RECORDS` records at a time into preallocated
-    columns, so its scratch arrays stay the same size however long the
-    trace is.  Returns ``None`` for a field outside the 64-bit domain the
-    vectorized kernel computes in (the scalar decoder handles those with
-    arbitrary-precision ints).  Raises :class:`TraceError`, and only
-    that, on corrupt data — exactly where :func:`loads_trace_binary` does.
+    The body is parsed :data:`_CHUNK_RECORDS` records at a time into
+    preallocated columns, so its scratch arrays stay the same size however
+    long the trace is.  Raises :class:`TraceError`, and only that, on
+    corrupt data and on a trace outside the int64 domain: a varint wider
+    than 64 bits, or a serial or pc sum that leaves int64.
     """
     import numpy as np
 
@@ -630,10 +512,15 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
     if buf[-1] & 0x80:
         raise TraceError("truncated varint")
     n_varints = int(np.count_nonzero(buf < 0x80))
-    if n_varints != 4 * expected_records:
+    if n_varints < 4 * expected_records:
         raise TraceError(
-            f"corrupt binary trace: body holds {n_varints} varints, "
-            f"{4 * expected_records} expected"
+            f"corrupt binary trace: body ends after {n_varints // 4} of "
+            f"{expected_records} records"
+        )
+    if n_varints > 4 * expected_records:
+        raise TraceError(
+            f"corrupt binary trace: {n_varints - 4 * expected_records} trailing varints "
+            f"after {expected_records} records"
         )
     # With the count right and the last byte ending a varint, the body
     # splits into exactly the expected varints: each chunk below finds its
@@ -645,11 +532,7 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
         count = min(_CHUNK_RECORDS, expected_records - start)
         window = buf[offset:]
         ends = _varint_ends(np, window, 4 * count, int(4 * count * bytes_per_varint * 1.25) + 16)
-        raw = None if ends is None else _varint_values(np, window, ends)
-        if raw is None:
-            # A varint longer than a 64-bit zigzag value needs: fall back
-            # to the arbitrary-precision scalar decoder.
-            return None
+        raw = _varint_values(np, window, ends)
         offset += int(ends[-1]) + 1
         raw = raw.reshape(count, 4)
         rows = slice(start, start + count)
@@ -659,11 +542,9 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
             raise TraceError(f"corrupt binary trace: invalid opcode index in record {bad + 1}")
         opcode_codes[rows] = codes
         values[rows] = _unzigzag_array(np, raw[:, 3].copy())
-        if not (
-            _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 0].copy()), serial, serials[rows])
-            and _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 1].copy()), pc, pcs[rows])
-        ):
-            return None
+        serial_deltas = _unzigzag_array(np, raw[:, 0].copy())
+        _prefix_sum_int64(np, serial_deltas, serial, serials[rows], "serial", start)
+        _prefix_sum_int64(np, _unzigzag_array(np, raw[:, 1].copy()), pc, pcs[rows], "pc", start)
         serial, pc = int(serials[start + count - 1]), int(pcs[start + count - 1])
     category_codes = np.asarray(op_to_cat, dtype=np.int64)[opcode_codes]
     return TraceColumns(
@@ -673,52 +554,24 @@ def decode_trace_columns(data: bytes) -> TraceColumns | None:
 
 
 def decode_trace(data: bytes) -> ValueTrace:
-    """Decode v3 binary bytes into a trace, building no ``TraceRecord``.
+    """Parse a trace from bytes produced by :func:`dumps_trace_binary`.
 
-    The trace is backed by :func:`decode_trace_columns`' arrays, which
-    :func:`trace_columns` then returns for free; its list columns and
-    records are built only when a caller asks for them.  Only when the
-    columnar decoder declines (``None``) does the scalar
-    :func:`loads_trace_binary` decode instead.  Raises
-    :class:`TraceError` on corrupt data.
+    The trace holds :func:`decode_trace_columns`' arrays and builds no
+    ``TraceRecord``.  Raises :class:`TraceError` on a bad magic, an
+    unsupported version, a truncated body, a record-count mismatch or a
+    field outside int64 — the cache treats any of those as a miss rather
+    than a failure.
     """
-    columns = decode_trace_columns(data)
-    if columns is None:
-        return loads_trace_binary(data)
-    return ValueTrace.from_arrays(columns)
+    return ValueTrace.from_arrays(decode_trace_columns(data))
 
 
-def trace_columns(trace: ValueTrace) -> TraceColumns | None:
-    """Columnar view of an in-memory :class:`ValueTrace`, memoised on it.
+#: The public name of the binary loader.
+loads_trace_binary = decode_trace
 
-    Returns ``None`` when any field falls outside int64 (the vectorized
-    kernel then uses the scalar path).
-    """
-    import numpy as np
 
-    cached = getattr(trace, "_columns", False)
-    if cached is not False:
-        return cached
-    fields = trace.record_columns()
-    count = len(fields.values)
-    categories, op_to_cat = _category_mapping(_OPCODE_ORDER)
-    try:
-        serials = np.fromiter(fields.serials, dtype=np.int64, count=count)
-        pcs = np.fromiter(fields.pcs, dtype=np.int64, count=count)
-        values = np.fromiter(fields.values, dtype=np.int64, count=count)
-    except OverflowError:
-        trace._columns = None
-        return None
-    opcode_codes = np.fromiter(
-        map(_OPCODE_INDEX.__getitem__, fields.opcodes), dtype=np.int64, count=count
-    )
-    category_codes = np.asarray(op_to_cat, dtype=np.int64)[opcode_codes]
-    columns = TraceColumns(
-        trace.name, trace.total_dynamic_instructions, serials, pcs, values,
-        opcode_codes, _OPCODE_ORDER, category_codes, categories,
-    )
-    trace._columns = columns
-    return columns
+def trace_columns(trace: ValueTrace) -> TraceColumns:
+    """The int64 columns ``trace`` holds."""
+    return trace.columns
 
 
 # --------------------------------------------------------------------------- #
@@ -809,7 +662,7 @@ def _text_chunk(np, serials, pcs, opcode_words, values) -> bytes:
 
 
 def _zigzag_int64(np, column):
-    """Vectorised :func:`_zigzag` of an ``int64`` array, as ``uint64``."""
+    """Zigzag-encode an ``int64`` array (0, -1, 1, -2 → 0, 1, 2, 3), as ``uint64``."""
     return (column.view(np.uint64) << np.uint64(1)) ^ (column >> 63).view(np.uint64)
 
 
@@ -831,23 +684,21 @@ def _varint_bytes(np, unsigned) -> list:
 
 
 def _deltas(np, column, previous: int):
-    """``column`` minus each row's predecessor (``previous`` before the
-    first), or ``None`` if a difference overflows int64."""
+    """``column`` minus each row's predecessor (``previous`` before the first).
+
+    Every step of a trace's columns fits int64, so none wraps.
+    """
     before = np.empty_like(column)
     before[0] = previous
     before[1:] = column[:-1]
-    deltas = column - before
-    if np.any(((column ^ before) & (column ^ deltas)) < 0):
-        return None
-    return deltas
+    return column - before
 
 
-def _binary_body(columns: "TraceColumns") -> bytes | None:
-    """The v3 record block of ``columns``, or ``None`` to use the Python loop.
+def _binary_body(columns: TraceColumns) -> bytes:
+    """The v3 record block of ``columns``.
 
-    Byte for byte what :func:`_binary_body_records` writes.  Opcode codes
-    are remapped to :data:`_OPCODE_ORDER`, the table every v3 file is
-    written with.  Declines when a serial or pc delta does not fit int64.
+    Opcode codes are remapped to :data:`_OPCODE_ORDER`, the table every
+    v3 file is written with.
     """
     import numpy as np
 
@@ -859,8 +710,6 @@ def _binary_body(columns: "TraceColumns") -> bytes | None:
         serials, pcs = columns.serials[rows], columns.pcs[rows]
         serial_deltas = _deltas(np, serials, serial)
         pc_deltas = _deltas(np, pcs, pc)
-        if serial_deltas is None or pc_deltas is None:
-            return None
         serial, pc = int(serials[-1]), int(pcs[-1])
         fields = [
             _varint_bytes(np, _zigzag_int64(np, serial_deltas)),

@@ -1,14 +1,16 @@
 """Container for value traces, with summary statistics.
 
 A :class:`ValueTrace` is an immutable-by-convention sequence of
-:class:`TraceRecord` objects (stored as records or as columns) plus the name
-of the workload that produced it and the number of dynamic instructions
+:class:`TraceRecord` rows, held as int64 numpy columns, plus the name of
+the workload that produced it and the number of dynamic instructions
 retired in total (needed to report the "fraction predicted" column of
-Table 2).
+Table 2).  numpy and the trace codecs (:mod:`repro.trace.io`) load only
+when a trace is built, so a command that reads no trace imports neither.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress
@@ -64,69 +66,52 @@ class RecordColumns(NamedTuple):
 class ValueTrace:
     """An ordered collection of predicted-instruction trace records.
 
-    A trace is backed by :class:`TraceRecord` objects (traces built from
-    records), by :class:`RecordColumns` (list columns, built by
-    :meth:`from_columns`) or by numpy array columns (:meth:`from_arrays`: the
-    traces :func:`repro.trace.collector.collect_trace` builds and the
-    engine reads back from v3 bytes).  The
-    writers, :meth:`statistics` and Figure 10's profile read an
-    array-backed trace's arrays (:meth:`array_columns`); other readers
-    that visit every record in order go through :meth:`record_columns`,
-    which serves all three.  The list columns of an array-backed trace and
-    the :attr:`records` of any column-backed trace are built on first
-    access and kept.
+    A trace holds its records as int64 numpy
+    :class:`~repro.trace.io.TraceColumns` (:attr:`columns`), checked where
+    the trace is built: the constructor checks hand-built records
+    (:func:`repro.trace.io.columns_of_records`), and :meth:`from_arrays`
+    takes the columns the collector builds or the v3 decoder checks.  The
+    writers, :meth:`statistics`, Figure 10's profile and the kernel read
+    the arrays; readers that visit every record in Python go through
+    :meth:`record_columns` or :attr:`records`, views built from the arrays
+    on first access and kept.
     """
 
     def __init__(
         self,
         name: str,
-        records: Sequence[TraceRecord] | Iterable[TraceRecord] = (),
+        records: Iterable[TraceRecord] = (),
         total_dynamic_instructions: int | None = None,
     ) -> None:
-        self.name = name
-        self._records: list[TraceRecord] | None = list(records)
-        self._record_columns: RecordColumns | None = None
-        #: :func:`repro.trace.io.trace_columns`' memo: ``False`` until
-        #: computed, ``None`` when the arrays cannot hold the trace.
-        self._columns = False
-        self._total_dynamic_instructions = total_dynamic_instructions
+        """A trace of ``records``; raises :class:`TraceError` outside the int64 domain."""
+        from repro.trace.io import columns_of_records
 
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        columns: RecordColumns,
-        total_dynamic_instructions: int | None = None,
-    ) -> "ValueTrace":
-        """A trace over ``columns``, building no :class:`TraceRecord` yet."""
-        trace = cls(name)
-        trace._records = None
-        trace._record_columns = columns
-        if total_dynamic_instructions is not None:
-            trace.set_total_dynamic_instructions(total_dynamic_instructions)
-        return trace
+        self._hold(columns_of_records(name, records, total_dynamic_instructions))
 
     @classmethod
     def from_arrays(cls, columns) -> "ValueTrace":
-        """A trace over decoded :class:`repro.trace.io.TraceColumns`.
+        """A trace over collected or decoded :class:`repro.trace.io.TraceColumns`.
 
         The arrays serve the vectorized kernel as they are; list columns
         and records are built only if a caller asks for them.
         """
-        trace = cls(columns.name)
-        trace._records = None
-        trace._columns = columns
-        trace.set_total_dynamic_instructions(columns.total_dynamic_instructions)
+        trace = cls.__new__(cls)
+        trace._hold(columns)
         return trace
 
-    # ------------------------------------------------------------------ #
-    # Mutation (used only while a trace is being collected)
-    # ------------------------------------------------------------------ #
-    def append(self, record: TraceRecord) -> None:
-        """Append a record to the trace (collection-time only)."""
-        self.records.append(record)
-        self._record_columns = None
-        self._columns = False
+    def _hold(self, columns) -> None:
+        #: The trace's int64 :class:`~repro.trace.io.TraceColumns`.
+        self.columns = columns
+        self._lists: RecordColumns | None = None
+
+    @property
+    def name(self) -> str:
+        """The name of the workload that produced the trace."""
+        return self.columns.name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        self.columns.name = name
 
     def set_total_dynamic_instructions(self, total: int) -> None:
         """Record the total dynamic instruction count of the producing run."""
@@ -135,68 +120,36 @@ class ValueTrace:
                 "total dynamic instructions cannot be smaller than the number of "
                 f"predicted records ({total} < {len(self)})"
             )
-        self._total_dynamic_instructions = total
+        self.columns.total_dynamic_instructions = total
 
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
-    @property
+    @functools.cached_property
     def records(self) -> list[TraceRecord]:
         """The trace records in program order."""
-        if self._records is None:
-            self._records = list(map(TraceRecord, *self.record_columns()))
-        return self._records
+        return list(map(TraceRecord, *self.record_columns()))
 
     def record_columns(self) -> RecordColumns:
-        """The records as columns, without building records that do not exist."""
-        if self._record_columns is not None:
-            return self._record_columns
-        records = self._records
-        if records is None:
-            self._record_columns = self._columns.record_columns()
-            return self._record_columns
-        return RecordColumns(
-            serials=[record.serial for record in records],
-            pcs=[record.pc for record in records],
-            opcodes=[record.opcode for record in records],
-            categories=[record.category for record in records],
-            values=[record.value for record in records],
-        )
-
-    def array_columns(self):
-        """The numpy :class:`~repro.trace.io.TraceColumns` behind this trace, or ``None``.
-
-        Present on traces built by :meth:`from_arrays` (collected or
-        decoded) and once :func:`repro.trace.io.trace_columns`
-        has memoised them; never built here.
-        """
-        columns = self._columns
-        return None if columns is False or columns is None else columns
+        """The records as list columns, without building :class:`TraceRecord` objects."""
+        if self._lists is None:
+            self._lists = self.columns.record_columns()
+        return self._lists
 
     @property
     def total_dynamic_instructions(self) -> int:
         """Total dynamic instructions (predicted + non-predicted)."""
-        if self._total_dynamic_instructions is None:
-            return len(self)
-        return self._total_dynamic_instructions
+        return self.columns.total_dynamic_instructions
 
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        if self._record_columns is not None:
-            return len(self._record_columns.values)
-        return len(self._columns)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ValueTrace(
-                self.name,
-                self.records[index],
-                total_dynamic_instructions=None,
-            )
+            return ValueTrace(self.name, self.records[index])
         return self.records[index]
 
     def __bool__(self) -> bool:
@@ -219,12 +172,8 @@ class ValueTrace:
 
     def filter_category(self, category: Category) -> "ValueTrace":
         """Return a sub-trace containing only the given category."""
-        columns = self.record_columns()
-        keep = [record_category is category for record_category in columns.categories]
-        return ValueTrace.from_columns(
-            f"{self.name}:{category.value}",
-            RecordColumns(*(list(compress(column, keep)) for column in columns)),
-        )
+        keep = [record_category is category for record_category in self.record_columns().categories]
+        return ValueTrace(f"{self.name}:{category.value}", compress(self.records, keep))
 
     def category_counts(self) -> Counter:
         """Dynamic record count per category."""
@@ -234,20 +183,10 @@ class ValueTrace:
         """Compute the Table 2 / Tables 4-5 style statistics for this trace.
 
         Both category maps list categories in order of first appearance.
-        A category's static count is its number of distinct pcs.  An
-        array-backed trace is counted with numpy passes over its arrays.
+        A category's static count is its number of distinct pcs.  The
+        counts are numpy passes over the trace's arrays.
         """
-        arrays = self.array_columns()
-        if arrays is not None:
-            dynamic_counts, static_counts, static_pcs = _array_category_counts(arrays)
-        else:
-            columns = self.record_columns()
-            dynamic_counts = {}
-            static_counts = {}
-            for (category, _pc), count in Counter(zip(columns.categories, columns.pcs)).items():
-                dynamic_counts[category] = dynamic_counts.get(category, 0) + count
-                static_counts[category] = static_counts.get(category, 0) + 1
-            static_pcs = len(set(columns.pcs))
+        dynamic_counts, static_counts, static_pcs = _category_counts(self.columns)
         return TraceStatistics(
             name=self.name,
             total_dynamic_instructions=self.total_dynamic_instructions,
@@ -261,12 +200,11 @@ class ValueTrace:
         return f"ValueTrace(name={self.name!r}, records={len(self)})"
 
 
-def _array_category_counts(columns) -> tuple[dict, dict, int]:
+def _category_counts(columns) -> tuple[dict, dict, int]:
     """Per-category record and distinct-pc counts of numpy ``columns``.
 
     Returns ``(dynamic counts, static counts, distinct pcs)``; both dicts
-    list categories in order of first appearance, as
-    :meth:`ValueTrace.statistics` does for list columns.
+    list categories in order of first appearance.
     """
     import numpy as np
 

@@ -96,17 +96,17 @@ def interleave_traces(traces: Iterable[ValueTrace], name: str = "interleaved") -
     """Concatenate traces record-by-record in round-robin order.
 
     Useful for composing micro-traces with controlled per-PC behaviour.  PCs
-    are offset per input trace so distinct traces never alias in predictor
-    tables.
+    are offset per input position, so no two inputs alias in predictor
+    tables, even when one trace is passed twice.
     """
     traces = list(traces)
     if not traces:
         raise TraceError("cannot interleave zero traces")
-    offsets = {}
+    offsets = []
     offset = 0
     for trace in traces:
-        offsets[id(trace)] = offset
-        max_pc = max((record.pc for record in trace), default=0)
+        offsets.append(offset)
+        max_pc = max(trace.record_columns().pcs, default=0)
         offset += max_pc + 4
     records: list[TraceRecord] = []
     serial = 0
@@ -121,7 +121,7 @@ def interleave_traces(traces: Iterable[ValueTrace], name: str = "interleaved") -
             records.append(
                 TraceRecord(
                     serial=serial,
-                    pc=record.pc + offsets[id(trace)],
+                    pc=record.pc + offsets[trace_index],
                     opcode=record.opcode,
                     category=record.category,
                     value=record.value,

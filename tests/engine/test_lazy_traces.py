@@ -28,7 +28,7 @@ from repro.engine.sweeps import clear_sweep_cache
 from repro.engine.tasks import TraceTask, profile_cache_key
 from repro.isa.opcodes import CATEGORY_OF, Category, Opcode
 from repro.reporting.experiments import figure10
-from repro.simulation.value_profile import _array_pc_tallies, pc_tallies
+from repro.simulation.value_profile import pc_tallies
 from repro.trace import io as trace_io
 from repro.trace.io import decode_trace, dumps_trace_binary
 from repro.trace.record import TraceRecord
@@ -113,7 +113,7 @@ class TestCachedTallies:
         assert decodes == []
         for benchmark in BENCHMARK_ORDER:
             trace = result.traces[benchmark]
-            assert cached[benchmark] == _array_pc_tallies(trace.array_columns()), benchmark
+            assert cached[benchmark] == pc_tallies(trace), benchmark
 
     def test_hand_built_trace(self, tmp_path, decodes):
         trace = _hand_built_trace()
@@ -124,8 +124,7 @@ class TestCachedTallies:
             assert len(decodes) == 1
             assert engine.cache.path_for("profile", profile_cache_key(trace_digest(trace))).exists()
         decoded = decode_trace(dumps_trace_binary(trace))
-        assert cached == computed == _array_pc_tallies(decoded.array_columns())
-        assert cached == pc_tallies(trace)  # the list-column tally agrees
+        assert cached == computed == pc_tallies(decoded) == pc_tallies(trace)
         assert cached.unique == {0x10: 3, 0x20: 1, 0x30: 2}
         assert cached.dynamic == {0x10: 5, 0x20: 2, 0x30: 3}
         assert cached.category == {0x10: Category.ADDSUB, 0x20: Category.LOGIC, 0x30: Category.LOADS}

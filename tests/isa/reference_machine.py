@@ -327,17 +327,18 @@ def run_program(
 
 
 class TraceCollector:
-    """Machine observer that accumulates a :class:`ValueTrace`."""
+    """Machine observer that accumulates the records of a :class:`ValueTrace`."""
 
     def __init__(self, name: str) -> None:
-        self.trace = ValueTrace(name)
+        self.name = name
+        self.records: list[TraceRecord] = []
         self._dynamic_count = 0
 
     def __call__(self, event: RetiredInstruction, instruction: Instruction) -> None:
         self._dynamic_count += 1
         if event.value is None:
             return
-        self.trace.append(
+        self.records.append(
             TraceRecord(
                 serial=event.serial,
                 pc=event.pc,
@@ -348,9 +349,8 @@ class TraceCollector:
         )
 
     def finalize(self) -> ValueTrace:
-        """Record the total dynamic count and return the finished trace."""
-        self.trace.set_total_dynamic_instructions(self._dynamic_count)
-        return self.trace
+        """The finished trace of the collected records and the total dynamic count."""
+        return ValueTrace(self.name, self.records, self._dynamic_count)
 
 
 def collect_trace(

@@ -20,8 +20,10 @@ import gc
 import itertools
 import json
 import random
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from repro.engine.fingerprint import predictor_signature
 from repro.engine.tasks import SimulateTask, simulate_payload
 from repro.engine.telemetry import TELEMETRY_KEY
 from repro.engine.worker import execute_simulate_task
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TraceError
 from repro.isa.opcodes import CATEGORY_OF, Opcode
 from repro.simulation import vectorized
 from repro.simulation.simulator import (
@@ -47,7 +49,10 @@ from repro.simulation.simulator import (
 )
 from repro.trace.io import decode_trace_columns, dumps_trace_binary, trace_columns
 from repro.trace.record import TraceRecord
-from repro.trace.stream import ValueTrace
+from repro.trace.stream import RecordColumns, ValueTrace
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "trace"))
+import oracles  # noqa: E402
 
 #: Register-writing opcodes spanning all predicted categories (Table 3).
 _OPCODES = (
@@ -696,29 +701,14 @@ class TestWorkerParity:
             execute_simulate_task(payload)
 
 
-@functools.lru_cache(maxsize=None)
-def wide_synthetic_trace() -> ValueTrace:
-    """A synthetic trace with values outside int64 sprinkled through it.
-
-    Such a trace has no numpy columns, on either transport, so the worker
-    simulates it on the reference loop.
-    """
-    base = synthetic_trace(*SCENARIOS[6])
-    records = [
-        TraceRecord(
-            serial=record.serial,
-            pc=record.pc,
-            opcode=record.opcode,
-            category=record.category,
-            value=(2**64 + index if index % 2 else -(2**70) - index)
-            if index % 37 == 0
-            else record.value,
-        )
-        for index, record in enumerate(base.records)
+def wide_synthetic_columns() -> RecordColumns:
+    """A synthetic trace's list columns with values outside int64 sprinkled through them."""
+    base = synthetic_trace(*SCENARIOS[6]).record_columns()
+    values = [
+        (2**64 + index if index % 2 else -(2**70) - index) if index % 37 == 0 else value
+        for index, value in enumerate(base.values)
     ]
-    trace = ValueTrace("wide-synthetic", records)
-    trace.set_total_dynamic_instructions(base.total_dynamic_instructions)
-    return trace
+    return base._replace(values=values)
 
 
 def _worker_outcomes(trace: ValueTrace, names, transport: str) -> list[dict]:
@@ -743,15 +733,20 @@ def _worker_outcomes(trace: ValueTrace, names, transport: str) -> list[dict]:
 class TestWorkerReferenceInputs:
     """The worker's reference-loop path, chosen by the input, on both transports."""
 
-    @pytest.mark.parametrize("transport", ("inline", "bytes"))
-    @pytest.mark.parametrize("name", UNIQUE_NAMES)
-    def test_wide_trace_shard_matches_reference(self, name, transport):
-        trace = wide_synthetic_trace()
-        assert trace_columns(trace) is None
-        assert decode_trace_columns(dumps_trace_binary(trace, compress=True)) is None
-        (entry,) = _worker_outcomes(trace, (name,), transport)
-        reference = shard_to_dict(simulate_shard_scalar(trace, name))
-        assert json.dumps(entry["shard"]) == json.dumps(reference)
+    def test_wide_trace_is_refused_on_both_transports(self):
+        # No trace object can hold a value outside int64 (inline), and
+        # the worker's decoder refuses v3 bytes that carry one (bytes).
+        columns = wide_synthetic_columns()
+        with pytest.raises(TraceError, match="outside int64"):
+            ValueTrace("wide-synthetic", map(TraceRecord, *columns))
+        tasks = [
+            SimulateTask(
+                predictor="l", trace_digest="unused", predictor_signature=predictor_signature("l")
+            )
+        ]
+        blob = oracles.dumps_binary("wide-synthetic", len(columns.values), columns, compress=True)
+        with pytest.raises(TraceError, match="wider than 64 bits"):
+            execute_simulate_task(simulate_payload(tasks, trace_bytes=blob))
 
     @pytest.mark.parametrize("transport", ("inline", "bytes"))
     def test_predictor_class_without_a_plan(self, transport, temporary_predictor):
@@ -814,23 +809,16 @@ class TestShardAccounting:
 class TestReferenceLoopInputs:
     """The inputs production hands to the reference loops.
 
-    A trace with a field outside int64 has no numpy columns, a predictor
-    class from outside the package has no vector plan, and more than 62
-    predictors' joint outcomes do not pack into one merge key.
+    A predictor class from outside the package has no vector plan, and
+    more than 62 predictors' joint outcomes do not pack into one merge
+    key.  A trace with a field outside int64 never reaches them: it
+    cannot be built.
     """
 
-    def test_value_outside_int64(self):
+    def test_value_outside_int64_builds_no_trace(self):
         triples = [(0x10, Opcode.ADD, 2**64), (0x10, Opcode.ADD, 2**64), (0x14, Opcode.SUB, -(2**70))]
-        trace = _edge_trace("wide", triples)
-        assert trace_columns(trace) is None
-        for name in UNIQUE_NAMES:
-            reference = simulate_shard_scalar(trace, name)
-            assert json.dumps(shard_to_dict(simulate_shard(trace, name))) == json.dumps(
-                shard_to_dict(reference)
-            ), name
-        scalar = reference_simulation(trace, PAPER_PREDICTORS)
-        vector = simulate_trace(trace, PAPER_PREDICTORS)
-        assert json.dumps(simulation_to_dict(vector)) == json.dumps(simulation_to_dict(scalar))
+        with pytest.raises(TraceError, match="record 1: value"):
+            _edge_trace("wide", triples)
 
     def test_predictor_class_without_a_plan(self, temporary_predictor):
         from repro.core.last_value import LastValuePredictor

@@ -1,10 +1,10 @@
-"""Column-backed traces from the collector against records-backed copies.
+"""Collected traces against copies built from their records.
 
-:func:`collect_trace` builds its trace from columns and never creates a
-:class:`TraceRecord` unless asked.  For every (benchmark, input, flags)
-configuration, the encoders and statistics must give the same output for
-that trace as for a trace holding the same records as objects: both
-constructors go through the one :meth:`ValueTrace.record_columns` path.
+:func:`collect_trace` builds its trace's columns by array indexing and
+never creates a :class:`TraceRecord` unless asked.  For every
+(benchmark, input, flags) configuration, the encoders and statistics
+must give the same output for that trace as for a trace constructed from
+the same records as objects, whose columns the constructor builds.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ def _ordered_statistics(trace):
 def test_column_trace_encodes_like_its_records(name, input_name, flags):
     program, memory = get_workload(name).build(SCALE, input_name, flags)
     columns_trace, result = collect_trace(program, memory=memory)
-    assert columns_trace._records is None  # nothing materialised yet
+    assert "records" not in vars(columns_trace)  # nothing materialised yet
 
     text = dumps_trace(columns_trace)
     binary = dumps_trace_binary(columns_trace, compress=True)
     statistics = _ordered_statistics(columns_trace)
-    assert columns_trace._records is None  # the encoders read columns
+    assert "records" not in vars(columns_trace)  # the encoders read columns
 
     records_trace = ValueTrace(
         columns_trace.name, columns_trace.records, result.retired_instructions
@@ -65,12 +65,3 @@ def test_records_are_built_once_and_kept():
     assert trace[0] is trace.records[0]
     assert [record.serial for record in trace][:3] == list(trace.record_columns().serials[:3])
 
-
-def test_appending_to_a_column_trace_keeps_every_record():
-    program, memory = get_workload("compress").build(SCALE, "ref", "ref")
-    trace, _ = collect_trace(program, memory=memory)
-    before = len(trace)
-    last = trace.records[-1]
-    trace.append(last)
-    assert len(trace) == before + 1
-    assert list(trace.record_columns().serials[-2:]) == [last.serial, last.serial]

@@ -1,13 +1,14 @@
-"""Differential tests: the columnar v3 decoder against the scalar one.
+"""Differential tests: the columnar v3 decoder against a Python oracle.
 
-:func:`repro.trace.io.decode_trace_columns` is the production decoder and
-:func:`repro.trace.io.loads_trace_binary` its fallback, so the two must
+:func:`repro.trace.io.decode_trace_columns` is the one v3 decoder; the
+record-at-a-time loop of ``tests/trace/oracles.py`` decodes the same bytes
+in Python ints, raising where the int64 domain ends, so the two must
 never disagree.  Each Hypothesis example is one seed of
 ``tests/isa/random_programs.py``: its collected trace must round-trip text
 v2 ↔ v3 ↔ columns identically through both decoders, and seeded byte
 mutations of its v3 bytes must make both decoders raise
 :class:`~repro.errors.TraceError` (and nothing else) or return the same
-content — unless the columnar decoder declines with ``None``.  The
+content.  The
 columnar decoder parses the body ``_CHUNK_RECORDS`` records at a time, so
 both properties also run with three-record chunks, where every example
 spans several chunks, and with mutants whose fault lies past the first
@@ -27,6 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "isa"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import oracles  # noqa: E402
 from random_programs import random_program  # noqa: E402
 
 from repro.errors import ReproError, TraceError  # noqa: E402
@@ -42,7 +45,6 @@ from repro.trace.io import (  # noqa: E402
     encode_uvarint,
     loads_trace,
     loads_trace_binary,
-    trace_columns,
 )
 
 #: Mutants made from each example's v3 bytes.
@@ -72,6 +74,12 @@ def _content(trace):
 
 def _columns_content(columns):
     return (columns.name, columns.total_dynamic_instructions, *columns.record_columns())
+
+
+def _oracle_content(data):
+    """The oracle decoder's reading of ``data``, as :func:`_content` lists it."""
+    name, total, columns = oracles.decode_binary(data)
+    return (name, total, *columns)
 
 
 def _arrays(columns):
@@ -108,6 +116,16 @@ def _decode(decoder, data):
         return TraceError
 
 
+def _assert_decoders_agree(data):
+    """Both decoders raise :class:`TraceError` on ``data``, or decode it alike."""
+    expected = _decode(_oracle_content, data)
+    columns = _decode(decode_trace_columns, data)
+    if expected is TraceError or columns is TraceError:
+        assert expected is columns, data
+    else:
+        assert _columns_content(columns) == expected, data
+
+
 @settings(deadline=None)
 @given(seed=SEEDS)
 def test_round_trip_text_v3_columns_on_both_decoders(seed):
@@ -117,21 +135,16 @@ def test_round_trip_text_v3_columns_on_both_decoders(seed):
     text = dumps_trace(trace)
     expected = _content(trace)
     assert _content(loads_trace(text)) == expected
-    reference = trace_columns(trace)
     for compress in (False, True):
         blob = dumps_trace_binary(trace, compress=compress)
-        scalar = loads_trace_binary(blob)
         columns = decode_trace_columns(blob)
-        assert columns is not None
-        assert _content(scalar) == expected
+        assert _oracle_content(blob) == expected
         assert _columns_content(columns) == expected
-        assert _arrays(columns) == _arrays(reference)
+        assert _arrays(columns) == _arrays(trace.columns)
         decoded = decode_trace(blob)
-        assert trace_columns(decoded) is not None
         assert _content(decoded) == expected
-        for restored in (scalar, decoded):
-            assert dumps_trace(restored) == text
-            assert dumps_trace_binary(restored, compress=compress) == blob
+        assert dumps_trace(decoded) == text
+        assert dumps_trace_binary(decoded, compress=compress) == blob
 
 
 @settings(deadline=None)
@@ -144,14 +157,7 @@ def test_mutated_v3_bytes_fail_alike_or_decode_alike(seed, mutation_seed):
     blobs = [dumps_trace_binary(trace, compress=compress) for compress in (False, True)]
     for _ in range(MUTANTS_PER_SEED):
         mutant = _mutate(rng.choice(blobs), rng)
-        scalar = _decode(loads_trace_binary, mutant)
-        columns = _decode(decode_trace_columns, mutant)
-        if columns is None:
-            continue
-        if scalar is TraceError or columns is TraceError:
-            assert scalar is columns, mutant
-        else:
-            assert _columns_content(columns) == _content(scalar), mutant
+        _assert_decoders_agree(mutant)
 
 
 @pytest.fixture
@@ -199,19 +205,19 @@ def test_mutants_past_the_first_chunk_fail_alike_or_decode_alike(seed, mutation_
             else:
                 del data[position]
             mutant = bytes(data)
-            scalar = _decode(loads_trace_binary, mutant)
-            columns = _decode(decode_trace_columns, mutant)
-            if columns is None:
-                continue
-            if scalar is TraceError or columns is TraceError:
-                assert scalar is columns, mutant
-            else:
-                assert _columns_content(columns) == _content(scalar), mutant
+            _assert_decoders_agree(mutant)
 
 
 def _hand_blob(records) -> bytes:
-    """Uncompressed v3 bytes of raw ``(serial_delta, pc_delta, opcode, value)`` varints."""
-    body = b"".join(encode_uvarint(field) for record in records for field in record)
+    """Uncompressed v3 bytes of raw ``(serial_delta, pc_delta, opcode, value)`` varints.
+
+    A field given as bytes is written as it is.
+    """
+    body = b"".join(
+        field if isinstance(field, bytes) else encode_uvarint(field)
+        for record in records
+        for field in record
+    )
     out = bytearray(BINARY_MAGIC)
     for field in (BINARY_FORMAT_VERSION, 0, 1):
         out += encode_uvarint(field)
@@ -226,7 +232,7 @@ SEVEN = [(2, 2, 0, 2 * index) for index in range(7)]
 
 def test_bad_opcode_in_a_later_chunk_is_reported_at_its_record(small_chunks):
     blob = _hand_blob([*SEVEN[:5], (2, 2, 1, 0), SEVEN[6]])
-    for decoder in (loads_trace_binary, decode_trace_columns):
+    for decoder in (oracles.decode_binary, decode_trace_columns):
         with pytest.raises(TraceError, match="invalid opcode index in record 6"):
             decoder(blob)
 
@@ -241,16 +247,34 @@ def test_chunks_carry_serials_and_pcs_across_boundaries(small_chunks):
     "records",
     [
         [*SEVEN[:5], (2, 2, 0, 2**70), SEVEN[6]],
-        # The first serial is 2**62 - 10 and no delta of the second chunk
-        # reaches 2**62: only the sum carried into it does.
-        [(2**63 - 20, 2, 0, 0), *SEVEN[1:5], (40, 2, 0, 0), SEVEN[6]],
+        [*SEVEN[:5], (2, 2, 0, b"\x80" * 10 + b"\x00"), SEVEN[6]],
+        # The first serial is 2**63 - 10 and no delta of the second chunk
+        # leaves int64: only the sum carried into it does.
+        [(2**64 - 20, 2, 0, 0), *SEVEN[1:5], (40, 2, 0, 0), SEVEN[6]],
+        [(2, 2**64 - 20, 0, 0), *SEVEN[1:5], (2, 40, 0, 0), SEVEN[6]],
     ],
-    ids=["value-wider-than-64-bits", "serial-sum-carried-past-2**62"],
+    ids=[
+        "value-wider-than-64-bits",
+        "zero-in-eleven-bytes",
+        "serial-sum-carried-past-2**63",
+        "pc-sum-carried-past-2**63",
+    ],
 )
-def test_field_outside_int64_in_a_later_chunk_declines(small_chunks, records):
+def test_field_outside_int64_in_a_later_chunk_raises(small_chunks, records):
     blob = _hand_blob(records)
-    assert decode_trace_columns(blob) is None
-    assert len(loads_trace_binary(blob)) == 7
+    for decoder in (oracles.decode_binary, decode_trace_columns, loads_trace_binary):
+        with pytest.raises(TraceError):
+            decoder(blob)
+
+
+def test_serials_and_pcs_in_the_top_quarter_of_int64_decode(small_chunks):
+    # The first serial and pc are 2**62 - 10; the sum carried into the
+    # second chunk passes 2**62 and stays below 2**63.
+    blob = _hand_blob([(2**63 - 20, 2**63 - 20, 0, 0), *SEVEN[1:5], (40, 40, 0, 0), SEVEN[6]])
+    columns = decode_trace_columns(blob)
+    expected = [2**62 - 10 + step for step in (0, 1, 2, 3, 4, 24, 25)]
+    assert columns.serials.tolist() == columns.pcs.tolist() == expected
+    assert _columns_content(columns) == _oracle_content(blob)
 
 
 #: What the whole-body decoder allocated at its peak to decode the

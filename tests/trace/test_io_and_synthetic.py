@@ -48,6 +48,15 @@ class TestSyntheticTraces:
         assert len(merged) == 4
         assert len({record.pc for record in merged}) == 2
 
+    def test_interleave_gives_each_input_its_own_pcs(self):
+        trace = trace_from_streams({0: [1, 2], 8: [3, 4]})
+        other = trace_from_values([5, 6, 7, 8], pc=4)
+        merged = interleave_traces([trace, trace, other])
+        pcs_by_input = [set(merged.record_columns().pcs[start::3]) for start in range(3)]
+        assert pcs_by_input == [{0, 8}, {12, 20}, {28}]
+        # No two inputs share a pc, even when one trace is passed twice.
+        assert sum(map(len, pcs_by_input)) == len(set().union(*pcs_by_input))
+
     def test_interleave_requires_traces(self):
         with pytest.raises(TraceError):
             interleave_traces([])

@@ -18,12 +18,36 @@ def make_record(serial=0, pc=0, opcode=Opcode.ADD, value=1):
 
 
 class TestValueTrace:
-    def test_append_and_len(self):
-        trace = ValueTrace("t")
-        trace.append(make_record())
-        trace.append(make_record(serial=1, value=2))
+    def test_len_and_bool(self):
+        trace = ValueTrace("t", [make_record(), make_record(serial=1, value=2)])
         assert len(trace) == 2
         assert bool(trace)
+        assert not ValueTrace("empty")
+
+    def test_records_are_views_of_the_columns(self):
+        trace = ValueTrace("t", [make_record(value=-(2**63)), make_record(serial=1, pc=4)])
+        assert trace.columns.values.tolist() == [-(2**63), 1]
+        assert trace.records is trace.records
+        assert trace.record_columns() is trace.record_columns()
+        assert trace[1] == make_record(serial=1, pc=4)
+
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            ([make_record(value=2**63)], "record 1: value 9223372036854775808 is outside int64"),
+            ([make_record(), make_record(pc=-(2**63) - 1)], "record 2: pc"),
+            ([make_record(serial=-1), make_record(serial=2**63 - 1)], "record 2: serial step"),
+            ([make_record(opcode=Opcode.LW)], "record 1: opcode"),
+        ],
+        ids=["value", "pc", "serial-step", "category-not-the-opcode's"],
+    )
+    def test_constructor_rejects_records_outside_the_domain(self, records, match):
+        with pytest.raises(TraceError, match=match):
+            ValueTrace("t", records)
+
+    def test_total_below_the_record_count_is_rejected(self):
+        with pytest.raises(TraceError, match="smaller"):
+            ValueTrace("t", [make_record(), make_record(serial=1)], total_dynamic_instructions=1)
 
     def test_total_dynamic_defaults_to_record_count(self):
         trace = trace_from_values([1, 2, 3])

@@ -2,18 +2,16 @@
 
 A trace's text, its v3 bytes, its statistics and its Figure 10 profile
 are computed from array columns, and the collector builds those columns
-by array indexing; the Python loops stay for fields the arrays cannot
-hold.  The two must never disagree: text byte for byte, v3 bodies with
-compression on and off, and statistics and profiles including their dict
-orders.  The Python side calls the loops by name
-(``_write_text_records``, ``_binary_body_records`` and the collector's
-``_list_columns``) or reads list columns.
+by array indexing.  The Python record loops of ``tests/trace/oracles.py``
+do the same work over list columns, and the two must never disagree:
+text byte for byte, v3 bodies with compression on and off, and
+statistics and profiles including their dict orders.
 
 Inputs are seeds of ``tests/isa/random_programs.py`` plus hand-built
-traces for the edges: int64 extremes, deltas that overflow int64, the
+traces for the edges: int64 extremes, steps at the edge of int64, the
 empty trace, a single record, names that need percent-encoding, a pc
-with two categories, a decoded v3 file with a permuted opcode table and a
-value outside int64.
+with two categories and a decoded v3 file with a permuted opcode table;
+a step or a value outside int64 raises :class:`TraceError` instead.
 ``pytest tests/trace/test_writer_differential.py --hypothesis-profile=nightly``
 runs many more seeds than the default profile.  Writers and decoder work
 in ``_CHUNK_RECORDS``-record chunks, so the seeded and hand-built cases
@@ -22,7 +20,6 @@ also run with three-record chunks, where every example spans several.
 
 from __future__ import annotations
 
-import io
 import sys
 from pathlib import Path
 
@@ -30,14 +27,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "isa"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import oracles  # noqa: E402
+from oracles import INT64_MAX, INT64_MIN  # noqa: E402
 from random_programs import random_program  # noqa: E402
 
-from repro.errors import ReproError  # noqa: E402
+from repro.errors import ReproError, TraceError  # noqa: E402
 from repro.isa.machine import Machine  # noqa: E402
 from repro.isa.opcodes import Opcode, category_of  # noqa: E402
-from repro.simulation.value_profile import pc_tallies, value_profile  # noqa: E402
+from repro.simulation.value_profile import pc_tallies, profile_from_tallies, value_profile  # noqa: E402
 from repro.trace import io as trace_io  # noqa: E402
-from repro.trace.collector import _list_columns, collect_trace  # noqa: E402
+from repro.trace.collector import collect_trace  # noqa: E402
 from repro.trace.io import (  # noqa: E402
     BINARY_FORMAT_VERSION,
     BINARY_MAGIC,
@@ -46,14 +46,11 @@ from repro.trace.io import (  # noqa: E402
     dumps_trace_binary,
     encode_uvarint,
     loads_trace,
-    loads_trace_binary,
-    trace_columns,
 )
 from repro.trace.record import TraceRecord  # noqa: E402
-from repro.trace.stream import RecordColumns, ValueTrace  # noqa: E402
+from repro.trace.stream import ValueTrace  # noqa: E402
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _text_records(text: str) -> str:
@@ -63,9 +60,7 @@ def _text_records(text: str) -> str:
 
 def _python_text_records(trace) -> str:
     """The record lines the text writer's Python loop renders."""
-    buffer = io.StringIO()
-    trace_io._write_text_records(trace.record_columns(), buffer)
-    return buffer.getvalue()
+    return oracles.text_records(trace.record_columns())
 
 
 def _body(blob: bytes) -> bytes:
@@ -75,13 +70,7 @@ def _body(blob: bytes) -> bytes:
 
 def _python_body(trace) -> bytes:
     """The v3 record block the Python loop writes."""
-    return trace_io._binary_body_records(trace.record_columns())
-
-
-def _list_backed(trace) -> ValueTrace:
-    """The same records as list columns, which the Python tallies read."""
-    columns = RecordColumns(*map(list, trace.record_columns()))
-    return ValueTrace.from_columns(trace.name, columns, trace.total_dynamic_instructions)
+    return oracles.binary_body(trace.record_columns())
 
 
 def _ordered(statistics):
@@ -98,14 +87,15 @@ def _ordered(statistics):
 
 def _assert_writers_agree(trace):
     """Text, v3, statistics, tallies and profile: numpy path equals Python path."""
-    assert trace_columns(trace) is not None
     assert _text_records(dumps_trace(trace)) == _python_text_records(trace)
     for compress in (False, True):
         assert _body(dumps_trace_binary(trace, compress=compress)) == _python_body(trace)
-    reference = _list_backed(trace)
-    assert _ordered(trace.statistics()) == _ordered(reference.statistics())
-    assert pc_tallies(trace) == pc_tallies(reference)
-    assert value_profile(trace) == value_profile(reference)
+    columns = trace.record_columns()
+    reference = oracles.statistics(trace.name, trace.total_dynamic_instructions, columns)
+    assert _ordered(trace.statistics()) == _ordered(reference)
+    tallies = oracles.pc_tallies(columns)
+    assert pc_tallies(trace) == tallies
+    assert value_profile(trace) == profile_from_tallies(tallies)
 
 
 def _trace(records, name="hand-built", total=None):
@@ -131,7 +121,6 @@ def test_random_program_traces_write_and_tally_alike(seed):
     if collected is None:
         return
     trace, _ = collected
-    assert trace.array_columns() is not None
     _assert_writers_agree(trace)
     _assert_writers_agree(decode_trace(dumps_trace_binary(trace, compress=True)))
 
@@ -148,8 +137,7 @@ def test_numpy_collector_matches_list_collector(seed):
     kwargs = {} if budget is None else {"max_instructions": budget}
     machine = Machine(program, memory=memory, **kwargs)
     listed_result = machine.run()
-    listed = _list_columns(program, machine)
-    assert trace.array_columns() is not None
+    listed = oracles.list_columns(program, machine)
     assert trace.name == program.name
     assert trace.total_dynamic_instructions == listed_result.retired_instructions
     assert list(map(list, trace.record_columns())) == list(map(list, listed))
@@ -171,7 +159,14 @@ HAND_BUILT = [
         id="int64-extreme-values",
     ),
     pytest.param(
-        _trace([(INT64_MAX, INT64_MIN, Opcode.LW, -1), (INT64_MAX, INT64_MAX, Opcode.LW, 0)]),
+        # Steps of exactly INT64_MIN and INT64_MAX.
+        _trace(
+            [
+                (INT64_MAX, INT64_MIN, Opcode.LW, -1),
+                (INT64_MAX, -1, Opcode.LW, 0),
+                (-1, INT64_MAX - 1, Opcode.LW, 1),
+            ]
+        ),
         id="int64-extreme-serials-and-pcs",
     ),
     pytest.param(_trace([]), id="empty"),
@@ -212,46 +207,42 @@ def test_hand_built_traces_write_and_tally_alike(trace):
     [
         ([INT64_MIN, INT64_MAX], [0, 4]),
         ([0, 1], [INT64_MAX, INT64_MIN]),
-        ([INT64_MAX], [INT64_MIN]),
     ],
-    ids=["serial-delta", "pc-delta", "first-delta-in-range"],
+    ids=["serial-step", "pc-step"],
 )
-def test_deltas_overflowing_int64_take_the_python_loop(serials, pcs):
+def test_steps_overflowing_int64_raise(serials, pcs):
+    records = [(s, p, Opcode.ADD, 0) for s, p in zip(serials, pcs)]
+    with pytest.raises(TraceError, match="record 2: .* step"):
+        _trace(records)
+
+
+@pytest.mark.parametrize(
+    "serials, pcs",
+    [
+        ([INT64_MAX], [INT64_MIN]),
+        ([-1, INT64_MAX - 1], [INT64_MAX, -1]),
+    ],
+    ids=["first-step-from-zero", "steps-at-the-int64-edge"],
+)
+def test_steps_at_the_edge_of_int64_write_alike(serials, pcs):
     trace = _trace([(s, p, Opcode.ADD, 0) for s, p in zip(serials, pcs)])
-    columns = trace_columns(trace)
-    assert columns is not None
-    overflows = any(
-        not INT64_MIN <= after - before <= INT64_MAX
-        for column in (serials, pcs)
-        for before, after in zip([0, *column], column)
-    )
-    assert (trace_io._binary_body(columns) is None) == overflows
     _assert_writers_agree(trace)
     for compress in (False, True):
         blob = dumps_trace_binary(trace, compress=compress)
-        assert list(map(list, loads_trace_binary(blob).record_columns())) == list(
+        assert list(map(list, decode_trace(blob).record_columns())) == list(
             map(list, trace.record_columns())
         )
 
 
-def test_value_outside_int64_takes_the_python_path_and_round_trips():
-    trace = _trace([(0, 0, Opcode.ADD, 2**64), (1, 4, Opcode.SUB, -(2**70))])
-    assert trace_columns(trace) is None
-    text = dumps_trace(trace)
-    assert _text_records(text) == _python_text_records(trace)
-    assert list(map(list, loads_trace(text).record_columns())) == list(
-        map(list, trace.record_columns())
-    )
-    for compress in (False, True):
-        blob = dumps_trace_binary(trace, compress=compress)
-        assert _body(blob) == _python_body(trace)
-        assert dumps_trace(decode_trace(blob)) == text
+def test_value_outside_int64_raises():
+    with pytest.raises(TraceError, match="record 2: value"):
+        _trace([(0, 0, Opcode.ADD, 1), (1, 4, Opcode.SUB, -(2**70))])
 
 
 def _v3_with_table(trace, table) -> bytes:
     """``trace`` as uncompressed v3 bytes whose header lists opcodes as ``table``."""
     columns = trace.record_columns()
-    zigzag = trace_io._zigzag
+    zigzag = oracles.zigzag
     body = bytearray()
     serial = pc = 0
     for record in zip(columns.serials, columns.pcs, columns.opcodes, columns.values):
@@ -283,7 +274,7 @@ def test_decoded_trace_with_a_permuted_opcode_table_is_remapped():
     trace, _ = collected
     table = tuple(reversed(Opcode))
     decoded = decode_trace(_v3_with_table(trace, table))
-    assert decoded.array_columns().opcodes == table
+    assert decoded.columns.opcodes == table
     _assert_writers_agree(decoded)
     assert dumps_trace(decoded) == dumps_trace(trace)
     for compress in (False, True):
