@@ -683,6 +683,16 @@ class TestWorkerParity:
         assert json.dumps(entry["shard"]) == json.dumps(reference)
 
     @pytest.mark.parametrize("transport", ("inline", "bytes"))
+    @pytest.mark.parametrize("name", UNIQUE_NAMES)
+    def test_extreme_trace_shard_matches_reference(self, name, transport):
+        # The in-domain edge of the wide trace refused below: values at
+        # int64's extremes run on the vector kernel on both transports.
+        trace = extreme_synthetic_trace()
+        (entry,) = _worker_outcomes(trace, (name,), transport)
+        reference = shard_to_dict(simulate_shard_scalar(trace, name))
+        assert json.dumps(entry["shard"]) == json.dumps(reference)
+
+    @pytest.mark.parametrize("transport", ("inline", "bytes"))
     def test_one_unit_of_every_predictor_matches_reference(self, transport):
         # The unit's predictors share one trace object and so the kernel's
         # per-trace state; none may see another's predictor state.
@@ -699,6 +709,24 @@ class TestWorkerParity:
         payload = {"predictors": [["l", predictor_signature("l")], ["s2", "stale"]], "trace": trace}
         with pytest.raises(SimulationError, match="configured differently"):
             execute_simulate_task(payload)
+
+
+@functools.lru_cache(maxsize=None)
+def extreme_synthetic_trace() -> ValueTrace:
+    """A synthetic trace with int64's extremes sprinkled through it.
+
+    Every 37th value is ``2**63 - 1`` or ``-(2**63)`` in turn, the
+    in-domain edge of the values :func:`wide_synthetic_columns` carries,
+    so strides between them span the whole int64 range.
+    """
+    base = synthetic_trace(*SCENARIOS[6])
+    columns = base.record_columns()
+    values = [
+        (2**63 - 1 if index % 2 else -(2**63)) if index % 37 == 0 else value
+        for index, value in enumerate(columns.values)
+    ]
+    records = map(TraceRecord, *columns._replace(values=values))
+    return ValueTrace("extreme-synthetic", records, base.total_dynamic_instructions)
 
 
 def wide_synthetic_columns() -> RecordColumns:
