@@ -18,8 +18,8 @@ implementations cover one machine:
 * :class:`PersistentWorkerBackend` — worker subprocesses spawned once,
   on first use, and kept warm across phases *and* across engine runs for
   the lifetime of the backend object.  Repeated small dispatches (a
-  campaign's trace phase followed by its simulate phase, a CLI process
-  running several sweeps) skip the per-dispatch fork cost the pool
+  CLI process running several campaigns and sweeps, one simulate
+  dispatch each) skip the per-dispatch fork cost the pool
   backend pays every time.
 
 Because a backend only changes *where* a work unit executes — payloads and
@@ -92,11 +92,9 @@ class ExecutorBackend:
     def parallel_slots(self) -> int:
         """How many units this backend can run concurrently.
 
-        It never affects results.  The phase executor cuts a dispatch of
-        fewer work units than this into this many payloads
-        (:func:`~repro.engine.phases.dispatch_chunks`), and utilization
-        accounting (``perfbench/layers.py``) divides busy time by it.
-        In-process backends report 1.
+        It never affects results or what is dispatched: it serves only
+        utilization accounting (``perfbench/layers.py`` divides busy time
+        by it).  In-process backends report 1.
         """
         return 1
 

@@ -32,8 +32,8 @@ class NullProgress(ProgressListener):
 class ConsoleProgress(ProgressListener):
     """Line-per-event progress log, suitable for interactive CLI runs.
 
-    Counts are kept per phase: a cold trace deferred to the simulate
-    phase finishes its trace task while that phase runs.
+    Counts are kept per phase: a cold trace is collected by its simulate
+    unit, so its trace task finishes while the simulate phase runs.
     """
 
     def __init__(self, stream: TextIO | None = None) -> None:

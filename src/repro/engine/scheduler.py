@@ -3,29 +3,28 @@
 Campaigns and sweeps are the same graph over the same cache keys, and both
 run it through the two phase functions defined here, once each:
 
-1. :func:`trace_phase` — trace tasks, deduplicated by cache key, run
-   through the shared phase executor (:mod:`repro.engine.phases` — the
-   probe → dispatch → put protocol) under one materialisation policy,
-   *lazy-with-repair*: a cache hit is a cheap digest and statistics
-   probe, the trace is decoded on first use (:class:`LazyTrace`), and a
-   corrupt body found then is re-traced, re-accounted and overwritten;
+1. :func:`trace_phase` — trace tasks, deduplicated by cache key, probed
+   in the cache (:func:`~repro.engine.phases.probe_phase`) under one
+   materialisation policy, *lazy-with-repair*: a cache hit is a cheap
+   digest and statistics probe, the trace is decoded on first use
+   (:class:`LazyTrace`), and a corrupt body found then is re-traced,
+   re-accounted and overwritten.  A miss comes back pending: the phase
+   dispatches nothing;
 2. :func:`simulate_phase` — one (trace digest, predictor) task per
    simulate cache entry, each simulated over the whole trace into a
-   :class:`PredictorShard`; the phase executor dispatches one unit per
-   trace, carrying the predictors whose entries missed.
-
-When at least as many traces miss as the backend has parallel slots, the
-trace phase defers them, and the simulate phase's unit for such a trace
-collects it, simulates every predictor over the collected columns and,
-for a campaign, merges them in the same worker: no process decodes a
-cold trace, and the parent caches each entry as its unit returns.
+   :class:`PredictorShard`, through the shared phase executor
+   (:mod:`repro.engine.phases` — the probe → dispatch → put protocol).
+   It dispatches one unit per trace, carrying all of the predictors
+   whose entries missed.  The unit of a pending trace collects it and
+   simulates the collected columns: no process decodes a cold trace,
+   and the parent caches each entry as its unit returns.
 
 :meth:`ExecutionEngine.run` adds the campaign's **merge**: a probe of the
 merged per-benchmark entry first, and for the misses the shards are
 recombined into the joint :class:`SimulationResult`, bit-identical to the
-lockstep loop — inside the unit that simulates the trace when one unit
-covers all of its predictors (the parent ships it the shards that were
-cache hits), otherwise in the parent.  The engine holds at most one
+lockstep loop — inside the trace's unit (the parent ships it the shards
+that were cache hits), or in the parent for a trace that got no unit
+because every shard was a cache hit.  The engine holds at most one
 decoded trace at a time: payloads are built as their units are
 dispatched, and every read of a trace the engine makes for itself
 decodes it for that one use (:meth:`LazyTrace.load`).  The campaign's
@@ -62,7 +61,7 @@ from repro.engine.codecs import (
 )
 from repro.engine.config import EngineConfig
 from repro.engine.fingerprint import key_digest, predictor_signature
-from repro.engine.phases import PhaseSpec, PhaseTask, run_phase
+from repro.engine.phases import PhaseSpec, PhaseTask, ProbeSpec, probe_phase, run_phase
 from repro.engine.progress import NullProgress, ProgressListener
 from repro.engine.tasks import (
     SimulateTask,
@@ -79,10 +78,12 @@ from repro.trace.stream import TraceStatistics, ValueTrace
 
 # The worker module (and through it the trace codecs) loads on a unit's
 # first run, so a fully cached run never imports it; the process
-# backends import it before they fork (``resolve_backend``).  Phases
-# dispatch these module attributes, which tests may replace.
+# backends import it before they fork (``resolve_backend``).  The
+# simulate phase dispatches the second and a trace repair
+# (:meth:`LazyTrace.load`) runs the first, through these module
+# attributes, which tests may replace.
 def execute_trace_task(payload: dict) -> dict:
-    """Run one trace unit (:func:`repro.engine.worker.execute_trace_task`)."""
+    """Trace one benchmark (:func:`repro.engine.worker.execute_trace_task`)."""
     from repro.engine.worker import execute_trace_task as run
 
     return run(payload)
@@ -370,12 +371,11 @@ class ExecutionEngine:
         ordered predictor configurations, so fully-warm benchmarks skip
         both the shard fetches and the per-record merge pass.  A cold
         trace has no digest to probe with yet; its simulate unit collects
-        it, simulates every predictor and merges in the worker.  The
-        simulate phase merges a cached trace in its unit too, when one
-        unit covers all of its predictors; the rest — a trace whose
-        predictors were split across units, or one with no unit because
-        every shard was a cache hit — are merged here, each from a decode
-        that lasts only for its merge.
+        it, simulates every predictor and merges in the worker.  Every
+        other trace with a missing shard is merged in its unit too.  Only
+        a trace that got no unit, because every shard was a cache hit but
+        the merge entry was not, is merged here, from a decode that lasts
+        only for its merge.
         """
         signatures = [[name, predictor_signature(name)] for name in predictors]
         simulations: dict = {}
@@ -477,25 +477,18 @@ class LazyTrace:
     cached, and its cache entry overwritten so the repair sticks.  A fresh
     outcome that does not decode is a bug and raises.  :attr:`trace_binary`
     is the bytes once a decode has accepted them, so process backends are
-    shipped exactly what the trace phase produced, and never a corrupt
-    body.  :meth:`pc_tallies` serves Figure 10's per-PC tallies from the
-    unit that collected the trace or from the cache when it can, so a
-    serial cold run and a warm run read them without decoding the trace.
+    shipped exactly the cached entry's bytes, and never a corrupt body.
+    :meth:`pc_tallies` serves Figure 10's per-PC tallies from the unit
+    that collected the trace or from the cache when it can, so a serial
+    cold run and a warm run read them without decoding the trace.
 
-    A trace whose entry missed may be *pending* (:attr:`pending`): the
-    trace phase deferred it, and the simulate unit that collects it hands
-    its entry (and, in-process when the run asked, its tallies) to
-    :meth:`accept`.  Until then it has no digest and no statistics.
+    ``payload`` is the trace's cache entry on a hit.  Without one the
+    trace is *pending* (:attr:`pending`): the simulate unit that collects
+    it hands its entry (and, in-process when the run asked, its tallies)
+    to :meth:`accept`.  Until then it has no digest and no statistics.
     """
 
-    def __init__(
-        self,
-        engine,
-        task: TraceTask,
-        label: str,
-        payload: dict | None = None,
-        cached: bool = False,
-    ):
+    def __init__(self, engine, task: TraceTask, label: str, payload: dict | None = None):
         self.task = task
         self.label = label
         self.digest: str | None = None
@@ -503,7 +496,7 @@ class LazyTrace:
         self._engine = engine
         self._payload: dict | None = None
         # A cache hit's body may be corrupt until a decode has accepted it.
-        self._unchecked = cached
+        self._unchecked = payload is not None
         self._trace: ValueTrace | None = None
         self._tallies: PcTallies | None = None
         self._profiled = False
@@ -634,19 +627,14 @@ class CampaignTraces(Mapping):
 def trace_phase(
     engine: ExecutionEngine, tasks: Mapping[Hashable, tuple[TraceTask, str]]
 ) -> dict[Hashable, LazyTrace]:
-    """Run the trace phase; returns one :class:`LazyTrace` per caller uid.
+    """Probe the trace phase; returns one :class:`LazyTrace` per caller uid.
 
     ``tasks`` maps the caller's uid to a ``(task, progress label)`` pair.
-    Tasks sharing a cache key run (and count) once, under the label of
-    their first appearance, and their uids share one :class:`LazyTrace`.
-
-    Every caller simulates the traces next, so the traces whose entries
-    miss are not dispatched here when there are at least as many of them
-    as the backend has parallel slots: they come back pending, and
-    :func:`simulate_phase` runs one unit per trace that collects it,
-    simulates it and, for a campaign, merges it in one worker, with no
-    decode.  With fewer, slots would idle, so they are traced here and
-    the simulate phase cuts their units into chunks.
+    Tasks sharing a cache key are probed (and count) once, under the label
+    of their first appearance, and their uids share one
+    :class:`LazyTrace`.  A hit is a cached :class:`LazyTrace`; a miss
+    comes back pending, and the :func:`simulate_phase` unit that
+    simulates the trace collects it (and accounts and reports it).
     """
     keys = {uid: key_digest(task.cache_key()) for uid, (task, _) in tasks.items()}
     first: dict[str, tuple[TraceTask, str]] = {}
@@ -654,27 +642,27 @@ def trace_phase(
         first.setdefault(key, tasks[uid])
     traces: dict[str, LazyTrace] = {}
 
-    def accept(key: str, payload: dict, cached: bool = False) -> bool:
-        traces[key] = LazyTrace(engine, *first[key], payload, cached=cached)
+    def accept(key: str, payload: dict) -> bool:
+        traces[key] = LazyTrace(engine, *first[key], payload)
         return True
 
-    run_phase(
-        engine,
-        PhaseSpec(
-            name="trace",
-            kind="trace",
-            counter="traces",
-            tasks=[
-                PhaseTask(uid=key, label=label, cache_key=task.cache_key(), unit=key)
-                for key, (task, label) in first.items()
-            ],
-            build_payload=lambda chunk, inline: first[chunk[0].uid][0].payload(),
-            worker=execute_trace_task,
-            accept_cached=lambda key, payload: accept(key, payload, cached=True),
-            accept_fresh=accept,
-            defer=True,
-        ),
-    )
+    started = time.perf_counter()
+    with engine.telemetry.span("phase", phase="trace", backend=engine.backend.name) as span:
+        probe_phase(
+            engine,
+            ProbeSpec(
+                name="trace",
+                kind="trace",
+                counter="traces",
+                tasks=[
+                    PhaseTask(uid=key, label=label, cache_key=task.cache_key(), unit=key)
+                    for key, (task, label) in first.items()
+                ],
+                accept_cached=accept,
+            ),
+            span,
+        )
+    engine.stats.record_seconds("traces", time.perf_counter() - started)
     for key in first:
         if key not in traces:
             traces[key] = LazyTrace(engine, *first[key])
@@ -701,26 +689,26 @@ def simulate_phase(
     each predictor over the whole trace from a fresh predictor.
     In-process backends get the decoded trace itself, decoded as the
     unit's payload is built and dropped with it; process backends get the
-    trace phase's own compressed v3 bytes (:attr:`LazyTrace.trace_binary`),
-    never a re-encoding.  With ``merge``, a unit that covers every
-    predictor its trace still needs also merges the request's predictors,
-    in request order: its payload carries the shards that were cache
-    hits, and the parent caches the merge entry it returns.  A trace
-    whose predictors were cut into several units is left to the caller.
+    trace's cached compressed v3 bytes (:attr:`LazyTrace.trace_binary`),
+    never a re-encoding.  With ``merge``, every unit also merges its first
+    request's predictors, in request order: its payload carries the
+    trace's shards that were cache hits, and the parent caches the merge
+    entry it returns.
 
     A pending trace's unit carries the trace task instead: the worker
     collects the trace, simulates all of the request's predictors and,
     with ``merge``, merges them and, in-process with ``tallies``, hands
     back the trace's Figure 10 per-PC tallies; the parent caches the
-    trace, shard and merge entries as the outcome arrives.  An in-process unit hands its merged result
-    back as it is, so only results from process workers are decoded.  Its simulate entries cannot be
-    probed first (their key needs the digest), so a unit computes, and
-    counts as computed, every predictor even when some entries survive
-    in the cache; their bytes are the same.  An entry another trace of
-    equal content already settled in this phase is counted once.
-    ``presatisfied_count`` and
-    ``presatisfied_labels`` report units the caller satisfied before the
-    phase (the campaign's merge-level hits) as warm progress.
+    trace, shard and merge entries as the outcome arrives.  An in-process
+    unit hands its merged result back as it is, so only results from
+    process workers are decoded.  Its simulate entries cannot be probed
+    first (their key needs the digest), so a unit computes, and counts as
+    computed, every predictor even when some entries survive in the
+    cache; their bytes are the same.  An entry another trace of equal
+    content already settled in this phase is counted once.
+    ``presatisfied_count`` and ``presatisfied_labels`` report units the
+    caller satisfied before the phase (the campaign's merge-level hits)
+    as warm progress.
     """
     signatures = {
         predictor: predictor_signature(predictor)
@@ -757,42 +745,44 @@ def simulate_phase(
     shards: dict[tuple[str, str], PredictorShard] = {}
     merged: dict[str, SimulationResult] = {}
 
-    def build_payload(chunk: Sequence[PhaseTask], inline: bool) -> dict:
-        unit = chunk[0].unit
-        trace = tasks[chunk[0].uid][1]
-        chunk_tasks = [tasks[task.uid][0] for task in chunk]
-        # The unit's other shards this phase already holds (its cache
-        # hits): a chunk that needs only those besides its own merges the
-        # trace; a unit cut into several chunks leaves that to the caller.
-        own = {task.uid for task in chunk}
-        held = [uid for uid in unit_uids[unit] if uid not in own and uid in shards]
-        covered = len(own) + len(held) == len(unit_uids[unit])
-        order = orders.get(unit) if covered else None
+    def build_payload(unit_tasks: Sequence[PhaseTask], inline: bool) -> dict:
+        unit = unit_tasks[0].unit
+        trace = tasks[unit_tasks[0].uid][1]
+        simulate_tasks = [tasks[task.uid][0] for task in unit_tasks]
+        order = orders.get(unit)
         if trace.pending:
             return simulate_payload(
-                chunk_tasks,
+                simulate_tasks,
                 trace_task=trace.task,
                 inline=inline,
                 merge=order,
-                tallies=inline and tallies and order is not None,
+                tallies=inline and tallies and merge,
             )
         form = {"trace": trace.load()} if inline else {"trace_bytes": trace.trace_binary}
+        # The unit's cache hits, which its merge needs beside its own shards.
+        own = {task.uid for task in unit_tasks}
+        held = [uid for uid in unit_uids[unit] if uid not in own and uid in shards]
         return simulate_payload(
-            chunk_tasks,
+            simulate_tasks,
             **form,
             inline=inline,
             merge=order,
-            shards={uid[1]: shard_to_dict(shards[uid]) for uid in held} if order else None,
+            shards={uid[1]: shard_to_dict(shards[uid]) for uid in held} if merge else None,
         )
 
     def accept_shard(uid: tuple[str, str], payload: dict) -> bool:
         shards[uid] = shard_from_dict(payload["shard"])
         return True
 
-    def accept_unit(chunk: Sequence[PhaseTask], outcome: dict) -> Sequence[PhaseTask]:
-        """Settle the trace and merge entries a unit returned beside its shards."""
-        unit = chunk[0].unit
-        trace = tasks[chunk[0].uid][1]
+    def accept_unit(unit_tasks: Sequence[PhaseTask], outcome: dict, settle: Callable) -> None:
+        """Settle a unit's outcome: its trace entry, then its shards, then its merge.
+
+        The merge entry is put last, so a run killed in between never
+        leaves one without its shards (a resume would take the merge hit
+        and never write them).
+        """
+        unit = unit_tasks[0].unit
+        trace = tasks[unit_tasks[0].uid][1]
         entry = outcome.pop("trace", None)
         if entry is not None:
             # A pending trace's unit: take its entry and key its tasks.
@@ -801,14 +791,15 @@ def simulate_phase(
             if engine.cache:
                 engine.cache.put("trace", trace.task.cache_key(), entry)
             engine.progress.task_finished("trace", trace.label, cached=False)
-            chunk = [
+            unit_tasks = [
                 replace(
                     phase_task,
                     uid=(trace.digest, phase_task.uid[1]),
                     cache_key=replace(tasks[phase_task.uid][0], trace_digest=trace.digest).cache_key(),
                 )
-                for phase_task in chunk
+                for phase_task in unit_tasks
             ]
+        settle(unit_tasks)
         merge_entry = outcome.pop("merge", None)
         if merge_entry is not None:
             # An in-process unit hands the merged result over as it is.
@@ -819,7 +810,6 @@ def simulate_phase(
             if engine.cache:
                 pairs = [[predictor, signatures[predictor]] for predictor in orders[unit]]
                 engine.cache.put("merge", merge_cache_key(trace.digest, pairs), merge_entry)
-        return chunk
 
     run_phase(
         engine,

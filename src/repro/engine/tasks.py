@@ -4,7 +4,7 @@ A campaign decomposes into trace tasks (:class:`TraceTask`, one per
 benchmark) and simulate tasks (:class:`SimulateTask`, one per (trace,
 predictor) pair, the grain of the simulate cache); a campaign merges
 each trace's shards into its joint result in the unit that simulates
-them, or in the parent when no one unit holds them all.
+them, or in the parent when every shard was a cache hit.
 A parameter sweep (:mod:`repro.engine.sweeps`) reuses the same two task
 kinds, with trace tasks spanning the sweep's *benchmark*, *input* and
 *flags* axes.  Each task knows its cache key — the full set of inputs
@@ -169,9 +169,8 @@ def simulate_payload(
 
     * ``trace`` — the trace object itself, for in-process dispatch (no
       serialisation cost);
-    * ``trace_bytes`` — the compressed v3 bytes the trace phase produced
-      (its ``trace_binary``, off the worker wire or out of the cache),
-      shipped to process backends as they are: nothing re-encodes a trace
+    * ``trace_bytes`` — the trace's compressed v3 bytes (its
+      ``trace_binary``, out of the cache entry), shipped to process backends as they are: nothing re-encodes a trace
       for the wire, and the worker decodes them once for all of the
       unit's predictors;
     * ``trace_task`` — the task of a trace whose entry missed (its

@@ -6,8 +6,7 @@ plain-dict payloads built by :mod:`repro.engine.tasks`.  A payload carries
 one work unit and its outcome lists one entry per task, under
 ``"outcomes"``, next to one telemetry sidecar; a simulate unit that
 collected its own trace also returns that trace's entry (``"trace"``),
-and a campaign's unit that covers every predictor of its trace returns
-the merged entry (``"merge"``).  Each entry is a JSON-compatible dict —
+and a campaign's unit returns its trace's merged entry (``"merge"``).  Each entry is a JSON-compatible dict —
 the exact representation the cache stores — so the parent handles pool
 output and cache hits identically.
 """
@@ -97,7 +96,7 @@ def execute_simulate_task(payload: dict) -> dict:
     ``TraceRecord``:
 
     * ``trace`` — the trace object itself (in-process dispatch);
-    * ``trace_bytes`` — the trace phase's compressed v3 bytes (the process
+    * ``trace_bytes`` — the trace's cached compressed v3 bytes (the process
       backends' wire format), decoded once, straight to array columns
       (:func:`repro.trace.io.decode_trace`);
     * ``trace_task`` — a trace task's payload, for a benchmark whose trace

@@ -50,6 +50,18 @@ PREDICTORS = ("l", "s2", "fcm2")
 BACKENDS = ("serial", "pool", "persistent")
 PROCESS_BACKENDS = {"pool": PoolBackend, "persistent": PersistentWorkerBackend}
 ALL_BACKENDS = {"serial": lambda jobs: SerialBackend(), **PROCESS_BACKENDS}
+#: The test process: forked workers see this value beside their own pid.
+TEST_PID = os.getpid()
+
+
+def _kill_this_worker() -> None:
+    """SIGKILL the worker process running the calling unit, as the OOM killer would.
+
+    A unit dispatched in-process (a one-unit pool dispatch) would kill the
+    test runner instead, so that fails the test at once.
+    """
+    assert os.getpid() != TEST_PID, "a self-killing unit ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _pid_worker(payload: dict) -> dict:
@@ -57,9 +69,9 @@ def _pid_worker(payload: dict) -> dict:
 
 
 def _dying_worker(payload: dict) -> dict:
-    """Kill the worker process running a ``die`` unit, as the OOM killer would."""
+    """Kill the worker process running a ``die`` unit."""
     if payload.get("die"):
-        os.kill(os.getpid(), signal.SIGKILL)
+        _kill_this_worker()
     return _pid_worker(payload)
 
 
@@ -71,7 +83,7 @@ def _slow_dying_worker(payload: dict) -> dict:
 
 
 def _always_dying_worker(payload: dict) -> dict:
-    os.kill(os.getpid(), signal.SIGKILL)
+    _kill_this_worker()
     return {}
 
 
@@ -96,17 +108,18 @@ def _raising_or_sleeping_worker(payload: dict) -> dict:
     return _raising_worker(payload)
 
 
-def _simulate_dying_on_s2(payload: dict) -> dict:
-    if any(name == "s2" for name, _ in payload["predictors"]):
-        os.kill(os.getpid(), signal.SIGKILL)
+def _simulate_dying_on_m88ksim(payload: dict) -> dict:
+    """Kill the worker running m88ksim's cold unit."""
+    if payload.get("trace_task", {}).get("benchmark") == "m88ksim":
+        _kill_this_worker()
     return execute_simulate_task(payload)
 
 
-def _simulate_dying_late_on_s2(payload: dict) -> dict:
-    """Like :func:`_simulate_dying_on_s2`, but let the other units return first."""
-    if any(name == "s2" for name, _ in payload["predictors"]):
+def _simulate_dying_late_on_m88ksim(payload: dict) -> dict:
+    """Like :func:`_simulate_dying_on_m88ksim`, but let the other units return first."""
+    if payload.get("trace_task", {}).get("benchmark") == "m88ksim":
         time.sleep(1.0)
-    return _simulate_dying_on_s2(payload)
+    return _simulate_dying_on_m88ksim(payload)
 
 
 @contextlib.contextmanager
@@ -383,12 +396,12 @@ class TestWorkerFailure:
         assert time.monotonic() - started < 10
 
     def test_killed_worker_names_the_phase(self, name, monkeypatch):
-        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_s2)
+        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_m88ksim)
         with ExecutionEngine(EngineConfig(jobs=2, backend=name)) as engine, _deadline(30):
             with pytest.raises(DispatchError) as error:
-                engine.run(scale=SCALE, predictors=("l", "s2"), benchmarks=("compress",))
+                engine.run(scale=SCALE, predictors=("l", "s2"), benchmarks=BENCHMARKS)
         message = str(error.value)
-        assert message.startswith("simulate phase failed to dispatch 2 pending task(s) in 2 unit(s)")
+        assert message.startswith("simulate phase failed to dispatch 4 pending task(s) in 2 unit(s)")
         assert f"on the {name!r} backend" in message
         assert "worker process died" in message
 
@@ -452,7 +465,7 @@ class TestCliWorkerDeath:
             "--scale",
             str(SCALE),
             "--benchmarks",
-            "compress",
+            *BENCHMARKS,
             "--predictors",
             "l",
             "s2",
@@ -476,26 +489,26 @@ class TestCliWorkerDeath:
         self, name, tmp_path, monkeypatch, capsys
     ):
         argv = self._argv("campaign", name, tmp_path)
-        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_late_on_s2)
+        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_late_on_m88ksim)
         with _deadline(60):
             assert main(argv) == 1
         self._assert_one_line_failure(name, capsys)
         monkeypatch.undo()
-        # The trace phase finished before the worker died, and so did the
-        # unit simulating ``l``: both entries are cached as they arrive,
-        # and the rerun only computes the simulation that was lost.
+        # compress's unit returned before m88ksim's worker died: its trace,
+        # simulate and merge entries are cached as they arrive, and the
+        # rerun only computes m88ksim, the benchmark that was lost.
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "traces: 0 computed, 1 cached; simulations: 1 computed, 1 cached" in out
+        assert "traces: 1 computed, 1 cached; simulations: 2 computed, 2 cached" in out
 
     def test_sweep_cli_exits_1_on_worker_death(self, name, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_s2)
+        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_m88ksim)
         with _deadline(60):
             assert main(self._argv("sweep", name, tmp_path)) == 1
         self._assert_one_line_failure(name, capsys)
 
     def test_experiments_cli_exits_1_on_worker_death(self, name, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_s2)
+        monkeypatch.setattr(scheduler, "execute_simulate_task", _simulate_dying_on_m88ksim)
         argv = ["experiments", "table2", "--scale", str(SCALE), "--jobs", "2", "--backend", name]
         clear_campaign_cache()  # a memoised campaign would never dispatch
         try:

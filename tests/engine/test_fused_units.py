@@ -1,13 +1,13 @@
 """Pins on fused cold units: a cold trace is traced, simulated and merged in one unit.
 
-When a campaign or sweep has at least as many cold traces as the backend
-has parallel slots, the trace phase defers them and the simulate phase
-runs one unit per cold trace: the worker that collects the trace also
-simulates every predictor over the collected columns and, for a
+The trace phase only probes the cache; every cold trace comes back
+pending and the simulate phase runs one unit per trace, whatever the
+number of traces and worker slots: the worker that collects the trace
+also simulates every predictor over the collected columns and, for a
 campaign, merges them, so no process decodes a cold trace.  The parent
 caches the trace, shard and merge entries as each unit's outcome
-arrives.  Entry bytes, results and the stats line's counts are those of
-the trace-then-simulate path, on every backend.
+arrives.  Entry bytes, results and the stats line's counts are the same
+on every backend.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ BENCHMARKS = ("compress", "m88ksim", "xlisp")
 PREDICTORS = ("l", "s2", "fcm2")
 BACKENDS = {"serial": 1, "pool": 2, "persistent": 2}
 PROCESS_BACKENDS = ("pool", "persistent")
+#: The test process: forked workers see this value and their own pid.
+TEST_PID = os.getpid()
 INPUT_SWEEP = SweepSpec(benchmark="gcc", scale=SCALE, inputs=("all",), predictors=("l", "fcm2"))
 
 
@@ -102,8 +104,44 @@ class TestNoDecode:
         assert _kinds(tmp_path / "cache") == {"trace": inputs, "simulate": 2 * inputs, "merge": 0}
 
 
+@pytest.fixture
+def trace_phase_calls(monkeypatch):
+    """Every ``execute_trace_task`` call the scheduler makes (a trace
+    repair runs it; the trace phase never does)."""
+    calls: list[dict] = []
+    original = scheduler.execute_trace_task
+
+    def spy(payload):
+        calls.append(payload)
+        return original(payload)
+
+    monkeypatch.setattr(scheduler, "execute_trace_task", spy)
+    return calls
+
+
+@pytest.mark.parametrize("benchmarks", [("gcc",), BENCHMARKS], ids=["1-benchmark", "3-benchmark"])
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestTracePhaseDispatchesNothing:
+    def test_cold_campaign(self, tmp_path, trace_phase_calls, dispatch_spy, backend, benchmarks):
+        with ExecutionEngine(_config(backend, tmp_path / "cache")) as engine:
+            dispatched = dispatch_spy(engine)
+            engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=benchmarks)
+        assert trace_phase_calls == []
+        # One fused unit per benchmark, even with fewer benchmarks than slots.
+        assert [payload["trace_task"]["benchmark"] for payload in dispatched] == list(benchmarks)
+        assert [len(payload["predictors"]) for payload in dispatched] == [len(PREDICTORS)] * len(benchmarks)
+
+    def test_cold_sweep(self, tmp_path, trace_phase_calls, dispatch_spy, backend, benchmarks):
+        spec = SweepSpec(benchmarks=benchmarks, scale=SCALE, predictors=("l", "fcm2"))
+        with ExecutionEngine(_config(backend, tmp_path / "cache")) as engine:
+            dispatched = dispatch_spy(engine)
+            engine.run_sweep(spec)
+        assert trace_phase_calls == []
+        assert [payload["trace_task"]["benchmark"] for payload in dispatched] == list(benchmarks)
+
+
 class TestBackendParity:
-    """Every backend leaves the same cache tree, fused or split."""
+    """Every backend leaves the same cache tree."""
 
     @staticmethod
     def _trees(tmp_path, run) -> dict[str, dict[str, bytes]]:
@@ -127,7 +165,7 @@ class TestBackendParity:
         trees = self._trees(tmp_path, lambda engine: engine.run_sweep(INPUT_SWEEP))
         assert trees["serial"] == trees["pool"] == trees["persistent"]
 
-    def test_one_benchmark_split_run(self, tmp_path, dispatch_spy):
+    def test_one_benchmark_run(self, tmp_path, dispatch_spy):
         payloads = {}
 
         def run(engine):
@@ -136,19 +174,19 @@ class TestBackendParity:
 
         trees = self._trees(tmp_path, run)
         assert trees["serial"] == trees["pool"] == trees["persistent"]
-        # One cold trace on two slots is traced first, then its predictors
-        # are spread over both workers; the serial backend fuses it.
-        for backend in PROCESS_BACKENDS:
-            simulate = [payload for payload in payloads[backend] if "predictors" in payload]
-            assert [len(payload["predictors"]) for payload in simulate] == [2, 1]
-            assert not any("trace_task" in payload for payload in simulate)
-        (fused,) = payloads["serial"]
-        assert fused["trace_task"]["benchmark"] == "compress"
+        # One cold trace on two slots is one unit that traces, simulates
+        # and merges it.
+        for backend in BACKENDS:
+            (fused,) = payloads[backend]
+            assert fused["trace_task"]["benchmark"] == "compress"
+            assert fused["merge"] == list(PREDICTORS)
 
 
 def _simulate_dying_late_on_xlisp(payload: dict) -> dict:
     """Kill the worker running xlisp's fused unit, once the others returned."""
     if payload.get("trace_task", {}).get("benchmark") == "xlisp":
+        # A unit run in-process must not kill the test runner.
+        assert os.getpid() != TEST_PID, "a self-killing unit ran in the test process"
         time.sleep(1.0)
         os.kill(os.getpid(), signal.SIGKILL)
     return execute_simulate_task(payload)

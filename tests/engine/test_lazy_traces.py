@@ -96,7 +96,7 @@ def _lazy_trace(engine: ExecutionEngine, trace: ValueTrace) -> LazyTrace:
         "statistics": statistics_to_dict(trace.statistics()),
         "trace_binary": dumps_trace_binary(trace, compress=True),
     }
-    return LazyTrace(engine, TraceTask.for_workload("compress", SCALE), "hand", payload, cached=True)
+    return LazyTrace(engine, TraceTask.for_workload("compress", SCALE), "hand", payload)
 
 
 class TestCachedTallies:

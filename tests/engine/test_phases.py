@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.engine.codecs import decode_cache_entry
-from repro.engine.phases import PhaseSpec, PhaseTask, UnitPayloads, dispatch_chunks, run_phase
+from repro.engine.phases import PhaseSpec, PhaseTask, ProbeSpec, UnitPayloads, probe_phase, run_phase
 from repro.engine.sweeps import SweepSpec
 from repro.engine.telemetry import TELEMETRY_KEY, RunTelemetry, summarize_run
 from repro.simulation.simulator import simulate_trace
@@ -58,12 +58,12 @@ def _spec(tasks, seen, accept_cached=None, built=None, payloads=None, **override
     def accept_fresh(uid, outcome):
         seen[uid] = outcome["value"]
 
-    def build_payload(chunk, inline):
+    def build_payload(unit, inline):
         if built is not None:
-            built.extend((task.uid, inline) for task in chunk)
+            built.extend((task.uid, inline) for task in unit)
         if payloads is not None:
-            payloads.append([task.uid for task in chunk])
-        return {"values": [task.value for task in chunk]}
+            payloads.append([task.uid for task in unit])
+        return {"values": [task.value for task in unit]}
 
     options = dict(
         name="trace",
@@ -232,13 +232,13 @@ class TestRunPhase:
         assert payloads == [["a", "c"]]
 
     @pytest.mark.parametrize("backend", ["pool", "persistent"])
-    def test_one_unit_is_cut_into_a_chunk_per_worker(self, backend):
+    def test_one_unit_is_one_payload_whatever_the_slots(self, backend):
         payloads: list = []
         seen: dict = {}
         tasks = [_task(uid, value, "x") for value, uid in enumerate("abcde", start=1)]
         with ExecutionEngine(EngineConfig(jobs=2, backend=backend)) as engine:
             run_phase(engine, _spec(tasks, seen, payloads=payloads))
-        assert payloads == [["a", "b", "c"], ["d", "e"]]
+        assert payloads == [["a", "b", "c", "d", "e"]]
         assert seen == {"a": 10, "b": 20, "c": 30, "d": 40, "e": 50}
 
     def test_outcome_count_must_match_the_payload(self):
@@ -251,44 +251,52 @@ class TestRunPhase:
             run_phase(engine, _spec(tasks, {}, worker=short_worker))
 
 
-class TestDispatchChunks:
-    @staticmethod
-    def _sizes(units, slots):
-        chunks = dispatch_chunks(units, slots)
-        # Chunks partition the units in order, never reorder a task.
-        assert [task for chunk in chunks for task in chunk] == [task for unit in units for task in unit]
-        return [len(chunk) for chunk in chunks]
+class TestProbePhase:
+    """The probe step alone: hits accepted and reported, misses returned."""
 
-    def test_enough_units_stay_whole(self):
-        units = [list("abc"), list("d")]
-        assert dispatch_chunks(units, 2) == units
-        assert dispatch_chunks(units, 1) == units
+    def test_probe_returns_misses_and_dispatches_nothing(self, tmp_path, dispatch_spy):
+        cache_dir = tmp_path / "cache"
+        engine = ExecutionEngine(EngineConfig(jobs=1, cache_dir=cache_dir))
+        run_phase(engine, _spec([_task("a", 1)], {}))
 
-    def test_one_unit_is_cut_into_slots_chunks(self):
-        assert self._sizes([list("abcdefgh")], 2) == [4, 4]
-        assert self._sizes([list("abcde")], 2) == [3, 2]
-        assert self._sizes([list("abcdefgh")], 3) == [3, 3, 2]
-
-    def test_never_more_chunks_than_tasks(self):
-        assert self._sizes([list("a")], 4) == [1]
-        assert self._sizes([list("ab"), list("c")], 8) == [1, 1, 1]
-
-    def test_extra_chunks_go_to_the_largest_units(self):
-        assert self._sizes([list("abcde"), list("f")], 3) == [3, 2, 1]
-        assert self._sizes([list("ab"), list("cdef")], 4) == [1, 1, 2, 2]
-
-    def test_no_units_no_chunks(self):
-        assert dispatch_chunks([], 2) == []
+        recorder = _Recorder()
+        telemetry = RunTelemetry(tmp_path / "telemetry", argv=[], command="test")
+        probe = ExecutionEngine(
+            EngineConfig(jobs=1, cache_dir=cache_dir), telemetry=telemetry, progress=recorder
+        )
+        dispatched = dispatch_spy(probe)
+        seen: dict = {}
+        spec = ProbeSpec(
+            name="trace",
+            kind="trace",
+            counter="traces",
+            tasks=[_task("a", 1), _task("b", 2)],
+            accept_cached=lambda uid, payload: seen.setdefault(uid, payload["value"]) is not None,
+        )
+        with telemetry.span("phase", phase="trace") as span:
+            pending = probe_phase(probe, spec, span)
+        telemetry.close()
+        assert [task.uid for task in pending] == ["b"]
+        assert seen == {"a": 10}
+        assert dispatched == []
+        # Only the hit is accounted: the misses belong to whoever computes them.
+        assert (probe.stats.traces_cached, probe.stats.traces_computed) == (1, 0)
+        assert recorder.events == [
+            ("started", "trace", 2, 1),
+            ("finished", "trace", "unit-a", True),
+        ]
+        (phase,) = summarize_run(tmp_path / "telemetry")["phases"]
+        assert (phase["total"], phase["cached"], phase["computed"]) == (2, 1, 1)
 
 
 class TestUnitPayloads:
     """Payloads built one unit at a time fail loudly, whatever the error."""
 
     @staticmethod
-    def _build(chunk, inline):
-        if chunk[0].uid == "b":
+    def _build(unit, inline):
+        if unit[0].uid == "b":
             raise IndexError("raised while building b")
-        return {"values": [task.value for task in chunk]}
+        return {"values": [task.value for task in unit]}
 
     def test_iterating_propagates_an_index_error_from_a_build(self):
         payloads = UnitPayloads(self._build, [[_task("a", 1)], [_task("b", 2)]], inline=False)

@@ -2,10 +2,9 @@
 
 A simulate unit is one trace plus the predictors whose ``(trace digest,
 predictor)`` entries missed, under every backend: the worker gets the
-trace once and runs the predictors back to back, in campaign order.  Only
-when a dispatch has fewer units than the backend has worker slots is a
-unit cut into contiguous chunks, one per slot.  Cache entries, stats and
-results stay per (trace, predictor).
+trace once and runs the predictors back to back, in campaign order,
+however few units a dispatch has beside the backend's worker slots.
+Cache entries, stats and results stay per (trace, predictor).
 """
 
 from __future__ import annotations
@@ -107,16 +106,15 @@ class TestOnePayloadPerTrace:
 
 @pytest.mark.parametrize("backend", ["pool", "persistent"])
 class TestOneTraceOnTwoWorkers:
-    def test_cold_run_dispatches_one_chunk_per_worker(self, tmp_path, dispatch_spy, backend):
+    def test_cold_run_dispatches_one_unit(self, tmp_path, dispatch_spy, backend):
         with ExecutionEngine(_config(backend, tmp_path / "cache")) as engine:
             dispatched = dispatch_spy(engine)
-            result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
-        payloads = _simulate_payloads(dispatched)
-        assert [_names(payload) for payload in payloads] == [["l", "s2"], ["fcm2", "fcm1"]]
-        digest = trace_digest(result.traces["compress"])
-        assert [_payload_digest(payload) for payload in payloads] == [digest, digest]
+            engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
+        (payload,) = _simulate_payloads(dispatched)
+        assert _names(payload) == list(PREDICTORS)
+        assert payload["trace_task"]["benchmark"] == "compress"
 
-    def test_missing_predictors_are_split_in_order(self, tmp_path, dispatch_spy, backend):
+    def test_missing_predictors_ride_in_one_unit(self, tmp_path, dispatch_spy, backend):
         config = _config(backend, tmp_path / "cache")
         with ExecutionEngine(config) as cold:
             cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
@@ -125,8 +123,12 @@ class TestOneTraceOnTwoWorkers:
         with ExecutionEngine(config) as engine:
             dispatched = dispatch_spy(engine)
             result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
-        payloads = _simulate_payloads(dispatched)
-        assert [_names(payload) for payload in payloads] == [["l", "s2"], ["fcm1"]]
+        (payload,) = _simulate_payloads(dispatched)
+        assert _names(payload) == ["l", "s2", "fcm1"]
+        assert _payload_digest(payload) == trace_digest(result.traces["compress"])
+        # The unit merges the trace, with the one shard that was a hit.
+        assert payload["merge"] == list(PREDICTORS)
+        assert list(payload["shards"]) == ["fcm2"]
         assert result.simulations == cold_result.simulations
 
 

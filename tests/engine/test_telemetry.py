@@ -255,7 +255,7 @@ class TestOnOffParity:
         assert _entry_bytes(on_cache) == _entry_bytes(off_cache)
 
     def test_sweep_results_and_cache_entries_identical(self, tmp_path):
-        spec = SweepSpec(benchmark="compress", scale=SCALE, predictors=("l", "s2"))
+        spec = SweepSpec(benchmarks=("compress", "m88ksim"), scale=SCALE, predictors=("l", "s2"))
         points = {}
         entries = {}
         for mode in ("on", "off"):
@@ -273,9 +273,8 @@ class TestOnOffParity:
             if telemetry is not None:
                 telemetry.close()
                 # Per-task spans carry the worker process's pid and its
-                # own execute seconds, measured on the worker side.  The
-                # one-unit trace dispatch runs inline; the two simulate
-                # units go to the pool.
+                # own execute seconds, measured on the worker side: the
+                # two benchmarks' simulate units go to the pool.
                 tasks = summarize_run(tmp_path / "telemetry-sweep")["tasks"]
                 simulate = [task for task in tasks if task["phase"] == "simulate"]
                 assert len(simulate) == 2
@@ -304,10 +303,11 @@ class TestInstrumentedRun:
         for phase in summary["phases"]:
             assert phase["seconds"] > 0
         computed = len(BENCHMARKS) * (1 + len(PREDICTORS))
-        # The cold traces are deferred to the simulate phase: one task span
-        # per benchmark, whose unit traced, simulated and merged it and
-        # splits its worker time by stage.
-        assert summary["phases"][0]["deferred"] == len(BENCHMARKS)
+        # The trace phase only probes: its cold traces are computed by the
+        # simulate phase, one task span per benchmark, whose unit traced,
+        # simulated and merged it and splits its worker time by stage.
+        assert summary["phases"][0]["computed"] == len(BENCHMARKS)
+        assert "deferred" not in summary["phases"][0]
         assert len(summary["tasks"]) == len(BENCHMARKS)
         for task in summary["tasks"]:
             assert task["seconds"] > 0 and isinstance(task["worker_pid"], int)

@@ -4,9 +4,9 @@ Each benchmark's trace feeds its predictors once, so the engine holds at
 most one decoded trace at a time: payloads are built as their units are
 dispatched, the engine's own reads of a trace decode it for that one use,
 and an in-process unit that collects a trace hands back its Figure 10
-tallies, not the trace, when its campaign serves them.  A campaign whose trace-hit units cover all of
-their trace's predictors merges inside those units, so the parent runs no
-merge, and it decodes each trace-hit trace at most once per run.
+tallies, not the trace, when its campaign serves them.  A campaign's
+trace-hit units merge inside the unit, so the parent runs no merge, and
+it decodes each trace-hit trace at most once per run.
 """
 
 from __future__ import annotations
@@ -185,15 +185,46 @@ def test_trace_hit_units_merge_in_the_unit(tmp_path, backend, parent_merges, par
     assert len(parent_decodes) == len(BENCHMARKS)
 
 
-def test_split_trace_is_merged_in_the_parent(tmp_path, parent_merges):
+def test_one_trace_on_two_workers_is_decoded_once_in_the_parent(
+    tmp_path, parent_merges, parent_decodes
+):
     config = EngineConfig(jobs=2, backend="persistent", cache_dir=tmp_path / "cache")
     with ExecutionEngine(config) as cold:
-        cold_result = cold.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
+        cold.run(scale=SCALE, predictors=("l",), benchmarks=("compress",))
+    parent_merges.clear()
+    parent_decodes.clear()
     with ExecutionEngine(config) as engine:
         result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
-    # One trace on two workers: its predictors went to two units.
-    assert parent_merges == [cold_result.traces["compress"].name]
+        assert engine.stats.traces_cached == 1
+    # One trace on two workers is one unit, which merges it: the parent's
+    # one decode is the body check before the trace's bytes ship.
+    assert len(parent_decodes) == 1
+    assert parent_merges == []
     assert result.simulations["compress"].predictor_names == PREDICTORS
+
+
+def test_a_trace_with_every_shard_cached_is_merged_in_the_parent(
+    tmp_path, parent_merges, parent_decodes, dispatch_spy
+):
+    config = EngineConfig(jobs=2, backend="persistent", cache_dir=tmp_path / "cache")
+    with ExecutionEngine(config) as cold:
+        cold_result = cold.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
+        name = cold_result.traces["compress"].name
+    for path in (tmp_path / "cache" / "merge").rglob("*.rvpc"):
+        path.unlink()
+    parent_merges.clear()
+    parent_decodes.clear()
+    with ExecutionEngine(config) as engine:
+        dispatched = dispatch_spy(engine)
+        result = engine.run(scale=SCALE, predictors=PREDICTORS, benchmarks=("compress",))
+        assert engine.stats.simulations_cached == len(PREDICTORS)
+    # No shard missed, so the trace got no unit: the parent merges it,
+    # from one decode, and writes the merge entry back.
+    assert dispatched == []
+    assert parent_merges == [name]
+    assert len(parent_decodes) == 1
+    assert result.simulations == cold_result.simulations
+    assert len(list((tmp_path / "cache" / "merge").rglob("*.rvpc"))) == 1
 
 
 @pytest.fixture
